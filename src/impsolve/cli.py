@@ -61,16 +61,16 @@ def _parse_vector(text: str, mode: str, what: str) -> LatticeVec:
         raise SpecFormatError(f"bad {what} {text!r}: {exc}") from None
 
 
-def _num(value, mode: str):
+def _num(value):
     if isinstance(value, Fraction):
         return format_value(value, EXACT)
     return value
 
 
-def _vec_doc(vec, mode: str):
+def _vec_doc(vec):
     if vec is None:
         return None
-    return [_num(e, mode) for e in vec.entries]
+    return [_num(e) for e in vec.entries]
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -146,9 +146,9 @@ def _cmd_membership(args) -> int:
     result = membership(cmp, X, args.budget, args.tol)
     doc = {
         "verdict": result.verdict,
-        "principal_Y": _vec_doc(result.principal_Y, eq.mode),
+        "principal_Y": _vec_doc(result.principal_Y),
         "iterations_used": result.iterations_used,
-        "witness": _vec_doc(result.witness, eq.mode),
+        "witness": _vec_doc(result.witness),
     }
     _emit(_json_doc(doc), args.out)
     return 0
@@ -185,11 +185,11 @@ def _cmd_check(args) -> int:
             {
                 "kind": v.kind,
                 "component": v.component,
-                "point": [_num(e, eq.mode) for e in v.point],
+                "point": [_num(e) for e in v.point],
                 "increment": None if v.increment is None
-                             else [_num(e, eq.mode) for e in v.increment],
-                "lhs": _num(v.lhs, eq.mode),
-                "rhs": _num(v.rhs, eq.mode),
+                             else [_num(e) for e in v.increment],
+                "lhs": _num(v.lhs),
+                "rhs": _num(v.rhs),
             }
             for v in report.violations
         ],

@@ -30,7 +30,6 @@ UNRESOLVED = "unresolved"
 class IterationTrace:
     iterates_Y: tuple[LatticeVec, ...]
     iterates_y: tuple[tuple[Number, ...], ...] | None
-    monotone_ok: bool
     converged: bool
     diverged: bool
     residual_norm: Number | None
@@ -117,7 +116,7 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
         res = _eval_comparison(cmp, X, final)
         residual_norm = max(abs(r - f) for r, f in zip(res.entries, final.entries))
     return IterationTrace(
-        iterates_Y=tuple(iterates), iterates_y=None, monotone_ok=True,
+        iterates_Y=tuple(iterates), iterates_y=None,
         converged=converged, diverged=diverged,
         residual_norm=residual_norm, error_bounds=error_bounds)
 
@@ -157,7 +156,7 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     res = eq.psi.evaluate(x + y)
     residual_norm = max(abs(r - f) for r, f in zip(res, y))
     return IterationTrace(
-        iterates_Y=comp.iterates_Y, iterates_y=tuple(ys), monotone_ok=True,
+        iterates_Y=comp.iterates_Y, iterates_y=tuple(ys),
         converged=True, diverged=False,
         residual_norm=residual_norm, error_bounds=comp.error_bounds)
 

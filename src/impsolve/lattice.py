@@ -58,9 +58,6 @@ class LatticeVec:
     def scale(self, factor: Number) -> LatticeVec:
         return LatticeVec(tuple(e * factor for e in self.entries))
 
-    def max_entry(self) -> Number:
-        return max(self.entries)
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 

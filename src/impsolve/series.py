@@ -37,6 +37,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -313,14 +314,21 @@ class Series:
 
     # -- evaluation -----------------------------------------------------
 
+    @cached_property
+    def _plan(self) -> tuple:
+        """Horner plan and coefficient list, built on first use; not a field."""
+        coefficients: list[Number] = []
+        root = _compile(self.terms, self.num_vars - 1, coefficients)
+        return root, tuple(coefficients)
+
     def evaluate(self, point: Sequence[Number]) -> Number:
         """Horner-style evaluation at a point whose entries match the mode."""
         if len(point) != self.num_vars:
             raise ValueError(
                 f"point has {len(point)} entries, series has {self.num_vars} variables")
         coords = [coerce_value(c, self.mode) for c in point]
-        plain = {tuple(a): v for a, v in self.terms.items()}
-        return _eval_terms(plain, self.num_vars, coords, zero_value(self.mode))
+        root, coefficients = self._plan
+        return _horner(root, coords, coefficients, zero_value(self.mode))
 
     # -- serialization --------------------------------------------------
 
@@ -363,21 +371,39 @@ class Series:
         return " + ".join(bits)
 
 
-def _eval_terms(terms: dict, nactive: int, point: list, zero: Number) -> Number:
-    if not terms:
-        return zero
-    if nactive == 0:
-        return terms.get((), zero)
+def _compile(terms: Mapping, var: int, coefficients: list) -> tuple:
+    """Horner plan of *terms*: the node ``(var, steps)`` lists, from the top
+    power of ``var`` down to 0, ``None`` where no term has that power, else
+    the node of the lower variables or, at ``var == 0``, a coefficient index.
+    """
     groups: dict[int, dict] = {}
     for alpha, value in terms.items():
-        groups.setdefault(alpha[-1], {})[alpha[:-1]] = value
-    t = point[nactive - 1]
-    acc = zero
-    for k in range(max(groups), -1, -1):
-        acc = acc * t
+        groups.setdefault(alpha[var], {})[alpha] = value
+    steps: list = []
+    for k in range(max(groups, default=-1), -1, -1):
         sub = groups.get(k)
-        if sub is not None:
-            acc = acc + _eval_terms(sub, nactive - 1, point, zero)
+        if sub is None:
+            steps.append(None)
+        elif var == 0:
+            steps.append(len(coefficients))
+            coefficients.extend(sub.values())
+        else:
+            steps.append(_compile(sub, var - 1, coefficients))
+    return var, tuple(steps)
+
+
+def _horner(node: tuple, point: Sequence, leaves: Sequence, zero):
+    """Run a plan with ``point[j]`` for variable ``j`` and ``leaves[i]`` for
+    coefficient ``i``: numbers evaluate, series substitute.  The first step
+    multiplies ``zero`` too, as that product fixes the sign of a zero result.
+    """
+    var, steps = node
+    t = point[var]
+    acc = zero
+    for step in steps:
+        acc = acc * t
+        if step is not None:
+            acc = acc + (leaves[step] if var == 0 else _horner(step, point, leaves, zero))
     return acc
 
 
@@ -480,32 +506,10 @@ def compose_series(outer: Series, inner: Sequence[Series]) -> Series:
             raise ValueError(
                 f"inner component {k} has a nonzero constant term; "
                 f"substitution requires maps vanishing at the origin")
-    plain = {tuple(a): v for a, v in outer.terms.items()}
-    return _substitute(plain, outer.num_vars, inner,
-                       base.num_vars, base.degree_cap, base.mode)
-
-
-def _substitute(terms: dict, nactive: int, inner: list[Series],
-                out_vars: int, cap: int, mode: str) -> Series:
-    zero = Series.zero(out_vars, cap, mode)
-    if not terms:
-        return zero
-    if nactive == 0:
-        value = terms.get(())
-        if value is None:
-            return zero
-        return Series.constant(out_vars, cap, mode, value)
-    groups: dict[int, dict] = {}
-    for alpha, value in terms.items():
-        groups.setdefault(alpha[-1], {})[alpha[:-1]] = value
-    t = inner[nactive - 1]
-    acc = zero
-    for k in range(max(groups), -1, -1):
-        acc = acc * t
-        sub = groups.get(k)
-        if sub is not None:
-            acc = acc + _substitute(sub, nactive - 1, inner, out_vars, cap, mode)
-    return acc
+    root, coefficients = outer._plan
+    shape = (base.num_vars, base.degree_cap, base.mode)
+    leaves = [Series.constant(*shape, v) for v in coefficients]
+    return _horner(root, inner, leaves, Series.zero(*shape))
 
 
 def series_compose(outer: SeriesMap, inner: SeriesMap) -> SeriesMap:

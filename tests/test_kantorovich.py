@@ -53,7 +53,6 @@ def test_first_iterates_frozen():
 def test_convergence_inside():
     trace = iterate_comparison(quadratic_comparison(), X_at(0.2))
     assert trace.converged and not trace.diverged
-    assert trace.monotone_ok
     limit = trace.iterates_Y[-1].entries[0]
     assert limit == pytest.approx(principal_quadratic(0.2), abs=1e-10)
     assert trace.residual_norm < 1e-10

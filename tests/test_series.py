@@ -4,6 +4,7 @@ The multiplication and composition oracles are the naive dict routines in
 helpers.py; frozen examples were expanded by hand.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -183,6 +184,63 @@ def test_evaluate_matches_direct_sum(ts):
 def test_evaluate_float():
     s = Series(1, 8, {(1,): 1.0, (2,): 1.0}, FLOAT)
     assert s.evaluate((0.5,)) == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("mode, point", [
+    (FLOAT, (0.5,)),
+    (FLOAT, (0.5, 0.5, 0.5)),
+    (EXACT, (0.5, F(1, 2))),
+    (FLOAT, (F(1, 2), 0.5)),
+    (FLOAT, (True, 0.5)),
+    (EXACT, (F(1, 2), False)),
+    (FLOAT, (float("inf"), 0.5)),
+    (FLOAT, (0.5, float("-inf"))),
+    (FLOAT, (float("nan"), 0.5)),
+])
+def test_evaluate_rejects_bad_points(mode, point):
+    one = 1 if mode == EXACT else 1.0
+    s = Series(2, 4, {(1, 0): one, (0, 2): one}, mode)
+    with pytest.raises(ValueError):
+        s.evaluate(point)
+
+
+def test_evaluate_takes_ints_and_leaves_equality_alone():
+    terms = {(1, 0): F(1), (1, 1): F(-2, 3), (0, 3): F(5)}
+    a, b = Series(2, 4, terms, EXACT), Series(2, 4, terms, EXACT)
+    assert a.evaluate((2, F(1, 2))) == F(47, 24)
+    assert a == b and b == a
+    fa = a.as_float()
+    assert fa.evaluate((2, 0.5)) == fa.evaluate((2.0, 0.5))
+    assert fa == b.as_float()
+
+
+# Values recorded from the evaluator before it was compiled into a plan.
+# Equality is exact: they pin the order of the float operations, and the
+# sign checks pin the leading multiplication of the zero accumulator,
+# which decides the sign of -x0 at (0.0, 0.5) and (0.0, -0.5).
+FROZEN_TWO = {(1, 0): 1.0, (0, 2): -0.75, (1, 1): 0.3, (2, 3): 1e-3, (0, 5): 0.125}
+FROZEN_THREE = {(1, 0, 0): 0.5, (0, 1, 1): -0.25, (0, 0, 2): 0.3, (1, 0, 1): 0.1,
+                (2, 1, 0): -0.2, (0, 3, 0): 1 / 3, (1, 1, 1): 0.7, (0, 0, 5): -1.1}
+
+
+@pytest.mark.parametrize("terms, point, want", [
+    (FROZEN_TWO, (0.3, -0.7), -0.15153961999999999),
+    (FROZEN_TWO, (0.1, 0.2), 0.07604008000000001),
+    (FROZEN_TWO, (-0.5, 0.25), -0.5842490234375),
+    (FROZEN_TWO, (0.0, 0.0), 0.0),
+    ({(1, 0): -1.0}, (0.0, 0.5), 0.0),
+    ({(1, 0): -1.0}, (0.0, -0.5), -0.0),
+    (FROZEN_THREE, (0.2, 0.3, 0.4), 0.138136),
+    (FROZEN_THREE, (-0.35, 0.15, -0.6), 0.08153599999999994),
+    (FROZEN_THREE, (1.0, -1.0, 0.5), 0.2322916666666667),
+    (FROZEN_THREE, (0.0, 0.0, -0.0), 0.0),
+])
+def test_evaluate_float_frozen(terms, point, want):
+    s = Series(len(point), 6, terms, FLOAT)
+    got = s.evaluate(point)
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert s.evaluate(point) == got
 
 
 # ---------------------------------------------------------------------------

@@ -287,9 +287,6 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except SpecFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

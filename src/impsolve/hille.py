@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, NamedTuple
+from typing import IO, Callable, NamedTuple
 
 from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, INSIDE, OUTSIDE,
                           membership)
@@ -25,6 +25,9 @@ from .solver import SolutionSeries
 FOUND = "found"
 UNBOUNDED = "unbounded"
 FAILED = "failed"
+
+Y_CAP = 1e6  # hille_point: no turn below this Y means unbounded
+PROBE_CAP = 1e12  # radius_along_ray: no outside verdict up to here means unbounded
 
 
 @dataclass(frozen=True)
@@ -71,11 +74,34 @@ def _scalar_series(cmp: ComparisonEquation) -> Series:
         raise ValueError(
             f"a scalar comparison equation is required, got dimensions "
             f"({cmp.dim_X}, {cmp.dim_Y})")
-    return cmp.Psi.as_float().components[0]
+    psi = cmp.Psi.as_float().components[0]
+    if not any(gamma[0] > 0 for gamma in psi.terms):
+        raise ValueError(
+            "the comparison equation does not depend on X; the graph "
+            "solve is ill-posed")
+    return psi
 
 
-def _has_x_dependence(psi: Series) -> bool:
-    return any(gamma[0] > 0 for gamma in psi.terms)
+def _bisect(below: Callable[[float], bool], lo: float, hi: float,
+            abs_tol: float, rel_tol: float) -> tuple[float, float]:
+    """Narrow ``lo < hi`` by bisection, keeping ``below(lo)`` true and
+    ``below(hi)`` false.
+
+    Stops once ``hi - lo <= max(abs_tol, rel_tol * hi)``, or once no float
+    lies strictly between the ends, so the midpoint would repeat one of
+    them.
+    """
+    d = hi - lo
+    while d > abs_tol and d > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        d = hi - lo
+    return lo, hi
 
 
 def _graph_x(psi: Series, Y: float) -> float | None:
@@ -94,38 +120,28 @@ def _graph_x(psi: Series, Y: float) -> float | None:
         hi *= 2.0
         if hi > 1e300:
             return None
-    lo = 0.0
-    while hi - lo > 1e-15 * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if psi.evaluate((mid, Y)) - Y < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda X: psi.evaluate((X, Y)) - Y < 0.0,
+                     0.0, hi, 1e-15, 1e-15)
     return 0.5 * (lo + hi)
 
 
-def hille_point(cmp: ComparisonEquation, tol: float = 1e-12,
-                y_cap: float = 1e6) -> HillePoint:
+def hille_point(cmp: ComparisonEquation, tol: float = 1e-12) -> HillePoint:
     """Locate the vertical-tangent point of the comparison graph.
 
     Walks up the graph with an adaptive Y step until the derivative
     condition brackets, then polishes the two-equation system with Newton
     steps until both residuals drop below ``tol``.  If the derivative
-    stays below one all the way to ``y_cap`` the point is reported
+    stays below one all the way to ``Y_CAP`` the point is reported
     unbounded; a Newton stall is reported as failed with the last iterate
     rather than papered over.
     """
     psi = _scalar_series(cmp)
-    if not _has_x_dependence(psi):
-        raise ValueError(
-            "the comparison equation does not depend on X; the graph "
-            "solve is ill-posed")
     psi_y = psi.partial(1)
 
     Y, X = 0.0, 0.0
     step = 1.0 / 1024.0
     bracket = None
-    while Y < y_cap:
+    while Y < Y_CAP:
         Y_next = Y + step
         X_next = _graph_x(psi, Y_next)
         if X_next is None:
@@ -145,19 +161,11 @@ def hille_point(cmp: ComparisonEquation, tol: float = 1e-12,
     if bracket is None:
         return HillePoint(None, None, None, None, UNBOUNDED)
 
-    lo, hi = bracket
-    for _ in range(80):
-        if hi - lo <= 1e-6 * max(1.0, hi):
-            break
-        mid = 0.5 * (lo + hi)
-        X_mid = _graph_x(psi, mid)
-        if X_mid is None:
-            hi = mid
-            continue
-        if psi_y.evaluate((X_mid, mid)) < 1.0:
-            lo = mid
-        else:
-            hi = mid
+    def below_turn(Y: float) -> bool:
+        X = _graph_x(psi, Y)
+        return X is not None and psi_y.evaluate((X, Y)) < 1.0
+
+    lo, hi = _bisect(below_turn, *bracket, 1e-6, 1e-6)
     Y = 0.5 * (lo + hi)
     X = _graph_x(psi, Y)
     if X is None:
@@ -213,10 +221,6 @@ def trace_graph(cmp: ComparisonEquation, Y_max: float, steps: int) -> RegionSamp
     (no turning inside it).
     """
     psi = _scalar_series(cmp)
-    if not _has_x_dependence(psi):
-        raise ValueError(
-            "the comparison equation does not depend on X; the graph "
-            "solve is ill-posed")
     if steps < 1:
         raise ValueError("steps must be positive")
     if not Y_max > 0:
@@ -249,17 +253,18 @@ def region_to_csv(sample: RegionSample, stream: IO[str]) -> None:
 
 
 def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
-                     tol: float = DEFAULT_TOL, budget: int = DEFAULT_BUDGET,
-                     probe_cap: float = 1e12,
-                     iteration_tol: float = DEFAULT_TOL) -> RayRadius:
+                     tol: float = DEFAULT_TOL,
+                     budget: int = DEFAULT_BUDGET) -> RayRadius:
     """Bracket the boundary of the convergence region along a ray.
 
     Returns scales ``t_inside <= t_outside`` with membership certified
     inside at the former and outside at the latter; the true boundary
-    crossing lies in between.  Unresolved scales cannot be claimed for
-    either side, so they simply stay inside the reported bracket.  The
-    probing is a float computation; an exact comparison equation is
-    converted first.
+    crossing lies in between.  Each end is refined by bisection until the
+    bracket is at most ``tol`` wide or no float lies between the ends.
+    The bracket can stay wider than ``tol``: unresolved scales cannot be
+    claimed for either side, so they stay inside it, and a ``tol`` below
+    the float spacing at the crossing cannot be met.  The probing is a
+    float computation; an exact comparison equation is converted first.
     """
     cmp = cmp.as_float()
     if not isinstance(direction, LatticeVec):
@@ -273,7 +278,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
 
     def verdict(t: float) -> str:
         X = LatticeVec(tuple(t * e for e in dir_entries))
-        return membership(cmp, X, budget, iteration_tol).verdict
+        return membership(cmp, X, budget).verdict
 
     t_in = 0.0
     t = 1.0
@@ -282,12 +287,10 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
             t_in = t
             break
         t *= 0.5
-        if t < 1e-300:
-            break
 
     t_out = None
     t = max(1.0, 2.0 * t_in)
-    while t <= probe_cap:
+    while t <= PROBE_CAP:
         v = verdict(t)
         if v == OUTSIDE:
             t_out = t
@@ -298,27 +301,8 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     if t_out is None:
         return RayRadius(t_inside=t_in, t_outside=None, unbounded=True)
 
-    lo, hi = t_in, t_out
-    for _ in range(500):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if verdict(mid) == INSIDE:
-            lo = mid
-        else:
-            hi = mid
-    t_in = lo
-
-    lo, hi = t_in, t_out
-    for _ in range(500):
-        if hi - lo <= tol:
-            break
-        mid = 0.5 * (lo + hi)
-        if verdict(mid) == OUTSIDE:
-            hi = mid
-        else:
-            lo = mid
-    t_out = hi
+    t_in, _ = _bisect(lambda t: verdict(t) == INSIDE, t_in, t_out, tol, 0.0)
+    _, t_out = _bisect(lambda t: verdict(t) != OUTSIDE, t_in, t_out, tol, 0.0)
     return RayRadius(t_inside=t_in, t_outside=t_out, unbounded=False)
 
 

@@ -59,8 +59,7 @@ def _require_nonneg(v: LatticeVec, name: str) -> None:
 
 def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
                        max_iter: int = DEFAULT_BUDGET,
-                       tol: float = DEFAULT_TOL,
-                       divergence_threshold: float = DIVERGENCE_THRESHOLD) -> IterationTrace:
+                       tol: float = DEFAULT_TOL) -> IterationTrace:
     """Run the comparison iteration at the point ``X``.
 
     Stops on entrywise step size at most ``tol`` (converged), on divergence,
@@ -99,7 +98,7 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
             converged = True
             Y = Y_next
             break
-        if (any(e > divergence_threshold for e in Y_next.entries)
+        if (any(e > DIVERGENCE_THRESHOLD for e in Y_next.entries)
                 and prev_step is not None and step >= prev_step):
             diverged = True
             break

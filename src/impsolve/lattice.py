@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import SpecFormatError
 from .series import (EXACT, FLOAT, Number, Series, SeriesMap, coerce_value,
@@ -23,6 +23,8 @@ SCALAR = "scalar"
 COMPONENTWISE = "componentwise"
 AGGREGATE = "aggregate"
 PROFILE_KINDS = (SCALAR, COMPONENTWISE, AGGREGATE)
+# relative margin a float majorant sample must clear to count as a violation
+SAMPLE_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -329,14 +331,13 @@ def _measure(eq: EquationSpec, cmp: ComparisonEquation,
 def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
                            n_samples: int, box: tuple[LatticeVec, LatticeVec],
                            check_increments: bool = False,
-                           rng: random.Random | None = None,
-                           slack: float = 1e-9) -> MajorantSampleReport:
+                           rng: random.Random | None = None) -> MajorantSampleReport:
     """Spot-check the domination of ``eq`` by ``cmp`` on random points.
 
     Draws ``n_samples`` points from the box (and, when asked, the same
     number of increment pairs) and verifies the value and increment
     inequalities that a majorant must satisfy.  In float mode a violation
-    needs to clear a small relative slack before it is reported; exact
+    needs to clear the relative ``SAMPLE_SLACK`` before it is reported; exact
     mode tolerates nothing.
     """
     if eq.mode != cmp.mode:
@@ -358,7 +359,7 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     def exceeded(lhs: Number, rhs: Number) -> bool:
         if exact:
             return lhs > rhs
-        return lhs > rhs + slack * max(1.0, abs(rhs))
+        return lhs > rhs + SAMPLE_SLACK * max(1.0, abs(rhs))
 
     violations: list[MajorantViolation] = []
     points = [_draw_point(rng, lo, hi, eq.mode) for _ in range(n_samples)]

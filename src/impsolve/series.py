@@ -448,10 +448,6 @@ class SeriesMap:
         return cls(tuple(Series.zero(num_vars, degree_cap, mode)
                          for _ in range(output_dim)))
 
-    def has_zero_constant_terms(self) -> bool:
-        zero = zero_value(self.mode)
-        return all(comp.constant_term == zero for comp in self.components)
-
     def with_cap(self, degree_cap: int) -> SeriesMap:
         return SeriesMap(tuple(comp.with_cap(degree_cap) for comp in self.components))
 

@@ -130,7 +130,7 @@ def test_06_majorant_sampling():
         box = (LatticeVec((-0.1,) * dim), LatticeVec((0.1,) * dim))
         report = check_majorant_samples(eq, majorant(eq), 1000, box,
                                         check_increments=True,
-                                        rng=random.Random(k), slack=1e-9)
+                                        rng=random.Random(k))
         bad += len(report.violations)
     _report("majorant sampling", bad == 0,
             f"20 equations x 1000 points and increments, {bad} violations")

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+import impsolve.hille
 from impsolve import (
     FAILED,
     FOUND,
@@ -85,8 +86,7 @@ def test_linear_comparison_is_unbounded():
 def test_geometric_comparison_is_unbounded():
     # Y = X + XY has graph X = Y/(1+Y): X is bounded by one but the
     # derivative X stays below one for every finite Y, so no turn exists.
-    got = hille_point(scalar_comparison({(1, 0): 1.0, (1, 1): 1.0}),
-                      y_cap=1e4)
+    got = hille_point(scalar_comparison({(1, 0): 1.0, (1, 1): 1.0}))
     assert got.status == UNBOUNDED
 
 
@@ -164,6 +164,39 @@ def test_radius_brackets_quadratic():
     # boundary, not by the bisection tolerance alone
     assert got.t_outside - got.t_inside <= 1e-5
     assert got.midpoint == pytest.approx(0.25, abs=1e-6)
+
+
+def test_bisection_grid_frozen():
+    # exact values pin the bisection grids: the ray bracket is a pair of
+    # grid points, and the turning point is Newton-polished from one
+    ray = radius_along_ray(quadratic_comparison(), LatticeVec((1.0,)),
+                           tol=1e-6)
+    assert (ray.t_inside, ray.t_outside) == (
+        0.24999868869781494, 0.25000011921179066)
+    turn = hille_point(scalar_comparison(
+        {(1, 0): 1.0, (1, 1): 1.0, (0, 3): 1.0}))
+    assert (turn.X_star, turn.Y_star, turn.status) == (
+        0.2500000000002274, 0.5000000000001515, FOUND)
+
+
+def test_radius_stops_at_float_spacing(monkeypatch):
+    # along direction 1e-5 the crossing sits at t = 25000, where floats are
+    # 3.6e-12 apart, so tol = 1e-12 cannot be met; the bisection must stop
+    # when the midpoint repeats an end instead of re-probing it
+    probes = []
+
+    def counted(*args, **kwargs):
+        probes.append(args[1])
+        return membership(*args, **kwargs)
+
+    monkeypatch.setattr(impsolve.hille, "membership", counted)
+    got = radius_along_ray(quadratic_comparison(), LatticeVec((1e-5,)),
+                           tol=1e-12, budget=200)
+    assert len(probes) < 200
+    assert got.t_inside <= 25000 <= got.t_outside
+    inside = membership(quadratic_comparison(),
+                        LatticeVec((got.t_inside * 1e-5,)), 200)
+    assert inside.verdict == "inside"
 
 
 def test_radius_respects_direction_scaling():

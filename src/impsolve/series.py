@@ -34,6 +34,7 @@ monomial coefficient, so the two representations round-trip.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,12 +96,16 @@ def coerce_value(value: Number, mode: str) -> Number:
     modes must be requested explicitly, never performed on the sly.
     """
     if mode == EXACT:
+        if type(value) is Fraction:
+            return value
         if isinstance(value, bool):
             raise ValueError(f"not a coefficient: {value!r}")
         if isinstance(value, (int, Fraction)):
             return Fraction(value)
         raise ValueError(
             f"exact mode takes Fraction or int coefficients, got {type(value).__name__}")
+    if type(value) is float and math.isfinite(value):
+        return value
     if isinstance(value, bool):
         raise ValueError(f"not a coefficient: {value!r}")
     if isinstance(value, Fraction):
@@ -280,13 +285,14 @@ class Series:
     def __mul__(self, other: Series) -> Series:
         self._check_compatible(other, "multiply")
         cap = self.degree_cap
+        right = [(b, b.degree, cb) for b, cb in other.terms.items()]
         out: dict[tuple, Number] = {}
         for a, ca in self.terms.items():
-            da = a.degree
-            for b, cb in other.terms.items():
-                if da + b.degree > cap:
+            room = cap - a.degree
+            for b, db, cb in right:
+                if db > room:
                     continue
-                key = tuple(x + y for x, y in zip(a, b))
+                key = tuple(map(operator.add, a, b))
                 prod = ca * cb
                 if key in out:
                     out[key] = out[key] + prod

@@ -2,11 +2,12 @@
 
 Two independent routes produce the coefficients of the solution branch
 through the origin.  The production route re-substitutes the truncated
-map into itself: after ``D`` rounds every coefficient of total degree at
-most ``D`` is stationary, because the degree-``d`` output of one round
-only reads solution coefficients of degree below ``d`` (the map has no
-constant term and no term linear in the unknowns).  The second route,
-kept deliberately slow and explicit, evaluates the symmetric multilinear
+map into itself.  That iteration is triangular: the degree-``d`` output
+of one round only reads solution coefficients of degree below ``d`` (the
+map has no constant term and no term linear in the unknowns), so after
+round ``k`` every coefficient of degree at most ``k`` is final, and round
+``k`` runs at cap ``k`` instead of the final cap.  The second route, kept
+deliberately slow and explicit, evaluates the symmetric multilinear
 recursion over set partitions and exists so the two implementations can
 be checked against each other; it is capped at low degree.
 """
@@ -52,20 +53,45 @@ def _solvable_parts(eq) -> tuple[int, int, SeriesMap]:
 
 
 def formal_iterates(eq, degree: int) -> Iterator[SeriesMap]:
-    """Yield the successive substitution iterates, stopping once stationary."""
+    """Yield the successive substitution iterates, stopping once stationary.
+
+    Each round runs at a cap ``gain`` above the previous round's and yields
+    its iterate at that cap, where every coefficient is final.  No solution
+    coefficient lies below ``low``, the least degree of a term of ``psi``
+    in x alone, and a round settles ``|alpha| + (|beta| - 1) * low`` more
+    degrees through a term ``x^alpha y^beta``; ``gain`` is the least such
+    number.  So round ``k`` of ``y = x + y^2`` runs at cap ``k``, and the
+    last iterate carries the full cap ``degree``.  A round that changes
+    nothing at its cap stops the iteration only when one substitution at
+    the full cap confirms ``phi = psi(x, phi)``; that full-cap iterate is
+    then yielded last, in place of the round's own.
+    """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"degree must be a positive integer, got {degree!r}")
     p, q, psi = _solvable_parts(eq)
-    psi = psi.with_cap(degree)
-    mode = psi.mode
-    coords = tuple(Series.coordinate(p, degree, mode, j) for j in range(p))
-    phi = SeriesMap.zero(p, degree, mode, q)
-    for _ in range(degree):
-        nxt = series_compose(psi, SeriesMap(coords + phi.components))
-        yield nxt
-        if nxt == phi:
-            return
-        phi = nxt
+    terms = [gamma for comp in psi.components for gamma in comp.terms]
+    low = min((sum(g) for g in terms if not any(g[p:])), default=degree)
+    gain = min((sum(g[:p]) + (sum(g[p:]) - 1) * low for g in terms if any(g[p:])),
+               default=degree)
+    cap = min(low, degree) - 1
+    phi = SeriesMap.zero(p, cap, psi.mode, q)
+    while cap < degree:
+        cap = min(cap + gain, degree)
+        lifted = phi.with_cap(cap)
+        phi = _substitute(psi, lifted, cap)
+        if cap < degree and phi == lifted:
+            full = phi.with_cap(degree)
+            if _substitute(psi, full, degree) == full:
+                yield full
+                return
+        yield phi
+
+
+def _substitute(psi: SeriesMap, phi: SeriesMap, cap: int) -> SeriesMap:
+    """``psi(x, phi)`` at total degree ``cap``; ``phi`` must carry that cap."""
+    coords = tuple(Series.coordinate(phi.num_vars, cap, phi.mode, j)
+                   for j in range(phi.num_vars))
+    return series_compose(psi.with_cap(cap), SeriesMap(coords + phi.components))
 
 
 def solve_formal(eq, degree: int) -> SolutionSeries:
@@ -81,11 +107,7 @@ def residual(eq, sol: SolutionSeries) -> SeriesMap:
     p, q, psi = _solvable_parts(eq)
     if sol.phi.num_vars != p or sol.phi.output_dim != q:
         raise ValueError("solution shape does not match the equation")
-    cap = sol.degree_cap
-    psi = psi.with_cap(cap)
-    coords = tuple(Series.coordinate(p, cap, sol.phi.mode, j) for j in range(p))
-    inner = SeriesMap(coords + sol.phi.components)
-    return sol.phi - series_compose(psi, inner)
+    return sol.phi - _substitute(psi, sol.phi, sol.degree_cap)
 
 
 # -- set-partition oracle ------------------------------------------------

@@ -1,0 +1,26 @@
+"""Smoke runs of the demo scripts, each as its own process."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv, closing", [
+    (["scripts/quadratic_demo.py", "--degree", "8"],
+     "all three target the radius 0.25"),
+    # the ratio estimate needs ten consecutive coefficients
+    (["scripts/radius_sweep.py", "--curvatures", "1", "--degree", "10"],
+     "the ratio column converges to the closed form like O(1/n); "
+     "the other two agree to their tolerances"),
+])
+def test_script_runs_to_its_closing_line(argv, closing):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.rstrip("\n").splitlines()[-1] == closing

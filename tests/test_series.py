@@ -120,6 +120,14 @@ def test_mode_mixing_rejected():
         Series(2, 6, {(1, 0): 1.0}, EXACT)
 
 
+def test_non_finite_float_coefficients_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        Series(1, 2, {(1,): float("nan")}, FLOAT)
+    big = Series(1, 2, {(1,): 1e200}, FLOAT)
+    with pytest.raises(ValueError, match="finite"):
+        big * big  # 1e400 overflows to inf
+
+
 def test_cap_mismatch_rejected():
     a = Series(2, 6, {(1, 0): F(1)}, EXACT)
     b = Series(2, 5, {(1, 0): F(1)}, EXACT)

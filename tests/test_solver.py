@@ -1,8 +1,10 @@
 """Formal solution of implicit equations, the two independent routes, and
 linear-part normalization.
 
-Frozen solutions were derived degree by degree by hand; the random
-corpus is checked against the naive substitution oracle in helpers.py.
+Frozen solutions were derived degree by degree by hand, except the float
+values of test_solve_float_frozen, which were recorded from the solver;
+the random corpus is checked against the naive substitution oracle in
+helpers.py.
 """
 
 import random
@@ -10,6 +12,7 @@ from fractions import Fraction
 
 import pytest
 
+import impsolve.solver
 from impsolve import (
     COMPONENTWISE,
     DomainError,
@@ -45,6 +48,15 @@ def system_example(mode=EXACT, cap=4):
     return EquationSpec(1, 2, SeriesMap((comp0, comp1)),
                         NormProfile(COMPONENTWISE, 1),
                         NormProfile(COMPONENTWISE, 2))
+
+
+def scalar_equation(terms, mode=EXACT, cap=9):
+    """y = psi(x, y) from a dict over exponents (x, y)."""
+    conv = (lambda v: F(v)) if mode == EXACT else float
+    psi = Series(2, cap, {g: conv(v) for g, v in terms.items()}, mode)
+    return EquationSpec(1, 1, SeriesMap((psi,)),
+                        NormProfile(COMPONENTWISE, 1),
+                        NormProfile(COMPONENTWISE, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +105,55 @@ def test_iterates_stop_early_when_stationary():
     assert dict(iterates[-1].components[0].terms) == {(1,): F(1)}
 
 
+@pytest.mark.parametrize("terms, caps", [
+    # y = x + y^2: round k runs at cap k
+    ({(1, 0): 1, (0, 2): 1}, list(range(1, 13))),
+    # y = x + y^3: a round settles two degrees
+    ({(1, 0): 1, (0, 3): 1}, [2, 4, 6, 8, 10, 12]),
+    # y = x^2 + y^2: no coefficient below degree 2, two degrees a round
+    ({(2, 0): 1, (0, 2): 1}, [3, 5, 7, 9, 11, 12]),
+], ids=["x+y^2", "x+y^3", "x^2+y^2"])
+def test_each_round_runs_at_the_cap_it_settles(monkeypatch, terms, caps):
+    seen = []
+    compose = impsolve.solver.series_compose
+
+    def recording(outer, inner):
+        seen.append(outer.degree_cap)
+        return compose(outer, inner)
+
+    monkeypatch.setattr(impsolve.solver, "series_compose", recording)
+    sol = solve_formal(scalar_equation(terms, cap=12), 12)
+    # no round leaves every coefficient unchanged here, so none asks for
+    # the confirmation at the full cap
+    assert seen == caps
+    assert sol.phi.degree_cap == 12
+    raw = {(0, (a,), (b,)): F(v) for (a, b), v in terms.items()}
+    assert dict(sol.phi.components[0].terms) == naive_solve(raw, 1, 1, 12, F(1))[0]
+
+
+def test_polynomial_solution_is_confirmed_at_the_full_cap():
+    # y = x + x^3 is its own solution; it gains x^3 only at cap 3
+    sol = solve_formal(scalar_equation({(1, 0): 1, (3, 0): 1}), 9)
+    assert dict(sol.phi.components[0].terms) == {(1,): F(1), (3,): F(1)}
+    # y = x + x^3 + (y - x - x^3) y has the same solution, and its second
+    # round changes nothing at cap 2: stopping there would return x
+    eq = scalar_equation({(1, 0): 1, (3, 0): 1, (0, 2): 1, (1, 1): -1,
+                          (3, 1): -1})
+    iterates = list(formal_iterates(eq, 9))
+    assert len(iterates) < 9
+    assert iterates[-1].degree_cap == 9
+    assert dict(iterates[-1].components[0].terms) == {(1,): F(1), (3,): F(1)}
+    assert dict(solve_formal(eq, 9).phi.components[0].terms) == \
+        dict(iterates[-1].components[0].terms)
+
+
+def test_fuss_catalan_series():
+    # y = x + y^3: the odd coefficients are the Fuss-Catalan numbers
+    sol = solve_formal(scalar_equation({(1, 0): 1, (0, 3): 1}), 9)
+    assert dict(sol.phi.components[0].terms) == {
+        (1,): F(1), (3,): F(1), (5,): F(3), (7,): F(12), (9,): F(55)}
+
+
 def test_random_corpus_matches_naive_oracle():
     rng = random.Random(101)
     for _ in range(10):
@@ -101,6 +162,56 @@ def test_random_corpus_matches_naive_oracle():
         oracle = naive_solve(raw, eq.dim_x, eq.dim_y, 5, F(1))
         for i, comp in enumerate(sol.phi.components):
             assert dict(comp.terms) == oracle[i]
+
+
+# Values recorded from the solver while every round still ran at the full
+# cap.  Equality is exact: the float coefficients of y = x + 2y^2 are
+# rounded from degree 32 on, so the
+# values pin the order of the float operations of a solve, as
+# test_evaluate_float_frozen does for evaluation.
+FROZEN_QUAD_C2 = [
+    1.0, 2.0, 8.0, 40.0, 224.0, 1344.0, 8448.0, 54912.0, 366080.0, 2489344.0,
+    17199104.0, 120393728.0, 852017152.0, 6085836800.0, 43818024960.0,
+    317680680960.0, 2317200261120.0, 16992801914880.0, 125210119372800.0,
+    926554883358720.0, 6882979133521920.0, 5.130948081352704e+16,
+    3.8370568260550656e+17, 2.877792619541299e+18, 2.164100049895057e+19,
+    1.6313984991516584e+20, 1.2326121993590308e+21, 9.332635223718376e+21,
+    7.0799301697173885e+22, 5.380746928985215e+23, 4.0963105652919703e+24,
+    3.123436806035127e+25, 2.3851699246086425e+26, 1.8239534717595503e+27,
+    1.3966272298044555e+28, 1.0707475428500827e+29, 8.218710869443878e+29,
+    6.315430457572665e+30, 4.85802342890205e+31, 3.740678040254578e+32]
+FROZEN_CUBIC = [
+    1.0, 1.0, 2.0, 5.0, 14.0, 42.0, 132.0, 429.0, 1430.0, 4862.0, 16796.0,
+    58786.0, 208012.0, 742900.0, 2674440.0, 9694845.0, 35357670.0,
+    129644790.0, 477638700.0, 1767263190.0, 6564120420.0, 24466267020.0,
+    91482563640.0, 343059613650.0, 1289904147324.0, 4861946401452.0,
+    18367353072152.0, 69533550916004.0, 263747951750360.0, 1002242216651368.0]
+FROZEN_SYSTEM = (
+    {(1, 0): -2.0, (2, 1): -4.0, (3, 0): 10.0, (4, 0): -32.0,
+     (3, 2): -8.0, (4, 1): 72.0, (5, 0): -2.0, (5, 1): -320.0,
+     (6, 0): 544.0, (4, 3): -16.0, (5, 2): 344.0, (6, 1): -140.0,
+     (7, 0): -2574.0},
+    {(2, 0): -8.0, (3, 0): 32.0, (3, 1): -32.0, (4, 0): -48.0,
+     (4, 1): 192.0, (5, 0): -224.0, (4, 2): -96.0, (5, 1): -288.0,
+     (6, 0): 1832.0, (5, 2): 768.0, (6, 1): -3328.0, (7, 0): -4672.0})
+
+
+def frozen_system():
+    eq, _ = random_equation(random.Random(11), mode=FLOAT)
+    assert (eq.dim_x, eq.dim_y) == (2, 2)
+    return eq
+
+
+@pytest.mark.parametrize("make, degree, want", [
+    (lambda: scalar_equation({(1, 0): 1, (0, 2): 2}, FLOAT, 40), 40,
+     ({(n,): v for n, v in enumerate(FROZEN_QUAD_C2, start=1)},)),
+    (lambda: scalar_equation({(1, 0): 1, (1, 1): 1, (0, 3): 1}, FLOAT, 30), 30,
+     ({(n,): v for n, v in enumerate(FROZEN_CUBIC, start=1)},)),
+    (frozen_system, 7, FROZEN_SYSTEM),
+], ids=["x+2y^2", "cubic", "system-2x2"])
+def test_solve_float_frozen(make, degree, want):
+    sol = solve_formal(make(), degree)
+    assert tuple(dict(comp.terms) for comp in sol.phi.components) == want
 
 
 def test_degree_must_be_positive():

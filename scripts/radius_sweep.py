@@ -25,6 +25,9 @@ from impsolve import (
     solve_formal,
 )
 
+# empirical_radius needs this many consecutive nonzero coefficients
+MIN_DEGREE = 10
+
 
 def family_member(c, cap):
     psi = SeriesMap((Series(2, cap, {(1, 0): 1.0, (0, 2): c}, FLOAT),))
@@ -42,12 +45,16 @@ def main():
                         help="series degree for the ratio estimate")
     parser.add_argument("--tol", type=float, default=1e-6)
     args = parser.parse_args()
+    if args.degree < MIN_DEGREE:
+        parser.error(f"--degree must be at least {MIN_DEGREE}: the ratio "
+                     f"estimate needs {MIN_DEGREE} consecutive nonzero "
+                     f"coefficients")
 
     cs = [float(s) for s in args.curvatures.split(",")]
     print(f"{'c':>6} {'closed form':>12} {'turning point':>14} "
           f"{'ray midpoint':>13} {'ratio(n=%d)' % args.degree:>13}")
     for c in cs:
-        eq, cmp_eq = family_member(c, max(args.degree, 8))
+        eq, cmp_eq = family_member(c, args.degree)
         exact = 1.0 / (4.0 * c)
         turn = hille_point(cmp_eq)
         ray = radius_along_ray(cmp_eq, LatticeVec((1.0,)), tol=args.tol)

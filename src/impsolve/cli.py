@@ -1,10 +1,12 @@
 """Command-line front end.
 
 Verbs map one-to-one onto the library operations; every verb reads an
-equation file (see ``equation_to_dict`` for the format), writes a JSON or
-CSV document to stdout or ``--out``, and exits 0 on success, 1 on domain
-errors, and 2 on usage or file-format errors.  Output is deterministic:
-identical inputs produce byte-identical documents.
+equation file (see ``equation_to_dict`` for the format) and returns CSV text
+or a JSON document, which ``main`` writes once, to stdout or ``--out``, after
+the verb succeeds.  ``hille``, ``membership``, ``radius`` and ``check`` print
+every field of their result record (see ``_doc``).  Exit codes are 0 on
+success, 1 on domain errors, and 2 on usage or file-format errors.  Output
+is deterministic: identical inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import io
 import json
 import random
 import sys
+from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpecFormatError
@@ -61,69 +64,48 @@ def _parse_vector(text: str, mode: str, what: str) -> LatticeVec:
         raise SpecFormatError(f"bad {what} {text!r}: {exc}") from None
 
 
-def _num(value):
+def _doc(value):
+    """The JSON value of a verb's result.
+
+    A record becomes an object of its fields in declaration order, a vector
+    or tuple a list, and an exact number its rational string; a document
+    already built as a dict passes through unchanged.
+    """
+    if isinstance(value, LatticeVec):
+        return [_doc(e) for e in value.entries]
+    if is_dataclass(value):
+        return {f.name: _doc(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [_doc(e) for e in value]
     if isinstance(value, Fraction):
         return format_value(value, EXACT)
     return value
 
 
-def _vec_doc(vec):
-    if vec is None:
-        return None
-    return [_num(e) for e in vec.entries]
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_doc(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     eq = parse_spec(args.spec)
     if args.method == ITERATIVE:
         sol = solve_formal(eq, args.degree)
     else:
         sol = solve_partition_oracle(eq, args.degree)
-    doc = {
+    return {
         "source": sol.source,
         "degree_cap": sol.degree_cap,
         "num_vars": sol.phi.num_vars,
         "mode": sol.phi.mode,
         "components": [comp.to_records() for comp in sol.phi.components],
     }
-    _emit(_json_doc(doc), args.out)
-    return 0
 
 
-def _cmd_majorant(args) -> int:
-    eq = parse_spec(args.spec)
-    cmp = majorant(eq)
-    _emit(_json_doc(comparison_to_dict(cmp)), args.out)
-    return 0
+def _cmd_majorant(args):
+    return comparison_to_dict(majorant(parse_spec(args.spec)))
 
 
-def _cmd_hille(args) -> int:
-    cmp = _comparison(parse_spec(args.spec))
-    point = hille_point(cmp, tol=args.tol)
-    doc = {
-        "X_star": point.X_star,
-        "Y_star": point.Y_star,
-        "residual_fixed": point.residual_fixed,
-        "residual_derivative": point.residual_derivative,
-        "status": point.status,
-    }
-    _emit(_json_doc(doc), args.out)
-    return 0
+def _cmd_hille(args):
+    return hille_point(_comparison(parse_spec(args.spec)), tol=args.tol)
 
 
-def _cmd_iterate(args) -> int:
+def _cmd_iterate(args):
     eq = parse_spec(args.spec)
     if args.x is not None:
         x = _parse_vector(args.x, eq.mode, "--x")
@@ -135,35 +117,25 @@ def _cmd_iterate(args) -> int:
         trace = iterate_comparison(cmp, X, args.max_iter, args.tol)
     buffer = io.StringIO()
     trace_to_csv(trace, buffer)
-    _emit(buffer.getvalue(), args.out)
-    return 0
+    return buffer.getvalue()
 
 
-def _cmd_membership(args) -> int:
+def _cmd_membership(args):
     eq = parse_spec(args.spec)
     cmp = _comparison(eq)
     X = _parse_vector(args.X, eq.mode, "--X")
-    result = membership(cmp, X, args.budget, args.tol)
-    doc = {
-        "verdict": result.verdict,
-        "principal_Y": _vec_doc(result.principal_Y),
-        "iterations_used": result.iterations_used,
-        "witness": _vec_doc(result.witness),
-    }
-    _emit(_json_doc(doc), args.out)
-    return 0
+    return membership(cmp, X, args.budget, args.tol)
 
 
-def _cmd_region(args) -> int:
+def _cmd_region(args):
     cmp = _comparison(parse_spec(args.spec))
     sample = trace_graph(cmp, args.ymax, args.steps)
     buffer = io.StringIO()
     region_to_csv(sample, buffer)
-    _emit(buffer.getvalue(), args.out)
-    return 0
+    return buffer.getvalue()
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     eq = parse_spec(args.spec)
     cmp = majorant(eq)
     half = args.box
@@ -175,40 +147,15 @@ def _cmd_check(args) -> int:
     else:
         lo = LatticeVec((-half,) * dim)
         hi = LatticeVec((half,) * dim)
-    report = check_majorant_samples(
+    return check_majorant_samples(
         eq, cmp, args.samples, (lo, hi), check_increments=True,
         rng=random.Random(args.seed))
-    doc = {
-        "points_checked": report.points_checked,
-        "increments_checked": report.increments_checked,
-        "violations": [
-            {
-                "kind": v.kind,
-                "component": v.component,
-                "point": [_num(e) for e in v.point],
-                "increment": None if v.increment is None
-                             else [_num(e) for e in v.increment],
-                "lhs": _num(v.lhs),
-                "rhs": _num(v.rhs),
-            }
-            for v in report.violations
-        ],
-    }
-    _emit(_json_doc(doc), args.out)
-    return 0
 
 
-def _cmd_radius(args) -> int:
+def _cmd_radius(args):
     cmp = _comparison(parse_spec(args.spec))
     direction = _parse_vector(args.direction, "float", "--direction")
-    result = radius_along_ray(cmp, direction, tol=args.tol, budget=args.budget)
-    doc = {
-        "t_inside": result.t_inside,
-        "t_outside": result.t_outside,
-        "unbounded": result.unbounded,
-    }
-    _emit(_json_doc(doc), args.out)
-    return 0
+    return radius_along_ray(cmp, direction, tol=args.tol, budget=args.budget)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,13 +233,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        result = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    text = result if isinstance(result, str) \
+        else json.dumps(_doc(result), indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 def console_main() -> None:

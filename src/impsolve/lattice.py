@@ -40,10 +40,6 @@ class LatticeVec:
     def dimension(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def zeros(cls, dimension: int, mode: str = FLOAT) -> LatticeVec:
-        return cls((zero_value(mode),) * dimension)
-
     def _check_dim(self, other: LatticeVec) -> None:
         if len(self.entries) != len(other.entries):
             raise ValueError(
@@ -104,10 +100,6 @@ class NormProfile:
             raise ValueError(f"primal_dim must be a positive integer, got {self.primal_dim!r}")
         if self.kind == SCALAR and self.primal_dim != 1:
             raise ValueError("a scalar norm profile needs a one-dimensional primal space")
-
-    @property
-    def norming_dim(self) -> int:
-        return self.primal_dim if self.kind == COMPONENTWISE else 1
 
 
 def norm(profile: NormProfile, v: Sequence[Number]) -> LatticeVec:
@@ -315,17 +307,15 @@ def _draw_point(rng: random.Random, lo: LatticeVec, hi: LatticeVec, mode: str):
                  for a, b in zip(lo.entries, hi.entries))
 
 
-def _measure(eq: EquationSpec, cmp: ComparisonEquation,
-             z: tuple[Number, ...]) -> tuple[LatticeVec, LatticeVec]:
-    """Norms of the primal point and of psi at the point, as lattice vectors."""
-    x, y = z[:eq.dim_x], z[eq.dim_x:]
-    Xn = norm(eq.profile_x, x)
-    Yn = norm(eq.profile_y, y)
+def _norms(eq: EquationSpec, cmp: ComparisonEquation,
+           z: tuple[Number, ...]) -> LatticeVec:
+    """The norms of the x and y blocks of a primal point, as one lattice vector."""
+    Xn = norm(eq.profile_x, z[:eq.dim_x])
+    Yn = norm(eq.profile_y, z[eq.dim_x:])
     if Xn.dimension != cmp.dim_X or Yn.dimension != cmp.dim_Y:
         raise ValueError(
             "the norm profiles do not match the comparison equation dimensions")
-    value = eq.psi.evaluate(z)
-    return LatticeVec(Xn.entries + Yn.entries), norm(eq.profile_y, value)
+    return LatticeVec(Xn.entries + Yn.entries)
 
 
 def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
@@ -364,7 +354,8 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     violations: list[MajorantViolation] = []
     points = [_draw_point(rng, lo, hi, eq.mode) for _ in range(n_samples)]
     for z in points:
-        Z, lhs = _measure(eq, cmp, z)
+        Z = _norms(eq, cmp, z)
+        lhs = norm(eq.profile_y, eq.psi.evaluate(z))
         rhs = cmp.Psi.evaluate(Z.entries)
         for i, (a, b) in enumerate(zip(lhs.entries, rhs)):
             if exceeded(a, b):
@@ -378,9 +369,8 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
             w = _draw_point(rng, lo, hi, eq.mode)
             increments += 1
             zw = tuple(a + b for a, b in zip(z, w))
-            Z, _ = _measure(eq, cmp, z)
-            W = LatticeVec(norm(eq.profile_x, w[:eq.dim_x]).entries
-                           + norm(eq.profile_y, w[eq.dim_x:]).entries)
+            Z = _norms(eq, cmp, z)
+            W = _norms(eq, cmp, w)
             move = [a - b for a, b in
                     zip(eq.psi.evaluate(zw), eq.psi.evaluate(z))]
             lhs = norm(eq.profile_y, move)

@@ -238,16 +238,15 @@ def _slot_sum(xs, n, p, q, coeff, by_alpha_r, bvals, beta_zero, zero):
 # -- linear resolvent ----------------------------------------------------
 
 
-def resolve_linear(raw: SeriesMap, dim_x: int, dim_y: int,
-                   profile_x: NormProfile | None = None,
-                   profile_y: NormProfile | None = None) -> EquationSpec:
+def resolve_linear(raw: SeriesMap, dim_x: int, dim_y: int) -> EquationSpec:
     """Normalize a map with a linear part in the unknowns.
 
     Given ``y = raw(x, y)`` where ``raw`` carries a linear block ``L`` in
     the y variables, rewrite it as ``y = (I - L)^{-1} (raw - L y)`` so the
     result satisfies the no-linear-y normal form.  Exact mode inverts
     ``I - L`` over the rationals; float mode uses Gaussian elimination
-    with partial pivoting.  A singular ``I - L`` is an error.
+    with partial pivoting.  A singular ``I - L`` is an error.  The result
+    carries componentwise norm profiles.
     """
     p, q = dim_x, dim_y
     if raw.num_vars != p + q:
@@ -292,8 +291,8 @@ def resolve_linear(raw: SeriesMap, dim_x: int, dim_y: int,
     comps = tuple(Series(p + q, raw.degree_cap, d, mode) for d in term_dicts)
     return EquationSpec(
         dim_x=p, dim_y=q, psi=SeriesMap(comps),
-        profile_x=profile_x or NormProfile(COMPONENTWISE, p),
-        profile_y=profile_y or NormProfile(COMPONENTWISE, q))
+        profile_x=NormProfile(COMPONENTWISE, p),
+        profile_y=NormProfile(COMPONENTWISE, q))
 
 
 def _invert(M: list[list], mode: str):

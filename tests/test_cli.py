@@ -5,10 +5,12 @@ exit codes and document shapes are pinned.
 """
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from impsolve.cli import main
+from impsolve.lattice import MajorantSampleReport, MajorantViolation
 
 
 QUAD_MINUS = {
@@ -317,3 +319,147 @@ def test_unknown_verb(capsys):
 def test_unknown_flag(spec_file, capsys):
     path = spec_file(QUAD_MINUS)
     assert run(capsys, ["solve", "--spec", path, "--frob"])[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# frozen documents: the exact stdout text of the record-printing verbs
+
+QUAD_PLUS = dict(QUAD_MINUS, terms=[
+    {"output": 0, "alpha": [1], "beta": [0], "value": "1.0"},
+    {"output": 0, "alpha": [0], "beta": [2], "value": "1.0"},
+])
+
+EXACT_WITNESS = (
+    "3194363658395567605885223511178367541429228139749757914076704696270472"
+    "458770544633392925441/5789604461865809771178549250434395392663499233282"
+    "0282019728792003956564819968")
+
+FROZEN_DOCUMENTS = [
+    (QUAD_PLUS, ["hille"], """\
+{
+  "X_star": 0.2500000000002274,
+  "Y_star": 0.5,
+  "residual_fixed": 2.2737367544323206e-13,
+  "residual_derivative": 0.0,
+  "status": "found"
+}
+"""),
+    (QUAD_PLUS, ["membership", "--X", "0.2"], """\
+{
+  "verdict": "inside",
+  "principal_Y": [
+    0.27639320224914243
+  ],
+  "iterations_used": 43,
+  "witness": null
+}
+"""),
+    (QUAD_PLUS, ["membership", "--X", "0.3"], """\
+{
+  "verdict": "outside",
+  "principal_Y": null,
+  "iterations_used": 17,
+  "witness": [
+    237605761386.8204
+  ]
+}
+"""),
+    (QUAD_PLUS_EXACT, ["membership", "--X", "3/2"], """\
+{
+  "verdict": "outside",
+  "principal_Y": null,
+  "iterations_used": 8,
+  "witness": [
+    "%s"
+  ]
+}
+""" % EXACT_WITNESS),
+    (QUAD_PLUS_EXACT, ["membership", "--X", "1/5", "--budget", "3"], """\
+{
+  "verdict": "unresolved",
+  "principal_Y": null,
+  "iterations_used": 3,
+  "witness": null
+}
+"""),
+    (QUAD_PLUS, ["radius", "--direction", "1.0", "--tol", "1e-4"], """\
+{
+  "t_inside": 0.249969482421875,
+  "t_outside": 0.2500610388815403,
+  "unbounded": false
+}
+"""),
+    (QUAD_PLUS_EXACT, ["check", "--samples", "4", "--seed", "3"], """\
+{
+  "points_checked": 4,
+  "increments_checked": 4,
+  "violations": []
+}
+"""),
+]
+
+
+@pytest.mark.parametrize("doc, argv, expected", FROZEN_DOCUMENTS,
+                         ids=[" ".join(argv) for _, argv, _ in FROZEN_DOCUMENTS])
+def test_record_document_text_is_frozen(spec_file, capsys, doc, argv, expected):
+    path = spec_file(doc)
+    code, out, err = run(capsys, [argv[0], "--spec", path, *argv[1:]])
+    assert (code, out, err) == (0, expected, "")
+
+
+CHECK_WITH_VIOLATIONS = """\
+{
+  "points_checked": 2,
+  "increments_checked": 1,
+  "violations": [
+    {
+      "kind": "value",
+      "component": 0,
+      "point": [
+        %s,
+        %s
+      ],
+      "increment": null,
+      "lhs": %s,
+      "rhs": %s
+    },
+    {
+      "kind": "increment",
+      "component": 0,
+      "point": [
+        %s,
+        %s
+      ],
+      "increment": [
+        %s,
+        %s
+      ],
+      "lhs": %s,
+      "rhs": %s
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize("doc, num, rendered", [
+    (QUAD_PLUS_EXACT, Fraction,
+     ('"1/3"', '"-1/4"', '"5/7"', '"1/2"', '"1/8"', '"0"', '"1/16"',
+      '"3/2"', '"2"', '"-1/3"')),
+    (QUAD_MINUS, lambda a, b: a / b,
+     ("0.3333333333333333", "-0.25", "0.7142857142857143", "0.5", "0.125",
+      "0.0", "0.0625", "1.5", "2.0", "-0.3333333333333333")),
+], ids=["exact", "float"])
+def test_check_document_lists_violations(spec_file, capsys, monkeypatch,
+                                         doc, num, rendered):
+    report = MajorantSampleReport(2, 1, (
+        MajorantViolation("value", 0, (num(1, 3), num(-1, 4)), None,
+                          num(5, 7), num(1, 2)),
+        MajorantViolation("increment", 0, (num(1, 8), num(0, 1)),
+                          (num(1, 16), num(3, 2)), num(2, 1), num(-1, 3)),
+    ))
+    monkeypatch.setattr("impsolve.cli.check_majorant_samples",
+                        lambda *args, **kwargs: report)
+    path = spec_file(doc)
+    code, out, _ = run(capsys, ["check", "--spec", path, "--samples", "2"])
+    assert (code, out) == (0, CHECK_WITH_VIOLATIONS % rendered)

@@ -1,6 +1,7 @@
 """Source hygiene checks over the package modules."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,8 @@ import impsolve
 
 PACKAGE = Path(impsolve.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCING_DIRS = ("src", "tests", "scripts", "perfbench")
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -34,3 +37,60 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _definitions(tree: ast.AST) -> dict[str, int]:
+    """Functions, methods and classes defined in a module, dunders exempt."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, kinds)
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _references(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def _unreferenced(defining: dict[str, str], referencing: list[str],
+                  named_elsewhere: frozenset[str] = frozenset()) -> list[str]:
+    used = set(named_elsewhere)
+    for source in referencing:
+        used |= _references(ast.parse(source))
+    return [f"{module} line {line}: {name}"
+            for module, source in sorted(defining.items())
+            for name, line in sorted(_definitions(ast.parse(source)).items())
+            if name not in used]
+
+
+def test_unreferenced_definition_is_detected():
+    module = ("class Vec:\n"
+              "    def __len__(self): return 0\n"
+              "    def zeros(self): return Vec()\n"
+              "    @property\n"
+              "    def size(self): return 0\n"
+              "def unused(): pass\n")
+    caller = "from mod import Vec as V\nV().size\n"
+    assert _unreferenced({"mod": module}, [caller]) == [
+        "mod line 6: unused", "mod line 3: zeros"]
+    assert _unreferenced({"mod": module}, [caller],
+                         frozenset({"unused", "zeros"})) == []
+
+
+def test_every_definition_is_referenced():
+    defining = {p.name: p.read_text(encoding="utf-8")
+                for p in sorted((ROOT / "src" / "impsolve").glob("*.py"))}
+    referencing = [p.read_text(encoding="utf-8")
+                   for d in REFERENCING_DIRS
+                   for p in sorted((ROOT / d).rglob("*.py"))]
+    # entry points, "module:function", are named only in pyproject.toml
+    entry_points = frozenset(re.findall(
+        r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    assert _unreferenced(defining, referencing, entry_points) == []

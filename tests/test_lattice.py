@@ -248,6 +248,23 @@ def test_samples_deterministic_under_seed():
     assert r1.violations[0].point == r2.violations[0].point
 
 
+def test_samples_evaluate_psi_once_per_sample(monkeypatch):
+    # a value sample evaluates psi(z) and Psi(Z); an increment sample
+    # psi(z + w), psi(z), Psi(Z) and Psi(Z + W)
+    evaluate = SeriesMap.evaluate
+    calls = []
+
+    def counting(self, point):
+        calls.append(point)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(SeriesMap, "evaluate", counting)
+    eq = quadratic_equation(mode=FLOAT, sign=-1)
+    check_majorant_samples(eq, majorant(eq), 30, _box(2),
+                           check_increments=True, rng=random.Random(5))
+    assert len(calls) == 6 * 30
+
+
 def test_samples_box_validation():
     eq = quadratic_equation(mode=FLOAT)
     good = majorant(eq)

@@ -24,3 +24,14 @@ def test_script_runs_to_its_closing_line(argv, closing):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.rstrip("\n").splitlines()[-1] == closing
+
+
+def test_radius_sweep_rejects_a_degree_below_ten():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "scripts/radius_sweep.py", "--curvatures", "1",
+         "--degree", "8"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "--degree must be at least 10" in done.stderr
+    assert "Traceback" not in done.stderr

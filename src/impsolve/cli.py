@@ -5,8 +5,9 @@ equation file (see ``equation_to_dict`` for the format) and returns CSV text
 or a JSON document, which ``main`` writes once, to stdout or ``--out``, after
 the verb succeeds.  ``hille``, ``membership``, ``radius`` and ``check`` print
 every field of their result record (see ``_doc``).  Exit codes are 0 on
-success, 1 on domain errors, and 2 on usage or file-format errors.  Output
-is deterministic: identical inputs produce byte-identical documents.
+success, 1 on domain errors, and 2 on usage or file-format errors, an
+``--out`` that cannot be written among them, refused before the verb runs.
+Output is deterministic: identical inputs produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import random
 import sys
 from dataclasses import fields, is_dataclass
@@ -233,6 +235,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        if args.out and (os.path.isdir(args.out) or not os.access(
+                os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
+            raise SpecFormatError(f"cannot write {args.out}")
         result = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

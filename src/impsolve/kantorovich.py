@@ -3,7 +3,8 @@
 The comparison iterates ``Y(p+1) = Psi(X, Y(p))`` started from zero form
 a nondecreasing sequence.  When it settles, its limit is the smallest
 fixed point at the given X, and the step gaps translate into a-posteriori
-error bounds for the primal iteration run alongside it.
+error bounds for the primal iteration run alongside it.  ``membership``
+runs the same iteration but keeps only its last iterate.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 from typing import IO, Sequence
 
 from .errors import DomainError, MonotonicityError
 from .lattice import ComparisonEquation, EquationSpec, LatticeVec, norm
-from .series import EXACT, FLOAT, Number, format_value, zero_value
+from .series import EXACT, FLOAT, Number, coerce_value, format_value, zero_value
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 10000
@@ -48,13 +50,62 @@ class Membership:
     witness: LatticeVec | None = None
 
 
-def _eval_comparison(cmp: ComparisonEquation, X: LatticeVec, Y: LatticeVec) -> LatticeVec:
-    return LatticeVec(cmp.Psi.evaluate(X.entries + Y.entries))
-
-
 def _require_nonneg(v: LatticeVec, name: str) -> None:
     if any(e < 0 for e in v.entries):
         raise ValueError(f"{name} must be entrywise non-negative, got {v}")
+
+
+def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,
+            keep: bool) -> tuple[tuple, list, int, bool, bool]:
+    """Kleene iteration from 0 on plain tuples: ``(x, iterates, steps,
+    converged, diverged)``, with ``x`` the checked point and ``iterates``
+    every ``Y(p)`` if ``keep``, else the last.  Each step calls the kernels of
+    ``Psi`` on ``x + Y``; a non-finite float iterate raises when the next
+    step reads it, as evaluating there would."""
+    if not isinstance(X, LatticeVec):
+        X = LatticeVec(tuple(X))
+    if X.dimension != cmp.dim_X:
+        raise ValueError(f"X has dimension {X.dimension}, expected {cmp.dim_X}")
+    _require_nonneg(X, "X")
+    if max_iter < 1:
+        raise ValueError("max_iter must be positive")
+    exact = cmp.mode == EXACT
+    x = tuple(coerce_value(e, cmp.mode) for e in X.entries)
+    tol_v = Fraction(tol) if exact else float(tol)
+    zero = zero_value(cmp.mode)
+    kernels = [comp._plan for comp in cmp.Psi.components]
+    Y = (zero,) * cmp.dim_Y
+    iterates = [Y]
+    converged = diverged = False
+    prev_step = bad = None
+    for steps in range(1, max_iter + 1):
+        if bad is not None:
+            raise ValueError(f"float coefficients must be finite, got {bad!r}")
+        point = x + Y
+        Y_next = tuple([run(point, leaves, zero) for run, leaves in kernels])
+        step, settled = None, True
+        for a, b in zip(Y, Y_next):
+            if b < (a if exact else a - (1e-12 + 1e-15 * abs(a))):
+                raise MonotonicityError(
+                    f"comparison iterate decreased from {a} to {b}")
+            if not (exact or bad is not None or isfinite(b)):
+                bad = b
+            d = b - a
+            if step is None or d > step:
+                step = d
+            settled = settled and abs(d) <= tol_v
+        Y = Y_next
+        if keep:
+            iterates.append(Y)
+        if settled:
+            converged = True
+            break
+        if (prev_step is not None and step >= prev_step
+                and any(e > DIVERGENCE_THRESHOLD for e in Y)):
+            diverged = True
+            break
+        prev_step = step
+    return x, (iterates if keep else [Y]), steps, converged, diverged
 
 
 def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
@@ -70,52 +121,20 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
     would misread a large fixed point reached in a few steps.  Monotonicity
     is asserted along the way; a violation beyond float rounding slack
     raises, since it can only mean the input was not of positive type.
+    The trace keeps every iterate, with error bounds once converged.
     """
-    if not isinstance(X, LatticeVec):
-        X = LatticeVec(tuple(X))
-    if X.dimension != cmp.dim_X:
-        raise ValueError(f"X has dimension {X.dimension}, expected {cmp.dim_X}")
-    _require_nonneg(X, "X")
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
-    exact = cmp.mode == EXACT
-    tol_v = Fraction(tol) if exact else float(tol)
-    zero = zero_value(cmp.mode)
-    Y = LatticeVec((zero,) * cmp.dim_Y)
-    iterates = [Y]
-    converged = diverged = False
-    prev_step = None
-    for _ in range(max_iter):
-        Y_next = _eval_comparison(cmp, X, Y)
-        for a, b in zip(Y.entries, Y_next.entries):
-            slack = zero if exact else 1e-12 + 1e-15 * abs(a)
-            if b < a - slack:
-                raise MonotonicityError(
-                    f"comparison iterate decreased from {a} to {b}")
-        iterates.append(Y_next)
-        step = max(b - a for a, b in zip(Y.entries, Y_next.entries))
-        if all(abs(b - a) <= tol_v for a, b in zip(Y.entries, Y_next.entries)):
-            converged = True
-            Y = Y_next
-            break
-        if (any(e > DIVERGENCE_THRESHOLD for e in Y_next.entries)
-                and prev_step is not None and step >= prev_step):
-            diverged = True
-            break
-        prev_step = step
-        Y = Y_next
-    error_bounds = None
-    residual_norm = None
+    x, found, _, converged, diverged = _kleene(cmp, X, max_iter, tol, keep=True)
+    error_bounds = residual_norm = None
     if converged:
-        final = iterates[-1]
+        final = found[-1]
+        zero = zero_value(cmp.mode)
         error_bounds = tuple(
-            LatticeVec(tuple(max(zero, f - e)
-                             for f, e in zip(final.entries, it.entries)))
-            for it in iterates)
-        res = _eval_comparison(cmp, X, final)
-        residual_norm = max(abs(r - f) for r, f in zip(res.entries, final.entries))
+            LatticeVec(tuple(max(zero, f - e) for f, e in zip(final, Y)))
+            for Y in found)
+        res = cmp.Psi.evaluate(x + final)
+        residual_norm = max(abs(r - f) for r, f in zip(res, final))
     return IterationTrace(
-        iterates_Y=tuple(iterates), iterates_y=None,
+        iterates_Y=tuple(map(LatticeVec, found)), iterates_y=None,
         converged=converged, diverged=diverged,
         residual_norm=residual_norm, error_bounds=error_bounds)
 
@@ -162,13 +181,15 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
 
 def membership(cmp: ComparisonEquation, X: LatticeVec,
                budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL) -> Membership:
-    """Classify ``X`` against the convergence region of the comparison equation."""
-    trace = iterate_comparison(cmp, X, budget, tol)
-    used = trace.steps
-    if trace.converged:
-        return Membership(INSIDE, trace.iterates_Y[-1], used)
-    if trace.diverged:
-        return Membership(OUTSIDE, None, used, witness=trace.iterates_Y[-1])
+    """Classify ``X`` against the convergence region of the comparison equation.
+
+    The iteration of :func:`iterate_comparison`, keeping only its last iterate.
+    """
+    _, last, used, converged, diverged = _kleene(cmp, X, budget, tol, keep=False)
+    if converged:
+        return Membership(INSIDE, LatticeVec(last[-1]), used)
+    if diverged:
+        return Membership(OUTSIDE, None, used, witness=LatticeVec(last[-1]))
     return Membership(UNRESOLVED, None, used)
 
 
@@ -181,8 +202,8 @@ def certificate_check(cmp: ComparisonEquation, X: LatticeVec,
         Y_tilde = LatticeVec(tuple(Y_tilde))
     _require_nonneg(X, "X")
     _require_nonneg(Y_tilde, "Y_tilde")
-    value = _eval_comparison(cmp, X, Y_tilde)
-    return all(v <= y for v, y in zip(value.entries, Y_tilde.entries))
+    value = cmp.Psi.evaluate(X.entries + Y_tilde.entries)
+    return all(v <= y for v, y in zip(value, Y_tilde.entries))
 
 
 def error_bound(trace: IterationTrace, p: int) -> LatticeVec:

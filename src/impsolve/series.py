@@ -20,7 +20,9 @@ All ring operations truncate their result to the shared degree cap.  In
 exact mode the retained coefficients equal the coefficients of the
 untruncated result; for substitution this holds because the inner series
 are required to vanish at the origin, so discarded cross terms only ever
-feed degrees above the cap.
+feed degrees above the cap.  Evaluation and substitution share one engine:
+a series compiles its Horner plan once into a straight-line function,
+generated from integer indices alone, never from a value (``_compile``).
 
 The monomial coefficient ``c[alpha]`` of a degree-``n`` term corresponds
 to a completely symmetric n-linear form evaluated on basis vectors: the
@@ -33,6 +35,7 @@ monomial coefficient, so the two representations round-trip.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -249,7 +252,10 @@ class Series:
     def with_cap(self, degree_cap: int) -> Series:
         """Same series viewed at a different cap; higher terms are dropped."""
         kept = {a: v for a, v in self.terms.items() if a.degree <= degree_cap}
-        return Series(self.num_vars, degree_cap, kept, self.mode)
+        out = Series(self.num_vars, degree_cap, kept, self.mode)
+        if len(kept) == len(self.terms):
+            out.__dict__["_plan_source"] = self.__dict__.get("_plan_source", self)
+        return out
 
     def as_float(self) -> Series:
         """Explicit conversion to float mode (exact coefficients are rounded)."""
@@ -322,10 +328,11 @@ class Series:
 
     @cached_property
     def _plan(self) -> tuple:
-        """Horner plan and coefficient list, built on first use; not a field."""
-        coefficients: list[Number] = []
-        root = _compile(self.terms, self.num_vars - 1, coefficients)
-        return root, tuple(coefficients)
+        """Kernel and coefficients from :func:`_compile`, built on first use;
+        not a field.  A :meth:`with_cap` copy that kept every term uses its
+        source's."""
+        source = self.__dict__.get("_plan_source", self)
+        return _compile(self.terms, self.num_vars) if source is self else source._plan
 
     def evaluate(self, point: Sequence[Number]) -> Number:
         """Horner-style evaluation at a point whose entries match the mode."""
@@ -333,8 +340,8 @@ class Series:
             raise ValueError(
                 f"point has {len(point)} entries, series has {self.num_vars} variables")
         coords = [coerce_value(c, self.mode) for c in point]
-        root, coefficients = self._plan
-        return _horner(root, coords, coefficients, zero_value(self.mode))
+        run, coefficients = self._plan
+        return run(coords, coefficients, zero_value(self.mode))
 
     # -- serialization --------------------------------------------------
 
@@ -377,40 +384,46 @@ class Series:
         return " + ".join(bits)
 
 
-def _compile(terms: Mapping, var: int, coefficients: list) -> tuple:
-    """Horner plan of *terms*: the node ``(var, steps)`` lists, from the top
-    power of ``var`` down to 0, ``None`` where no term has that power, else
-    the node of the lower variables or, at ``var == 0``, a coefficient index.
-    """
-    groups: dict[int, dict] = {}
-    for alpha, value in terms.items():
-        groups.setdefault(alpha[var], {})[alpha] = value
-    steps: list = []
-    for k in range(max(groups, default=-1), -1, -1):
-        sub = groups.get(k)
-        if sub is None:
-            steps.append(None)
-        elif var == 0:
-            steps.append(len(coefficients))
-            coefficients.extend(sub.values())
-        else:
-            steps.append(_compile(sub, var - 1, coefficients))
-    return var, tuple(steps)
+def _compile(terms: Mapping, num_vars: int) -> tuple:
+    """Kernel ``run(point, leaves, zero)`` of *terms*, and its coefficients.
 
-
-def _horner(node: tuple, point: Sequence, leaves: Sequence, zero):
-    """Run a plan with ``point[j]`` for variable ``j`` and ``leaves[i]`` for
-    coefficient ``i``: numbers evaluate, series substitute.  The first step
-    multiplies ``zero`` too, as that product fixes the sign of a zero result.
+    Nested Horner form: a node of variable ``j`` starts from ``zero`` and,
+    from the top power of ``x_j`` down to 0, multiplies by ``point[j]`` and
+    adds the node of the lower variables with that power or, at ``j == 0``,
+    the coefficient ``leaves[i]``.  The first step multiplies ``zero`` too,
+    as that product fixes the sign of a zero result.  Each step is one
+    assignment to the node's temporary, so nothing nests however long the
+    plan; the source holds only integer indices and fixed names.
     """
-    var, steps = node
-    t = point[var]
-    acc = zero
-    for step in steps:
-        acc = acc * t
-        if step is not None:
-            acc = acc + (leaves[step] if var == 0 else _horner(step, point, leaves, zero))
-    return acc
+    coefficients: list[Number] = []
+    lines: list[str] = []
+    temporaries = itertools.count()
+
+    def node(terms: Mapping, var: int) -> str:
+        groups: dict[int, dict] = {}
+        for alpha, value in terms.items():
+            groups.setdefault(alpha[var], {})[alpha] = value
+        acc, prev = f"a{next(temporaries)}", "zero"
+        for k in range(max(groups, default=-1), -1, -1):
+            sub = groups.get(k)
+            if sub is None:
+                add = ""
+            elif var == 0:
+                add = f" + leaves[{len(coefficients)}]"
+                coefficients.extend(sub.values())
+            else:
+                add = f" + {node(sub, var - 1)}"
+            lines.append(f"{acc} = {prev} * t{var}{add}")
+            prev = acc
+        return prev
+
+    root = node(terms, num_vars - 1)
+    names = "".join(f"t{j}, " for j in range(num_vars))
+    source = "\n    ".join([f"def run(point, leaves, zero):\n    {names}= point",
+                           *lines, f"return {root}"])
+    namespace: dict = {}
+    exec(source, namespace)
+    return namespace["run"], tuple(coefficients)
 
 
 @dataclass(frozen=True)
@@ -508,10 +521,10 @@ def compose_series(outer: Series, inner: Sequence[Series]) -> Series:
             raise ValueError(
                 f"inner component {k} has a nonzero constant term; "
                 f"substitution requires maps vanishing at the origin")
-    root, coefficients = outer._plan
+    run, coefficients = outer._plan
     shape = (base.num_vars, base.degree_cap, base.mode)
     leaves = [Series.constant(*shape, v) for v in coefficients]
-    return _horner(root, inner, leaves, Series.zero(*shape))
+    return run(inner, leaves, Series.zero(*shape))
 
 
 def series_compose(outer: SeriesMap, inner: SeriesMap) -> SeriesMap:

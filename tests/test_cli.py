@@ -104,6 +104,33 @@ def test_solve_out_file(spec_file, capsys, tmp_path):
     assert json.loads(target.read_text())["source"] == "iterative"
 
 
+
+def test_unwritable_out_is_a_usage_error_before_the_verb_runs(
+        spec_file, capsys, tmp_path, monkeypatch):
+    path = spec_file(QUAD_MINUS)
+    calls = []
+    monkeypatch.setattr("impsolve.cli.solve_formal",
+                        lambda *args: calls.append(args))
+    for target in (tmp_path / "missing" / "sol.json", tmp_path):
+        code, out, err = run(capsys, ["solve", "--spec", path,
+                                      "--out", str(target)])
+        assert code == 2
+        assert not out
+        assert err.startswith("error: ") and str(target) in err
+        assert "Traceback" not in err
+    assert not calls
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_verb_leaves_no_out_file(spec_file, capsys, tmp_path):
+    path = spec_file(QUAD_MINUS)
+    target = tmp_path / "m.json"
+    code, out, err = run(capsys, ["membership", "--spec", path, "--X", "0.1",
+                                  "--out", str(target)])
+    assert code == 2 and err.startswith("error: ")
+    assert not target.exists()
+
+
 # ---------------------------------------------------------------------------
 # majorant and the pipeline into the comparison verbs
 

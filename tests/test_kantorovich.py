@@ -8,16 +8,22 @@ limits come from the closed-form roots in helpers.py.
 import io
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from impsolve import (
     DEFAULT_BUDGET,
+    EXACT,
+    ComparisonEquation,
     DomainError,
     FLOAT,
     INSIDE,
     LatticeVec,
+    Membership,
     OUTSIDE,
+    Series,
+    SeriesMap,
     UNRESOLVED,
     certificate_check,
     error_bound,
@@ -25,6 +31,7 @@ from impsolve import (
     iterate_primal,
     majorant,
     membership,
+    radius_along_ray,
     trace_to_csv,
 )
 
@@ -34,6 +41,7 @@ from helpers import (
     quadratic_equation,
     random_comparison,
     random_equation,
+    scalar_comparison,
     signed_quadratic,
 )
 
@@ -264,3 +272,85 @@ def test_trace_csv_without_primal():
     trace_to_csv(trace, buf)
     header = buf.getvalue().splitlines()[0]
     assert header == "p,Y0,bound0,delta0"
+
+
+# ---------------------------------------------------------------------------
+# frozen loop results
+#
+# Recorded from the loop that built a LatticeVec per step, before membership
+# ran on plain tuples.  Equality is exact: the step count, the final iterate
+# and the witness pin every comparison and every float operation.
+
+def big_linear_comparison():
+    """Y = 1e10 X + Y^2, the comparison of y = 1e10 x + y^2."""
+    return scalar_comparison({(1, 0): 1e10, (0, 2): 1.0})
+
+
+def seeded_ray_system(seed):
+    """Y0 = a X + b Y0 Y1 + c Y1^2, Y1 = d X + e Y0^2 + f X Y1, seeded."""
+    rng = random.Random(seed)
+    co = lambda: rng.randint(500, 2000) / 1000
+    Y0 = Series(3, 3, {(1, 0, 0): co(), (0, 1, 1): co(), (0, 0, 2): co()}, FLOAT)
+    Y1 = Series(3, 3, {(1, 0, 0): co(), (0, 2, 0): co(), (1, 0, 1): co()}, FLOAT)
+    return ComparisonEquation(1, 2, SeriesMap((Y0, Y1)))
+
+
+def test_overflow_is_unresolved_when_the_budget_is_spent():
+    # 1e10 * 1e300 overflows in the first step; only a second step reads it
+    got = membership(big_linear_comparison(), X_at(1e300), 1)
+    assert got == Membership(UNRESOLVED, None, 1)
+
+
+def test_overflow_raises_on_the_next_step():
+    with pytest.raises(ValueError, match="^float coefficients must be finite, got inf$"):
+        membership(big_linear_comparison(), X_at(1e300), 2)
+    with pytest.raises(ValueError, match="^float coefficients must be finite, got inf$"):
+        iterate_comparison(big_linear_comparison(), X_at(1e300), 2)
+
+
+def test_nan_point_raises():
+    with pytest.raises(ValueError, match="^float coefficients must be finite, got nan$"):
+        membership(big_linear_comparison(), X_at(float("nan")))
+
+
+@pytest.mark.parametrize("c, fraction, want", [
+    (1.0, 0.5, Membership(INSIDE, LatticeVec((0.14644660940660406,)), 22)),
+    (1.0, 0.999996, Membership(INSIDE, LatticeVec((0.4989999995016816,)), 7587)),
+    (1.0, 1.000004, Membership(OUTSIDE, None, 3144,
+                               witness=LatticeVec((1712218149.6939335,)))),
+    (2.5, 0.5, Membership(INSIDE, LatticeVec((0.05857864376252364,)), 21)),
+    (2.5, 0.999996, Membership(INSIDE, LatticeVec((0.19959999950137325,)), 7129)),
+    (2.5, 1.000004, Membership(OUTSIDE, None, 3145,
+                               witness=LatticeVec((1.172676346292223e+18,)))),
+])
+def test_membership_quadratic_family_frozen(c, fraction, want):
+    cmp_eq = scalar_comparison({(1, 0): 1.0, (0, 2): c})
+    got = membership(cmp_eq, X_at(fraction * (1 / (4 * c))))
+    assert (got.verdict, got.iterations_used) == (want.verdict, want.iterations_used)
+    assert got.principal_Y == want.principal_Y
+    assert got.witness == want.witness
+
+
+@pytest.mark.parametrize("X, want", [
+    (0.05, Membership(INSIDE, LatticeVec((0.09236005439025459, 0.058107659791733095)), 16)),
+    (0.1455, Membership(INSIDE, LatticeVec((0.4854813746967078, 0.30856348878555645)), 799)),
+    (0.14559, Membership(INSIDE, LatticeVec((0.4974253850690997, 0.31595931631439694)), 7531)),
+    (0.1456, Membership(OUTSIDE, None, 785,
+                        witness=LatticeVec((5802416043716176.0, 3514114177706103.5)))),
+    (0.4, Membership(OUTSIDE, None, 8,
+                     witness=LatticeVec((95990003930.87567, 75713749524.37463)))),
+])
+def test_membership_seeded_system_frozen(X, want):
+    got = membership(seeded_ray_system(6), X_at(X))
+    assert got == want
+
+
+def test_radius_bracket_seeded_system_frozen():
+    got = radius_along_ray(seeded_ray_system(6), X_at(1.0), tol=1e-6)
+    assert (got.t_inside, got.t_outside, got.unbounded) == (
+        0.14558959007263184, 0.14559121973115907, False)
+
+
+def test_membership_exact_catalan_frozen():
+    got = membership(quadratic_comparison(EXACT), X_at(Fraction(1, 5)), 14)
+    assert got == Membership(UNRESOLVED, None, 14)

@@ -4,7 +4,9 @@ The multiplication and composition oracles are the naive dict routines in
 helpers.py; frozen examples were expanded by hand.
 """
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -22,10 +24,12 @@ from impsolve import (
     multiindex_factorial,
     parse_value,
     series_compose,
+    solve_formal,
     sym_tensor_entry,
 )
+from impsolve import series as series_module
 
-from helpers import naive_mul, naive_substitute
+from helpers import catalan, naive_mul, naive_substitute, quadratic_equation
 
 
 def F(n, d=1):
@@ -380,3 +384,124 @@ def test_str_is_readable():
     s = make({(1, 0): F(1), (0, 2): F(-1)})
     text = str(s)
     assert "x0" in text and "x1^2" in text
+
+
+# ---------------------------------------------------------------------------
+# compiled kernels
+#
+# Values recorded from the recursive Horner evaluator that the compiled
+# kernels replace.  Float equality is exact and signs are checked, so they
+# pin the order of the float operations; exact results are checked against
+# a direct sum.
+
+def _draw(rng, mode):
+    n = rng.randint(-9, 9)
+    return F(n, rng.randint(1, 9)) if mode == EXACT else n / rng.randint(1, 9)
+
+
+def long_terms(mode):
+    """Degree 1 to 200 in one variable, seeded."""
+    rng = random.Random(200)
+    return {(k,): _draw(rng, mode) for k in range(1, 201)}
+
+
+def three_terms(mode):
+    """About half of the monomials of degree 1 to 6 in three variables."""
+    rng = random.Random(3)
+    out = {}
+    for a in range(7):
+        for b in range(7 - a):
+            for c in range(7 - a - b):
+                if a + b + c and rng.random() < 0.6:
+                    out[(a, b, c)] = _draw(rng, mode)
+    return out
+
+
+def direct_sum(series, point):
+    total = F(0)
+    for alpha, value in series.terms.items():
+        term = value
+        for t, e in zip(point, alpha):
+            term *= t ** e
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("t, want", [
+    (0.5, -1.8028678587354363),
+    (-0.75, 0.6277233125070572),
+    (0.99, -20.55666258972692),
+    (1.0, -36.96666666666667),
+    (0.0, -0.0),
+    (-0.0, 0.0),
+])
+def test_degree_200_float_frozen(t, want):
+    got = Series(1, 200, long_terms(FLOAT), FLOAT).evaluate((t,))
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("point, want", [
+    ((0.3, -0.6, 0.9), 5.110644383333333),
+    ((-1.0, 0.5, 0.25), -1.0732142857142861),
+    ((2.0, 1.5, -1.25), -505.83771701388883),
+    ((0.0, -0.0, 0.0), 0.0),
+    ((-0.0, -0.0, -0.0), -0.0),
+    ((0.0, 0.0, -0.0), 0.0),
+])
+def test_three_variable_float_frozen(point, want):
+    s = Series(3, 6, three_terms(FLOAT), FLOAT)
+    assert len(s.terms) == 49
+    got = s.evaluate(point)
+    assert got == want
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("terms, point", [
+    (long_terms(EXACT), (F(1, 2),)),
+    (long_terms(EXACT), (F(-7, 8),)),
+    (three_terms(EXACT), (F(1, 3), F(-2, 5), F(3, 4))),
+    (three_terms(EXACT), (F(0), F(0), F(0))),
+])
+def test_exact_kernels_match_direct_sum(terms, point):
+    s = Series(len(point), 200, terms, EXACT)
+    assert s.evaluate(point) == direct_sum(s, point)
+
+
+def _digest(series):
+    items = sorted((tuple(a), v) for a, v in series.terms.items())
+    return hashlib.sha256(repr(items).encode()).hexdigest()
+
+
+# The exact digest was checked against naive_substitute when it was recorded.
+@pytest.mark.parametrize("mode, want", [
+    (FLOAT, "aceee306bca13fe22dff71b33ca23d30c2b4452b0d819c19255e6887007a1861"),
+    (EXACT, "05777c0090c30c5b594a0b5b08ab969b4ade37ad38f35cc8ef7b1c21ff958014"),
+])
+def test_composition_degree_60_frozen(mode, want):
+    outer = Series(3, 60, three_terms(mode), mode)
+    inner = []
+    for j in range(3):
+        rng = random.Random(10 + j)
+        inner.append(Series(1, 60, {(k,): _draw(rng, mode) for k in range(1, 61)
+                                    if k < 3 or rng.random() < 0.3}, mode))
+    got = compose_series(outer, inner)
+    assert len(got.terms) == 60
+    assert _digest(got) == want
+
+
+def test_solve_compiles_psi_once_per_term_set(monkeypatch):
+    built = []
+    original = series_module._compile
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(series_module, "_compile", counting)
+    sol = solve_formal(quadratic_equation(cap=40), 40)
+    assert sol.phi.components[0].coefficient((40,)) == pytest.approx(
+        float(catalan(39)), rel=1e-12)
+    # round 1 runs at cap 1, where y^2 is dropped; every later round shares
+    # the plan of psi's full term set
+    assert len(built) == 2

@@ -23,10 +23,9 @@ from .lattice import (AGGREGATE, COMPONENTWISE, SCALAR, ComparisonEquation,
                       equation_from_dict, equation_to_dict, lattice_abs,
                       lattice_inf, lattice_leq, lattice_sup, majorant,
                       map_abs, norm, series_abs)
-from .series import (EXACT, FLOAT, MultiIndex, Series, SeriesMap,
-                     SymTensorEntry, compose_series, format_value,
-                     multiindex_factorial, parse_value, series_compose,
-                     sym_tensor_entry)
+from .series import (EXACT, FLOAT, Series, SeriesMap, SymTensorEntry,
+                     compose_series, format_value, multiindex_factorial,
+                     parse_value, series_compose, sym_tensor_entry)
 from .solver import (ITERATIVE, PARTITION_ORACLE,
                      PARTITION_ORACLE_MAX_DEGREE, SolutionSeries,
                      formal_iterates, residual, resolve_linear, solve_formal,

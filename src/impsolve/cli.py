@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import random
 import sys
@@ -141,6 +142,8 @@ def _cmd_check(args):
     eq = parse_spec(args.spec)
     cmp = majorant(eq)
     half = args.box
+    if not math.isfinite(half):
+        raise SpecFormatError(f"--box must be finite, got {half!r}")
     dim = eq.dim_x + eq.dim_y
     if eq.mode == EXACT:
         h = Fraction(half).limit_denominator(10**6)

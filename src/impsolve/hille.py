@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import IO, Callable, NamedTuple
 
 from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, INSIDE, OUTSIDE,
-                          membership)
+                          check_tol, membership)
 from .lattice import ComparisonEquation, LatticeVec
-from .series import EXACT, Number, Series
+from .series import Number, Series, zero_value
 from .solver import SolutionSeries
 
 FOUND = "found"
@@ -135,6 +134,7 @@ def hille_point(cmp: ComparisonEquation, tol: float = 1e-12) -> HillePoint:
     unbounded; a Newton stall is reported as failed with the last iterate
     rather than papered over.
     """
+    check_tol(tol)
     psi = _scalar_series(cmp)
     psi_y = psi.partial(1)
 
@@ -266,6 +266,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     the float spacing at the crossing cannot be met.  The probing is a
     float computation; an exact comparison equation is converted first.
     """
+    check_tol(tol)
     cmp = cmp.as_float()
     if not isinstance(direction, LatticeVec):
         direction = LatticeVec(tuple(direction))
@@ -323,7 +324,7 @@ def empirical_radius(sol: SolutionSeries) -> RadiusEstimate:
         raise ValueError("the ratio estimate needs a scalar single-variable solution")
     comp = sol.phi.components[0]
     coeffs = [comp.coefficient((n,)) for n in range(sol.degree_cap + 1)]
-    zero = Fraction(0) if comp.mode == EXACT else 0.0
+    zero = zero_value(comp.mode)
     top = None
     for n in range(sol.degree_cap, 0, -1):
         if coeffs[n] != zero and coeffs[n - 1] != zero:

@@ -55,6 +55,12 @@ def _require_nonneg(v: LatticeVec, name: str) -> None:
         raise ValueError(f"{name} must be entrywise non-negative, got {v}")
 
 
+def check_tol(tol: float) -> None:
+    """Refuse a NaN or negative tolerance, which no loop can meet honestly."""
+    if not tol >= 0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+
+
 def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,
             keep: bool) -> tuple[tuple, list, int, bool, bool]:
     """Kleene iteration from 0 on plain tuples: ``(x, iterates, steps,
@@ -69,6 +75,7 @@ def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,
     _require_nonneg(X, "X")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    check_tol(tol)
     exact = cmp.mode == EXACT
     x = tuple(coerce_value(e, cmp.mode) for e in X.entries)
     tol_v = Fraction(tol) if exact else float(tol)

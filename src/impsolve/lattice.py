@@ -117,7 +117,7 @@ def norm(profile: NormProfile, v: Sequence[Number]) -> LatticeVec:
 def _validate_equation_terms(psi: SeriesMap, dim_x: int, dim_y: int) -> None:
     for i, comp in enumerate(psi.components):
         for gamma in comp.terms:
-            if gamma.degree == 0:
+            if sum(gamma) == 0:
                 raise SpecFormatError(
                     f"component {i}: constant term is not allowed; the map must "
                     f"vanish at the origin")
@@ -324,7 +324,7 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
                            rng: random.Random | None = None) -> MajorantSampleReport:
     """Spot-check the domination of ``eq`` by ``cmp`` on random points.
 
-    Draws ``n_samples`` points from the box (and, when asked, the same
+    Draws ``n_samples >= 1`` points from the box (and, when asked, the same
     number of increment pairs) and verifies the value and increment
     inequalities that a majorant must satisfy.  In float mode a violation
     needs to clear the relative ``SAMPLE_SLACK`` before it is reported; exact
@@ -332,6 +332,8 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     """
     if eq.mode != cmp.mode:
         raise ValueError(f"mode mismatch: {eq.mode} vs {cmp.mode}")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     lo, hi = box
     lo._check_dim(hi)
     if lo.dimension != eq.dim_x + eq.dim_y:
@@ -393,7 +395,7 @@ def equation_to_dict(eq: EquationSpec) -> dict:
     """Serialize an equation to the canonical JSON-ready dictionary."""
     terms = []
     for i, comp in enumerate(eq.psi.components):
-        for gamma in sorted(comp.terms, key=lambda g: (g.degree, tuple(g))):
+        for gamma in sorted(comp.terms, key=lambda g: (sum(g), g)):
             terms.append({
                 "output": i,
                 "alpha": list(gamma[:eq.dim_x]),

@@ -2,8 +2,8 @@
 
 A :class:`Series` holds the monomial coefficients of a polynomial in
 ``num_vars`` variables up to a fixed total degree ``degree_cap``.  Terms
-are stored sparsely in a mapping from exponent vectors to coefficients;
-zero coefficients are never stored.  Two coefficient modes exist and are
+are stored sparsely in a mapping from exponent vectors, plain tuples of
+naturals, to nonzero coefficients.  Two coefficient modes exist and are
 kept strictly apart:
 
 ``"exact"``
@@ -15,6 +15,12 @@ kept strictly apart:
 
 Mixing modes in one operation raises an error; a series is converted
 between modes only through the explicit :meth:`Series.as_float` method.
+
+Terms are checked where they come in: the public constructor and
+:meth:`Series.coefficient` check every key and value.  Sums, products and
+substitutions of checked terms get their keys and value types right by
+construction, so a ring result (``Series._ring``) is only cleared of the
+zeros cancellation leaves and refused if float overflow left inf or nan.
 
 All ring operations truncate their result to the shared degree cap.  In
 exact mode the retained coefficients equal the coefficients of the
@@ -56,22 +62,25 @@ Number = Union[int, float, Fraction]
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
-class MultiIndex(tuple):
-    """Exponent vector of one monomial; an immutable tuple of naturals."""
+def _exponents(raw: Iterable[int], num_vars: int) -> tuple[int, ...]:
+    """*raw* as an exponent vector of ``num_vars`` naturals, else ValueError."""
+    alpha = tuple(raw)
+    for e in alpha:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 0:
+            raise ValueError(f"exponents must be non-negative integers, got {e!r}")
+    if len(alpha) != num_vars:
+        raise ValueError(f"exponent vector {alpha} has length {len(alpha)}, expected {num_vars}")
+    return alpha
 
-    __slots__ = ()
 
-    def __new__(cls, exponents: Iterable[int]) -> MultiIndex:
-        idx = super().__new__(cls, exponents)
-        for e in idx:
-            if not isinstance(e, int) or isinstance(e, bool) or e < 0:
-                raise ValueError(
-                    f"exponents must be non-negative integers, got {e!r}")
-        return idx
-
-    @property
-    def degree(self) -> int:
-        return sum(self)
+def _normalised(terms: Mapping, mode: str) -> Mapping:
+    """Read-only *terms* without zeros; refuses a non-finite float, the one
+    thing besides a zero that arithmetic on valid terms can produce."""
+    if mode == FLOAT:
+        for value in terms.values():
+            if not math.isfinite(value):
+                raise ValueError(f"float coefficients must be finite, got {value!r}")
+    return MappingProxyType({a: v for a, v in terms.items() if v})
 
 
 def multiindex_factorial(alpha: Sequence[int]) -> int:
@@ -170,7 +179,7 @@ class Series:
 
     num_vars: int
     degree_cap: int
-    terms: Mapping[MultiIndex, Number]
+    terms: Mapping[tuple[int, ...], Number]
     mode: str
 
     def __post_init__(self) -> None:
@@ -179,21 +188,22 @@ class Series:
         if not isinstance(self.degree_cap, int) or self.degree_cap < 0:
             raise ValueError(f"degree_cap must be a non-negative integer, got {self.degree_cap!r}")
         check_mode(self.mode)
-        clean: dict[MultiIndex, Number] = {}
-        zero = zero_value(self.mode)
+        clean: dict[tuple[int, ...], Number] = {}
         for raw_alpha, raw_value in self.terms.items():
-            alpha = raw_alpha if isinstance(raw_alpha, MultiIndex) else MultiIndex(raw_alpha)
-            if len(alpha) != self.num_vars:
+            alpha = _exponents(raw_alpha, self.num_vars)
+            if sum(alpha) > self.degree_cap:
                 raise ValueError(
-                    f"exponent vector {tuple(alpha)} has length {len(alpha)}, "
-                    f"expected {self.num_vars}")
-            if alpha.degree > self.degree_cap:
-                raise ValueError(
-                    f"term of degree {alpha.degree} exceeds the cap {self.degree_cap}")
-            value = coerce_value(raw_value, self.mode)
-            if value != zero:
-                clean[alpha] = value
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+                    f"term of degree {sum(alpha)} exceeds the cap {self.degree_cap}")
+            clean[alpha] = coerce_value(raw_value, self.mode)
+        object.__setattr__(self, "terms", _normalised(clean, self.mode))
+
+    @classmethod
+    def _ring(cls, num_vars: int, degree_cap: int, terms: dict, mode: str) -> Series:
+        """A ring result, checked by :func:`_normalised` alone, not ``__post_init__``."""
+        out = object.__new__(cls)
+        out.__dict__.update(num_vars=num_vars, degree_cap=degree_cap,
+                            terms=_normalised(terms, mode), mode=mode)
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -221,15 +231,11 @@ class Series:
     # -- queries --------------------------------------------------------
 
     def coefficient(self, exponents: Sequence[int]) -> Number:
-        alpha = exponents if isinstance(exponents, MultiIndex) else MultiIndex(exponents)
-        if len(alpha) != self.num_vars:
-            raise ValueError(
-                f"exponent vector length {len(alpha)} does not match {self.num_vars}")
-        return self.terms.get(alpha, zero_value(self.mode))
+        return self.terms.get(_exponents(exponents, self.num_vars), zero_value(self.mode))
 
     @property
     def constant_term(self) -> Number:
-        return self.terms.get(MultiIndex((0,) * self.num_vars), zero_value(self.mode))
+        return self.terms.get((0,) * self.num_vars, zero_value(self.mode))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -251,8 +257,10 @@ class Series:
 
     def with_cap(self, degree_cap: int) -> Series:
         """Same series viewed at a different cap; higher terms are dropped."""
-        kept = {a: v for a, v in self.terms.items() if a.degree <= degree_cap}
-        out = Series(self.num_vars, degree_cap, kept, self.mode)
+        if not isinstance(degree_cap, int) or degree_cap < 0:
+            raise ValueError(f"degree_cap must be a non-negative integer, got {degree_cap!r}")
+        kept = {a: v for a, v in self.terms.items() if sum(a) <= degree_cap}
+        out = Series._ring(self.num_vars, degree_cap, kept, self.mode)
         if len(kept) == len(self.terms):
             out.__dict__["_plan_source"] = self.__dict__.get("_plan_source", self)
         return out
@@ -261,8 +269,8 @@ class Series:
         """Explicit conversion to float mode (exact coefficients are rounded)."""
         if self.mode == FLOAT:
             return self
-        return Series(self.num_vars, self.degree_cap,
-                      {a: float(v) for a, v in self.terms.items()}, FLOAT)
+        return Series._ring(self.num_vars, self.degree_cap,
+                            {a: float(v) for a, v in self.terms.items()}, FLOAT)
 
     # -- ring operations ------------------------------------------------
 
@@ -270,41 +278,35 @@ class Series:
         self._check_compatible(other, "add")
         out = dict(self.terms)
         for alpha, value in other.terms.items():
-            if alpha in out:
-                out[alpha] = out[alpha] + value
-            else:
-                out[alpha] = value
-        return Series(self.num_vars, self.degree_cap, out, self.mode)
+            out[alpha] = out[alpha] + value if alpha in out else value
+        return Series._ring(self.num_vars, self.degree_cap, out, self.mode)
 
     def __neg__(self) -> Series:
-        return Series(self.num_vars, self.degree_cap,
-                      {a: -v for a, v in self.terms.items()}, self.mode)
+        return Series._ring(self.num_vars, self.degree_cap,
+                            {a: -v for a, v in self.terms.items()}, self.mode)
 
     def __sub__(self, other: Series) -> Series:
         return self + (-other)
 
     def scale(self, value: Number) -> Series:
         value = coerce_value(value, self.mode)
-        return Series(self.num_vars, self.degree_cap,
-                      {a: v * value for a, v in self.terms.items()}, self.mode)
+        return Series._ring(self.num_vars, self.degree_cap,
+                            {a: v * value for a, v in self.terms.items()}, self.mode)
 
     def __mul__(self, other: Series) -> Series:
         self._check_compatible(other, "multiply")
         cap = self.degree_cap
-        right = [(b, b.degree, cb) for b, cb in other.terms.items()]
+        right = [(b, sum(b), cb) for b, cb in other.terms.items()]
         out: dict[tuple, Number] = {}
         for a, ca in self.terms.items():
-            room = cap - a.degree
+            room = cap - sum(a)
             for b, db, cb in right:
                 if db > room:
                     continue
                 key = tuple(map(operator.add, a, b))
                 prod = ca * cb
-                if key in out:
-                    out[key] = out[key] + prod
-                else:
-                    out[key] = prod
-        return Series(self.num_vars, cap, out, self.mode)
+                out[key] = out[key] + prod if key in out else prod
+        return Series._ring(self.num_vars, cap, out, self.mode)
 
     def partial(self, var: int) -> Series:
         """Partial derivative with respect to variable ``var``.
@@ -322,7 +324,7 @@ class Series:
                 continue
             key = tuple(x - 1 if j == var else x for j, x in enumerate(alpha))
             out[key] = value * e
-        return Series(self.num_vars, new_cap, out, self.mode)
+        return Series._ring(self.num_vars, new_cap, out, self.mode)
 
     # -- evaluation -----------------------------------------------------
 
@@ -348,7 +350,7 @@ class Series:
     def to_records(self) -> list[dict]:
         """Canonical record list, ordered by degree then exponents."""
         out = []
-        for alpha in sorted(self.terms, key=lambda a: (a.degree, tuple(a))):
+        for alpha in sorted(self.terms, key=lambda a: (sum(a), a)):
             out.append({"exponents": list(alpha),
                         "value": format_value(self.terms[alpha], self.mode)})
         return out
@@ -373,7 +375,7 @@ class Series:
         if not self.terms:
             return "0"
         bits = []
-        for alpha in sorted(self.terms, key=lambda a: (a.degree, tuple(a))):
+        for alpha in sorted(self.terms, key=lambda a: (sum(a), a)):
             factors = [format_value(self.terms[alpha], self.mode)]
             for j, e in enumerate(alpha):
                 if e == 1:
@@ -522,9 +524,9 @@ def compose_series(outer: Series, inner: Sequence[Series]) -> Series:
                 f"inner component {k} has a nonzero constant term; "
                 f"substitution requires maps vanishing at the origin")
     run, coefficients = outer._plan
-    shape = (base.num_vars, base.degree_cap, base.mode)
-    leaves = [Series.constant(*shape, v) for v in coefficients]
-    return run(inner, leaves, Series.zero(*shape))
+    n, cap = base.num_vars, base.degree_cap
+    leaves = [Series._ring(n, cap, {(0,) * n: v}, base.mode) for v in coefficients]
+    return run(inner, leaves, Series._ring(n, cap, {}, base.mode))
 
 
 def series_compose(outer: SeriesMap, inner: SeriesMap) -> SeriesMap:
@@ -567,6 +569,6 @@ def sym_tensor_entry(series: Series, index_multiset: Sequence[int]) -> SymTensor
     counts = [0] * series.num_vars
     for j in idx:
         counts[j] += 1
-    alpha = MultiIndex(counts)
+    alpha = tuple(counts)
     value = series.coefficient(alpha) * multiindex_factorial(alpha)
     return SymTensorEntry(degree=n, index_multiset=idx, value=value)

@@ -89,8 +89,7 @@ def formal_iterates(eq, degree: int) -> Iterator[SeriesMap]:
 
 def _substitute(psi: SeriesMap, phi: SeriesMap, cap: int) -> SeriesMap:
     """``psi(x, phi)`` at total degree ``cap``; ``phi`` must carry that cap."""
-    coords = tuple(Series.coordinate(phi.num_vars, cap, phi.mode, j)
-                   for j in range(phi.num_vars))
+    coords = SeriesMap.identity(phi.num_vars, cap, phi.mode).components
     return series_compose(psi.with_cap(cap), SeriesMap(coords + phi.components))
 
 

@@ -339,6 +339,37 @@ def test_rational_in_float_mode(spec_file, capsys):
     assert "rational literal" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["radius", "--direction", "1.0", "--tol", "nan"],
+    ["hille", "--tol", "-1"],
+    ["membership", "--X", "0.2", "--tol", "nan"],
+    ["iterate", "--X", "0.2", "--tol=-1e-12"],
+])
+def test_bad_tol_is_a_usage_error(spec_file, capsys, argv):
+    path = spec_file(dict(QUAD_MINUS, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1.0"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "1.0"}]))
+    code, out, err = run(capsys, argv[:1] + ["--spec", path] + argv[1:])
+    assert code == 2 and not out
+    assert "tol" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--box", "inf"], "box"),
+    (["--box", "nan"], "box"),
+    (["--samples", "-3"], "n_samples"),
+    (["--samples", "0"], "n_samples"),
+])
+def test_check_refuses_an_empty_or_infinite_sample(spec_file, capsys, argv,
+                                                    message):
+    # --box inf ended in an OverflowError traceback from Fraction(inf), and
+    # --samples -3 printed a clean report of zero points
+    path = spec_file(QUAD_PLUS_EXACT)
+    code, out, err = run(capsys, ["check", "--spec", path] + argv)
+    assert code == 2 and not out
+    assert message in err
+
+
 def test_unknown_verb(capsys):
     assert run(capsys, ["frobnicate"])[0] == 2
 

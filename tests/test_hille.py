@@ -236,6 +236,24 @@ def test_radius_rejects_bad_direction():
         radius_along_ray(quadratic_comparison(), LatticeVec((-1.0,)))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("-inf")])
+def test_bad_tol_rejected(tol):
+    # a NaN tol left the bracket unrefined at [0.125, 1.0]; a negative one
+    # made hille_point report its exact turning point as failed
+    with pytest.raises(ValueError, match="tol"):
+        radius_along_ray(quadratic_comparison(), LatticeVec((1.0,)), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        hille_point(quadratic_comparison(), tol=tol)
+
+
+def test_zero_tol_is_legal():
+    turn = hille_point(quadratic_comparison(), tol=0.0)
+    assert turn.X_star == pytest.approx(0.25, abs=1e-12)
+    ray = radius_along_ray(quadratic_comparison(), LatticeVec((1.0,)),
+                           tol=0.0, budget=50)
+    assert ray.t_inside <= ray.t_outside
+
+
 # ---------------------------------------------------------------------------
 # the ratio estimate
 

@@ -214,6 +214,25 @@ def test_membership_unresolved_on_boundary():
     assert got.iterations_used == DEFAULT_BUDGET
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("-inf")])
+def test_bad_tol_rejected(tol):
+    # with a NaN tol no step ever settled: X = 0.2, inside, spent the whole
+    # budget and came back unresolved
+    cmp_eq = quadratic_comparison()
+    with pytest.raises(ValueError, match="tol"):
+        membership(cmp_eq, X_at(0.2), tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        iterate_comparison(cmp_eq, X_at(0.2), tol=tol)
+    eq = quadratic_equation(sign=-1)
+    with pytest.raises(ValueError, match="tol"):
+        iterate_primal(eq, (0.2,), majorant(eq), tol=tol)
+
+
+def test_zero_tol_is_legal():
+    got = membership(quadratic_comparison(), X_at(0.2), budget=20, tol=0.0)
+    assert got.iterations_used == 20
+
+
 # ---------------------------------------------------------------------------
 # certificates and minimality
 

@@ -275,6 +275,14 @@ def test_samples_box_validation():
         check_majorant_samples(eq, good, 10, bad)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_samples_refuse_an_empty_check(n):
+    # a check of no points is no evidence for the majorant
+    eq = quadratic_equation(mode=FLOAT)
+    with pytest.raises(ValueError, match="n_samples"):
+        check_majorant_samples(eq, majorant(eq), n, _box(2))
+
+
 # ---------------------------------------------------------------------------
 # equation documents
 

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from impsolve import (
     EXACT,
     FLOAT,
-    MultiIndex,
     Series,
     SeriesMap,
     SpecFormatError,
@@ -55,11 +54,6 @@ def make(terms, num_vars=2, cap=8):
 
 # ---------------------------------------------------------------------------
 # multi-indices and value parsing
-
-def test_multiindex_degree():
-    assert MultiIndex((2, 0, 3)).degree == 5
-    assert MultiIndex(()).degree == 0
-
 
 def test_multiindex_factorial():
     assert multiindex_factorial((2, 1, 3)) == 2 * 1 * 6
@@ -110,6 +104,14 @@ def test_zero_coefficients_are_dropped():
     assert s.coefficient((1, 0)) == 0
 
 
+@pytest.mark.parametrize("alpha", [(-1, 2), (True, 0), (1.0, 0), (1,), (1, 0, 0)])
+def test_bad_exponent_vectors_rejected(alpha):
+    with pytest.raises(ValueError, match="exponent"):
+        Series(2, 4, {alpha: F(1)}, EXACT)
+    with pytest.raises(ValueError, match="exponent"):
+        make({(1, 0): F(1)}).coefficient(alpha)
+
+
 def test_terms_over_cap_rejected():
     with pytest.raises(ValueError):
         Series(2, 3, {(2, 2): F(1)}, EXACT)
@@ -144,6 +146,59 @@ def test_with_cap_drops_high_terms():
     t = s.with_cap(3)
     assert t.degree_cap == 3
     assert dict(t.terms) == {(1, 0): F(1)}
+
+
+# ---------------------------------------------------------------------------
+# ring results skip the public checks, so they must pass them unchanged
+
+def assert_checked(r):
+    """``r`` survives the public constructor as it is."""
+    kind = Fraction if r.mode == EXACT else float
+    assert all(type(a) is tuple for a in r.terms)
+    assert all(type(v) is kind for v in r.terms.values())
+    again = Series(r.num_vars, r.degree_cap, dict(r.terms), r.mode)
+    assert again == r
+    assert list(again.terms) == list(r.terms)
+
+
+@given(st.sampled_from([EXACT, FLOAT]), exact_terms(), exact_terms(),
+       exact_terms(num_vars=1, max_expo=3), exact_terms(num_vars=1, max_expo=3))
+def test_ring_results_pass_the_public_checks(mode, ta, tb, tu, tv):
+    value = (lambda v: v) if mode == EXACT else float
+
+    def build(terms, num_vars, drop_constant=False):
+        return Series(num_vars, 4, {k: value(v) for k, v in terms.items()
+                                    if not (drop_constant and not any(k))}, mode)
+
+    a, b = build(ta, 2), build(tb, 2)
+    inner = [build(tu, 1, True), build(tv, 1, True)]
+    results = [a + b, a - b, -a, a.scale(value(F(-3, 2))), a * b,
+               a.partial(0), a.partial(1), a.with_cap(2), a.with_cap(6),
+               a.as_float(), compose_series(a, inner)]
+    for r in results:
+        assert_checked(r)
+    assert (a - a).is_zero()
+
+
+def test_ring_overflow_is_refused():
+    big = Series(1, 2, {(1,): 1e308}, FLOAT)
+    for op in (lambda: big + big, lambda: big.scale(10.0), lambda: big * big):
+        with pytest.raises(ValueError, match="finite"):
+            op()
+
+
+def test_solve_checks_few_series(monkeypatch):
+    # checking every ring result as well took 635 constructions here
+    checked = []
+    original = Series.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        original(self)
+
+    monkeypatch.setattr(Series, "__post_init__", counting)
+    solve_formal(quadratic_equation(cap=40), 40)
+    assert len(checked) < 100
 
 
 # ---------------------------------------------------------------------------

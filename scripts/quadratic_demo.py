@@ -13,6 +13,7 @@ import math
 from impsolve import (
     COMPONENTWISE,
     FLOAT,
+    DomainError,
     EquationSpec,
     LatticeVec,
     NormProfile,
@@ -44,20 +45,26 @@ def main():
     parser.add_argument("--x", type=float, default=0.2)
     parser.add_argument("--degree", type=int, default=12)
     args = parser.parse_args()
+    if args.degree < 1:
+        parser.error(f"--degree must be a positive integer, got {args.degree}")
 
     eq = build_equation(max(args.degree, 50))
+    cmp_eq = majorant(eq)
+    x = args.x
+    try:
+        trace = iterate_primal(eq, (x,), cmp_eq)
+    except (DomainError, ValueError) as exc:
+        parser.error(f"--x {x} lies outside the certified region: {exc}")
+
     sol = solve_formal(eq, args.degree)
     print(f"series solution to degree {args.degree}:")
     print(f"  y(x) = {sol.phi.components[0]}")
     print()
 
-    cmp_eq = majorant(eq)
     print("comparison equation (coefficient moduli):")
-    print(f"  Y = {cmp_eq.Psi.components[0]}")
+    print(f"  Y = {cmp_eq.psi.components[0]}")
     print()
 
-    x = args.x
-    trace = iterate_primal(eq, (x,), cmp_eq)
     y_true = closed_form(x)
     print(f"paired iteration at x = {x} (closed form y = {y_true:.12f}):")
     print(f"  {'p':>3} {'y(p)':>16} {'true error':>12} {'bound':>12}")

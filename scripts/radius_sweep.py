@@ -9,14 +9,12 @@ Usage: python3 scripts/radius_sweep.py [--curvatures 0.5,1,2,4] [--degree 40]
 """
 
 import argparse
+import math
 
 from impsolve import (
-    COMPONENTWISE,
     FLOAT,
     ComparisonEquation,
-    EquationSpec,
     LatticeVec,
-    NormProfile,
     Series,
     SeriesMap,
     empirical_radius,
@@ -31,10 +29,7 @@ MIN_DEGREE = 10
 
 def family_member(c, cap):
     psi = SeriesMap((Series(2, cap, {(1, 0): 1.0, (0, 2): c}, FLOAT),))
-    eq = EquationSpec(1, 1, psi,
-                      NormProfile(COMPONENTWISE, 1),
-                      NormProfile(COMPONENTWISE, 1))
-    return eq, ComparisonEquation(1, 1, psi)
+    return ComparisonEquation(1, 1, psi)
 
 
 def main():
@@ -49,15 +44,23 @@ def main():
         parser.error(f"--degree must be at least {MIN_DEGREE}: the ratio "
                      f"estimate needs {MIN_DEGREE} consecutive nonzero "
                      f"coefficients")
+    if not args.tol >= 0:
+        parser.error(f"--tol must be a non-negative number, got {args.tol}")
+    try:
+        cs = [float(s) for s in args.curvatures.split(",")]
+    except ValueError:
+        cs = [math.nan]
+    if not all(0 < c < math.inf for c in cs):
+        parser.error(f"--curvatures must be positive finite numbers, got "
+                     f"{args.curvatures!r}")
 
-    cs = [float(s) for s in args.curvatures.split(",")]
     print(f"{'c':>6} {'closed form':>12} {'turning point':>14} "
           f"{'ray midpoint':>13} {'ratio(n=%d)' % args.degree:>13}")
     for c in cs:
-        eq, cmp_eq = family_member(c, args.degree)
+        eq = family_member(c, args.degree)
         exact = 1.0 / (4.0 * c)
-        turn = hille_point(cmp_eq)
-        ray = radius_along_ray(cmp_eq, LatticeVec((1.0,)), tol=args.tol)
+        turn = hille_point(eq)
+        ray = radius_along_ray(eq, LatticeVec((1.0,)), tol=args.tol)
         est = empirical_radius(solve_formal(eq, args.degree))
         print(f"{c:>6.2f} {exact:>12.8f} {turn.X_star:>14.8f} "
               f"{ray.midpoint:>13.8f} {est.estimate:>13.8f}")

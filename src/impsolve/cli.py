@@ -28,7 +28,7 @@ from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, iterate_comparison,
                           iterate_primal, membership, trace_to_csv)
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec,
                       check_majorant_samples, comparison_from_spec,
-                      comparison_to_dict, equation_from_dict, majorant)
+                      equation_from_dict, equation_to_dict, majorant)
 from .series import EXACT, format_value, parse_value
 from .solver import (ITERATIVE, PARTITION_ORACLE, solve_formal,
                      solve_partition_oracle)
@@ -101,7 +101,7 @@ def _cmd_solve(args):
 
 
 def _cmd_majorant(args):
-    return comparison_to_dict(majorant(parse_spec(args.spec)))
+    return equation_to_dict(majorant(parse_spec(args.spec)))
 
 
 def _cmd_hille(args):

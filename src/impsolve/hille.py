@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from math import isfinite
 from typing import IO, Callable, NamedTuple
 
 from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, INSIDE, OUTSIDE,
@@ -69,11 +70,11 @@ class RayRadius:
 
 
 def _scalar_series(cmp: ComparisonEquation) -> Series:
-    if cmp.dim_X != 1 or cmp.dim_Y != 1:
+    if cmp.dim_x != 1 or cmp.dim_y != 1:
         raise ValueError(
             f"a scalar comparison equation is required, got dimensions "
-            f"({cmp.dim_X}, {cmp.dim_Y})")
-    psi = cmp.Psi.as_float().components[0]
+            f"({cmp.dim_x}, {cmp.dim_y})")
+    psi = cmp.psi.as_float().components[0]
     if not any(gamma[0] > 0 for gamma in psi.terms):
         raise ValueError(
             "the comparison equation does not depend on X; the graph "
@@ -223,8 +224,9 @@ def trace_graph(cmp: ComparisonEquation, Y_max: float, steps: int) -> RegionSamp
     psi = _scalar_series(cmp)
     if steps < 1:
         raise ValueError("steps must be positive")
-    if not Y_max > 0:
-        raise ValueError("Y_max must be positive")
+    if not (Y_max > 0 and isfinite(Y_max * steps)):
+        raise ValueError(
+            f"Y_max must be positive, with Y_max * steps finite, got {Y_max!r}")
     psi_y = psi.partial(1)
     points: list[GraphPoint] = []
     omitted: list[float] = []
@@ -270,9 +272,9 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     cmp = cmp.as_float()
     if not isinstance(direction, LatticeVec):
         direction = LatticeVec(tuple(direction))
-    if direction.dimension != cmp.dim_X:
+    if direction.dimension != cmp.dim_x:
         raise ValueError(
-            f"direction has dimension {direction.dimension}, expected {cmp.dim_X}")
+            f"direction has dimension {direction.dimension}, expected {cmp.dim_x}")
     dir_entries = tuple(float(e) for e in direction.entries)
     if any(e < 0 for e in dir_entries) or all(e == 0 for e in dir_entries):
         raise ValueError("direction must be non-negative and nonzero")

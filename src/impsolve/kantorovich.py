@@ -70,8 +70,8 @@ def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,
     step reads it, as evaluating there would."""
     if not isinstance(X, LatticeVec):
         X = LatticeVec(tuple(X))
-    if X.dimension != cmp.dim_X:
-        raise ValueError(f"X has dimension {X.dimension}, expected {cmp.dim_X}")
+    if X.dimension != cmp.dim_x:
+        raise ValueError(f"X has dimension {X.dimension}, expected {cmp.dim_x}")
     _require_nonneg(X, "X")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -80,8 +80,8 @@ def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,
     x = tuple(coerce_value(e, cmp.mode) for e in X.entries)
     tol_v = Fraction(tol) if exact else float(tol)
     zero = zero_value(cmp.mode)
-    kernels = [comp._plan for comp in cmp.Psi.components]
-    Y = (zero,) * cmp.dim_Y
+    kernels = [comp._plan for comp in cmp.psi.components]
+    Y = (zero,) * cmp.dim_y
     iterates = [Y]
     converged = diverged = False
     prev_step = bad = None
@@ -138,7 +138,7 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
         error_bounds = tuple(
             LatticeVec(tuple(max(zero, f - e) for f, e in zip(final, Y)))
             for Y in found)
-        res = cmp.Psi.evaluate(x + final)
+        res = cmp.psi.evaluate(x + final)
         residual_norm = max(abs(r - f) for r, f in zip(res, final))
     return IterationTrace(
         iterates_Y=tuple(map(LatticeVec, found)), iterates_y=None,
@@ -160,7 +160,7 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     if len(x) != eq.dim_x:
         raise ValueError(f"x has {len(x)} entries, expected {eq.dim_x}")
     X = norm(eq.profile_x, x)
-    if X.dimension != cmp.dim_X:
+    if X.dimension != cmp.dim_x:
         raise ValueError(
             "the equation's x norm profile does not match the comparison equation")
     comp = iterate_comparison(cmp, X, max_iter, tol)
@@ -209,7 +209,7 @@ def certificate_check(cmp: ComparisonEquation, X: LatticeVec,
         Y_tilde = LatticeVec(tuple(Y_tilde))
     _require_nonneg(X, "X")
     _require_nonneg(Y_tilde, "Y_tilde")
-    value = cmp.Psi.evaluate(X.entries + Y_tilde.entries)
+    value = cmp.psi.evaluate(X.entries + Y_tilde.entries)
     return all(v <= y for v, y in zip(value, Y_tilde.entries))
 
 

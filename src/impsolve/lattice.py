@@ -1,11 +1,14 @@
 """Componentwise vector order, norm profiles, and comparison equations.
 
 The solver certifies convergence by replacing an equation ``y = psi(x, y)``
-with a scalar-or-vector comparison equation ``Y = Psi(X, Y)`` whose
-coefficients dominate the moduli of the original ones.  This module owns
-the small vector lattice used for that bookkeeping, the norm profiles that
-say how primal vectors are measured, the equation containers, and the
-construction of the dominating comparison equation.
+with a comparison equation ``Y = Psi(X, Y)`` whose coefficients dominate
+the moduli of the original ones.  A comparison equation is an
+``EquationSpec`` of positive type: componentwise profiles and no negative
+coefficient, so every function that takes an equation takes one.  This
+module owns the small vector lattice used for that bookkeeping, the norm
+profiles that say how primal vectors are measured, the equation
+containers and their file format, and the construction of the dominating
+comparison equation.
 """
 
 from __future__ import annotations
@@ -107,24 +110,9 @@ def norm(profile: NormProfile, v: Sequence[Number]) -> LatticeVec:
     if len(entries) != profile.primal_dim:
         raise ValueError(
             f"vector has {len(entries)} entries, profile expects {profile.primal_dim}")
-    if profile.kind == COMPONENTWISE:
-        return LatticeVec(tuple(abs(e) for e in entries))
-    if profile.kind == SCALAR:
-        return LatticeVec((abs(entries[0]),))
-    return LatticeVec((max(abs(e) for e in entries),))
-
-
-def _validate_equation_terms(psi: SeriesMap, dim_x: int, dim_y: int) -> None:
-    for i, comp in enumerate(psi.components):
-        for gamma in comp.terms:
-            if sum(gamma) == 0:
-                raise SpecFormatError(
-                    f"component {i}: constant term is not allowed; the map must "
-                    f"vanish at the origin")
-            if sum(gamma[:dim_x]) == 0 and sum(gamma[dim_x:]) == 1:
-                raise SpecFormatError(
-                    f"component {i}: linear y term {tuple(gamma)} is not allowed; "
-                    f"resolve the linear part first")
+    if profile.kind == AGGREGATE:
+        return LatticeVec((max(abs(e) for e in entries),))
+    return LatticeVec(tuple(abs(e) for e in entries))
 
 
 @dataclass(frozen=True)
@@ -158,7 +146,16 @@ class EquationSpec:
             raise ValueError("profile_x does not match dim_x")
         if self.profile_y.primal_dim != self.dim_y:
             raise ValueError("profile_y does not match dim_y")
-        _validate_equation_terms(self.psi, self.dim_x, self.dim_y)
+        for i, comp in enumerate(self.psi.components):
+            for gamma in comp.terms:
+                if sum(gamma) == 0:
+                    raise SpecFormatError(
+                        f"component {i}: constant term is not allowed; the map "
+                        f"must vanish at the origin")
+                if sum(gamma[:self.dim_x]) == 0 and sum(gamma[self.dim_x:]) == 1:
+                    raise SpecFormatError(
+                        f"component {i}: linear y term {tuple(gamma)} is not "
+                        f"allowed; resolve the linear part first")
 
     @property
     def mode(self) -> str:
@@ -169,52 +166,32 @@ class EquationSpec:
         return self.psi.degree_cap
 
 
-@dataclass(frozen=True)
-class ComparisonEquation:
+@dataclass(frozen=True, init=False)
+class ComparisonEquation(EquationSpec):
     """A dominating equation ``Y = Psi(X, Y)`` of positive type.
 
-    All coefficients are non-negative, there is no constant term, and no
-    term linear in Y alone, so the fixed-point iterates started at zero
-    increase monotonically.
+    An equation with componentwise profiles whose coefficients are all
+    non-negative, so the fixed-point iterates started at zero increase
+    monotonically.
     """
 
-    dim_X: int
-    dim_Y: int
-    Psi: SeriesMap
+    def __init__(self, dim_x: int, dim_y: int, psi: SeriesMap) -> None:
+        super().__init__(dim_x, dim_y, psi, NormProfile(COMPONENTWISE, dim_x),
+                         NormProfile(COMPONENTWISE, dim_y))
 
     def __post_init__(self) -> None:
-        if self.dim_X < 1 or self.dim_Y < 1:
-            raise ValueError("dim_X and dim_Y must be positive")
-        if self.Psi.num_vars != self.dim_X + self.dim_Y:
-            raise ValueError(
-                f"Psi has {self.Psi.num_vars} variables, expected "
-                f"{self.dim_X + self.dim_Y}")
-        if self.Psi.output_dim != self.dim_Y:
-            raise ValueError(
-                f"Psi has {self.Psi.output_dim} outputs, expected {self.dim_Y}")
-        if self.Psi.degree_cap < 1:
-            raise ValueError("the degree cap must be at least 1")
-        zero = zero_value(self.Psi.mode)
-        for i, comp in enumerate(self.Psi.components):
+        super().__post_init__()
+        for i, comp in enumerate(self.psi.components):
             for gamma, value in comp.terms.items():
-                if value < zero:
+                if value < 0:
                     raise ValueError(
                         f"component {i} has a negative coefficient at "
                         f"{tuple(gamma)}: not of positive type")
-        _validate_equation_terms(self.Psi, self.dim_X, self.dim_Y)
-
-    @property
-    def mode(self) -> str:
-        return self.Psi.mode
-
-    @property
-    def degree_cap(self) -> int:
-        return self.Psi.degree_cap
 
     def as_float(self) -> ComparisonEquation:
         if self.mode == FLOAT:
             return self
-        return ComparisonEquation(self.dim_X, self.dim_Y, self.Psi.as_float())
+        return ComparisonEquation(self.dim_x, self.dim_y, self.psi.as_float())
 
 
 def series_abs(s: Series) -> Series:
@@ -312,7 +289,7 @@ def _norms(eq: EquationSpec, cmp: ComparisonEquation,
     """The norms of the x and y blocks of a primal point, as one lattice vector."""
     Xn = norm(eq.profile_x, z[:eq.dim_x])
     Yn = norm(eq.profile_y, z[eq.dim_x:])
-    if Xn.dimension != cmp.dim_X or Yn.dimension != cmp.dim_Y:
+    if Xn.dimension != cmp.dim_x or Yn.dimension != cmp.dim_y:
         raise ValueError(
             "the norm profiles do not match the comparison equation dimensions")
     return LatticeVec(Xn.entries + Yn.entries)
@@ -358,7 +335,7 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     for z in points:
         Z = _norms(eq, cmp, z)
         lhs = norm(eq.profile_y, eq.psi.evaluate(z))
-        rhs = cmp.Psi.evaluate(Z.entries)
+        rhs = cmp.psi.evaluate(Z.entries)
         for i, (a, b) in enumerate(zip(lhs.entries, rhs)):
             if exceeded(a, b):
                 violations.append(MajorantViolation(
@@ -376,8 +353,8 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
             move = [a - b for a, b in
                     zip(eq.psi.evaluate(zw), eq.psi.evaluate(z))]
             lhs = norm(eq.profile_y, move)
-            base = cmp.Psi.evaluate(Z.entries)
-            bumped = cmp.Psi.evaluate((Z + W).entries)
+            base = cmp.psi.evaluate(Z.entries)
+            bumped = cmp.psi.evaluate((Z + W).entries)
             for i, (a, lo_v, hi_v) in enumerate(zip(lhs.entries, base, bumped)):
                 if exceeded(a, hi_v - lo_v):
                     violations.append(MajorantViolation(
@@ -411,13 +388,6 @@ def equation_to_dict(eq: EquationSpec) -> dict:
         "degree_cap": eq.degree_cap,
         "terms": terms,
     }
-
-
-def comparison_to_dict(cmp: ComparisonEquation) -> dict:
-    eq = EquationSpec(cmp.dim_X, cmp.dim_Y, cmp.Psi,
-                      NormProfile(COMPONENTWISE, cmp.dim_X),
-                      NormProfile(COMPONENTWISE, cmp.dim_Y))
-    return equation_to_dict(eq)
 
 
 def _require(data: Mapping, key: str, kind: type):

@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .lattice import COMPONENTWISE, ComparisonEquation, EquationSpec, NormProfile
+from .lattice import COMPONENTWISE, EquationSpec, NormProfile
 from .series import (EXACT, Number, Series, SeriesMap, multiindex_factorial,
                      series_compose, zero_value)
 
@@ -43,16 +43,7 @@ class SolutionSeries:
             raise ValueError(f"unknown solution source {self.source!r}")
 
 
-def _solvable_parts(eq) -> tuple[int, int, SeriesMap]:
-    if isinstance(eq, EquationSpec):
-        return eq.dim_x, eq.dim_y, eq.psi
-    if isinstance(eq, ComparisonEquation):
-        return eq.dim_X, eq.dim_Y, eq.Psi
-    raise TypeError(
-        f"expected an EquationSpec or ComparisonEquation, got {type(eq).__name__}")
-
-
-def formal_iterates(eq, degree: int) -> Iterator[SeriesMap]:
+def formal_iterates(eq: EquationSpec, degree: int) -> Iterator[SeriesMap]:
     """Yield the successive substitution iterates, stopping once stationary.
 
     Each round runs at a cap ``gain`` above the previous round's and yields
@@ -68,7 +59,7 @@ def formal_iterates(eq, degree: int) -> Iterator[SeriesMap]:
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"degree must be a positive integer, got {degree!r}")
-    p, q, psi = _solvable_parts(eq)
+    p, q, psi = eq.dim_x, eq.dim_y, eq.psi
     terms = [gamma for comp in psi.components for gamma in comp.terms]
     low = min((sum(g) for g in terms if not any(g[p:])), default=degree)
     gain = min((sum(g[:p]) + (sum(g[p:]) - 1) * low for g in terms if any(g[p:])),
@@ -93,7 +84,7 @@ def _substitute(psi: SeriesMap, phi: SeriesMap, cap: int) -> SeriesMap:
     return series_compose(psi.with_cap(cap), SeriesMap(coords + phi.components))
 
 
-def solve_formal(eq, degree: int) -> SolutionSeries:
+def solve_formal(eq: EquationSpec, degree: int) -> SolutionSeries:
     """Solution series to total degree ``degree`` by repeated substitution."""
     phi = None
     for phi in formal_iterates(eq, degree):
@@ -101,9 +92,9 @@ def solve_formal(eq, degree: int) -> SolutionSeries:
     return SolutionSeries(phi=phi, degree_cap=degree, source=ITERATIVE)
 
 
-def residual(eq, sol: SolutionSeries) -> SeriesMap:
+def residual(eq: EquationSpec, sol: SolutionSeries) -> SeriesMap:
     """The defect ``phi - psi(x, phi)`` truncated at the solution cap."""
-    p, q, psi = _solvable_parts(eq)
+    p, q, psi = eq.dim_x, eq.dim_y, eq.psi
     if sol.phi.num_vars != p or sol.phi.output_dim != q:
         raise ValueError("solution shape does not match the equation")
     return sol.phi - _substitute(psi, sol.phi, sol.degree_cap)
@@ -138,7 +129,7 @@ def _expand(beta: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def solve_partition_oracle(eq, degree: int) -> SolutionSeries:
+def solve_partition_oracle(eq: EquationSpec, degree: int) -> SolutionSeries:
     """Solution coefficients from the explicit multilinear recursion.
 
     The degree-n coefficient form of the solution is assembled by summing,
@@ -157,7 +148,7 @@ def solve_partition_oracle(eq, degree: int) -> SolutionSeries:
         raise ValueError(
             f"the partition oracle is capped at degree "
             f"{PARTITION_ORACLE_MAX_DEGREE}, got {degree}")
-    p, q, psi = _solvable_parts(eq)
+    p, q, psi = eq.dim_x, eq.dim_y, eq.psi
     psi = psi.with_cap(degree)
     mode = psi.mode
     zero = zero_value(mode)
@@ -242,10 +233,11 @@ def resolve_linear(raw: SeriesMap, dim_x: int, dim_y: int) -> EquationSpec:
 
     Given ``y = raw(x, y)`` where ``raw`` carries a linear block ``L`` in
     the y variables, rewrite it as ``y = (I - L)^{-1} (raw - L y)`` so the
-    result satisfies the no-linear-y normal form.  Exact mode inverts
-    ``I - L`` over the rationals; float mode uses Gaussian elimination
-    with partial pivoting.  A singular ``I - L`` is an error.  The result
-    carries componentwise norm profiles.
+    result satisfies the no-linear-y normal form.  ``I - L`` is inverted by
+    Gauss-Jordan elimination with partial pivoting, over the rationals in
+    exact mode.  A singular ``I - L`` is an error, and in float mode so is
+    one whose best pivot is at most 1e-13.  The result carries
+    componentwise norm profiles.
     """
     p, q = dim_x, dim_y
     if raw.num_vars != p + q:
@@ -300,21 +292,15 @@ def _invert(M: list[list], mode: str):
     one = 1 if mode == EXACT else 1.0
     work = [list(row) + [one if i == j else zero for j in range(n)]
             for i, row in enumerate(M)]
+    # an exact inverse does not depend on the pivot order, so both modes
+    # take the largest pivot; only float refuses a tiny nonzero one
+    tiny = zero if mode == EXACT else 1e-13
     for col in range(n):
-        pivot_row = None
-        if mode == EXACT:
-            for r in range(col, n):
-                if work[r][col] != zero:
-                    pivot_row = r
-                    break
-        else:
-            best = 0.0
-            for r in range(col, n):
-                mag = abs(work[r][col])
-                if mag > best:
-                    best, pivot_row = mag, r
-            if best <= 1e-13:
-                pivot_row = None
+        best, pivot_row = tiny, None
+        for r in range(col, n):
+            mag = abs(work[r][col])
+            if mag > best:
+                best, pivot_row = mag, r
         if pivot_row is None:
             raise DomainError(
                 "the linear part cannot be resolved: I - L is singular")

@@ -226,7 +226,7 @@ def test_11_isotonicity():
     ok = True
     while checked < 5:
         cmp_eq = random_comparison(rng)
-        direction = (1.0,) * cmp_eq.dim_X
+        direction = (1.0,) * cmp_eq.dim_x
         t_in = None
         for k in range(2, 14):
             t = 0.5 ** k

@@ -215,6 +215,15 @@ def test_region_csv(spec_file, capsys):
     assert sum(row.endswith(",1") for row in lines[1:]) == 1
 
 
+@pytest.mark.parametrize("ymax", ["inf", "1e308"])
+def test_region_refuses_a_grid_that_overflows(spec_file, capsys, ymax):
+    # --ymax inf failed with "float coefficients must be finite, got nan"
+    path = spec_file(QUAD_PLUS)
+    code, out, err = run(capsys, ["region", "--spec", path,
+                                  "--ymax", ymax, "--steps", "3"])
+    assert code == 2 and not out
+    assert "Y_max" in err
+
 def test_radius_document(spec_file, capsys):
     cmp_doc = dict(QUAD_MINUS)
     cmp_doc["terms"] = [
@@ -464,6 +473,69 @@ def test_record_document_text_is_frozen(spec_file, capsys, doc, argv, expected):
     code, out, err = run(capsys, [argv[0], "--spec", path, *argv[1:]])
     assert (code, out, err) == (0, expected, "")
 
+
+EXACT_AGGREGATE = {
+    "dim_x": 2, "dim_y": 2, "mode": "exact",
+    "profile_x": "aggregate", "profile_y": "aggregate", "degree_cap": 4,
+    "terms": [
+        {"output": 0, "alpha": [1, 0], "beta": [0, 0], "value": "1"},
+        {"output": 0, "alpha": [0, 0], "beta": [1, 1], "value": "-1/2"},
+        {"output": 0, "alpha": [0, 1], "beta": [0, 2], "value": "1/3"},
+        {"output": 1, "alpha": [0, 1], "beta": [0, 0], "value": "2/3"},
+        {"output": 1, "alpha": [0, 0], "beta": [2, 0], "value": "1/4"},
+        {"output": 1, "alpha": [1, 0], "beta": [1, 0], "value": "-1/5"},
+    ],
+}
+
+FLOAT_1X2 = {
+    "dim_x": 1, "dim_y": 2, "mode": "float",
+    "profile_x": "componentwise", "profile_y": "componentwise",
+    "degree_cap": 6,
+    "terms": [
+        {"output": 0, "alpha": [1], "beta": [0, 0], "value": "1.0"},
+        {"output": 0, "alpha": [0], "beta": [1, 1], "value": "-0.5"},
+        {"output": 1, "alpha": [2], "beta": [0, 0], "value": "0.25"},
+        {"output": 1, "alpha": [0], "beta": [2, 0], "value": "-1.5"},
+        {"output": 1, "alpha": [1], "beta": [0, 1], "value": "0.75"},
+    ],
+}
+
+
+def _term(output, alpha, beta, value):
+    return {"output": output, "alpha": alpha, "beta": beta, "value": value}
+
+
+# the comparison documents are written with componentwise profiles, terms
+# sorted by total degree and then by exponents
+FROZEN_MAJORANTS = [
+    (QUAD_MINUS, {
+        "dim_x": 1, "dim_y": 1, "mode": "float",
+        "profile_x": "componentwise", "profile_y": "componentwise",
+        "degree_cap": 24,
+        "terms": [_term(0, [1], [0], "1.0"), _term(0, [0], [2], "1.0")]}),
+    (EXACT_AGGREGATE, {
+        "dim_x": 1, "dim_y": 1, "mode": "exact",
+        "profile_x": "componentwise", "profile_y": "componentwise",
+        "degree_cap": 4,
+        "terms": [_term(0, [1], [0], "1"), _term(0, [0], [2], "1/2"),
+                  _term(0, [1], [1], "1/5"), _term(0, [1], [2], "1/3")]}),
+    (FLOAT_1X2, {
+        "dim_x": 1, "dim_y": 2, "mode": "float",
+        "profile_x": "componentwise", "profile_y": "componentwise",
+        "degree_cap": 6,
+        "terms": [_term(0, [1], [0, 0], "1.0"), _term(0, [0], [1, 1], "0.5"),
+                  _term(1, [0], [2, 0], "1.5"), _term(1, [1], [0, 1], "0.75"),
+                  _term(1, [2], [0, 0], "0.25")]}),
+]
+
+
+@pytest.mark.parametrize("doc, expected", FROZEN_MAJORANTS,
+                         ids=["scalar-float", "aggregate-exact-2x2",
+                              "componentwise-float-1x2"])
+def test_majorant_document_text_is_frozen(spec_file, capsys, doc, expected):
+    path = spec_file(doc)
+    code, out, err = run(capsys, ["majorant", "--spec", path])
+    assert (code, out, err) == (0, json.dumps(expected, indent=2) + "\n", "")
 
 CHECK_WITH_VIOLATIONS = """\
 {

@@ -98,7 +98,7 @@ def test_requires_x_dependence():
 def test_requires_scalar_dimensions():
     rng = random.Random(1)
     cmp_eq = random_comparison(rng)
-    while cmp_eq.dim_X == 1 and cmp_eq.dim_Y == 1:
+    while cmp_eq.dim_x == 1 and cmp_eq.dim_y == 1:
         cmp_eq = random_comparison(rng)
     with pytest.raises(ValueError, match="scalar"):
         hille_point(cmp_eq)
@@ -140,6 +140,16 @@ def test_trace_without_interior_turn():
     sample = trace_graph(quadratic_comparison(), 0.4, 100)
     assert sample.turning_index is None
 
+
+@pytest.mark.parametrize("Y_max, steps", [
+    (float("inf"), 10),
+    (1e308, 3),   # Y_max * j overflows on the grid
+])
+def test_trace_refuses_a_grid_that_overflows(Y_max, steps):
+    # the first grid point was inf * 0 = nan, refused as a non-finite
+    # coefficient instead of as a bad Y_max
+    with pytest.raises(ValueError, match="Y_max"):
+        trace_graph(quadratic_comparison(), Y_max, steps)
 
 def test_region_csv():
     sample = trace_graph(quadratic_comparison(), 0.9, 90)
@@ -223,7 +233,7 @@ def test_radius_bracket_certifies_membership():
 def test_radius_on_seeded_system():
     rng = random.Random(77)
     cmp_eq = random_comparison(rng)
-    direction = LatticeVec((1.0,) * cmp_eq.dim_X)
+    direction = LatticeVec((1.0,) * cmp_eq.dim_x)
     got = radius_along_ray(cmp_eq, direction, tol=1e-4, budget=3000)
     if not got.unbounded:
         assert 0 < got.t_inside <= got.t_outside

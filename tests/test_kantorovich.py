@@ -97,7 +97,7 @@ def test_monotone_corpus():
     for _ in range(8):
         cmp_eq = random_comparison(rng)
         for k in range(3, 9):
-            X = LatticeVec((0.5 ** k,) * cmp_eq.dim_X)
+            X = LatticeVec((0.5 ** k,) * cmp_eq.dim_x)
             trace = iterate_comparison(cmp_eq, X, max_iter=2000)
             if not trace.converged:
                 continue
@@ -156,6 +156,15 @@ def test_primal_error_dominated_by_bound():
         assert err <= error_bound(trace, p).entries[0] + 1e-15
 
 
+def test_primal_run_of_a_comparison_is_its_comparison_run():
+    for mode, x in ((FLOAT, 0.2), (EXACT, Fraction(1, 100))):
+        cmp_eq = quadratic_comparison(mode=mode)
+        trace = iterate_primal(cmp_eq, (x,), cmp_eq, max_iter=60, tol=1e-6)
+        assert trace.converged
+        assert trace.iterates_y == tuple(Y.entries for Y in trace.iterates_Y)
+        assert trace.iterates_Y == iterate_comparison(
+            cmp_eq, X_at(x), 60, 1e-6).iterates_Y
+
 def test_primal_dominated_stepwise():
     rng = random.Random(616)
     exercised = 0
@@ -213,6 +222,15 @@ def test_membership_unresolved_on_boundary():
     assert got.verdict == UNRESOLVED
     assert got.iterations_used == DEFAULT_BUDGET
 
+
+
+@pytest.mark.xfail(strict=True, reason="a step of at most tol is taken as "
+                   "convergence; an inside certificate that checks "
+                   "Psi(X, Y) <= Y is ROADMAP item 1")
+def test_large_tol_does_not_certify_a_point_outside():
+    # no fixed point exists for X > 1/4, and at tol 0.01 the verdict is
+    # outside; at tol 1 the first step, from 0 to 0.3, counts as settled
+    assert membership(quadratic_comparison(), X_at(0.3), tol=1).verdict != INSIDE
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("-inf")])
 def test_bad_tol_rejected(tol):

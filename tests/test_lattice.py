@@ -121,8 +121,8 @@ def test_norm_axioms(a, b, t):
 def test_majorant_componentwise_flips_signs():
     eq = quadratic_equation(mode=FLOAT, sign=-1)
     cmp_eq = majorant(eq)
-    assert cmp_eq.dim_X == 1 and cmp_eq.dim_Y == 1
-    assert dict(cmp_eq.Psi.components[0].terms) == {(1, 0): 1.0, (0, 2): 1.0}
+    assert cmp_eq.dim_x == 1 and cmp_eq.dim_y == 1
+    assert dict(cmp_eq.psi.components[0].terms) == {(1, 0): 1.0, (0, 2): 1.0}
 
 
 def test_majorant_aggregate_collapse():
@@ -134,8 +134,8 @@ def test_majorant_aggregate_collapse():
                       NormProfile(COMPONENTWISE, 1),
                       NormProfile(AGGREGATE, 2))
     cmp_eq = majorant(eq)
-    assert cmp_eq.dim_X == 1 and cmp_eq.dim_Y == 1
-    assert dict(cmp_eq.Psi.components[0].terms) == {
+    assert cmp_eq.dim_x == 1 and cmp_eq.dim_y == 1
+    assert dict(cmp_eq.psi.components[0].terms) == {
         (1, 0): 1.0, (1, 1): 2.0, (0, 2): 1.0}
 
 
@@ -148,7 +148,7 @@ def test_majorant_aggregate_takes_largest_component_sum():
                       NormProfile(AGGREGATE, 1),
                       NormProfile(AGGREGATE, 2))
     cmp_eq = majorant(eq)
-    assert dict(cmp_eq.Psi.components[0].terms) == {(0, 2): 3.0, (1, 0): 1.0}
+    assert dict(cmp_eq.psi.components[0].terms) == {(0, 2): 3.0, (1, 0): 1.0}
 
 
 def test_majorant_idempotent_on_positive_equations():
@@ -156,10 +156,10 @@ def test_majorant_idempotent_on_positive_equations():
     for _ in range(5):
         eq, _ = random_equation(rng, mode=FLOAT)
         pos = majorant(eq)
-        eq2 = EquationSpec(eq.dim_x, eq.dim_y, pos.Psi,
+        eq2 = EquationSpec(eq.dim_x, eq.dim_y, pos.psi,
                            eq.profile_x, eq.profile_y)
         again = majorant(eq2)
-        for a, b in zip(again.Psi.components, pos.Psi.components):
+        for a, b in zip(again.psi.components, pos.psi.components):
             assert dict(a.terms) == dict(b.terms)
 
 
@@ -176,6 +176,34 @@ def test_comparison_rejects_negative_coefficients():
         ComparisonEquation(1, 1, SeriesMap((
             Series(2, 8, {(1, 0): 1.0, (0, 2): -1.0}, FLOAT),)))
 
+
+
+def test_comparison_is_an_equation_with_componentwise_profiles():
+    cmp_eq = majorant(quadratic_equation(mode=EXACT, sign=-1))
+    assert isinstance(cmp_eq, EquationSpec)
+    assert cmp_eq.profile_x == NormProfile(COMPONENTWISE, 1)
+    assert cmp_eq.profile_y == NormProfile(COMPONENTWISE, 1)
+    assert cmp_eq.as_float().mode == FLOAT
+    assert isinstance(cmp_eq.as_float(), ComparisonEquation)
+
+
+def test_comparison_serializes_as_an_equation():
+    eq = quadratic_equation(mode=EXACT, sign=-1)
+    doc = equation_to_dict(majorant(eq))
+    assert doc == dict(equation_to_dict(eq), terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "1"}])
+    assert equation_to_dict(comparison_from_spec(equation_from_dict(doc))) == doc
+
+
+def test_comparison_dominates_itself_on_samples():
+    for mode, half in ((FLOAT, 0.1), (EXACT, F(1, 10))):
+        cmp_eq = majorant(quadratic_equation(mode=mode, sign=-1))
+        box = (LatticeVec((-half, -half)), LatticeVec((half, half)))
+        report = check_majorant_samples(cmp_eq, cmp_eq, 40, box,
+                                        check_increments=True,
+                                        rng=random.Random(2))
+        assert report.ok and report.points_checked == 40
 
 @given(st.integers(0, 10_000))
 def test_composition_domination_coefficientwise(seed):

@@ -35,3 +35,21 @@ def test_radius_sweep_rejects_a_degree_below_ten():
     assert done.returncode == 2
     assert "--degree must be at least 10" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    # the point lies outside the certified region: a DomainError traceback
+    (["scripts/quadratic_demo.py", "--x", "0.3"], "--x"),
+    (["scripts/quadratic_demo.py", "--degree", "0"], "--degree"),
+    # c = 0 divided by zero in the closed form; c < 0 is no comparison
+    (["scripts/radius_sweep.py", "--curvatures", "0"], "--curvatures"),
+    (["scripts/radius_sweep.py", "--curvatures", "-1"], "--curvatures"),
+    (["scripts/radius_sweep.py", "--tol", "nan"], "--tol"),
+])
+def test_script_refuses_an_out_of_range_option(argv, message):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr

@@ -146,7 +146,7 @@ def _cmd_check(args):
         raise SpecFormatError(f"--box must be finite, got {half!r}")
     dim = eq.dim_x + eq.dim_y
     if eq.mode == EXACT:
-        h = Fraction(half).limit_denominator(10**6)
+        h = Fraction(repr(half))
         lo = LatticeVec((-h,) * dim)
         hi = LatticeVec((h,) * dim)
     else:

@@ -128,45 +128,28 @@ def _graph_x(psi: Series, Y: float) -> float | None:
 def hille_point(cmp: ComparisonEquation, tol: float = 1e-12) -> HillePoint:
     """Locate the vertical-tangent point of the comparison graph.
 
-    Walks up the graph with an adaptive Y step until the derivative
-    condition brackets, then polishes the two-equation system with Newton
-    steps until both residuals drop below ``tol``.  If the derivative
-    stays below one all the way to ``Y_CAP`` the point is reported
-    unbounded; a Newton stall is reported as failed with the last iterate
-    rather than papered over.
+    Brackets the turn by doubling ``Y = (2^k - 1)/1024``, bisects it, then
+    polishes the two-equation system with Newton steps until both residuals
+    drop below ``tol``.  A probe past the end of the graph reads as past the
+    turn: below it the graph rises, so it can only end beyond.  With the
+    derivative below one all the way to ``Y_CAP`` the point is unbounded; a
+    Newton stall is reported as failed with the last iterate.
     """
     check_tol(tol)
     psi = _scalar_series(cmp)
     psi_y = psi.partial(1)
 
-    Y, X = 0.0, 0.0
-    step = 1.0 / 1024.0
-    bracket = None
-    while Y < Y_CAP:
-        Y_next = Y + step
-        X_next = _graph_x(psi, Y_next)
-        if X_next is None:
-            step *= 0.5
-            if step < 1e-14 * max(1.0, Y):
-                # the top of the graph was reached with the derivative
-                # still below one; report the last point honestly
-                d_last = psi_y.evaluate((X, Y))
-                return HillePoint(X, Y, 0.0, 1.0 - d_last, FAILED)
-            continue
-        d_next = psi_y.evaluate((X_next, Y_next))
-        if d_next >= 1.0:
-            bracket = (Y, Y_next)
-            break
-        Y, X = Y_next, X_next
-        step *= 2.0
-    if bracket is None:
-        return HillePoint(None, None, None, None, UNBOUNDED)
-
     def below_turn(Y: float) -> bool:
         X = _graph_x(psi, Y)
         return X is not None and psi_y.evaluate((X, Y)) < 1.0
 
-    lo, hi = _bisect(below_turn, *bracket, 1e-6, 1e-6)
+    lo, hi = 0.0, 1.0 / 1024.0
+    while below_turn(hi):
+        lo, hi = hi, 2.0 * hi + 1.0 / 1024.0
+        if lo >= Y_CAP:
+            return HillePoint(None, None, None, None, UNBOUNDED)
+
+    lo, hi = _bisect(below_turn, lo, hi, 1e-6, 1e-6)
     Y = 0.5 * (lo + hi)
     X = _graph_x(psi, Y)
     if X is None:

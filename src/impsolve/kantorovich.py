@@ -4,7 +4,9 @@ The comparison iterates ``Y(p+1) = Psi(X, Y(p))`` started from zero form
 a nondecreasing sequence.  When it settles, its limit is the smallest
 fixed point at the given X, and the step gaps translate into a-posteriori
 error bounds for the primal iteration run alongside it.  ``membership``
-runs the same iteration but keeps only its last iterate.
+runs the same iteration but keeps only its last iterate.  The loop alone
+decides the verdict, ``INSIDE``, ``OUTSIDE`` or ``UNRESOLVED``, and every
+caller reads it; ``_point`` checks each comparison point on its way in.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ UNRESOLVED = "unresolved"
 class IterationTrace:
     iterates_Y: tuple[LatticeVec, ...]
     iterates_y: tuple[tuple[Number, ...], ...] | None
-    converged: bool
-    diverged: bool
+    verdict: str
     residual_norm: Number | None
     error_bounds: tuple[LatticeVec, ...] | None
 
@@ -50,9 +51,15 @@ class Membership:
     witness: LatticeVec | None = None
 
 
-def _require_nonneg(v: LatticeVec, name: str) -> None:
+def _point(cmp: ComparisonEquation, v, dim: int, name: str) -> tuple:
+    """The entries of ``v``, a ``LatticeVec`` or a sequence, in the mode of
+    ``cmp``, once it has ``dim`` entries and none of them is negative."""
+    v = v if isinstance(v, LatticeVec) else LatticeVec(tuple(v))
+    if v.dimension != dim:
+        raise ValueError(f"{name} has dimension {v.dimension}, expected {dim}")
     if any(e < 0 for e in v.entries):
         raise ValueError(f"{name} must be entrywise non-negative, got {v}")
+    return tuple(coerce_value(e, cmp.mode) for e in v.entries)
 
 
 def check_tol(tol: float) -> None:
@@ -62,28 +69,23 @@ def check_tol(tol: float) -> None:
 
 
 def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,
-            keep: bool) -> tuple[tuple, list, int, bool, bool]:
+            keep: bool) -> tuple[tuple, list, int, str]:
     """Kleene iteration from 0 on plain tuples: ``(x, iterates, steps,
-    converged, diverged)``, with ``x`` the checked point and ``iterates``
-    every ``Y(p)`` if ``keep``, else the last.  Each step calls the kernels of
-    ``Psi`` on ``x + Y``; a non-finite float iterate raises when the next
-    step reads it, as evaluating there would."""
-    if not isinstance(X, LatticeVec):
-        X = LatticeVec(tuple(X))
-    if X.dimension != cmp.dim_x:
-        raise ValueError(f"X has dimension {X.dimension}, expected {cmp.dim_x}")
-    _require_nonneg(X, "X")
+    verdict)``, with ``x`` the checked point, ``iterates`` every ``Y(p)`` if
+    ``keep``, else the last, and the verdict set where the loop stops.  Each
+    step calls the kernels of ``Psi`` on ``x + Y``; a non-finite float
+    iterate raises when the next step reads it, as evaluating there would."""
+    x = _point(cmp, X, cmp.dim_x, "X")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     check_tol(tol)
     exact = cmp.mode == EXACT
-    x = tuple(coerce_value(e, cmp.mode) for e in X.entries)
     tol_v = Fraction(tol) if exact else float(tol)
     zero = zero_value(cmp.mode)
     kernels = [comp._plan for comp in cmp.psi.components]
     Y = (zero,) * cmp.dim_y
     iterates = [Y]
-    converged = diverged = False
+    verdict = UNRESOLVED
     prev_step = bad = None
     for steps in range(1, max_iter + 1):
         if bad is not None:
@@ -105,14 +107,14 @@ def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,
         if keep:
             iterates.append(Y)
         if settled:
-            converged = True
+            verdict = INSIDE
             break
         if (prev_step is not None and step >= prev_step
                 and any(e > DIVERGENCE_THRESHOLD for e in Y)):
-            diverged = True
+            verdict = OUTSIDE
             break
         prev_step = step
-    return x, (iterates if keep else [Y]), steps, converged, diverged
+    return x, (iterates if keep else [Y]), steps, verdict
 
 
 def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
@@ -120,19 +122,19 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
                        tol: float = DEFAULT_TOL) -> IterationTrace:
     """Run the comparison iteration at the point ``X``.
 
-    Stops on entrywise step size at most ``tol`` (converged), on divergence,
-    or when the budget runs out (neither flag set).  Divergence needs two
-    signs at once: an entry beyond the threshold and a step that stopped
-    shrinking.  A monotone sequence either converges or its steps stop
+    The trace's verdict is ``INSIDE`` once every entry moves by at most
+    ``tol`` in one step, ``OUTSIDE`` on divergence, and ``UNRESOLVED`` when
+    the budget runs out.  Divergence needs two signs at once: an entry
+    beyond the threshold and a step that stopped shrinking.  A monotone sequence either converges or its steps stop
     shrinking eventually, so the pair is a sound proxy; the size test alone
     would misread a large fixed point reached in a few steps.  Monotonicity
     is asserted along the way; a violation beyond float rounding slack
     raises, since it can only mean the input was not of positive type.
-    The trace keeps every iterate, with error bounds once converged.
+    The trace keeps every iterate, with error bounds when inside.
     """
-    x, found, _, converged, diverged = _kleene(cmp, X, max_iter, tol, keep=True)
+    x, found, _, verdict = _kleene(cmp, X, max_iter, tol, keep=True)
     error_bounds = residual_norm = None
-    if converged:
+    if verdict == INSIDE:
         final = found[-1]
         zero = zero_value(cmp.mode)
         error_bounds = tuple(
@@ -142,8 +144,7 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
         residual_norm = max(abs(r - f) for r, f in zip(res, final))
     return IterationTrace(
         iterates_Y=tuple(map(LatticeVec, found)), iterates_y=None,
-        converged=converged, diverged=diverged,
-        residual_norm=residual_norm, error_bounds=error_bounds)
+        verdict=verdict, residual_norm=residual_norm, error_bounds=error_bounds)
 
 
 def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquation,
@@ -164,14 +165,11 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
         raise ValueError(
             "the equation's x norm profile does not match the comparison equation")
     comp = iterate_comparison(cmp, X, max_iter, tol)
-    if comp.diverged:
-        raise DomainError(
-            "the comparison iteration diverged at this point; "
-            "no convergence certificate is available")
-    if not comp.converged:
-        raise DomainError(
-            "the comparison iteration exhausted its budget; "
-            "no convergence certificate is available")
+    if comp.verdict != INSIDE:
+        why = ("diverged at this point" if comp.verdict == OUTSIDE
+               else "exhausted its budget")
+        raise DomainError(f"the comparison iteration {why}; "
+                          "no convergence certificate is available")
     zero = zero_value(eq.mode)
     y: tuple[Number, ...] = (zero,) * eq.dim_y
     ys = [y]
@@ -181,8 +179,7 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     res = eq.psi.evaluate(x + y)
     residual_norm = max(abs(r - f) for r, f in zip(res, y))
     return IterationTrace(
-        iterates_Y=comp.iterates_Y, iterates_y=tuple(ys),
-        converged=True, diverged=False,
+        iterates_Y=comp.iterates_Y, iterates_y=tuple(ys), verdict=INSIDE,
         residual_norm=residual_norm, error_bounds=comp.error_bounds)
 
 
@@ -192,30 +189,22 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
 
     The iteration of :func:`iterate_comparison`, keeping only its last iterate.
     """
-    _, last, used, converged, diverged = _kleene(cmp, X, budget, tol, keep=False)
-    if converged:
-        return Membership(INSIDE, LatticeVec(last[-1]), used)
-    if diverged:
-        return Membership(OUTSIDE, None, used, witness=LatticeVec(last[-1]))
-    return Membership(UNRESOLVED, None, used)
+    _, (Y,), used, verdict = _kleene(cmp, X, budget, tol, keep=False)
+    return Membership(verdict, LatticeVec(Y) if verdict == INSIDE else None, used,
+                      witness=LatticeVec(Y) if verdict == OUTSIDE else None)
 
 
 def certificate_check(cmp: ComparisonEquation, X: LatticeVec,
                       Y_tilde: LatticeVec) -> bool:
     """Does ``Y_tilde`` witness convergence, i.e. ``Y_tilde >= Psi(X, Y_tilde)``?"""
-    if not isinstance(X, LatticeVec):
-        X = LatticeVec(tuple(X))
-    if not isinstance(Y_tilde, LatticeVec):
-        Y_tilde = LatticeVec(tuple(Y_tilde))
-    _require_nonneg(X, "X")
-    _require_nonneg(Y_tilde, "Y_tilde")
-    value = cmp.psi.evaluate(X.entries + Y_tilde.entries)
-    return all(v <= y for v, y in zip(value, Y_tilde.entries))
+    x = _point(cmp, X, cmp.dim_x, "X")
+    y = _point(cmp, Y_tilde, cmp.dim_y, "Y_tilde")
+    return all(v <= e for v, e in zip(cmp.psi.evaluate(x + y), y))
 
 
 def error_bound(trace: IterationTrace, p: int) -> LatticeVec:
     """The certified gap ``Y_final - Y(p)``, an upper bound on the primal error."""
-    if not trace.converged or trace.error_bounds is None:
+    if trace.verdict != INSIDE:
         raise DomainError("error bounds exist only for converged traces")
     if not 0 <= p < len(trace.error_bounds):
         raise ValueError(

@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isfinite
 from typing import Mapping, Sequence
 
 from .errors import SpecFormatError
@@ -304,8 +305,9 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     Draws ``n_samples >= 1`` points from the box (and, when asked, the same
     number of increment pairs) and verifies the value and increment
     inequalities that a majorant must satisfy.  In float mode a violation
-    needs to clear the relative ``SAMPLE_SLACK`` before it is reported; exact
-    mode tolerates nothing.
+    needs to clear the relative ``SAMPLE_SLACK`` before it is reported, and
+    a value that overflows raises, since it compares false against anything;
+    exact mode tolerates nothing.
     """
     if eq.mode != cmp.mode:
         raise ValueError(f"mode mismatch: {eq.mode} vs {cmp.mode}")
@@ -328,6 +330,8 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     def exceeded(lhs: Number, rhs: Number) -> bool:
         if exact:
             return lhs > rhs
+        if not (isfinite(lhs) and isfinite(rhs)):
+            raise ValueError(f"values overflow on the box from {lo} to {hi}")
         return lhs > rhs + SAMPLE_SLACK * max(1.0, abs(rhs))
 
     violations: list[MajorantViolation] = []

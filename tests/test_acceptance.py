@@ -231,7 +231,7 @@ def test_11_isotonicity():
         for k in range(2, 14):
             t = 0.5 ** k
             X = LatticeVec(tuple(t * d for d in direction))
-            if iterate_comparison(cmp_eq, X, max_iter=4000).converged:
+            if iterate_comparison(cmp_eq, X, max_iter=4000).verdict == "inside":
                 t_in = t
                 break
         if t_in is None:

@@ -310,6 +310,33 @@ def test_check_exact_mode(spec_file, capsys):
     assert json.loads(out)["violations"] == []
 
 
+def test_check_refuses_a_box_that_overflows(spec_file, capsys):
+    # every sampled value overflowed to inf, which compares false against
+    # inf, so nothing could be reported and the check exited 0
+    path = spec_file(QUAD_MINUS)
+    code, out, err = run(capsys, ["check", "--spec", path, "--box", "1e200"])
+    assert code == 2 and not out
+    assert "box" in err
+
+
+def test_check_keeps_a_small_exact_box(spec_file, capsys, monkeypatch):
+    # Fraction(1e-7).limit_denominator(10**6) is 0, which collapsed the
+    # sampling box to the origin
+    boxes = []
+
+    def record(eq, cmp, n_samples, box, **kwargs):
+        boxes.append(box)
+        return MajorantSampleReport(n_samples, n_samples, ())
+
+    monkeypatch.setattr("impsolve.cli.check_majorant_samples", record)
+    path = spec_file(QUAD_PLUS_EXACT)
+    code, _, _ = run(capsys, ["check", "--spec", path, "--box", "1e-7"])
+    assert code == 0
+    lo, hi = boxes[0]
+    assert lo.entries == (Fraction(-1, 10**7),) * 2
+    assert hi.entries == (Fraction(1, 10**7),) * 2
+
+
 # ---------------------------------------------------------------------------
 # failure exits
 

@@ -77,6 +77,21 @@ def test_cubic_turning_point_against_bisection_oracle():
     assert got.X_star == pytest.approx(x_star, abs=1e-9)
 
 
+def test_turning_point_when_a_probe_lands_past_the_graph():
+    # Y = X + cY^4 with c = 1.503: the turn 4cY^3 = 1 sits at
+    # Y* = (4c)^(-1/3) with X* = 3Y*/4, but the graph X = Y - cY^4 ends at
+    # Y = c^(-1/3) ~ 0.873, so the probe Y = 1023/1024 finds no X.
+    c = 1.503
+    assert 1023 / 1024 - c * (1023 / 1024) ** 4 < 0
+    got = hille_point(scalar_comparison({(1, 0): 1.0, (0, 4): c}))
+    assert got.status == FOUND
+    y_star = (4 * c) ** (-1 / 3)
+    assert got.Y_star == pytest.approx(y_star, abs=1e-12)
+    assert got.X_star == pytest.approx(0.75 * y_star, abs=1e-12)
+    # frozen: a change to the bracket search must not move these bits
+    assert (got.X_star, got.Y_star) == (0.4124661118188208, 0.5499548157584174)
+
+
 def test_linear_comparison_is_unbounded():
     got = hille_point(scalar_comparison({(1, 0): 2.0}))
     assert got.status == UNBOUNDED

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,35 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _foreign_imports(source: str) -> list[str]:
+    """Absolute imports of modules outside the standard library."""
+    foreign = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        foreign += [f"line {node.lineno}: {name}" for name in names
+                    if name.split(".")[0] not in sys.stdlib_module_names]
+    return foreign
+
+
+def test_foreign_import_is_detected():
+    source = ("from __future__ import annotations\n"
+              "import os.path, numpy\n"
+              "from .series import Series\n"
+              "def f():\n"
+              "    from hypothesis import given\n")
+    assert _foreign_imports(source) == ["line 2: numpy", "line 5: hypothesis"]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_runtime_is_stdlib_only(path):
+    assert _foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
 def _definitions(tree: ast.AST) -> dict[str, int]:

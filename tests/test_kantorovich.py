@@ -60,7 +60,7 @@ def test_first_iterates_frozen():
 
 def test_convergence_inside():
     trace = iterate_comparison(quadratic_comparison(), X_at(0.2))
-    assert trace.converged and not trace.diverged
+    assert trace.verdict == INSIDE
     limit = trace.iterates_Y[-1].entries[0]
     assert limit == pytest.approx(principal_quadratic(0.2), abs=1e-10)
     assert trace.residual_norm < 1e-10
@@ -68,7 +68,7 @@ def test_convergence_inside():
 
 def test_divergence_outside():
     trace = iterate_comparison(quadratic_comparison(), X_at(0.3))
-    assert trace.diverged and not trace.converged
+    assert trace.verdict == OUTSIDE
     assert trace.error_bounds is None
     assert trace.steps < 50
 
@@ -76,7 +76,7 @@ def test_divergence_outside():
 def test_budget_exhaustion_on_boundary():
     trace = iterate_comparison(quadratic_comparison(), X_at(0.25),
                                max_iter=500)
-    assert not trace.converged and not trace.diverged
+    assert trace.verdict == UNRESOLVED
     assert trace.steps == 500
 
 
@@ -99,7 +99,7 @@ def test_monotone_corpus():
         for k in range(3, 9):
             X = LatticeVec((0.5 ** k,) * cmp_eq.dim_x)
             trace = iterate_comparison(cmp_eq, X, max_iter=2000)
-            if not trace.converged:
+            if trace.verdict != INSIDE:
                 continue
             hits += 1
             for a, b in zip(trace.iterates_Y, trace.iterates_Y[1:]):
@@ -160,7 +160,7 @@ def test_primal_run_of_a_comparison_is_its_comparison_run():
     for mode, x in ((FLOAT, 0.2), (EXACT, Fraction(1, 100))):
         cmp_eq = quadratic_comparison(mode=mode)
         trace = iterate_primal(cmp_eq, (x,), cmp_eq, max_iter=60, tol=1e-6)
-        assert trace.converged
+        assert trace.verdict == INSIDE
         assert trace.iterates_y == tuple(Y.entries for Y in trace.iterates_Y)
         assert trace.iterates_Y == iterate_comparison(
             cmp_eq, X_at(x), 60, 1e-6).iterates_Y
@@ -265,6 +265,20 @@ def test_certificate_rejects_negative_witness():
     cmp_eq = quadratic_comparison()
     with pytest.raises(ValueError, match="non-negative"):
         certificate_check(cmp_eq, (0.1,), (-0.2,))
+
+
+def test_certificate_checks_both_shapes_on_a_system():
+    # Y0 = X + Y0 Y1, Y1 = 2X + Y0^2 at (0.1; 0.2, 0.2): Y1 fails, and the
+    # mis-shaped call read the same point but compared Y0 alone, so it
+    # returned True
+    cmp_eq = ComparisonEquation(1, 2, SeriesMap((
+        Series(3, 8, {(1, 0, 0): 1.0, (0, 1, 1): 1.0}, FLOAT),
+        Series(3, 8, {(1, 0, 0): 2.0, (0, 2, 0): 1.0}, FLOAT))))
+    assert not certificate_check(cmp_eq, (0.1,), (0.2, 0.2))
+    with pytest.raises(ValueError, match="X has dimension 2, expected 1"):
+        certificate_check(cmp_eq, (0.1, 0.2), (0.2,))
+    with pytest.raises(ValueError, match="Y_tilde has dimension 1, expected 2"):
+        certificate_check(cmp_eq, (0.1,), (0.2,))
 
 
 def test_principal_solution_is_minimal():

@@ -293,6 +293,22 @@ def test_samples_evaluate_psi_once_per_sample(monkeypatch):
     assert len(calls) == 6 * 30
 
 
+@pytest.mark.parametrize("increments", [False, True])
+def test_samples_refuse_a_box_that_overflows(increments):
+    # Y = X + Y^2/2 does not dominate y = x - y^2, but on a box of 1e200
+    # every value compared inf against inf and every increment involved nan,
+    # both of which compare false, so the report came back clean
+    eq = quadratic_equation(mode=FLOAT, sign=-1)
+    liar = ComparisonEquation(1, 1, SeriesMap((
+        Series(2, 24, {(1, 0): 1.0, (0, 2): 0.5}, FLOAT),)))
+    assert not check_majorant_samples(eq, liar, 60, _box(2),
+                                      rng=random.Random(3)).ok
+    with pytest.raises(ValueError, match="box"):
+        check_majorant_samples(eq, liar, 60, _box(2, 1e200),
+                               check_increments=increments,
+                               rng=random.Random(3))
+
+
 def test_samples_box_validation():
     eq = quadratic_equation(mode=FLOAT)
     good = majorant(eq)

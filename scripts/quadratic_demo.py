@@ -16,7 +16,6 @@ from impsolve import (
     DomainError,
     EquationSpec,
     LatticeVec,
-    NormProfile,
     Series,
     SeriesMap,
     empirical_radius,
@@ -31,9 +30,7 @@ from impsolve import (
 
 def build_equation(cap):
     psi = SeriesMap((Series(2, cap, {(1, 0): 1.0, (0, 2): -1.0}, FLOAT),))
-    return EquationSpec(1, 1, psi,
-                        NormProfile(COMPONENTWISE, 1),
-                        NormProfile(COMPONENTWISE, 1))
+    return EquationSpec(1, 1, psi, COMPONENTWISE, COMPONENTWISE)
 
 
 def closed_form(x):

@@ -18,11 +18,10 @@ from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, DIVERGENCE_THRESHOLD,
                           trace_to_csv)
 from .lattice import (AGGREGATE, COMPONENTWISE, SCALAR, ComparisonEquation,
                       EquationSpec, LatticeVec, MajorantSampleReport,
-                      MajorantViolation, NormProfile, check_majorant_samples,
-                      comparison_from_spec, equation_from_dict,
-                      equation_to_dict, lattice_abs, lattice_inf,
-                      lattice_leq, lattice_sup, majorant, map_abs, norm,
-                      series_abs)
+                      MajorantViolation, check_majorant_samples,
+                      equation_from_dict, equation_to_dict, lattice_abs,
+                      lattice_inf, lattice_leq, lattice_sup, majorant,
+                      map_abs, norm, series_abs)
 from .series import (EXACT, FLOAT, Series, SeriesMap, SymTensorEntry,
                      compose_series, format_value, multiindex_factorial,
                      parse_value, series_compose, sym_tensor_entry)

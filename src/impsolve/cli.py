@@ -27,8 +27,8 @@ from .hille import hille_point, radius_along_ray, region_to_csv, trace_graph
 from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, iterate_comparison,
                           iterate_primal, membership, trace_to_csv)
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec,
-                      check_majorant_samples, comparison_from_spec,
-                      equation_from_dict, equation_to_dict, majorant)
+                      check_majorant_samples, equation_from_dict,
+                      equation_to_dict, majorant)
 from .series import EXACT, format_value, parse_value
 from .solver import (ITERATIVE, PARTITION_ORACLE, solve_formal,
                      solve_partition_oracle)
@@ -52,8 +52,8 @@ def parse_spec(path: str) -> EquationSpec:
 
 def _comparison(eq: EquationSpec) -> ComparisonEquation:
     try:
-        return comparison_from_spec(eq)
-    except SpecFormatError as exc:
+        return ComparisonEquation(eq.dim_x, eq.dim_y, eq.psi)
+    except ValueError as exc:
         raise SpecFormatError(
             f"{exc}; run the majorant verb first to build a comparison "
             f"equation") from None
@@ -145,16 +145,10 @@ def _cmd_check(args):
     if not math.isfinite(half):
         raise SpecFormatError(f"--box must be finite, got {half!r}")
     dim = eq.dim_x + eq.dim_y
-    if eq.mode == EXACT:
-        h = Fraction(repr(half))
-        lo = LatticeVec((-h,) * dim)
-        hi = LatticeVec((h,) * dim)
-    else:
-        lo = LatticeVec((-half,) * dim)
-        hi = LatticeVec((half,) * dim)
+    h = Fraction(repr(half)) if eq.mode == EXACT else half
     return check_majorant_samples(
-        eq, cmp, args.samples, (lo, hi), check_increments=True,
-        rng=random.Random(args.seed))
+        eq, cmp, args.samples, (LatticeVec((-h,) * dim), LatticeVec((h,) * dim)),
+        check_increments=True, rng=random.Random(args.seed))
 
 
 def _cmd_radius(args):

@@ -160,11 +160,7 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     x = tuple(x.entries) if isinstance(x, LatticeVec) else tuple(x)
     if len(x) != eq.dim_x:
         raise ValueError(f"x has {len(x)} entries, expected {eq.dim_x}")
-    X = norm(eq.profile_x, x)
-    if X.dimension != cmp.dim_x:
-        raise ValueError(
-            "the equation's x norm profile does not match the comparison equation")
-    comp = iterate_comparison(cmp, X, max_iter, tol)
+    comp = iterate_comparison(cmp, norm(eq.profile_x, x), max_iter, tol)
     if comp.verdict != INSIDE:
         why = ("diverged at this point" if comp.verdict == OUTSIDE
                else "exhausted its budget")

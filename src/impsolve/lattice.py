@@ -4,11 +4,12 @@ The solver certifies convergence by replacing an equation ``y = psi(x, y)``
 with a comparison equation ``Y = Psi(X, Y)`` whose coefficients dominate
 the moduli of the original ones.  A comparison equation is an
 ``EquationSpec`` of positive type: componentwise profiles and no negative
-coefficient, so every function that takes an equation takes one.  This
-module owns the small vector lattice used for that bookkeeping, the norm
-profiles that say how primal vectors are measured, the equation
-containers and their file format, and the construction of the dominating
-comparison equation.
+coefficient, so every function that takes an equation takes one.  A norm
+profile, how the vectors of one side are measured, is its kind alone:
+``SCALAR``, ``COMPONENTWISE`` or ``AGGREGATE``, the string the file format
+stores.  This module owns the small vector lattice used for that
+bookkeeping, the equation containers and their file format, and the
+construction of the dominating comparison equation.
 """
 
 from __future__ import annotations
@@ -84,34 +85,11 @@ def lattice_leq(a: LatticeVec, b: LatticeVec) -> bool:
     return all(x <= y for x, y in zip(a.entries, b.entries))
 
 
-@dataclass(frozen=True)
-class NormProfile:
-    """How vectors of a primal space are measured into the ordered space.
-
-    ``scalar`` is plain absolute value of a one-dimensional vector,
-    ``componentwise`` keeps every coordinate modulus, and ``aggregate``
-    collapses to the max norm.
-    """
-
-    kind: str
-    primal_dim: int
-
-    def __post_init__(self) -> None:
-        if self.kind not in PROFILE_KINDS:
-            raise ValueError(
-                f"unknown norm profile kind {self.kind!r}; expected one of {PROFILE_KINDS}")
-        if not isinstance(self.primal_dim, int) or self.primal_dim < 1:
-            raise ValueError(f"primal_dim must be a positive integer, got {self.primal_dim!r}")
-        if self.kind == SCALAR and self.primal_dim != 1:
-            raise ValueError("a scalar norm profile needs a one-dimensional primal space")
-
-
-def norm(profile: NormProfile, v: Sequence[Number]) -> LatticeVec:
+def norm(kind: str, v: Sequence[Number]) -> LatticeVec:
+    """Measure ``v`` by a profile of ``kind``: the max norm for
+    ``AGGREGATE``, every coordinate modulus otherwise."""
     entries = tuple(v.entries) if isinstance(v, LatticeVec) else tuple(v)
-    if len(entries) != profile.primal_dim:
-        raise ValueError(
-            f"vector has {len(entries)} entries, profile expects {profile.primal_dim}")
-    if profile.kind == AGGREGATE:
+    if kind == AGGREGATE:
         return LatticeVec((max(abs(e) for e in entries),))
     return LatticeVec(tuple(abs(e) for e in entries))
 
@@ -122,16 +100,26 @@ class EquationSpec:
 
     ``psi`` is a truncated map in ``dim_x + dim_y`` variables (the x block
     first) with ``dim_y`` outputs, no constant term, and no term linear in
-    y alone.
+    y alone.  ``profile_x`` and ``profile_y`` are the kinds of norm that
+    measure each side, one of ``PROFILE_KINDS``; a scalar one needs a side
+    of dimension 1.
     """
 
     dim_x: int
     dim_y: int
     psi: SeriesMap
-    profile_x: NormProfile
-    profile_y: NormProfile
+    profile_x: str
+    profile_y: str
 
     def __post_init__(self) -> None:
+        for kind, dim in ((self.profile_x, self.dim_x),
+                          (self.profile_y, self.dim_y)):
+            if kind not in PROFILE_KINDS:
+                raise ValueError(f"unknown norm profile kind {kind!r}; "
+                                 f"expected one of {PROFILE_KINDS}")
+            if kind == SCALAR and dim != 1:
+                raise ValueError(
+                    "a scalar norm profile needs a one-dimensional primal space")
         if self.dim_x < 1 or self.dim_y < 1:
             raise ValueError("dim_x and dim_y must be positive")
         if self.psi.num_vars != self.dim_x + self.dim_y:
@@ -143,10 +131,6 @@ class EquationSpec:
                 f"psi has {self.psi.output_dim} outputs, expected {self.dim_y}")
         if self.psi.degree_cap < 1:
             raise ValueError("the degree cap must be at least 1")
-        if self.profile_x.primal_dim != self.dim_x:
-            raise ValueError("profile_x does not match dim_x")
-        if self.profile_y.primal_dim != self.dim_y:
-            raise ValueError("profile_y does not match dim_y")
         for i, comp in enumerate(self.psi.components):
             for gamma in comp.terms:
                 if sum(gamma) == 0:
@@ -177,8 +161,7 @@ class ComparisonEquation(EquationSpec):
     """
 
     def __init__(self, dim_x: int, dim_y: int, psi: SeriesMap) -> None:
-        super().__init__(dim_x, dim_y, psi, NormProfile(COMPONENTWISE, dim_x),
-                         NormProfile(COMPONENTWISE, dim_y))
+        super().__init__(dim_x, dim_y, psi, COMPONENTWISE, COMPONENTWISE)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -217,7 +200,7 @@ def majorant(eq: EquationSpec) -> ComparisonEquation:
     symmetric multilinear term, though it is coarser than the tight
     operator norm.
     """
-    if eq.profile_x.kind != AGGREGATE and eq.profile_y.kind != AGGREGATE:
+    if AGGREGATE not in (eq.profile_x, eq.profile_y):
         return ComparisonEquation(eq.dim_x, eq.dim_y, map_abs(eq.psi))
     p = eq.dim_x
     cap = eq.degree_cap
@@ -237,19 +220,6 @@ def majorant(eq: EquationSpec) -> ComparisonEquation:
                 terms[key] = value
     collapsed = Series(2, cap, {(m, n): v for (m, n), v in terms.items()}, mode)
     return ComparisonEquation(1, 1, SeriesMap((collapsed,)))
-
-
-def comparison_from_spec(eq: EquationSpec) -> ComparisonEquation:
-    """Reinterpret an equation with non-negative coefficients as a comparison.
-
-    This is the identity on the coefficients; it fails loudly when any
-    coefficient is negative.  Use :func:`majorant` to build a comparison
-    equation from a general one.
-    """
-    try:
-        return ComparisonEquation(eq.dim_x, eq.dim_y, eq.psi)
-    except ValueError as exc:
-        raise SpecFormatError(str(exc)) from None
 
 
 # -- sampled domination check -------------------------------------------
@@ -387,8 +357,8 @@ def equation_to_dict(eq: EquationSpec) -> dict:
         "dim_x": eq.dim_x,
         "dim_y": eq.dim_y,
         "mode": eq.mode,
-        "profile_x": eq.profile_x.kind,
-        "profile_y": eq.profile_y.kind,
+        "profile_x": eq.profile_x,
+        "profile_y": eq.profile_y,
         "degree_cap": eq.degree_cap,
         "terms": terms,
     }
@@ -471,9 +441,6 @@ def equation_from_dict(data: Mapping) -> EquationSpec:
     try:
         psi = SeriesMap(tuple(Series(dim_x + dim_y, degree_cap, d, mode)
                               for d in term_dicts))
-        return EquationSpec(
-            dim_x=dim_x, dim_y=dim_y, psi=psi,
-            profile_x=NormProfile(profile_x, dim_x),
-            profile_y=NormProfile(profile_y, dim_y))
+        return EquationSpec(dim_x, dim_y, psi, profile_x, profile_y)
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None

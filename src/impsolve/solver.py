@@ -19,7 +19,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator, Sequence
 
 from .errors import DomainError
-from .lattice import COMPONENTWISE, EquationSpec, NormProfile
+from .lattice import COMPONENTWISE, EquationSpec
 from .series import (EXACT, Number, Series, SeriesMap, multiindex_factorial,
                      series_compose, zero_value)
 
@@ -280,10 +280,7 @@ def resolve_linear(raw: SeriesMap, dim_x: int, dim_y: int) -> EquationSpec:
             if acc != zero:
                 term_dicts[i][gamma] = acc
     comps = tuple(Series(p + q, raw.degree_cap, d, mode) for d in term_dicts)
-    return EquationSpec(
-        dim_x=p, dim_y=q, psi=SeriesMap(comps),
-        profile_x=NormProfile(COMPONENTWISE, p),
-        profile_y=NormProfile(COMPONENTWISE, q))
+    return EquationSpec(p, q, SeriesMap(comps), COMPONENTWISE, COMPONENTWISE)
 
 
 def _invert(M: list[list], mode: str):

@@ -15,7 +15,6 @@ from impsolve import (
     FLOAT,
     ComparisonEquation,
     EquationSpec,
-    NormProfile,
     Series,
     SeriesMap,
 )
@@ -116,9 +115,7 @@ def quadratic_equation(mode=FLOAT, sign=1, cap=24):
     else:
         one, s = 1.0, float(sign)
     psi = SeriesMap((Series(2, cap, {(1, 0): one, (0, 2): s}, mode),))
-    return EquationSpec(1, 1, psi,
-                        NormProfile(COMPONENTWISE, 1),
-                        NormProfile(COMPONENTWISE, 1))
+    return EquationSpec(1, 1, psi, COMPONENTWISE, COMPONENTWISE)
 
 
 def quadratic_comparison(mode=FLOAT, cap=24):
@@ -171,9 +168,7 @@ def random_equation(rng, mode=EXACT, cap=8, max_terms=6):
                 for (out_i, alpha, beta), v in terms.items() if out_i == i}
         comps.append(Series(p + q, cap, body, mode))
     psi = SeriesMap(tuple(comps))
-    eq = EquationSpec(p, q, psi,
-                      NormProfile(COMPONENTWISE, p),
-                      NormProfile(COMPONENTWISE, q))
+    eq = EquationSpec(p, q, psi, COMPONENTWISE, COMPONENTWISE)
     return eq, terms
 
 

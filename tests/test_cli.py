@@ -151,6 +151,13 @@ def test_comparison_verbs_reject_signed_equations(spec_file, capsys):
     assert "majorant verb" in err
 
 
+def test_unparsable_point_is_a_usage_error(spec_file, capsys):
+    path = spec_file(QUAD_PLUS_EXACT)
+    code, out, err = run(capsys, ["membership", "--spec", path, "--X", "abc"])
+    assert code == 2 and not out
+    assert "bad --X" in err
+
+
 def test_majorant_pipeline(spec_file, capsys, tmp_path):
     path = spec_file(QUAD_MINUS)
     cmp_path = tmp_path / "cmp.json"

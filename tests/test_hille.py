@@ -7,11 +7,13 @@ other frozen values come from hand algebra on quadratics.
 
 import io
 import random
+from fractions import Fraction
 
 import pytest
 
 import impsolve.hille
 from impsolve import (
+    EXACT,
     FAILED,
     FOUND,
     LatticeVec,
@@ -254,6 +256,16 @@ def test_radius_on_seeded_system():
         assert 0 < got.t_inside <= got.t_outside
 
 
+def test_radius_takes_any_number_type_as_direction():
+    # the direction is read as floats whatever the comparison's mode, so an
+    # exact Catalan comparison accepts a Fraction, int or float direction
+    cmp_eq = quadratic_comparison(mode=EXACT)
+    got = [radius_along_ray(cmp_eq, LatticeVec((d,)), tol=1e-3)
+           for d in (Fraction(1), 1, 1.0)]
+    assert got[0] == got[1] == got[2]
+    assert got[0].t_inside <= 0.25 <= got[0].t_outside
+
+
 def test_radius_rejects_bad_direction():
     with pytest.raises(ValueError):
         radius_along_ray(quadratic_comparison(), LatticeVec((0.0,)))
@@ -294,7 +306,7 @@ def test_empirical_radius_catalan():
 def test_empirical_radius_geometric():
     # y = x + x y solves to the geometric series, unit ratio throughout
     eq = quadratic_equation()
-    from impsolve import EquationSpec, NormProfile, Series, SeriesMap, FLOAT
+    from impsolve import EquationSpec, Series, SeriesMap, FLOAT
     geo = EquationSpec(1, 1, SeriesMap((
         Series(2, 24, {(1, 0): 1.0, (1, 1): 1.0}, FLOAT),)),
         eq.profile_x, eq.profile_y)

@@ -20,12 +20,10 @@ from impsolve import (
     ComparisonEquation,
     EquationSpec,
     LatticeVec,
-    NormProfile,
     Series,
     SeriesMap,
     SpecFormatError,
     check_majorant_samples,
-    comparison_from_spec,
     compose_series,
     equation_from_dict,
     equation_to_dict,
@@ -37,6 +35,7 @@ from impsolve import (
     norm,
     series_abs,
 )
+from impsolve.lattice import PROFILE_KINDS
 
 from helpers import quadratic_equation, random_equation
 
@@ -93,19 +92,21 @@ def test_dimension_mismatch():
 # norm profiles
 
 def test_profile_values():
-    assert norm(NormProfile(SCALAR, 1), (-2,)).entries == (2,)
-    assert norm(NormProfile(COMPONENTWISE, 2), (1, -3)).entries == (1, 3)
-    assert norm(NormProfile(AGGREGATE, 2), (1, -3)).entries == (3,)
+    assert norm(SCALAR, (-2,)).entries == (2,)
+    assert norm(COMPONENTWISE, (1, -3)).entries == (1, 3)
+    assert norm(AGGREGATE, (1, -3)).entries == (3,)
 
 
 def test_scalar_profile_needs_dim_one():
-    with pytest.raises(ValueError):
-        NormProfile(SCALAR, 2)
+    psi = SeriesMap((Series(3, 4, {(1, 0, 0): 1.0}, FLOAT),
+                     Series(3, 4, {(1, 0, 0): 1.0}, FLOAT)))
+    with pytest.raises(ValueError, match="one-dimensional"):
+        EquationSpec(1, 2, psi, COMPONENTWISE, SCALAR)
 
 
 @given(frac_vecs(), frac_vecs(), fractions)
 def test_norm_axioms(a, b, t):
-    for profile in (NormProfile(COMPONENTWISE, 3), NormProfile(AGGREGATE, 3)):
+    for profile in (COMPONENTWISE, AGGREGATE):
         na = norm(profile, a)
         assert all(e >= 0 for e in na.entries)
         assert (na.entries == tuple(0 for _ in na.entries)) == \
@@ -130,9 +131,7 @@ def test_majorant_aggregate_collapse():
     # one norming variable per side: Psi = X + 2XY + Y^2.
     comp0 = Series(3, 8, {(1, 0, 0): 1.0, (0, 0, 2): -1.0}, FLOAT)
     comp1 = Series(3, 8, {(1, 1, 0): 2.0}, FLOAT)
-    eq = EquationSpec(1, 2, SeriesMap((comp0, comp1)),
-                      NormProfile(COMPONENTWISE, 1),
-                      NormProfile(AGGREGATE, 2))
+    eq = EquationSpec(1, 2, SeriesMap((comp0, comp1)), COMPONENTWISE, AGGREGATE)
     cmp_eq = majorant(eq)
     assert cmp_eq.dim_x == 1 and cmp_eq.dim_y == 1
     assert dict(cmp_eq.psi.components[0].terms) == {
@@ -144,9 +143,7 @@ def test_majorant_aggregate_takes_largest_component_sum():
     # component against 1 in the second, so the collapse keeps 3.
     comp0 = Series(3, 8, {(0, 2, 0): 1.0, (0, 0, 2): -2.0}, FLOAT)
     comp1 = Series(3, 8, {(0, 1, 1): 1.0, (1, 0, 0): 1.0}, FLOAT)
-    eq = EquationSpec(1, 2, SeriesMap((comp0, comp1)),
-                      NormProfile(AGGREGATE, 1),
-                      NormProfile(AGGREGATE, 2))
+    eq = EquationSpec(1, 2, SeriesMap((comp0, comp1)), AGGREGATE, AGGREGATE)
     cmp_eq = majorant(eq)
     assert dict(cmp_eq.psi.components[0].terms) == {(0, 2): 3.0, (1, 0): 1.0}
 
@@ -163,14 +160,6 @@ def test_majorant_idempotent_on_positive_equations():
             assert dict(a.terms) == dict(b.terms)
 
 
-def test_comparison_from_spec_requires_nonnegative():
-    eq = quadratic_equation(mode=FLOAT, sign=-1)
-    with pytest.raises(SpecFormatError, match="positive type"):
-        comparison_from_spec(eq)
-    ok = comparison_from_spec(quadratic_equation(mode=FLOAT, sign=1))
-    assert isinstance(ok, ComparisonEquation)
-
-
 def test_comparison_rejects_negative_coefficients():
     with pytest.raises(ValueError, match="positive type"):
         ComparisonEquation(1, 1, SeriesMap((
@@ -181,8 +170,8 @@ def test_comparison_rejects_negative_coefficients():
 def test_comparison_is_an_equation_with_componentwise_profiles():
     cmp_eq = majorant(quadratic_equation(mode=EXACT, sign=-1))
     assert isinstance(cmp_eq, EquationSpec)
-    assert cmp_eq.profile_x == NormProfile(COMPONENTWISE, 1)
-    assert cmp_eq.profile_y == NormProfile(COMPONENTWISE, 1)
+    assert cmp_eq.profile_x == COMPONENTWISE
+    assert cmp_eq.profile_y == COMPONENTWISE
     assert cmp_eq.as_float().mode == FLOAT
     assert isinstance(cmp_eq.as_float(), ComparisonEquation)
 
@@ -193,7 +182,8 @@ def test_comparison_serializes_as_an_equation():
     assert doc == dict(equation_to_dict(eq), terms=[
         {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
         {"output": 0, "alpha": [0], "beta": [2], "value": "1"}])
-    assert equation_to_dict(comparison_from_spec(equation_from_dict(doc))) == doc
+    back = equation_from_dict(doc)
+    assert equation_to_dict(ComparisonEquation(back.dim_x, back.dim_y, back.psi)) == doc
 
 
 def test_comparison_dominates_itself_on_samples():
@@ -254,6 +244,23 @@ def test_samples_flag_false_majorant():
     first = report.violations[0]
     assert first.kind == "value"
     assert first.lhs > first.rhs
+
+
+def test_samples_flag_false_increments():
+    # Y = X + Y^2/2 dominates neither the values nor the increments of
+    # y = x - y^2; an increment violation records the increment it drew
+    eq = quadratic_equation(mode=FLOAT, sign=-1)
+    liar = ComparisonEquation(1, 1, SeriesMap((
+        Series(2, 24, {(1, 0): 1.0, (0, 2): 0.5}, FLOAT),)))
+    report = check_majorant_samples(eq, liar, 50, _box(2),
+                                    check_increments=True,
+                                    rng=random.Random(1))
+    assert report.increments_checked == 50
+    moves = [v for v in report.violations if v.kind == "increment"]
+    assert moves and len(moves) < len(report.violations)
+    for v in moves:
+        assert v.increment is not None and len(v.increment) == 2
+        assert v.lhs > v.rhs
 
 
 def test_samples_exact_mode():
@@ -364,6 +371,62 @@ def _doc(**overrides):
     return base
 
 
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6)
+_TOP_FIELDS = ("dim_x", "dim_y", "mode", "profile_x", "profile_y",
+               "degree_cap", "terms")
+_TERM_FIELDS = ("output", "alpha", "beta", "value")
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(_TOP_FIELDS),
+              _JSON | st.sampled_from(PROFILE_KINDS)),
+    st.tuples(st.just("drop"), st.sampled_from(_TOP_FIELDS)),
+    st.tuples(st.just("set_term"), st.integers(0, 2),
+              st.sampled_from(_TERM_FIELDS), _JSON),
+    st.tuples(st.just("drop_term"), st.integers(0, 2),
+              st.sampled_from(_TERM_FIELDS)),
+    st.tuples(st.just("mode"), st.sampled_from(("exact", "float"))),
+)
+
+
+@given(st.lists(_MUTATIONS, min_size=1, max_size=4))
+def test_document_reader_refuses_only_with_spec_errors(mutations):
+    # outside input reaches the CLI through equation_from_dict, whose
+    # SpecFormatError is its exit 2; any other exception would be a crash
+    doc = {
+        "dim_x": 1, "dim_y": 2, "mode": "float",
+        "profile_x": "scalar", "profile_y": "componentwise", "degree_cap": 4,
+        "terms": [
+            {"output": 0, "alpha": [1], "beta": [0, 0], "value": "1"},
+            {"output": 0, "alpha": [0], "beta": [0, 2], "value": "-1"},
+            {"output": 1, "alpha": [1], "beta": [1, 0], "value": "2"},
+        ],
+    }
+    for mutation in mutations:
+        op, *args = mutation
+        terms = doc.get("terms")
+        if op == "set":
+            doc[args[0]] = args[1]
+        elif op == "drop":
+            doc.pop(args[0], None)
+        elif op == "mode":
+            doc["mode"] = args[0]
+        elif isinstance(terms, list) and args[0] < len(terms) \
+                and isinstance(terms[args[0]], dict):
+            if op == "set_term":
+                terms[args[0]][args[1]] = args[2]
+            else:
+                terms[args[0]].pop(args[1], None)
+    try:
+        eq = equation_from_dict(doc)
+    except SpecFormatError:
+        return
+    assert isinstance(eq, EquationSpec)
+
+
 def test_document_missing_field():
     doc = _doc()
     del doc["dim_y"]
@@ -422,9 +485,9 @@ def test_equation_spec_validates_directly():
     with pytest.raises(ValueError, match="linear y term"):
         EquationSpec(1, 1,
                      SeriesMap((Series(2, 8, {(0, 1): 1.0}, FLOAT),)),
-                     NormProfile(SCALAR, 1), NormProfile(SCALAR, 1))
+                     SCALAR, SCALAR)
     with pytest.raises(ValueError, match="constant term"):
         EquationSpec(1, 1,
                      SeriesMap((Series(2, 8, {(0, 0): 1.0, (1, 0): 1.0},
                                        FLOAT),)),
-                     NormProfile(SCALAR, 1), NormProfile(SCALAR, 1))
+                     SCALAR, SCALAR)

@@ -20,7 +20,6 @@ from impsolve import (
     FLOAT,
     EquationSpec,
     ITERATIVE,
-    NormProfile,
     PARTITION_ORACLE,
     PARTITION_ORACLE_MAX_DEGREE,
     Series,
@@ -46,17 +45,14 @@ def system_example(mode=EXACT, cap=4):
     comp0 = Series(3, cap, {(1, 0, 0): conv(1), (0, 0, 2): conv(1)}, mode)
     comp1 = Series(3, cap, {(2, 0, 0): conv(2), (0, 1, 1): conv(1)}, mode)
     return EquationSpec(1, 2, SeriesMap((comp0, comp1)),
-                        NormProfile(COMPONENTWISE, 1),
-                        NormProfile(COMPONENTWISE, 2))
+                        COMPONENTWISE, COMPONENTWISE)
 
 
 def scalar_equation(terms, mode=EXACT, cap=9):
     """y = psi(x, y) from a dict over exponents (x, y)."""
     conv = (lambda v: F(v)) if mode == EXACT else float
     psi = Series(2, cap, {g: conv(v) for g, v in terms.items()}, mode)
-    return EquationSpec(1, 1, SeriesMap((psi,)),
-                        NormProfile(COMPONENTWISE, 1),
-                        NormProfile(COMPONENTWISE, 1))
+    return EquationSpec(1, 1, SeriesMap((psi,)), COMPONENTWISE, COMPONENTWISE)
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +94,7 @@ def test_iterates_stop_early_when_stationary():
     # the equation y = x has the exact solution after one round
     eq = EquationSpec(1, 1,
                       SeriesMap((Series(2, 9, {(1, 0): F(1)}, EXACT),)),
-                      NormProfile(COMPONENTWISE, 1),
-                      NormProfile(COMPONENTWISE, 1))
+                      COMPONENTWISE, COMPONENTWISE)
     iterates = list(formal_iterates(eq, 9))
     assert len(iterates) < 9
     assert dict(iterates[-1].components[0].terms) == {(1,): F(1)}

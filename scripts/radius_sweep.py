@@ -44,8 +44,8 @@ def main():
         parser.error(f"--degree must be at least {MIN_DEGREE}: the ratio "
                      f"estimate needs {MIN_DEGREE} consecutive nonzero "
                      f"coefficients")
-    if not args.tol >= 0:
-        parser.error(f"--tol must be a non-negative number, got {args.tol}")
+    if not 0 <= args.tol < math.inf:
+        parser.error(f"--tol must be a finite non-negative number, got {args.tol}")
     try:
         cs = [float(s) for s in args.curvatures.split(",")]
     except ValueError:

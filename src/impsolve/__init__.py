@@ -19,12 +19,11 @@ from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, DIVERGENCE_THRESHOLD,
 from .lattice import (AGGREGATE, COMPONENTWISE, SCALAR, ComparisonEquation,
                       EquationSpec, LatticeVec, MajorantSampleReport,
                       MajorantViolation, check_majorant_samples,
-                      equation_from_dict, equation_to_dict, lattice_abs,
-                      lattice_inf, lattice_leq, lattice_sup, majorant,
+                      equation_from_dict, equation_to_dict, majorant,
                       map_abs, norm, series_abs)
-from .series import (EXACT, FLOAT, Series, SeriesMap, SymTensorEntry,
-                     compose_series, format_value, multiindex_factorial,
-                     parse_value, series_compose, sym_tensor_entry)
+from .series import (EXACT, FLOAT, Series, SeriesMap, compose_series,
+                     format_value, multiindex_factorial, parse_value,
+                     series_compose)
 from .solver import (ITERATIVE, PARTITION_ORACLE,
                      PARTITION_ORACLE_MAX_DEGREE, SolutionSeries,
                      formal_iterates, residual, resolve_linear, solve_formal,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite
+from math import inf, isfinite
 from typing import IO, Sequence
 
 from .errors import DomainError, MonotonicityError
@@ -63,9 +63,9 @@ def _point(cmp: ComparisonEquation, v, dim: int, name: str) -> tuple:
 
 
 def check_tol(tol: float) -> None:
-    """Refuse a NaN or negative tolerance, which no loop can meet honestly."""
-    if not tol >= 0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    """Refuse a NaN, negative or infinite tolerance: none gives an honest verdict."""
+    if not 0 <= tol < inf:
+        raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
 
 
 def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,

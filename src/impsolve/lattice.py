@@ -54,35 +54,11 @@ class LatticeVec:
         self._check_dim(other)
         return LatticeVec(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def __sub__(self, other: LatticeVec) -> LatticeVec:
-        self._check_dim(other)
-        return LatticeVec(tuple(a - b for a, b in zip(self.entries, other.entries)))
-
     def scale(self, factor: Number) -> LatticeVec:
         return LatticeVec(tuple(e * factor for e in self.entries))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
-
-
-def lattice_abs(v: LatticeVec) -> LatticeVec:
-    return LatticeVec(tuple(abs(e) for e in v.entries))
-
-
-def lattice_sup(a: LatticeVec, b: LatticeVec) -> LatticeVec:
-    a._check_dim(b)
-    return LatticeVec(tuple(max(x, y) for x, y in zip(a.entries, b.entries)))
-
-
-def lattice_inf(a: LatticeVec, b: LatticeVec) -> LatticeVec:
-    a._check_dim(b)
-    return LatticeVec(tuple(min(x, y) for x, y in zip(a.entries, b.entries)))
-
-
-def lattice_leq(a: LatticeVec, b: LatticeVec) -> bool:
-    """Entrywise partial order; incomparable pairs come out False both ways."""
-    a._check_dim(b)
-    return all(x <= y for x, y in zip(a.entries, b.entries))
 
 
 def norm(kind: str, v: Sequence[Number]) -> LatticeVec:

@@ -30,13 +30,11 @@ feed degrees above the cap.  Evaluation and substitution share one engine:
 a series compiles its Horner plan once into a straight-line function,
 generated from integer indices alone, never from a value (``_compile``).
 
-The monomial coefficient ``c[alpha]`` of a degree-``n`` term corresponds
-to a completely symmetric n-linear form evaluated on basis vectors: the
-form applied to the basis multiset with exponent pattern ``alpha`` has
-the value ``c[alpha] * alpha!`` where ``alpha!`` is the product of the
-factorials of the entries.  :func:`sym_tensor_entry` performs that
-conversion; dividing the returned value by ``alpha!`` recovers the
-monomial coefficient, so the two representations round-trip.
+The monomial coefficient ``c[alpha]`` of a degree-``n`` term is the value
+of the completely symmetric n-linear coefficient form on the basis
+multiset with exponent pattern ``alpha``, divided by ``alpha!``, the
+product of the factorials of the entries.  The solver's partition oracle
+works in that multilinear form.
 """
 
 from __future__ import annotations
@@ -124,12 +122,20 @@ def coerce_value(value: Number, mode: str) -> Number:
         raise ValueError(
             "float mode does not accept Fraction coefficients; convert explicitly")
     if isinstance(value, (int, float)):
-        out = float(value)
+        out = _float(value)
         if not math.isfinite(out):
             raise ValueError(f"float coefficients must be finite, got {out!r}")
         return out
     raise ValueError(
         f"float mode takes float or int coefficients, got {type(value).__name__}")
+
+
+def _float(value: Number) -> float:
+    """``float(value)``, refusing an int or Fraction beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"coefficient {value} is too large for a float") from None
 
 
 def format_value(value: Number, mode: str) -> str:
@@ -212,10 +218,6 @@ class Series:
         return cls(num_vars, degree_cap, {}, mode)
 
     @classmethod
-    def constant(cls, num_vars: int, degree_cap: int, mode: str, value: Number) -> Series:
-        return cls(num_vars, degree_cap, {(0,) * num_vars: value}, mode)
-
-    @classmethod
     def monomial(cls, num_vars: int, degree_cap: int, mode: str,
                  exponents: Sequence[int], value: Number) -> Series:
         return cls(num_vars, degree_cap, {tuple(exponents): value}, mode)
@@ -270,7 +272,7 @@ class Series:
         if self.mode == FLOAT:
             return self
         return Series._ring(self.num_vars, self.degree_cap,
-                            {a: float(v) for a, v in self.terms.items()}, FLOAT)
+                            {a: _float(v) for a, v in self.terms.items()}, FLOAT)
 
     # -- ring operations ------------------------------------------------
 
@@ -537,38 +539,3 @@ def series_compose(outer: SeriesMap, inner: SeriesMap) -> SeriesMap:
             f"takes {outer.num_vars} variables")
     return SeriesMap(tuple(compose_series(comp, inner.components)
                            for comp in outer.components))
-
-
-@dataclass(frozen=True)
-class SymTensorEntry:
-    """Value of the symmetric multilinear coefficient form on basis vectors."""
-
-    degree: int
-    index_multiset: tuple[int, ...]
-    value: Number
-
-
-def sym_tensor_entry(series: Series, index_multiset: Sequence[int]) -> SymTensorEntry:
-    """Evaluate the degree-n coefficient form on a multiset of basis vectors.
-
-    ``index_multiset`` lists variable indices with multiplicity; its
-    length picks the degree.  The returned value is the monomial
-    coefficient times the factorial of the exponent pattern, which is
-    exactly the value of the symmetric n-linear coefficient form on the
-    corresponding basis vectors.
-    """
-    idx = tuple(sorted(index_multiset))
-    for j in idx:
-        if not isinstance(j, int) or isinstance(j, bool) or not 0 <= j < series.num_vars:
-            raise ValueError(
-                f"variable index {j!r} out of range for {series.num_vars} variables")
-    n = len(idx)
-    if n > series.degree_cap:
-        raise ValueError(
-            f"degree {n} exceeds the series cap {series.degree_cap}")
-    counts = [0] * series.num_vars
-    for j in idx:
-        counts[j] += 1
-    alpha = tuple(counts)
-    value = series.coefficient(alpha) * multiindex_factorial(alpha)
-    return SymTensorEntry(degree=n, index_multiset=idx, value=value)

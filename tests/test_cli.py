@@ -387,14 +387,29 @@ def test_rational_in_float_mode(spec_file, capsys):
     ["hille", "--tol", "-1"],
     ["membership", "--X", "0.2", "--tol", "nan"],
     ["iterate", "--X", "0.2", "--tol=-1e-12"],
+    # on an exact spec Fraction(inf) raised OverflowError: a traceback, exit 1
+    ["membership", "--X", "1/5", "--tol", "inf"],
 ])
 def test_bad_tol_is_a_usage_error(spec_file, capsys, argv):
-    path = spec_file(dict(QUAD_MINUS, terms=[
-        {"output": 0, "alpha": [1], "beta": [0], "value": "1.0"},
-        {"output": 0, "alpha": [0], "beta": [2], "value": "1.0"}]))
+    path = spec_file(QUAD_PLUS_EXACT if "1/5" in argv else QUAD_PLUS)
     code, out, err = run(capsys, argv[:1] + ["--spec", path] + argv[1:])
     assert code == 2 and not out
     assert "tol" in err
+
+
+@pytest.mark.parametrize("argv", [["hille"], ["region"],
+                                  ["radius", "--direction", "1.0"]])
+def test_coefficient_beyond_the_float_range_is_a_usage_error(spec_file, capsys,
+                                                             argv):
+    # converting the exact equation to float raised OverflowError: a
+    # traceback and exit 1
+    path = spec_file(dict(QUAD_PLUS_EXACT, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": str(10 ** 400)}]))
+    code, out, err = run(capsys, argv[:1] + ["--spec", path] + argv[1:])
+    assert code == 2 and not out
+    assert err.startswith("error: coefficient 1000")
+    assert err.endswith(" is too large for a float\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -506,6 +521,21 @@ def test_record_document_text_is_frozen(spec_file, capsys, doc, argv, expected):
     path = spec_file(doc)
     code, out, err = run(capsys, [argv[0], "--spec", path, *argv[1:]])
     assert (code, out, err) == (0, expected, "")
+
+
+def test_trace_without_bounds_text_is_frozen(spec_file, capsys):
+    # three steps do not settle at X = 1/4, the boundary, so the trace has
+    # no error bounds and their column stays empty
+    path = spec_file(QUAD_PLUS)
+    code, out, err = run(capsys, ["iterate", "--spec", path, "--X", "0.25",
+                                  "--max-iter", "3"])
+    assert (code, out, err) == (0, """\
+p,Y0,bound0,delta0
+0,0.0,,0.0
+1,0.25,,0.25
+2,0.3125,,0.0625
+3,0.34765625,,0.03515625
+""", "")
 
 
 EXACT_AGGREGATE = {

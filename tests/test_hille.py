@@ -15,8 +15,13 @@ import impsolve.hille
 from impsolve import (
     EXACT,
     FAILED,
+    FLOAT,
     FOUND,
+    ITERATIVE,
     LatticeVec,
+    Series,
+    SeriesMap,
+    SolutionSeries,
     UNBOUNDED,
     empirical_radius,
     hille_point,
@@ -273,10 +278,12 @@ def test_radius_rejects_bad_direction():
         radius_along_ray(quadratic_comparison(), LatticeVec((-1.0,)))
 
 
-@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("-inf")])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("-inf"),
+                                 float("inf")])
 def test_bad_tol_rejected(tol):
     # a NaN tol left the bracket unrefined at [0.125, 1.0]; a negative one
-    # made hille_point report its exact turning point as failed
+    # made hille_point report its exact turning point as failed, and an
+    # infinite one report a point only bisection-accurate as found
     with pytest.raises(ValueError, match="tol"):
         radius_along_ray(quadratic_comparison(), LatticeVec((1.0,)), tol=tol)
     with pytest.raises(ValueError, match="tol"):
@@ -318,6 +325,30 @@ def test_empirical_radius_needs_a_long_run():
     sol = solve_formal(quadratic_equation(), 8)
     with pytest.raises(ValueError, match="at least 10"):
         empirical_radius(sol)
+
+
+def _solution(*components, cap=12):
+    return SolutionSeries(SeriesMap(components), cap, ITERATIVE)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: trace_graph(quadratic_comparison(), 1.0, 0),
+     "steps must be positive"),
+    (lambda: radius_along_ray(quadratic_comparison(), (-1.0,)),
+     "direction must be non-negative and nonzero"),
+    (lambda: radius_along_ray(quadratic_comparison(), LatticeVec((1.0, 1.0))),
+     "direction has dimension 2, expected 1"),
+    (lambda: empirical_radius(_solution(Series(1, 12, {(1,): 1.0}, FLOAT),
+                                        Series(1, 12, {(1,): 1.0}, FLOAT))),
+     "needs a scalar single-variable solution"),
+    (lambda: empirical_radius(_solution(
+        Series(1, 12, {(2,): 1.0, (4,): 1.0, (6,): 2.0}, FLOAT))),
+     "no consecutive nonzero coefficients found"),
+], ids=["no steps", "tuple direction", "direction too long",
+        "two components", "even powers only"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

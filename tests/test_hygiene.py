@@ -114,9 +114,13 @@ def test_unreferenced_definition_is_detected():
                          frozenset({"unused", "zeros"})) == []
 
 
+def _package_sources() -> dict[str, str]:
+    return {p.name: p.read_text(encoding="utf-8")
+            for p in sorted((ROOT / "src" / "impsolve").glob("*.py"))}
+
+
 def test_every_definition_is_referenced():
-    defining = {p.name: p.read_text(encoding="utf-8")
-                for p in sorted((ROOT / "src" / "impsolve").glob("*.py"))}
+    defining = _package_sources()
     referencing = [p.read_text(encoding="utf-8")
                    for d in REFERENCING_DIRS
                    for p in sorted((ROOT / d).rglob("*.py"))]
@@ -124,3 +128,23 @@ def test_every_definition_is_referenced():
     entry_points = frozenset(re.findall(
         r'"[\w.]+:(\w+)"', (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
     assert _unreferenced(defining, referencing, entry_points) == []
+
+
+# Named outside the unit tests by nothing, and kept on purpose.
+LIBRARY_ONLY = frozenset({
+    "is_zero",  # tests of the solver and of residuals check results with it
+    "from_records",  # the one round-trip check of to_records, which solve writes
+    "residual",  # documented library capability: the defect of a solution
+    "resolve_linear",  # documented library capability: the linear-y normal form
+})
+
+
+def test_every_definition_is_used_beyond_its_unit_tests():
+    users = [p for p in sorted((ROOT / "src").rglob("*.py"))
+             if p.name != "__init__.py"]
+    users += sorted((ROOT / "scripts").rglob("*.py"))
+    users += [p for p in sorted((ROOT / "perfbench").rglob("*.py"))
+              if not p.name.startswith("test_")]
+    users.append(ROOT / "tests" / "test_acceptance.py")
+    referencing = [p.read_text(encoding="utf-8") for p in users]
+    assert _unreferenced(_package_sources(), referencing, LIBRARY_ONLY) == []

@@ -232,23 +232,40 @@ def test_large_tol_does_not_certify_a_point_outside():
     # outside; at tol 1 the first step, from 0 to 0.3, counts as settled
     assert membership(quadratic_comparison(), X_at(0.3), tol=1).verdict != INSIDE
 
-@pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("-inf")])
+@pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("-inf"),
+                                 float("inf")])
 def test_bad_tol_rejected(tol):
     # with a NaN tol no step ever settled: X = 0.2, inside, spent the whole
-    # budget and came back unresolved
-    cmp_eq = quadratic_comparison()
-    with pytest.raises(ValueError, match="tol"):
-        membership(cmp_eq, X_at(0.2), tol=tol)
-    with pytest.raises(ValueError, match="tol"):
-        iterate_comparison(cmp_eq, X_at(0.2), tol=tol)
-    eq = quadratic_equation(sign=-1)
-    with pytest.raises(ValueError, match="tol"):
-        iterate_primal(eq, (0.2,), majorant(eq), tol=tol)
+    # budget and came back unresolved; an infinite tol took the first step
+    # as settled in float and raised OverflowError from Fraction(inf) in exact
+    for mode, x in ((FLOAT, 0.2), (EXACT, Fraction(1, 5))):
+        cmp_eq = quadratic_comparison(mode)
+        with pytest.raises(ValueError, match="tol"):
+            membership(cmp_eq, X_at(x), tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            iterate_comparison(cmp_eq, X_at(x), tol=tol)
+        eq = quadratic_equation(mode, sign=-1)
+        with pytest.raises(ValueError, match="tol"):
+            iterate_primal(eq, (x,), majorant(eq), tol=tol)
 
 
 def test_zero_tol_is_legal():
     got = membership(quadratic_comparison(), X_at(0.2), budget=20, tol=0.0)
     assert got.iterations_used == 20
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: membership(quadratic_comparison(), X_at(0.2), budget=0),
+     "max_iter must be positive"),
+    (lambda: iterate_comparison(quadratic_comparison(), X_at(0.2), max_iter=0),
+     "max_iter must be positive"),
+    (lambda: iterate_primal(quadratic_equation(), (0.1, 0.1),
+                            quadratic_comparison()),
+     "x has 2 entries, expected 1"),
+], ids=["membership budget 0", "iterate max_iter 0", "primal x too long"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------

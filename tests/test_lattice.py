@@ -27,10 +27,6 @@ from impsolve import (
     compose_series,
     equation_from_dict,
     equation_to_dict,
-    lattice_abs,
-    lattice_inf,
-    lattice_leq,
-    lattice_sup,
     majorant,
     norm,
     series_abs,
@@ -55,37 +51,9 @@ def frac_vecs(draw, dim=3):
 # ---------------------------------------------------------------------------
 # lattice vectors
 
-@given(frac_vecs(), frac_vecs())
-def test_sup_inf_bound_their_arguments(a, b):
-    s, i = lattice_sup(a, b), lattice_inf(a, b)
-    assert lattice_leq(a, s) and lattice_leq(b, s)
-    assert lattice_leq(i, a) and lattice_leq(i, b)
-
-
-@given(frac_vecs(), frac_vecs())
-def test_sup_plus_inf_identity(a, b):
-    lhs = lattice_sup(a, b) + lattice_inf(a, b)
-    assert lhs.entries == (a + b).entries
-
-
-@given(frac_vecs(), frac_vecs())
-def test_abs_triangle(a, b):
-    assert lattice_leq(lattice_abs(a + b), lattice_abs(a) + lattice_abs(b))
-
-
-@given(frac_vecs())
-def test_abs_via_sup(a):
-    assert lattice_abs(a).entries == lattice_sup(a, a.scale(-1)).entries
-
-
-def test_order_is_partial():
-    a, b = LatticeVec((1, 0)), LatticeVec((0, 1))
-    assert not lattice_leq(a, b) and not lattice_leq(b, a)
-
-
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        lattice_sup(LatticeVec((1,)), LatticeVec((1, 2)))
+        LatticeVec((1,)) + LatticeVec((1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +81,9 @@ def test_norm_axioms(a, b, t):
             (a.entries == (0, 0, 0))
         scaled = norm(profile, LatticeVec(tuple(t * e for e in a.entries)))
         assert scaled.entries == na.scale(abs(t)).entries
-        assert lattice_leq(norm(profile, a + b), na + norm(profile, b))
+        triangle = zip(norm(profile, a + b).entries,
+                       (na + norm(profile, b)).entries)
+        assert all(lhs <= rhs for lhs, rhs in triangle)
 
 
 # ---------------------------------------------------------------------------
@@ -491,3 +461,23 @@ def test_equation_spec_validates_directly():
                      SeriesMap((Series(2, 8, {(0, 0): 1.0, (1, 0): 1.0},
                                        FLOAT),)),
                      SCALAR, SCALAR)
+
+
+def _zero_map(num_vars, outputs=1, cap=4):
+    return SeriesMap.zero(num_vars, cap, FLOAT, outputs)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1, 1, _zero_map(2), "sup", COMPONENTWISE), "unknown norm profile kind"),
+    ((0, 1, _zero_map(1), COMPONENTWISE, COMPONENTWISE),
+     "dim_x and dim_y must be positive"),
+    ((1, 1, _zero_map(3), COMPONENTWISE, COMPONENTWISE),
+     "psi has 3 variables, expected 2"),
+    ((1, 2, _zero_map(3), COMPONENTWISE, COMPONENTWISE),
+     "psi has 1 outputs, expected 2"),
+    ((1, 1, _zero_map(2, cap=0), COMPONENTWISE, COMPONENTWISE),
+     "the degree cap must be at least 1"),
+], ids=["unknown kind", "dim_x 0", "variables", "outputs", "cap 0"])
+def test_equation_spec_refusals(args, message):
+    with pytest.raises(ValueError, match=message):
+        EquationSpec(*args)

@@ -45,6 +45,8 @@ def test_radius_sweep_rejects_a_degree_below_ten():
     (["scripts/radius_sweep.py", "--curvatures", "0"], "--curvatures"),
     (["scripts/radius_sweep.py", "--curvatures", "-1"], "--curvatures"),
     (["scripts/radius_sweep.py", "--tol", "nan"], "--tol"),
+    # an infinite tol left every ray bracket unrefined
+    (["scripts/radius_sweep.py", "--tol", "inf"], "--tol"),
 ])
 def test_script_refuses_an_out_of_range_option(argv, message):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -24,7 +24,6 @@ from impsolve import (
     parse_value,
     series_compose,
     solve_formal,
-    sym_tensor_entry,
 )
 from impsolve import series as series_module
 
@@ -94,7 +93,7 @@ def test_constructors():
     m = Series.monomial(2, 6, EXACT, (1, 2), F(3))
     assert m.coefficient((1, 2)) == F(3)
     assert Series.zero(2, 6, EXACT).is_zero()
-    c = Series.constant(2, 6, EXACT, F(5))
+    c = Series.monomial(2, 6, EXACT, (0, 0), F(5))
     assert c.constant_term == F(5)
 
 
@@ -132,6 +131,14 @@ def test_non_finite_float_coefficients_rejected():
     big = Series(1, 2, {(1,): 1e200}, FLOAT)
     with pytest.raises(ValueError, match="finite"):
         big * big  # 1e400 overflows to inf
+
+
+def test_exact_values_beyond_the_float_range_are_refused():
+    # float() raised OverflowError, which callers do not take for a bad value
+    with pytest.raises(ValueError, match=r"^coefficient 10{400} is too large"):
+        series_module.coerce_value(10 ** 400, FLOAT)
+    with pytest.raises(ValueError, match=r"^coefficient 10{400}/3 is too large"):
+        Series(1, 2, {(1,): F(10 ** 400, 3)}, EXACT).as_float()
 
 
 def test_cap_mismatch_rejected():
@@ -385,35 +392,6 @@ def test_series_map_identity_composition():
     again = series_compose(m, ident)
     for a, b in zip(again.components, m.components):
         assert dict(a.terms) == dict(b.terms)
-
-
-# ---------------------------------------------------------------------------
-# symmetric tensor view
-
-def test_sym_tensor_frozen():
-    s = make({(2, 1): F(5)})
-    e = sym_tensor_entry(s, (0, 0, 1))
-    assert e.degree == 3
-    assert e.value == F(5) * 2  # coefficient times (2,1)! = 2
-
-
-@given(exact_terms())
-def test_sym_tensor_round_trip(ts):
-    s = make(ts)
-    for expo, val in ts.items():
-        if val == 0:
-            continue
-        idx = (0,) * expo[0] + (1,) * expo[1]
-        got = sym_tensor_entry(s, idx)
-        assert got.value == val * multiindex_factorial(expo)
-        # and back: coefficient = entry / alpha!
-        assert got.value / multiindex_factorial(expo) == s.coefficient(expo)
-
-
-def test_sym_tensor_bad_index():
-    s = make({(1, 0): F(1)})
-    with pytest.raises(ValueError):
-        sym_tensor_entry(s, (0, 5))
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from impsolve import (
     PARTITION_ORACLE_MAX_DEGREE,
     Series,
     SeriesMap,
+    SolutionSeries,
     formal_iterates,
     majorant,
     resolve_linear,
@@ -366,3 +367,24 @@ def test_resolve_linear_without_linear_part_is_identity():
     again = resolve_linear(eq.psi, 1, 1)
     assert dict(again.psi.components[0].terms) == \
         dict(eq.psi.components[0].terms)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: SolutionSeries(SeriesMap.zero(1, 3, EXACT, 1), 4, ITERATIVE),
+     "solution cap does not match its series"),
+    (lambda: SolutionSeries(SeriesMap.zero(1, 4, EXACT, 1), 4, "newton"),
+     "unknown solution source 'newton'"),
+    (lambda: residual(system_example(), solve_formal(quadratic_equation(EXACT), 4)),
+     "solution shape does not match the equation"),
+    (lambda: solve_partition_oracle(quadratic_equation(EXACT),
+                                    PARTITION_ORACLE_MAX_DEGREE + 1),
+     "the partition oracle is capped at degree 6, got 7"),
+    (lambda: resolve_linear(SeriesMap.zero(3, 4, EXACT, 1), 1, 1),
+     "map has 3 variables, expected 2"),
+    (lambda: resolve_linear(SeriesMap.zero(2, 4, EXACT, 2), 1, 1),
+     "map has 2 outputs, expected 1"),
+], ids=["cap mismatch", "unknown source", "residual shape", "oracle degree 7",
+        "resolve variables", "resolve outputs"])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

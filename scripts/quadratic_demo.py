@@ -30,7 +30,7 @@ from impsolve import (
 
 def build_equation(cap):
     psi = SeriesMap((Series(2, cap, {(1, 0): 1.0, (0, 2): -1.0}, FLOAT),))
-    return EquationSpec(1, 1, psi, COMPONENTWISE, COMPONENTWISE)
+    return EquationSpec(psi, COMPONENTWISE, COMPONENTWISE)
 
 
 def closed_form(x):

@@ -29,7 +29,7 @@ MIN_DEGREE = 10
 
 def family_member(c, cap):
     psi = SeriesMap((Series(2, cap, {(1, 0): 1.0, (0, 2): c}, FLOAT),))
-    return ComparisonEquation(1, 1, psi)
+    return ComparisonEquation(psi)
 
 
 def main():

@@ -52,7 +52,7 @@ def parse_spec(path: str) -> EquationSpec:
 
 def _comparison(eq: EquationSpec) -> ComparisonEquation:
     try:
-        return ComparisonEquation(eq.dim_x, eq.dim_y, eq.psi)
+        return ComparisonEquation(eq.psi)
     except ValueError as exc:
         raise SpecFormatError(
             f"{exc}; run the majorant verb first to build a comparison "
@@ -105,7 +105,7 @@ def _cmd_majorant(args):
 
 
 def _cmd_hille(args):
-    return hille_point(_comparison(parse_spec(args.spec)), tol=args.tol)
+    return hille_point(_comparison(parse_spec(args.spec)))
 
 
 def _cmd_iterate(args):
@@ -127,7 +127,7 @@ def _cmd_membership(args):
     eq = parse_spec(args.spec)
     cmp = _comparison(eq)
     X = _parse_vector(args.X, eq.mode, "--X")
-    return membership(cmp, X, args.budget, args.tol)
+    return membership(cmp, X, args.budget)
 
 
 def _cmd_region(args):
@@ -154,7 +154,7 @@ def _cmd_check(args):
 def _cmd_radius(args):
     cmp = _comparison(parse_spec(args.spec))
     direction = _parse_vector(args.direction, "float", "--direction")
-    return radius_along_ray(cmp, direction, tol=args.tol, budget=args.budget)
+    return radius_along_ray(cmp, direction, tol=args.tol)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hille", help="turning point of the comparison graph")
     common(p)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_hille)
 
     p = sub.add_parser("iterate", help="fixed-point iteration trace (CSV)")
@@ -197,7 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--X", required=True, help="comparison point, comma-separated")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.set_defaults(func=_cmd_membership)
 
     p = sub.add_parser("region", help="trace the comparison graph (CSV)")
@@ -219,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True,
                    help="ray direction, comma-separated, non-negative")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_radius)
 
     return parser

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import IO, Callable, NamedTuple
 
-from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, INSIDE, OUTSIDE,
-                          check_tol, membership)
+from .kantorovich import DEFAULT_TOL, INSIDE, OUTSIDE, check_tol, membership
 from .lattice import ComparisonEquation, LatticeVec
-from .series import Number, Series, zero_value
+from .series import Number, Series, _float, zero_value
 from .solver import SolutionSeries
 
 FOUND = "found"
@@ -125,17 +124,16 @@ def _graph_x(psi: Series, Y: float) -> float | None:
     return 0.5 * (lo + hi)
 
 
-def hille_point(cmp: ComparisonEquation, tol: float = 1e-12) -> HillePoint:
+def hille_point(cmp: ComparisonEquation) -> HillePoint:
     """Locate the vertical-tangent point of the comparison graph.
 
     Brackets the turn by doubling ``Y = (2^k - 1)/1024``, bisects it, then
     polishes the two-equation system with Newton steps until both residuals
-    drop below ``tol``.  A probe past the end of the graph reads as past the
-    turn: below it the graph rises, so it can only end beyond.  With the
-    derivative below one all the way to ``Y_CAP`` the point is unbounded; a
-    Newton stall is reported as failed with the last iterate.
+    drop below ``DEFAULT_TOL``.  A probe past the end of the graph reads as
+    past the turn: below it the graph rises, so it can only end beyond.
+    With the derivative below one all the way to ``Y_CAP`` the point is
+    unbounded; a Newton stall is reported as failed with the last iterate.
     """
-    check_tol(tol)
     psi = _scalar_series(cmp)
     psi_y = psi.partial(1)
 
@@ -155,10 +153,10 @@ def hille_point(cmp: ComparisonEquation, tol: float = 1e-12) -> HillePoint:
     if X is None:
         X = _graph_x(psi, lo)
         Y = lo
-    return _newton_polish(psi, X, Y, tol)
+    return _newton_polish(psi, X, Y)
 
 
-def _newton_polish(psi: Series, X: float, Y: float, tol: float) -> HillePoint:
+def _newton_polish(psi: Series, X: float, Y: float) -> HillePoint:
     psi_x = psi.partial(0)
     psi_y = psi.partial(1)
     psi_xy = psi_x.partial(1)
@@ -171,7 +169,7 @@ def _newton_polish(psi: Series, X: float, Y: float, tol: float) -> HillePoint:
     best = max(abs(g1), abs(g2))
     stall = 0
     for _ in range(60):
-        if best <= tol:
+        if best <= DEFAULT_TOL:
             break
         j11 = -psi_x.evaluate((X, Y))
         j12 = 1.0 - psi_y.evaluate((X, Y))
@@ -192,7 +190,7 @@ def _newton_polish(psi: Series, X: float, Y: float, tol: float) -> HillePoint:
             stall += 1
             if stall >= 5:
                 break
-    status = FOUND if best <= tol else FAILED
+    status = FOUND if best <= DEFAULT_TOL else FAILED
     return HillePoint(X, Y, abs(g1), abs(g2), status)
 
 
@@ -220,11 +218,10 @@ def trace_graph(cmp: ComparisonEquation, Y_max: float, steps: int) -> RegionSamp
             omitted.append(Y)
             continue
         points.append(GraphPoint(X, Y, psi_y.evaluate((X, Y))))
-    turning = None
-    if points:
-        turning = max(range(len(points)), key=lambda k: points[k].X)
-        if turning == len(points) - 1:
-            turning = None
+    # Y = 0 always gives X = 0, as psi has no constant term, so points is not empty
+    turning = max(range(len(points)), key=lambda k: points[k].X)
+    if turning == len(points) - 1:
+        turning = None
     return RegionSample(points=tuple(points), turning_index=turning,
                         omitted=tuple(omitted))
 
@@ -238,8 +235,7 @@ def region_to_csv(sample: RegionSample, stream: IO[str]) -> None:
 
 
 def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
-                     tol: float = DEFAULT_TOL,
-                     budget: int = DEFAULT_BUDGET) -> RayRadius:
+                     tol: float = DEFAULT_TOL) -> RayRadius:
     """Bracket the boundary of the convergence region along a ray.
 
     Returns scales ``t_inside <= t_outside`` with membership certified
@@ -258,13 +254,13 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     if direction.dimension != cmp.dim_x:
         raise ValueError(
             f"direction has dimension {direction.dimension}, expected {cmp.dim_x}")
-    dir_entries = tuple(float(e) for e in direction.entries)
+    dir_entries = tuple(_float(e) for e in direction.entries)
     if any(e < 0 for e in dir_entries) or all(e == 0 for e in dir_entries):
         raise ValueError("direction must be non-negative and nonzero")
 
     def verdict(t: float) -> str:
         X = LatticeVec(tuple(t * e for e in dir_entries))
-        return membership(cmp, X, budget).verdict
+        return membership(cmp, X).verdict
 
     t_in = 0.0
     t = 1.0
@@ -281,7 +277,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
         if v == OUTSIDE:
             t_out = t
             break
-        if v == INSIDE and t > t_in:
+        if v == INSIDE:
             t_in = t
         t *= 2.0
     if t_out is None:

@@ -180,12 +180,13 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
 
 
 def membership(cmp: ComparisonEquation, X: LatticeVec,
-               budget: int = DEFAULT_BUDGET, tol: float = DEFAULT_TOL) -> Membership:
+               budget: int = DEFAULT_BUDGET) -> Membership:
     """Classify ``X`` against the convergence region of the comparison equation.
 
-    The iteration of :func:`iterate_comparison`, keeping only its last iterate.
+    The iteration of :func:`iterate_comparison` at ``DEFAULT_TOL``, keeping
+    only its last iterate.
     """
-    _, (Y,), used, verdict = _kleene(cmp, X, budget, tol, keep=False)
+    _, (Y,), used, verdict = _kleene(cmp, X, budget, DEFAULT_TOL, keep=False)
     return Membership(verdict, LatticeVec(Y) if verdict == INSIDE else None, used,
                       witness=LatticeVec(Y) if verdict == OUTSIDE else None)
 

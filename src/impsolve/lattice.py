@@ -15,7 +15,7 @@ construction of the dominating comparison equation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite
 from typing import Mapping, Sequence
@@ -54,9 +54,6 @@ class LatticeVec:
         self._check_dim(other)
         return LatticeVec(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
-    def scale(self, factor: Number) -> LatticeVec:
-        return LatticeVec(tuple(e * factor for e in self.entries))
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
@@ -74,20 +71,20 @@ def norm(kind: str, v: Sequence[Number]) -> LatticeVec:
 class EquationSpec:
     """An implicit equation ``y = psi(x, y)`` in normalized form.
 
-    ``psi`` is a truncated map in ``dim_x + dim_y`` variables (the x block
-    first) with ``dim_y`` outputs, no constant term, and no term linear in
-    y alone.  ``profile_x`` and ``profile_y`` are the kinds of norm that
-    measure each side, one of ``PROFILE_KINDS``; a scalar one needs a side
-    of dimension 1.
+    ``psi`` is a truncated map with no constant term and no term linear in
+    y alone.  Its outputs are the unknowns y, so ``dim_y`` is its output
+    count, and its other variables, which come first, are the x block.
+    ``profile_x`` and ``profile_y`` are the kinds of norm that measure each
+    side, one of ``PROFILE_KINDS``; a scalar one needs a side of dimension 1.
     """
 
-    dim_x: int
-    dim_y: int
     psi: SeriesMap
     profile_x: str
     profile_y: str
 
     def __post_init__(self) -> None:
+        if self.dim_x < 1:
+            raise ValueError("dim_x and dim_y must be positive")
         for kind, dim in ((self.profile_x, self.dim_x),
                           (self.profile_y, self.dim_y)):
             if kind not in PROFILE_KINDS:
@@ -96,15 +93,6 @@ class EquationSpec:
             if kind == SCALAR and dim != 1:
                 raise ValueError(
                     "a scalar norm profile needs a one-dimensional primal space")
-        if self.dim_x < 1 or self.dim_y < 1:
-            raise ValueError("dim_x and dim_y must be positive")
-        if self.psi.num_vars != self.dim_x + self.dim_y:
-            raise ValueError(
-                f"psi has {self.psi.num_vars} variables, expected "
-                f"{self.dim_x + self.dim_y}")
-        if self.psi.output_dim != self.dim_y:
-            raise ValueError(
-                f"psi has {self.psi.output_dim} outputs, expected {self.dim_y}")
         if self.psi.degree_cap < 1:
             raise ValueError("the degree cap must be at least 1")
         for i, comp in enumerate(self.psi.components):
@@ -117,6 +105,14 @@ class EquationSpec:
                     raise SpecFormatError(
                         f"component {i}: linear y term {tuple(gamma)} is not "
                         f"allowed; resolve the linear part first")
+
+    @property
+    def dim_x(self) -> int:
+        return self.psi.num_vars - self.psi.output_dim
+
+    @property
+    def dim_y(self) -> int:
+        return self.psi.output_dim
 
     @property
     def mode(self) -> str:
@@ -136,8 +132,8 @@ class ComparisonEquation(EquationSpec):
     monotonically.
     """
 
-    def __init__(self, dim_x: int, dim_y: int, psi: SeriesMap) -> None:
-        super().__init__(dim_x, dim_y, psi, COMPONENTWISE, COMPONENTWISE)
+    def __init__(self, psi: SeriesMap) -> None:
+        super().__init__(psi, COMPONENTWISE, COMPONENTWISE)
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -151,7 +147,7 @@ class ComparisonEquation(EquationSpec):
     def as_float(self) -> ComparisonEquation:
         if self.mode == FLOAT:
             return self
-        return ComparisonEquation(self.dim_x, self.dim_y, self.psi.as_float())
+        return ComparisonEquation(self.psi.as_float())
 
 
 def series_abs(s: Series) -> Series:
@@ -177,7 +173,7 @@ def majorant(eq: EquationSpec) -> ComparisonEquation:
     operator norm.
     """
     if AGGREGATE not in (eq.profile_x, eq.profile_y):
-        return ComparisonEquation(eq.dim_x, eq.dim_y, map_abs(eq.psi))
+        return ComparisonEquation(map_abs(eq.psi))
     p = eq.dim_x
     cap = eq.degree_cap
     mode = eq.mode
@@ -195,7 +191,7 @@ def majorant(eq: EquationSpec) -> ComparisonEquation:
             if key not in terms or value > terms[key]:
                 terms[key] = value
     collapsed = Series(2, cap, {(m, n): v for (m, n), v in terms.items()}, mode)
-    return ComparisonEquation(1, 1, SeriesMap((collapsed,)))
+    return ComparisonEquation(SeriesMap((collapsed,)))
 
 
 # -- sampled domination check -------------------------------------------
@@ -215,11 +211,7 @@ class MajorantViolation:
 class MajorantSampleReport:
     points_checked: int
     increments_checked: int
-    violations: tuple[MajorantViolation, ...] = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    violations: tuple[MajorantViolation, ...]
 
 
 def _draw_point(rng: random.Random, lo: LatticeVec, hi: LatticeVec, mode: str):
@@ -417,6 +409,6 @@ def equation_from_dict(data: Mapping) -> EquationSpec:
     try:
         psi = SeriesMap(tuple(Series(dim_x + dim_y, degree_cap, d, mode)
                               for d in term_dicts))
-        return EquationSpec(dim_x, dim_y, psi, profile_x, profile_y)
+        return EquationSpec(psi, profile_x, profile_y)
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from None

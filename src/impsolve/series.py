@@ -131,11 +131,15 @@ def coerce_value(value: Number, mode: str) -> Number:
 
 
 def _float(value: Number) -> float:
-    """``float(value)``, refusing an int or Fraction beyond the float range."""
+    """``float(value)``, refusing an int or Fraction beyond the float range:
+    too large, or nonzero and so small that it rounds to zero."""
     try:
-        return float(value)
+        out = float(value)
     except OverflowError:
         raise ValueError(f"coefficient {value} is too large for a float") from None
+    if value and not out:
+        raise ValueError(f"coefficient {value} is too small for a float")
+    return out
 
 
 def format_value(value: Number, mode: str) -> str:
@@ -289,11 +293,6 @@ class Series:
 
     def __sub__(self, other: Series) -> Series:
         return self + (-other)
-
-    def scale(self, value: Number) -> Series:
-        value = coerce_value(value, self.mode)
-        return Series._ring(self.num_vars, self.degree_cap,
-                            {a: v * value for a, v in self.terms.items()}, self.mode)
 
     def __mul__(self, other: Series) -> Series:
         self._check_compatible(other, "multiply")
@@ -479,10 +478,6 @@ class SeriesMap:
 
     def evaluate(self, point: Sequence[Number]) -> tuple[Number, ...]:
         return tuple(comp.evaluate(point) for comp in self.components)
-
-    def __add__(self, other: SeriesMap) -> SeriesMap:
-        self._check_shape(other)
-        return SeriesMap(tuple(a + b for a, b in zip(self.components, other.components)))
 
     def __sub__(self, other: SeriesMap) -> SeriesMap:
         self._check_shape(other)

@@ -33,14 +33,15 @@ class SolutionSeries:
     """Truncated series of the solution branch through the origin."""
 
     phi: SeriesMap
-    degree_cap: int
     source: str
 
     def __post_init__(self) -> None:
-        if self.phi.degree_cap != self.degree_cap:
-            raise ValueError("solution cap does not match its series")
         if self.source not in (ITERATIVE, PARTITION_ORACLE):
             raise ValueError(f"unknown solution source {self.source!r}")
+
+    @property
+    def degree_cap(self) -> int:
+        return self.phi.degree_cap
 
 
 def formal_iterates(eq: EquationSpec, degree: int) -> Iterator[SeriesMap]:
@@ -89,7 +90,7 @@ def solve_formal(eq: EquationSpec, degree: int) -> SolutionSeries:
     phi = None
     for phi in formal_iterates(eq, degree):
         pass
-    return SolutionSeries(phi=phi, degree_cap=degree, source=ITERATIVE)
+    return SolutionSeries(phi=phi, source=ITERATIVE)
 
 
 def residual(eq: EquationSpec, sol: SolutionSeries) -> SeriesMap:
@@ -181,8 +182,7 @@ def solve_partition_oracle(eq: EquationSpec, degree: int) -> SolutionSeries:
                 if vec[i] != zero:
                     term_dicts[i][alpha] = vec[i] / fact
     comps = tuple(Series(p, degree, d, mode) for d in term_dicts)
-    return SolutionSeries(phi=SeriesMap(comps), degree_cap=degree,
-                          source=PARTITION_ORACLE)
+    return SolutionSeries(phi=SeriesMap(comps), source=PARTITION_ORACLE)
 
 
 def _slot_sum(xs, n, p, q, coeff, by_alpha_r, bvals, beta_zero, zero):
@@ -228,22 +228,20 @@ def _slot_sum(xs, n, p, q, coeff, by_alpha_r, bvals, beta_zero, zero):
 # -- linear resolvent ----------------------------------------------------
 
 
-def resolve_linear(raw: SeriesMap, dim_x: int, dim_y: int) -> EquationSpec:
+def resolve_linear(raw: SeriesMap) -> EquationSpec:
     """Normalize a map with a linear part in the unknowns.
 
     Given ``y = raw(x, y)`` where ``raw`` carries a linear block ``L`` in
-    the y variables, rewrite it as ``y = (I - L)^{-1} (raw - L y)`` so the
-    result satisfies the no-linear-y normal form.  ``I - L`` is inverted by
-    Gauss-Jordan elimination with partial pivoting, over the rationals in
-    exact mode.  A singular ``I - L`` is an error, and in float mode so is
-    one whose best pivot is at most 1e-13.  The result carries
-    componentwise norm profiles.
+    the y variables, its last ``raw.output_dim`` ones, rewrite it as
+    ``y = (I - L)^{-1} (raw - L y)`` so the result satisfies the
+    no-linear-y normal form.  ``I - L`` is inverted by Gauss-Jordan
+    elimination with partial pivoting, over the rationals in exact mode.
+    A singular ``I - L`` is an error, and in float mode so is one whose
+    best pivot is at most 1e-13.  The result carries componentwise norm
+    profiles.
     """
-    p, q = dim_x, dim_y
-    if raw.num_vars != p + q:
-        raise ValueError(f"map has {raw.num_vars} variables, expected {p + q}")
-    if raw.output_dim != q:
-        raise ValueError(f"map has {raw.output_dim} outputs, expected {q}")
+    q = raw.output_dim
+    p = raw.num_vars - q
     mode = raw.mode
     zero = zero_value(mode)
     one = 1 if mode == EXACT else 1.0
@@ -280,7 +278,7 @@ def resolve_linear(raw: SeriesMap, dim_x: int, dim_y: int) -> EquationSpec:
             if acc != zero:
                 term_dicts[i][gamma] = acc
     comps = tuple(Series(p + q, raw.degree_cap, d, mode) for d in term_dicts)
-    return EquationSpec(p, q, SeriesMap(comps), COMPONENTWISE, COMPONENTWISE)
+    return EquationSpec(SeriesMap(comps), COMPONENTWISE, COMPONENTWISE)
 
 
 def _invert(M: list[list], mode: str):

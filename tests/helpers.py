@@ -115,21 +115,21 @@ def quadratic_equation(mode=FLOAT, sign=1, cap=24):
     else:
         one, s = 1.0, float(sign)
     psi = SeriesMap((Series(2, cap, {(1, 0): one, (0, 2): s}, mode),))
-    return EquationSpec(1, 1, psi, COMPONENTWISE, COMPONENTWISE)
+    return EquationSpec(psi, COMPONENTWISE, COMPONENTWISE)
 
 
 def quadratic_comparison(mode=FLOAT, cap=24):
     """Y = X + Y^2 as a comparison equation."""
     one = Fraction(1) if mode == EXACT else 1.0
     psi = SeriesMap((Series(2, cap, {(1, 0): one, (0, 2): one}, mode),))
-    return ComparisonEquation(1, 1, psi)
+    return ComparisonEquation(psi)
 
 
 def scalar_comparison(terms, cap=24):
     """A one-in-one-out float comparison equation from a plain dict."""
     psi = SeriesMap((Series(2, cap, {k: float(v) for k, v in terms.items()},
                             FLOAT),))
-    return ComparisonEquation(1, 1, psi)
+    return ComparisonEquation(psi)
 
 
 def random_equation(rng, mode=EXACT, cap=8, max_terms=6):
@@ -168,7 +168,7 @@ def random_equation(rng, mode=EXACT, cap=8, max_terms=6):
                 for (out_i, alpha, beta), v in terms.items() if out_i == i}
         comps.append(Series(p + q, cap, body, mode))
     psi = SeriesMap(tuple(comps))
-    eq = EquationSpec(p, q, psi, COMPONENTWISE, COMPONENTWISE)
+    eq = EquationSpec(psi, COMPONENTWISE, COMPONENTWISE)
     return eq, terms
 
 
@@ -192,4 +192,4 @@ def random_comparison(rng, cap=8):
                 continue
             body[gamma] = rng.randint(1, 4) / 2.0
         comps.append(Series(P + Q, cap, body, FLOAT))
-    return ComparisonEquation(P, Q, SeriesMap(tuple(comps)))
+    return ComparisonEquation(SeriesMap(tuple(comps)))

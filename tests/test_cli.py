@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from impsolve.cli import main
+from impsolve.cli import build_parser, main
 from impsolve.lattice import MajorantSampleReport, MajorantViolation
 
 
@@ -384,17 +384,30 @@ def test_rational_in_float_mode(spec_file, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["radius", "--direction", "1.0", "--tol", "nan"],
-    ["hille", "--tol", "-1"],
-    ["membership", "--X", "0.2", "--tol", "nan"],
+    ["radius", "--direction", "1.0", "--tol", "-1"],
+    ["iterate", "--X", "0.2", "--tol", "nan"],
     ["iterate", "--X", "0.2", "--tol=-1e-12"],
     # on an exact spec Fraction(inf) raised OverflowError: a traceback, exit 1
-    ["membership", "--X", "1/5", "--tol", "inf"],
+    ["iterate", "--X", "1/5", "--tol", "inf"],
 ])
 def test_bad_tol_is_a_usage_error(spec_file, capsys, argv):
     path = spec_file(QUAD_PLUS_EXACT if "1/5" in argv else QUAD_PLUS)
     code, out, err = run(capsys, argv[:1] + ["--spec", path] + argv[1:])
     assert code == 2 and not out
-    assert "tol" in err
+    assert "tol must be a finite non-negative number" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["hille", "--tol", "1e-12"],
+    ["membership", "--X", "0.2", "--tol", "1e-12"],
+    ["radius", "--direction", "1.0", "--budget", "10000"],
+], ids=["hille --tol", "membership --tol", "radius --budget"])
+def test_removed_flag_is_unrecognized(spec_file, capsys, argv):
+    # hille and membership always run at DEFAULT_TOL, and radius probes at
+    # DEFAULT_BUDGET; at --tol 1 membership of X = 0.3 answered inside
+    code, out, err = run(capsys, argv[:1] + ["--spec", spec_file(QUAD_PLUS)] + argv[1:])
+    assert code == 2 and not out
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in err
 
 
 @pytest.mark.parametrize("argv", [["hille"], ["region"],
@@ -410,6 +423,22 @@ def test_coefficient_beyond_the_float_range_is_a_usage_error(spec_file, capsys,
     assert code == 2 and not out
     assert err.startswith("error: coefficient 1000")
     assert err.endswith(" is too large for a float\n")
+
+
+@pytest.mark.parametrize("argv", [["hille"], ["region"],
+                                  ["radius", "--direction", "1.0"]])
+def test_coefficient_below_the_float_range_is_a_usage_error(spec_file, capsys,
+                                                            argv):
+    # the float comparison dropped the term rounded to 0.0: hille and region
+    # refused Y = 10^-400 X + Y^2 as not depending on X, and radius answered
+    # unbounded, as for Y = Y^2
+    path = spec_file(dict(QUAD_PLUS_EXACT, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": f"1/{10 ** 400}"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "1"}]))
+    code, out, err = run(capsys, argv[:1] + ["--spec", path] + argv[1:])
+    assert code == 2 and not out
+    assert err.startswith("error: coefficient 1/1000")
+    assert err.endswith(" is too small for a float\n")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -435,6 +464,24 @@ def test_unknown_verb(capsys):
 def test_unknown_flag(spec_file, capsys):
     path = spec_file(QUAD_MINUS)
     assert run(capsys, ["solve", "--spec", path, "--frob"])[0] == 2
+
+
+def test_verb_options_are_frozen():
+    # every option is a value some caller must want to vary: one added or
+    # removed changes this map on purpose
+    verbs = next(a for a in build_parser()._actions if a.choices).choices
+    got = {verb: [s for a in p._actions if a.dest != "help" for s in a.option_strings]
+           for verb, p in verbs.items()}
+    assert got == {
+        "solve": ["--spec", "--out", "--degree", "--method"],
+        "majorant": ["--spec", "--out"],
+        "hille": ["--spec", "--out"],
+        "iterate": ["--spec", "--out", "--X", "--x", "--tol", "--max-iter"],
+        "membership": ["--spec", "--out", "--X", "--budget"],
+        "region": ["--spec", "--out", "--ymax", "--steps"],
+        "check": ["--spec", "--out", "--samples", "--seed", "--box"],
+        "radius": ["--spec", "--out", "--direction", "--tol"],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -69,35 +69,49 @@ def test_runtime_is_stdlib_only(path):
     assert _foreign_imports(path.read_text(encoding="utf-8")) == []
 
 
-def _definitions(tree: ast.AST) -> dict[str, int]:
-    """Functions, methods and classes defined in a module, dunders exempt."""
+def _definitions(tree: ast.AST) -> list[tuple[str, int, bool]]:
+    """Functions, methods and classes defined in a module, dunders exempt,
+    as ``(name, line, is_method)``."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return {node.name: node.lineno for node in ast.walk(tree)
+    methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, kinds)}
+    return [(node.name, node.lineno, id(node) in methods) for node in ast.walk(tree)
             if isinstance(node, kinds)
-            and not (node.name.startswith("__") and node.name.endswith("__"))}
+            and not (node.name.startswith("__") and node.name.endswith("__"))]
 
 
-def _references(tree: ast.AST) -> set[str]:
-    names = set()
+def _references(tree: ast.AST) -> tuple[set[str], set[str]]:
+    """Names used bare or imported, and attribute names.  An attribute of a
+    module bound by a plain import from outside the package, such as
+    ``calibrate.scale``, is not one of ours and does not count."""
+    foreign = {alias.asname or alias.name.split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names if alias.name.split(".")[0] != "impsolve"}
+    names, attrs = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            if not (isinstance(node.value, ast.Name) and node.value.id in foreign):
+                attrs.add(node.attr)
         elif isinstance(node, ast.alias):
             names.update(node.name.split("."))
-    return names
+    return names, attrs
 
 
 def _unreferenced(defining: dict[str, str], referencing: list[str],
                   named_elsewhere: frozenset[str] = frozenset()) -> list[str]:
-    used = set(named_elsewhere)
+    """Definitions no referencing source names; a method counts as named
+    only through an attribute, never by a bare name of the same spelling."""
+    names, attrs = set(named_elsewhere), set(named_elsewhere)
     for source in referencing:
-        used |= _references(ast.parse(source))
+        bare, dotted = _references(ast.parse(source))
+        names |= bare
+        attrs |= dotted
     return [f"{module} line {line}: {name}"
             for module, source in sorted(defining.items())
-            for name, line in sorted(_definitions(ast.parse(source)).items())
-            if name not in used]
+            for name, line, is_method in sorted(_definitions(ast.parse(source)))
+            if name not in attrs and (is_method or name not in names)]
 
 
 def test_unreferenced_definition_is_detected():
@@ -112,6 +126,18 @@ def test_unreferenced_definition_is_detected():
         "mod line 6: unused", "mod line 3: zeros"]
     assert _unreferenced({"mod": module}, [caller],
                          frozenset({"unused", "zeros"})) == []
+
+
+def test_a_method_is_not_used_by_a_bare_name_or_a_foreign_module():
+    module = ("class Vec:\n"
+              "    def scale(self): return self\n"
+              "def scale(): pass\n")
+    bare = "from mod import Vec\nscale = Vec()\n"
+    foreign = "from mod import Vec, scale\nimport calibrate\ncalibrate.scale(1.0)\n"
+    ours = "import impsolve.mod\nimpsolve.mod.Vec().scale()\n"
+    assert _unreferenced({"mod": module}, [bare]) == ["mod line 2: scale"]
+    assert _unreferenced({"mod": module}, [foreign]) == ["mod line 2: scale"]
+    assert _unreferenced({"mod": module}, [ours]) == []
 
 
 def _package_sources() -> dict[str, str]:

@@ -223,14 +223,14 @@ def test_membership_unresolved_on_boundary():
     assert got.iterations_used == DEFAULT_BUDGET
 
 
-
 @pytest.mark.xfail(strict=True, reason="a step of at most tol is taken as "
                    "convergence; an inside certificate that checks "
                    "Psi(X, Y) <= Y is ROADMAP item 1")
 def test_large_tol_does_not_certify_a_point_outside():
     # no fixed point exists for X > 1/4, and at tol 0.01 the verdict is
     # outside; at tol 1 the first step, from 0 to 0.3, counts as settled
-    assert membership(quadratic_comparison(), X_at(0.3), tol=1).verdict != INSIDE
+    assert iterate_comparison(quadratic_comparison(), X_at(0.3), tol=1).verdict != INSIDE
+
 
 @pytest.mark.parametrize("tol", [float("nan"), -1e-12, float("-inf"),
                                  float("inf")])
@@ -241,8 +241,6 @@ def test_bad_tol_rejected(tol):
     for mode, x in ((FLOAT, 0.2), (EXACT, Fraction(1, 5))):
         cmp_eq = quadratic_comparison(mode)
         with pytest.raises(ValueError, match="tol"):
-            membership(cmp_eq, X_at(x), tol=tol)
-        with pytest.raises(ValueError, match="tol"):
             iterate_comparison(cmp_eq, X_at(x), tol=tol)
         eq = quadratic_equation(mode, sign=-1)
         with pytest.raises(ValueError, match="tol"):
@@ -250,8 +248,8 @@ def test_bad_tol_rejected(tol):
 
 
 def test_zero_tol_is_legal():
-    got = membership(quadratic_comparison(), X_at(0.2), budget=20, tol=0.0)
-    assert got.iterations_used == 20
+    got = iterate_comparison(quadratic_comparison(), X_at(0.2), max_iter=20, tol=0.0)
+    assert got.verdict == UNRESOLVED and got.steps == 20
 
 
 @pytest.mark.parametrize("call, message", [
@@ -288,7 +286,7 @@ def test_certificate_checks_both_shapes_on_a_system():
     # Y0 = X + Y0 Y1, Y1 = 2X + Y0^2 at (0.1; 0.2, 0.2): Y1 fails, and the
     # mis-shaped call read the same point but compared Y0 alone, so it
     # returned True
-    cmp_eq = ComparisonEquation(1, 2, SeriesMap((
+    cmp_eq = ComparisonEquation(SeriesMap((
         Series(3, 8, {(1, 0, 0): 1.0, (0, 1, 1): 1.0}, FLOAT),
         Series(3, 8, {(1, 0, 0): 2.0, (0, 2, 0): 1.0}, FLOAT))))
     assert not certificate_check(cmp_eq, (0.1,), (0.2, 0.2))
@@ -360,7 +358,7 @@ def seeded_ray_system(seed):
     co = lambda: rng.randint(500, 2000) / 1000
     Y0 = Series(3, 3, {(1, 0, 0): co(), (0, 1, 1): co(), (0, 0, 2): co()}, FLOAT)
     Y1 = Series(3, 3, {(1, 0, 0): co(), (0, 2, 0): co(), (1, 0, 1): co()}, FLOAT)
-    return ComparisonEquation(1, 2, SeriesMap((Y0, Y1)))
+    return ComparisonEquation(SeriesMap((Y0, Y1)))
 
 
 def test_overflow_is_unresolved_when_the_budget_is_spent():

@@ -45,7 +45,7 @@ def system_example(mode=EXACT, cap=4):
     conv = (lambda v: F(v)) if mode == EXACT else float
     comp0 = Series(3, cap, {(1, 0, 0): conv(1), (0, 0, 2): conv(1)}, mode)
     comp1 = Series(3, cap, {(2, 0, 0): conv(2), (0, 1, 1): conv(1)}, mode)
-    return EquationSpec(1, 2, SeriesMap((comp0, comp1)),
+    return EquationSpec(SeriesMap((comp0, comp1)),
                         COMPONENTWISE, COMPONENTWISE)
 
 
@@ -53,7 +53,7 @@ def scalar_equation(terms, mode=EXACT, cap=9):
     """y = psi(x, y) from a dict over exponents (x, y)."""
     conv = (lambda v: F(v)) if mode == EXACT else float
     psi = Series(2, cap, {g: conv(v) for g, v in terms.items()}, mode)
-    return EquationSpec(1, 1, SeriesMap((psi,)), COMPONENTWISE, COMPONENTWISE)
+    return EquationSpec(SeriesMap((psi,)), COMPONENTWISE, COMPONENTWISE)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +93,7 @@ def test_iterates_become_stationary_degree_by_degree():
 
 def test_iterates_stop_early_when_stationary():
     # the equation y = x has the exact solution after one round
-    eq = EquationSpec(1, 1,
-                      SeriesMap((Series(2, 9, {(1, 0): F(1)}, EXACT),)),
+    eq = EquationSpec(SeriesMap((Series(2, 9, {(1, 0): F(1)}, EXACT),)),
                       COMPONENTWISE, COMPONENTWISE)
     iterates = list(formal_iterates(eq, 9))
     assert len(iterates) < 9
@@ -229,10 +228,10 @@ def test_residual_vanishes_on_solutions():
 def test_residual_detects_perturbation():
     eq = quadratic_equation(mode=EXACT)
     sol = solve_formal(eq, 6)
-    bumped = sol.phi + SeriesMap((Series.monomial(1, 6, EXACT, (3,),
-                                                  F(1, 7)),))
+    bump = Series.monomial(1, 6, EXACT, (3,), F(1, 7))
     from impsolve import SolutionSeries
-    fake = SolutionSeries(phi=bumped, degree_cap=6, source=ITERATIVE)
+    fake = SolutionSeries(phi=SeriesMap((sol.phi.components[0] + bump,)),
+                          source=ITERATIVE)
     defect = residual(eq, fake)
     assert not all(comp.is_zero() for comp in defect.components)
 
@@ -311,7 +310,7 @@ def test_resolve_linear_float():
     # y = x + 0.5 y + y^2 normalizes to y = 2x + 2y^2
     raw = SeriesMap((Series(2, 8, {(1, 0): 1.0, (0, 1): 0.5, (0, 2): 1.0},
                             FLOAT),))
-    eq = resolve_linear(raw, 1, 1)
+    eq = resolve_linear(raw)
     terms = dict(eq.psi.components[0].terms)
     assert terms[(1, 0)] == pytest.approx(2.0)
     assert terms[(0, 2)] == pytest.approx(2.0)
@@ -321,7 +320,7 @@ def test_resolve_linear_float():
 def test_resolve_linear_exact():
     raw = SeriesMap((Series(2, 8, {(1, 0): F(1), (0, 1): F(1, 2),
                                    (0, 2): F(1)}, EXACT),))
-    eq = resolve_linear(raw, 1, 1)
+    eq = resolve_linear(raw)
     assert dict(eq.psi.components[0].terms) == {(1, 0): F(2), (0, 2): F(2)}
 
 
@@ -333,7 +332,7 @@ def test_resolve_linear_coupled_system():
                EXACT),
         Series(3, 8, {(1, 0, 0): F(1), (0, 2, 0): F(1)}, EXACT),
     ))
-    eq = resolve_linear(raw, 1, 2)
+    eq = resolve_linear(raw)
     t0 = dict(eq.psi.components[0].terms)
     t1 = dict(eq.psi.components[1].terms)
     assert t0 == {(1, 0, 0): F(2), (0, 1, 1): F(1), (0, 2, 0): F(1)}
@@ -352,39 +351,34 @@ def test_resolve_linear_coupled_system():
 def test_resolve_linear_rejects_constant():
     raw = SeriesMap((Series(2, 8, {(0, 0): 1.0, (1, 0): 1.0}, FLOAT),))
     with pytest.raises(ValueError, match="constant"):
-        resolve_linear(raw, 1, 1)
+        resolve_linear(raw)
 
 
 def test_resolve_linear_singular():
     raw = SeriesMap((Series(2, 8, {(1, 0): 1.0, (0, 1): 1.0, (0, 2): 1.0},
                             FLOAT),))
     with pytest.raises(DomainError, match="singular"):
-        resolve_linear(raw, 1, 1)
+        resolve_linear(raw)
 
 
 def test_resolve_linear_without_linear_part_is_identity():
     eq = quadratic_equation(mode=EXACT)
-    again = resolve_linear(eq.psi, 1, 1)
+    again = resolve_linear(eq.psi)
     assert dict(again.psi.components[0].terms) == \
         dict(eq.psi.components[0].terms)
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: SolutionSeries(SeriesMap.zero(1, 3, EXACT, 1), 4, ITERATIVE),
-     "solution cap does not match its series"),
-    (lambda: SolutionSeries(SeriesMap.zero(1, 4, EXACT, 1), 4, "newton"),
+    (lambda: SolutionSeries(SeriesMap.zero(1, 4, EXACT, 1), "newton"),
      "unknown solution source 'newton'"),
     (lambda: residual(system_example(), solve_formal(quadratic_equation(EXACT), 4)),
      "solution shape does not match the equation"),
     (lambda: solve_partition_oracle(quadratic_equation(EXACT),
                                     PARTITION_ORACLE_MAX_DEGREE + 1),
      "the partition oracle is capped at degree 6, got 7"),
-    (lambda: resolve_linear(SeriesMap.zero(3, 4, EXACT, 1), 1, 1),
-     "map has 3 variables, expected 2"),
-    (lambda: resolve_linear(SeriesMap.zero(2, 4, EXACT, 2), 1, 1),
-     "map has 2 outputs, expected 1"),
-], ids=["cap mismatch", "unknown source", "residual shape", "oracle degree 7",
-        "resolve variables", "resolve outputs"])
+    (lambda: resolve_linear(SeriesMap.zero(2, 4, EXACT, 2)),
+     "dim_x and dim_y must be positive"),
+], ids=["unknown source", "residual shape", "oracle degree 7", "resolve outputs"])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=message):
         call()

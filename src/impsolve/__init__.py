@@ -7,7 +7,7 @@ a-posteriori error bounds, and locates the boundary of the convergence
 region through the vertical-tangent condition on the comparison graph.
 """
 
-from .errors import DomainError, MonotonicityError, SpecFormatError
+from .errors import DomainError, SpecFormatError
 from .hille import (FAILED, FOUND, UNBOUNDED, GraphPoint, HillePoint,
                     RadiusEstimate, RayRadius, RegionSample, empirical_radius,
                     hille_point, radius_along_ray, region_to_csv, trace_graph)

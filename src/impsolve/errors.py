@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package; anything but a
+``ComparisonEquation`` where one is needed is a ``TypeError`` instead."""
 
 
 class SpecFormatError(ValueError):
@@ -11,13 +12,4 @@ class DomainError(RuntimeError):
     Raised, for example, when a convergence certificate is requested at a
     point where the comparison iteration diverges, or when a linear
     resolvent does not exist because the matrix to invert is singular.
-    """
-
-
-class MonotonicityError(DomainError):
-    """The comparison iterates failed to increase.
-
-    For an equation of positive type started from zero this cannot happen
-    mathematically, so seeing it means the input was not of positive type
-    after all or there is a bug upstream.
     """

@@ -17,7 +17,7 @@ from math import isfinite
 from typing import IO, Callable, NamedTuple
 
 from .kantorovich import DEFAULT_TOL, INSIDE, OUTSIDE, check_tol, membership
-from .lattice import ComparisonEquation, LatticeVec
+from .lattice import ComparisonEquation, LatticeVec, check_comparison
 from .series import Number, Series, _float, zero_value
 from .solver import SolutionSeries
 
@@ -69,6 +69,7 @@ class RayRadius:
 
 
 def _scalar_series(cmp: ComparisonEquation) -> Series:
+    check_comparison(cmp)
     if cmp.dim_x != 1 or cmp.dim_y != 1:
         raise ValueError(
             f"a scalar comparison equation is required, got dimensions "
@@ -247,6 +248,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     the float spacing at the crossing cannot be met.  The probing is a
     float computation; an exact comparison equation is converted first.
     """
+    check_comparison(cmp)
     check_tol(tol)
     cmp = cmp.as_float()
     if not isinstance(direction, LatticeVec):
@@ -254,7 +256,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     if direction.dimension != cmp.dim_x:
         raise ValueError(
             f"direction has dimension {direction.dimension}, expected {cmp.dim_x}")
-    dir_entries = tuple(_float(e) for e in direction.entries)
+    dir_entries = tuple(_float(e, "direction entry") for e in direction.entries)
     if any(e < 0 for e in dir_entries) or all(e == 0 for e in dir_entries):
         raise ValueError("direction must be non-negative and nonzero")
 

@@ -150,6 +150,13 @@ class ComparisonEquation(EquationSpec):
         return ComparisonEquation(self.psi.as_float())
 
 
+def check_comparison(cmp: ComparisonEquation) -> None:
+    """Refuse anything but a ``ComparisonEquation``: no other type vouches
+    for non-negative coefficients."""
+    if not isinstance(cmp, ComparisonEquation):
+        raise TypeError(f"a ComparisonEquation is required, got {type(cmp).__name__}")
+
+
 def series_abs(s: Series) -> Series:
     """Entrywise modulus of the coefficients."""
     return Series(s.num_vars, s.degree_cap,

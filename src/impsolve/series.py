@@ -122,7 +122,7 @@ def coerce_value(value: Number, mode: str) -> Number:
         raise ValueError(
             "float mode does not accept Fraction coefficients; convert explicitly")
     if isinstance(value, (int, float)):
-        out = _float(value)
+        out = _float(value, "coefficient")
         if not math.isfinite(out):
             raise ValueError(f"float coefficients must be finite, got {out!r}")
         return out
@@ -130,15 +130,15 @@ def coerce_value(value: Number, mode: str) -> Number:
         f"float mode takes float or int coefficients, got {type(value).__name__}")
 
 
-def _float(value: Number) -> float:
-    """``float(value)``, refusing an int or Fraction beyond the float range:
-    too large, or nonzero and so small that it rounds to zero."""
+def _float(value: Number, name: str) -> float:
+    """``float(value)``, refusing an int or Fraction ``name`` beyond the float
+    range: too large, or nonzero and so small that it rounds to zero."""
     try:
         out = float(value)
     except OverflowError:
-        raise ValueError(f"coefficient {value} is too large for a float") from None
+        raise ValueError(f"{name} {value} is too large for a float") from None
     if value and not out:
-        raise ValueError(f"coefficient {value} is too small for a float")
+        raise ValueError(f"{name} {value} is too small for a float")
     return out
 
 
@@ -276,7 +276,7 @@ class Series:
         if self.mode == FLOAT:
             return self
         return Series._ring(self.num_vars, self.degree_cap,
-                            {a: _float(v) for a, v in self.terms.items()}, FLOAT)
+                            {a: _float(v, "coefficient") for a, v in self.terms.items()}, FLOAT)
 
     # -- ring operations ------------------------------------------------
 

@@ -45,7 +45,7 @@ class SolutionSeries:
 
 
 def formal_iterates(eq: EquationSpec, degree: int) -> Iterator[SeriesMap]:
-    """Yield the successive substitution iterates, stopping once stationary.
+    """Yield the successive substitution iterates, the last at cap ``degree``.
 
     Each round runs at a cap ``gain`` above the previous round's and yields
     its iterate at that cap, where every coefficient is final.  No solution
@@ -54,9 +54,8 @@ def formal_iterates(eq: EquationSpec, degree: int) -> Iterator[SeriesMap]:
     degrees through a term ``x^alpha y^beta``; ``gain`` is the least such
     number.  So round ``k`` of ``y = x + y^2`` runs at cap ``k``, and the
     last iterate carries the full cap ``degree``.  A round that changes
-    nothing at its cap stops the iteration only when one substitution at
-    the full cap confirms ``phi = psi(x, phi)``; that full-cap iterate is
-    then yielded last, in place of the round's own.
+    nothing at its cap does not end the iteration, as it says nothing of
+    the degrees above that cap.
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"degree must be a positive integer, got {degree!r}")
@@ -69,13 +68,7 @@ def formal_iterates(eq: EquationSpec, degree: int) -> Iterator[SeriesMap]:
     phi = SeriesMap.zero(p, cap, psi.mode, q)
     while cap < degree:
         cap = min(cap + gain, degree)
-        lifted = phi.with_cap(cap)
-        phi = _substitute(psi, lifted, cap)
-        if cap < degree and phi == lifted:
-            full = phi.with_cap(degree)
-            if _substitute(psi, full, degree) == full:
-                yield full
-                return
+        phi = _substitute(psi, phi.with_cap(cap), cap)
         yield phi
 
 
@@ -255,7 +248,7 @@ def resolve_linear(raw: SeriesMap) -> EquationSpec:
     def unit_gamma(j: int) -> tuple[int, ...]:
         return (0,) * p + tuple(1 if k == j else 0 for k in range(q))
 
-    L = [[raw.components[i].coefficient(unit_gamma(j)) for j in range(q)]
+    L = [[raw.components[i].terms.get(unit_gamma(j), zero) for j in range(q)]
          for i in range(q)]
     M = [[(one if i == j else zero) - L[i][j] for j in range(q)]
          for i in range(q)]

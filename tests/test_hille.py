@@ -118,6 +118,19 @@ def test_requires_x_dependence():
         hille_point(scalar_comparison({(0, 2): 1.0}))
 
 
+@pytest.mark.parametrize("call", [
+    # y = x - y^2 was answered unbounded, and the ray radius raised
+    # AttributeError
+    lambda: hille_point(quadratic_equation(sign=-1)),
+    lambda: trace_graph(quadratic_equation(sign=-1), 1.0, 4),
+    lambda: radius_along_ray(quadratic_equation(sign=-1), LatticeVec((1.0,))),
+], ids=["hille_point", "trace_graph", "radius_along_ray"])
+def test_a_non_comparison_is_refused(call):
+    with pytest.raises(TypeError, match="a ComparisonEquation is required, "
+                                        "got EquationSpec"):
+        call()
+
+
 def test_requires_scalar_dimensions():
     rng = random.Random(1)
     cmp_eq = random_comparison(rng)
@@ -278,6 +291,10 @@ def test_radius_rejects_bad_direction():
     # float() raised OverflowError, which callers do not take for a bad value
     with pytest.raises(ValueError, match="too large for a float"):
         radius_along_ray(quadratic_comparison(), LatticeVec((Fraction(10 ** 400),)))
+    # the refusal called a direction entry a coefficient
+    for entry in (Fraction(10 ** 400), Fraction(1, 10 ** 400)):
+        with pytest.raises(ValueError, match="^direction entry .* for a float$"):
+            radius_along_ray(quadratic_comparison(), LatticeVec((entry,)))
 
 
 def test_coefficient_below_the_float_range_is_refused_not_dropped():

@@ -174,3 +174,34 @@ def test_every_definition_is_used_beyond_its_unit_tests():
     users.append(ROOT / "tests" / "test_acceptance.py")
     referencing = [p.read_text(encoding="utf-8") for p in users]
     assert _unreferenced(_package_sources(), referencing, LIBRARY_ONLY) == []
+
+
+def _raised_names(source: str) -> set[str]:
+    """Names in the first argument of every ``pytest.raises(...)`` call,
+    bare or as the last part of a dotted name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "raises" and node.args):
+            for sub in ast.walk(node.args[0]):
+                if isinstance(sub, ast.Name):
+                    names.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    names.add(sub.attr)
+    return names
+
+
+def test_raised_exception_is_detected():
+    source = ("import pytest, impsolve\n"
+              "with pytest.raises((KeyError, impsolve.DomainError), match='x'):\n"
+              "    raise ValueError\n")
+    assert _raised_names(source) == {"KeyError", "impsolve", "DomainError"}
+
+
+def test_every_exception_is_raised_in_a_test():
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for path in sorted((ROOT / "tests").rglob("*.py")):
+        raised |= _raised_names(path.read_text(encoding="utf-8"))
+    assert sorted(defined - raised) == []

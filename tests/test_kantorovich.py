@@ -11,12 +11,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from impsolve import (
+    COMPONENTWISE,
     DEFAULT_BUDGET,
     EXACT,
     ComparisonEquation,
     DomainError,
+    EquationSpec,
     FLOAT,
     INSIDE,
     LatticeVec,
@@ -107,6 +110,58 @@ def test_monotone_corpus():
                            zip(a.entries, b.entries))
             break
     assert hits >= 6  # the corpus must actually exercise the property
+
+
+@st.composite
+def positive_comparisons(draw):
+    """A comparison of q <= 2 unknowns, degree <= 3, with a point X >= 0."""
+    mode = draw(st.sampled_from([EXACT, FLOAT]))
+    value = (lambda v: v) if mode == EXACT else float
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    gammas = st.tuples(*[st.integers(0, 3)] * (p + q)).filter(
+        lambda g: sum(g) <= 3 and (any(g[:p]) or sum(g) >= 2))
+    coefficients = st.fractions(Fraction(1, 4), 2, max_denominator=4)
+    comps = tuple(
+        Series(p + q, 6, {g: value(c) for g, c in draw(
+            st.dictionaries(gammas, coefficients, min_size=1, max_size=4)).items()},
+            mode)
+        for _ in range(q))
+    X = draw(st.lists(st.fractions(0, 2, max_denominator=8),
+                      min_size=p, max_size=p))
+    return ComparisonEquation(SeriesMap(comps)), LatticeVec(tuple(map(value, X)))
+
+
+@given(positive_comparisons())
+def test_iterates_from_zero_never_decrease(case):
+    # non-negative coefficients and X make every step of the compiled Psi
+    # monotone, in float rounding as in exact arithmetic
+    cmp_eq, X = case
+    trace = iterate_comparison(cmp_eq, X, max_iter=6 if cmp_eq.mode == EXACT else 400,
+                               tol=1e-6)
+    for a, b in zip(trace.iterates_Y, trace.iterates_Y[1:]):
+        assert all(x <= y for x, y in zip(a.entries, b.entries))
+    for bound in trace.error_bounds or ():
+        assert all(e >= 0 for e in bound.entries)
+
+
+def _signed_cubic():
+    """y = x + y^2 - y^3/1000: one negative coefficient, so no comparison."""
+    return EquationSpec(SeriesMap((Series(2, 9, {(1, 0): 1.0, (0, 2): 1.0,
+                                                 (0, 3): -1e-3}, FLOAT),)),
+                        COMPONENTWISE, COMPONENTWISE)
+
+
+@pytest.mark.parametrize("call", [
+    # answered inside: only the type vouches for non-negative coefficients
+    lambda: membership(_signed_cubic(), X_at(0.1)),
+    lambda: iterate_comparison(_signed_cubic(), X_at(0.1)),
+    lambda: iterate_primal(quadratic_equation(), (0.1,), quadratic_equation(sign=-1)),
+    lambda: certificate_check(quadratic_equation(sign=-1), (0.1,), (0.2,)),
+], ids=["membership", "iterate_comparison", "iterate_primal", "certificate_check"])
+def test_a_non_comparison_is_refused(call):
+    with pytest.raises(TypeError, match="a ComparisonEquation is required, "
+                                        "got EquationSpec"):
+        call()
 
 
 # ---------------------------------------------------------------------------

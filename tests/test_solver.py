@@ -135,7 +135,6 @@ def test_polynomial_solution_is_confirmed_at_the_full_cap():
     eq = scalar_equation({(1, 0): 1, (3, 0): 1, (0, 2): 1, (1, 1): -1,
                           (3, 1): -1})
     iterates = list(formal_iterates(eq, 9))
-    assert len(iterates) < 9
     assert iterates[-1].degree_cap == 9
     assert dict(iterates[-1].components[0].terms) == {(1,): F(1), (3,): F(1)}
     assert dict(solve_formal(eq, 9).phi.components[0].terms) == \
@@ -366,6 +365,13 @@ def test_resolve_linear_without_linear_part_is_identity():
     again = resolve_linear(eq.psi)
     assert dict(again.psi.components[0].terms) == \
         dict(eq.psi.components[0].terms)
+
+
+def test_resolve_linear_refuses_more_outputs_than_variables():
+    # the linear block was read before the shape was checked, so the
+    # refusal came from an exponent vector of the wrong length
+    with pytest.raises(ValueError, match="^dim_x and dim_y must be positive$"):
+        resolve_linear(SeriesMap.zero(1, 4, EXACT, 2))
 
 
 @pytest.mark.parametrize("call, message", [

@@ -83,16 +83,14 @@ def _scalar_series(cmp: ComparisonEquation) -> Series:
 
 
 def _bisect(below: Callable[[float], bool], lo: float, hi: float,
-            abs_tol: float, rel_tol: float) -> tuple[float, float]:
+            tol: float) -> tuple[float, float]:
     """Narrow ``lo < hi`` by bisection, keeping ``below(lo)`` true and
     ``below(hi)`` false.
 
-    Stops once ``hi - lo <= max(abs_tol, rel_tol * hi)``, or once no float
-    lies strictly between the ends, so the midpoint would repeat one of
-    them.
+    Stops once ``hi - lo <= tol``, or once no float lies strictly between
+    the ends, so the midpoint would repeat one of them.
     """
-    d = hi - lo
-    while d > abs_tol and d > rel_tol * hi:
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -100,15 +98,14 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float,
             lo = mid
         else:
             hi = mid
-        d = hi - lo
     return lo, hi
 
 
 def _graph_x(psi: Series, Y: float) -> float | None:
     """Smallest X >= 0 with Psi(X, Y) = Y, or None when there is none.
 
-    Psi is nondecreasing in X with all-positive coefficients, so the
-    fixed-point equation in X is solved by doubling then bisection.
+    Psi is nondecreasing in X with all-positive coefficients, so doubling
+    then bisection to float resolution solves the equation in X.
     """
     gap = psi.evaluate((0.0, Y)) - Y
     if gap > 0.0:
@@ -118,22 +115,22 @@ def _graph_x(psi: Series, Y: float) -> float | None:
     hi = 1.0
     while psi.evaluate((hi, Y)) - Y < 0.0:
         hi *= 2.0
-        if hi > 1e300:
+        if hi > 1e307:  # keeps 0.5 * (lo + hi) finite
             return None
-    lo, hi = _bisect(lambda X: psi.evaluate((X, Y)) - Y < 0.0,
-                     0.0, hi, 1e-15, 1e-15)
+    lo, hi = _bisect(lambda X: psi.evaluate((X, Y)) - Y < 0.0, 0.0, hi, 0.0)
     return 0.5 * (lo + hi)
 
 
 def hille_point(cmp: ComparisonEquation) -> HillePoint:
     """Locate the vertical-tangent point of the comparison graph.
 
-    Brackets the turn by doubling ``Y = (2^k - 1)/1024``, bisects it, then
-    polishes the two-equation system with Newton steps until both residuals
-    drop below ``DEFAULT_TOL``.  A probe past the end of the graph reads as
-    past the turn: below it the graph rises, so it can only end beyond.
-    With the derivative below one all the way to ``Y_CAP`` the point is
-    unbounded; a Newton stall is reported as failed with the last iterate.
+    Brackets the turn by doubling ``Y = (2^k - 1)/1024``, bisects it to
+    float resolution and reports the graph point at the inside end.  A
+    probe past the end of the graph reads as past the turn: below it the
+    graph rises, so it can only end beyond.  The point is found when
+    ``|Y - Psi| <= DEFAULT_TOL * max(1, Y)`` (a float spacing of a large Y
+    exceeds ``DEFAULT_TOL``) and ``|1 - dPsi/dY| <= DEFAULT_TOL``, else it
+    failed; with the derivative below one up to ``Y_CAP`` it is unbounded.
     """
     psi = _scalar_series(cmp)
     psi_y = psi.partial(1)
@@ -148,51 +145,12 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
         if lo >= Y_CAP:
             return HillePoint(None, None, None, None, UNBOUNDED)
 
-    lo, hi = _bisect(below_turn, lo, hi, 1e-6, 1e-6)
-    Y = 0.5 * (lo + hi)
+    Y, _ = _bisect(below_turn, lo, hi, 0.0)
     X = _graph_x(psi, Y)
-    if X is None:
-        X = _graph_x(psi, lo)
-        Y = lo
-    return _newton_polish(psi, X, Y)
-
-
-def _newton_polish(psi: Series, X: float, Y: float) -> HillePoint:
-    psi_x = psi.partial(0)
-    psi_y = psi.partial(1)
-    psi_xy = psi_x.partial(1)
-    psi_yy = psi_y.partial(1)
-
-    def residuals(X: float, Y: float) -> tuple[float, float]:
-        return (Y - psi.evaluate((X, Y)), 1.0 - psi_y.evaluate((X, Y)))
-
-    g1, g2 = residuals(X, Y)
-    best = max(abs(g1), abs(g2))
-    stall = 0
-    for _ in range(60):
-        if best <= DEFAULT_TOL:
-            break
-        j11 = -psi_x.evaluate((X, Y))
-        j12 = 1.0 - psi_y.evaluate((X, Y))
-        j21 = -psi_xy.evaluate((X, Y))
-        j22 = -psi_yy.evaluate((X, Y))
-        det = j11 * j22 - j12 * j21
-        if det == 0.0:
-            break
-        dX = (g1 * j22 - g2 * j12) / det
-        dY = (j11 * g2 - j21 * g1) / det
-        X, Y = X - dX, Y - dY
-        g1, g2 = residuals(X, Y)
-        res = max(abs(g1), abs(g2))
-        if res < best:
-            best = res
-            stall = 0
-        else:
-            stall += 1
-            if stall >= 5:
-                break
-    status = FOUND if best <= DEFAULT_TOL else FAILED
-    return HillePoint(X, Y, abs(g1), abs(g2), status)
+    fixed = abs(Y - psi.evaluate((X, Y)))
+    derivative = abs(1.0 - psi_y.evaluate((X, Y)))
+    found = fixed <= DEFAULT_TOL * max(1.0, Y) and derivative <= DEFAULT_TOL
+    return HillePoint(X, Y, fixed, derivative, FOUND if found else FAILED)
 
 
 def trace_graph(cmp: ComparisonEquation, Y_max: float, steps: int) -> RegionSample:
@@ -285,8 +243,8 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     if t_out is None:
         return RayRadius(t_inside=t_in, t_outside=None, unbounded=True)
 
-    t_in, _ = _bisect(lambda t: verdict(t) == INSIDE, t_in, t_out, tol, 0.0)
-    _, t_out = _bisect(lambda t: verdict(t) != OUTSIDE, t_in, t_out, tol, 0.0)
+    t_in, _ = _bisect(lambda t: verdict(t) == INSIDE, t_in, t_out, tol)
+    _, t_out = _bisect(lambda t: verdict(t) != OUTSIDE, t_in, t_out, tol)
     return RayRadius(t_inside=t_in, t_outside=t_out, unbounded=False)
 
 

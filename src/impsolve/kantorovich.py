@@ -20,8 +20,9 @@ from math import inf, isfinite
 from typing import IO, Sequence
 
 from .errors import DomainError
-from .lattice import ComparisonEquation, EquationSpec, LatticeVec, check_comparison, norm
-from .series import EXACT, FLOAT, Number, coerce_value, format_value, zero_value
+from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
+                      check_majorant_shape, norm)
+from .series import EXACT, FLOAT, Number, _float, coerce_value, format_value, zero_value
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 10000
@@ -62,7 +63,9 @@ def _point(cmp: ComparisonEquation, v, dim: int, name: str) -> tuple:
         raise ValueError(f"{name} has dimension {v.dimension}, expected {dim}")
     if any(e < 0 for e in v.entries):
         raise ValueError(f"{name} must be entrywise non-negative, got {v}")
-    return tuple(coerce_value(e, cmp.mode) for e in v.entries)
+    # in float mode an int beyond the float range is refused as what it is
+    return tuple(coerce_value(_float(e, f"{name} entry") if cmp.mode == FLOAT
+                              and type(e) is int else e, cmp.mode) for e in v.entries)
 
 
 def check_tol(tol: float) -> None:
@@ -154,6 +157,7 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     primal iterates are then produced in lockstep and the trace carries
     the comparison gaps as error bounds valid for the primal sequence.
     """
+    check_majorant_shape(eq, cmp)
     x = tuple(x.entries) if isinstance(x, LatticeVec) else tuple(x)
     if len(x) != eq.dim_x:
         raise ValueError(f"x has {len(x)} entries, expected {eq.dim_x}")
@@ -190,10 +194,14 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
 
 def certificate_check(cmp: ComparisonEquation, X: LatticeVec,
                       Y_tilde: LatticeVec) -> bool:
-    """Does ``Y_tilde`` witness convergence, i.e. ``Y_tilde >= Psi(X, Y_tilde)``?"""
+    """Does ``Y_tilde`` witness convergence, i.e. ``Y_tilde >= Psi(X, Y_tilde)``?
+    Decided exactly in both modes: the kernels of ``Psi`` run on ``Fraction``
+    images of the point and the coefficients, which hold any float exactly."""
     x = _point(cmp, X, cmp.dim_x, "X")
-    y = _point(cmp, Y_tilde, cmp.dim_y, "Y_tilde")
-    return all(v <= e for v, e in zip(cmp.psi.evaluate(x + y), y))
+    y = tuple(map(Fraction, _point(cmp, Y_tilde, cmp.dim_y, "Y_tilde")))
+    point = tuple(map(Fraction, x)) + y
+    return all(run(point, tuple(map(Fraction, leaves)), Fraction(0)) <= e
+               for (run, leaves), e in zip((c._plan for c in cmp.psi.components), y))
 
 
 def error_bound(trace: IterationTrace, p: int) -> LatticeVec:

@@ -201,6 +201,17 @@ def majorant(eq: EquationSpec) -> ComparisonEquation:
     return ComparisonEquation(SeriesMap((collapsed,)))
 
 
+def check_majorant_shape(eq: EquationSpec, cmp: EquationSpec) -> None:
+    """Refuse a ``cmp`` that cannot dominate ``eq``: another mode, or
+    dimensions other than those of the norms of ``eq``'s two sides."""
+    if eq.mode != cmp.mode:
+        raise ValueError(f"mode mismatch: {eq.mode} vs {cmp.mode}")
+    if ((1 if eq.profile_x == AGGREGATE else eq.dim_x,
+         1 if eq.profile_y == AGGREGATE else eq.dim_y) != (cmp.dim_x, cmp.dim_y)):
+        raise ValueError(
+            "the norm profiles do not match the comparison equation dimensions")
+
+
 # -- sampled domination check -------------------------------------------
 
 
@@ -230,15 +241,10 @@ def _draw_point(rng: random.Random, lo: LatticeVec, hi: LatticeVec, mode: str):
                  for a, b in zip(lo.entries, hi.entries))
 
 
-def _norms(eq: EquationSpec, cmp: ComparisonEquation,
-           z: tuple[Number, ...]) -> LatticeVec:
+def _norms(eq: EquationSpec, z: tuple[Number, ...]) -> LatticeVec:
     """The norms of the x and y blocks of a primal point, as one lattice vector."""
-    Xn = norm(eq.profile_x, z[:eq.dim_x])
-    Yn = norm(eq.profile_y, z[eq.dim_x:])
-    if Xn.dimension != cmp.dim_x or Yn.dimension != cmp.dim_y:
-        raise ValueError(
-            "the norm profiles do not match the comparison equation dimensions")
-    return LatticeVec(Xn.entries + Yn.entries)
+    return LatticeVec(norm(eq.profile_x, z[:eq.dim_x]).entries
+                      + norm(eq.profile_y, z[eq.dim_x:]).entries)
 
 
 def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
@@ -254,8 +260,7 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     a value that overflows raises, since it compares false against anything;
     exact mode tolerates nothing.
     """
-    if eq.mode != cmp.mode:
-        raise ValueError(f"mode mismatch: {eq.mode} vs {cmp.mode}")
+    check_majorant_shape(eq, cmp)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples}")
     lo, hi = box
@@ -282,7 +287,7 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     violations: list[MajorantViolation] = []
     points = [_draw_point(rng, lo, hi, eq.mode) for _ in range(n_samples)]
     for z in points:
-        Z = _norms(eq, cmp, z)
+        Z = _norms(eq, z)
         lhs = norm(eq.profile_y, eq.psi.evaluate(z))
         rhs = cmp.psi.evaluate(Z.entries)
         for i, (a, b) in enumerate(zip(lhs.entries, rhs)):
@@ -297,8 +302,8 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
             w = _draw_point(rng, lo, hi, eq.mode)
             increments += 1
             zw = tuple(a + b for a, b in zip(z, w))
-            Z = _norms(eq, cmp, z)
-            W = _norms(eq, cmp, w)
+            Z = _norms(eq, z)
+            W = _norms(eq, w)
             move = [a - b for a, b in
                     zip(eq.psi.evaluate(zw), eq.psi.evaluate(z))]
             lhs = norm(eq.profile_y, move)

@@ -500,10 +500,10 @@ EXACT_WITNESS = (
 FROZEN_DOCUMENTS = [
     (QUAD_PLUS, ["hille"], """\
 {
-  "X_star": 0.2500000000002274,
-  "Y_star": 0.5,
-  "residual_fixed": 2.2737367544323206e-13,
-  "residual_derivative": 0.0,
+  "X_star": 0.25,
+  "Y_star": 0.49999999999999994,
+  "residual_fixed": 0.0,
+  "residual_derivative": 1.1102230246251565e-16,
   "status": "found"
 }
 """),

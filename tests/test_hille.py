@@ -8,6 +8,7 @@ other frozen values come from hand algebra on quadratics.
 import io
 import random
 from fractions import Fraction
+from math import isfinite
 
 import pytest
 
@@ -61,6 +62,33 @@ def test_scaled_quadratic_turning_point():
     assert got.Y_star == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.5, 1.0, 2.0, 4.0])
+def test_turning_point_is_never_above_the_radius(c):
+    # Y = X + cY^2 turns at Y* = 1/(2c), X* = 1/(4c), exact in binary
+    got = hille_point(scalar_comparison({(1, 0): 1.0, (0, 2): c}))
+    assert got.status == FOUND
+    assert got.X_star <= 1 / (4 * c)
+    assert got.X_star == pytest.approx(1 / (4 * c), rel=1e-15, abs=0)
+    assert got.Y_star == pytest.approx(1 / (2 * c), rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("a, c", [(1.0, 1e-5), (1e6, 1.0), (1e-305, 1.0)])
+def test_turning_point_far_from_one(a, c):
+    # Y = aX + cY^2 turns at X* = 1/(4ac): a Y* of 5e4, whose float spacing
+    # exceeds DEFAULT_TOL, a tiny X*, and an X* of 2.5e304 near the float range
+    got = hille_point(scalar_comparison({(1, 0): a, (0, 2): c}))
+    assert got.status == FOUND
+    assert got.X_star == pytest.approx(1 / (4 * a * c), rel=1e-15, abs=0)
+
+
+def test_turning_point_beyond_the_float_range_fails():
+    # Y = 1e-310 X + Y^2 turns at X* = 2.5e309, which no float reaches
+    got = hille_point(scalar_comparison({(1, 0): 1e-310, (0, 2): 1.0}))
+    assert got.status == FAILED
+    fields = (got.X_star, got.Y_star, got.residual_fixed, got.residual_derivative)
+    assert all(isfinite(v) for v in fields)
+
+
 def test_cubic_turning_point_against_bisection_oracle():
     # Y = X + XY + Y^3.  Eliminating X: on the graph X = (Y - Y^3)/(1 + Y)
     # and the tangency condition X + 3Y^2 = 1 reduce to 2Y^3 + 3Y^2 = 1.
@@ -97,7 +125,7 @@ def test_turning_point_when_a_probe_lands_past_the_graph():
     assert got.Y_star == pytest.approx(y_star, abs=1e-12)
     assert got.X_star == pytest.approx(0.75 * y_star, abs=1e-12)
     # frozen: a change to the bracket search must not move these bits
-    assert (got.X_star, got.Y_star) == (0.4124661118188208, 0.5499548157584174)
+    assert (got.X_star, got.Y_star) == (0.4124661118188052, 0.549954815758407)
 
 
 def test_linear_comparison_is_unbounded():
@@ -214,7 +242,7 @@ def test_radius_brackets_quadratic():
 
 def test_bisection_grid_frozen():
     # exact values pin the bisection grids: the ray bracket is a pair of
-    # grid points, and the turning point is Newton-polished from one
+    # grid points, and the turning point is the inside end of another
     ray = radius_along_ray(quadratic_comparison(), LatticeVec((1.0,)),
                            tol=1e-6)
     assert (ray.t_inside, ray.t_outside) == (
@@ -222,7 +250,7 @@ def test_bisection_grid_frozen():
     turn = hille_point(scalar_comparison(
         {(1, 0): 1.0, (1, 1): 1.0, (0, 3): 1.0}))
     assert (turn.X_star, turn.Y_star, turn.status) == (
-        0.2500000000002274, 0.5000000000001515, FOUND)
+        0.25, 0.49999999999999994, FOUND)
 
 
 def test_radius_stops_at_float_spacing(monkeypatch):

@@ -12,6 +12,9 @@ import impsolve
 PACKAGE = Path(impsolve.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 ROOT = Path(__file__).resolve().parents[1]
+# the package's __init__.py re-exports, so it imports what it never uses
+IMPORTING = MODULES + sorted(p for d in ("tests", "scripts")
+                             for p in (ROOT / d).glob("*.py"))
 REFERENCING_DIRS = ("src", "tests", "scripts", "perfbench")
 
 
@@ -35,7 +38,8 @@ def test_unused_import_is_detected():
     assert _unused_imports(source) == ["line 1: Iterable"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", IMPORTING, ids=lambda p: (
+    p.name if p.parent == PACKAGE else p.relative_to(ROOT).as_posix()))
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
 

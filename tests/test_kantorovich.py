@@ -321,6 +321,27 @@ def test_refusals(call, message):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    # a comparison of dim_x 2 was refused as "X has dimension 1, expected
+    # 2", about an X the caller never passed
+    (lambda: iterate_primal(quadratic_equation(), (0.1,), ComparisonEquation(
+        SeriesMap((Series(3, 8, {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 2): 1.0},
+                          FLOAT),)))),
+     "the norm profiles do not match the comparison equation dimensions"),
+    (lambda: iterate_primal(quadratic_equation(), (0.1,), quadratic_comparison(EXACT)),
+     "mode mismatch: float vs exact"),
+    # a point beyond the float range was called a "coefficient"
+    (lambda: membership(quadratic_comparison(), X_at(10 ** 400)),
+     r"^X entry 10{400} is too large for a float"),
+    (lambda: certificate_check(quadratic_comparison(), (0.1,), (10 ** 400,)),
+     r"^Y_tilde entry 10{400} is too large for a float"),
+], ids=["primal comparison dimensions", "primal comparison mode",
+        "X beyond floats", "Y_tilde beyond floats"])
+def test_refusals_name_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # certificates and minimality
 
@@ -329,6 +350,15 @@ def test_certificate_frozen_examples():
     assert certificate_check(cmp_eq, (0.25,), (0.5,))
     assert not certificate_check(cmp_eq, (0.3,), (0.5,))
     assert certificate_check(cmp_eq, (0.1,), (0.2,))
+
+
+def test_certificate_is_exact_in_float_mode():
+    # at X = 1/4 + 2^-54, Psi(X, 1/2) = 1/2 + 2^-54 rounds to 1/2 in float,
+    # but no fixed point exists for X > 1/4
+    X = 0.25 + 2 ** -54
+    assert X + 0.5 ** 2 == 0.5
+    assert not certificate_check(quadratic_comparison(), (X,), (0.5,))
+    assert certificate_check(quadratic_comparison(), (0.25,), (0.5,))
 
 
 def test_certificate_rejects_negative_witness():

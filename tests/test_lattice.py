@@ -295,6 +295,17 @@ def test_samples_box_validation():
         check_majorant_samples(eq, good, 10, bad)
 
 
+@pytest.mark.parametrize("cmp_eq, message", [
+    (majorant(quadratic_equation(mode=EXACT)), "mode mismatch: float vs exact"),
+    (ComparisonEquation(SeriesMap((Series(
+        3, 8, {(1, 0, 0): 1.0, (0, 1, 0): 1.0, (0, 0, 2): 1.0}, FLOAT),))),
+     "the norm profiles do not match the comparison equation dimensions"),
+], ids=["mode", "dimensions"])
+def test_samples_refuse_a_comparison_that_cannot_dominate(cmp_eq, message):
+    with pytest.raises(ValueError, match=message):
+        check_majorant_samples(quadratic_equation(mode=FLOAT), cmp_eq, 10, _box(2))
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_samples_refuse_an_empty_check(n):
     # a check of no points is no evidence for the majorant

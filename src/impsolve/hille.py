@@ -217,6 +217,8 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     dir_entries = tuple(_float(e, "direction entry") for e in direction.entries)
     if any(e < 0 for e in dir_entries) or all(e == 0 for e in dir_entries):
         raise ValueError("direction must be non-negative and nonzero")
+    if not all(map(isfinite, dir_entries)):
+        raise ValueError(f"direction must be finite, got {direction}")
 
     def verdict(t: float) -> str:
         X = LatticeVec(tuple(t * e for e in dir_entries))

@@ -56,13 +56,14 @@ class Membership:
 
 def _point(cmp: ComparisonEquation, v, dim: int, name: str) -> tuple:
     """The entries of ``v``, a ``LatticeVec`` or a sequence, in the mode of
-    the comparison ``cmp``, once it has ``dim`` entries, none negative."""
+    the comparison ``cmp``, once it has ``dim`` entries, each non-negative
+    and finite."""
     check_comparison(cmp)
     v = v if isinstance(v, LatticeVec) else LatticeVec(tuple(v))
     if v.dimension != dim:
         raise ValueError(f"{name} has dimension {v.dimension}, expected {dim}")
-    if any(e < 0 for e in v.entries):
-        raise ValueError(f"{name} must be entrywise non-negative, got {v}")
+    if not all(0 <= e < inf for e in v.entries):
+        raise ValueError(f"{name} must be entrywise non-negative and finite, got {v}")
     # in float mode an int beyond the float range is refused as what it is
     return tuple(coerce_value(_float(e, f"{name} entry") if cmp.mode == FLOAT
                               and type(e) is int else e, cmp.mode) for e in v.entries)
@@ -161,6 +162,8 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     x = tuple(x.entries) if isinstance(x, LatticeVec) else tuple(x)
     if len(x) != eq.dim_x:
         raise ValueError(f"x has {len(x)} entries, expected {eq.dim_x}")
+    if not all(abs(e) < inf for e in x):
+        raise ValueError(f"x must be finite, got {x}")
     comp = iterate_comparison(cmp, norm(eq.profile_x, x), max_iter, tol)
     if comp.verdict != INSIDE:
         why = ("diverged at this point" if comp.verdict == OUTSIDE
@@ -229,7 +232,6 @@ def trace_to_csv(trace: IterationTrace, stream: IO[str]) -> None:
     header += [f"delta{i}" for i in range(dim)]
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(header)
-    zero_row = trace.iterates_Y[0]
     for p, Y in enumerate(trace.iterates_Y):
         row = [str(p)] + [_fmt(e) for e in Y.entries]
         if primal is not None:
@@ -238,9 +240,6 @@ def trace_to_csv(trace: IterationTrace, stream: IO[str]) -> None:
             row += [_fmt(e) for e in trace.error_bounds[p].entries]
         else:
             row += [""] * dim
-        if p == 0:
-            row += [_fmt(e) for e in zero_row.entries]
-        else:
-            prev = trace.iterates_Y[p - 1]
-            row += [_fmt(a - b) for a, b in zip(Y.entries, prev.entries)]
+        prev = trace.iterates_Y[max(p - 1, 0)]
+        row += [_fmt(a - b) for a, b in zip(Y.entries, prev.entries)]
         writer.writerow(row)

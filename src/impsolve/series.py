@@ -203,7 +203,7 @@ class Series:
             alpha = _exponents(raw_alpha, self.num_vars)
             if sum(alpha) > self.degree_cap:
                 raise ValueError(
-                    f"term of degree {sum(alpha)} exceeds the cap {self.degree_cap}")
+                    f"term {alpha} of degree {sum(alpha)} exceeds the cap {self.degree_cap}")
             clean[alpha] = coerce_value(raw_value, self.mode)
         object.__setattr__(self, "terms", _normalised(clean, self.mode))
 
@@ -478,18 +478,6 @@ class SeriesMap:
 
     def evaluate(self, point: Sequence[Number]) -> tuple[Number, ...]:
         return tuple(comp.evaluate(point) for comp in self.components)
-
-    def __sub__(self, other: SeriesMap) -> SeriesMap:
-        self._check_shape(other)
-        return SeriesMap(tuple(a - b for a, b in zip(self.components, other.components)))
-
-    def _check_shape(self, other: SeriesMap) -> None:
-        if not isinstance(other, SeriesMap):
-            raise TypeError(f"expected a SeriesMap, got {type(other).__name__}")
-        if self.output_dim != other.output_dim:
-            raise ValueError(
-                f"maps have {self.output_dim} and {other.output_dim} outputs")
-        self.components[0]._check_compatible(other.components[0], "combine")
 
 
 def compose_series(outer: Series, inner: Sequence[Series]) -> Series:

@@ -91,7 +91,8 @@ def residual(eq: EquationSpec, sol: SolutionSeries) -> SeriesMap:
     p, q, psi = eq.dim_x, eq.dim_y, eq.psi
     if sol.phi.num_vars != p or sol.phi.output_dim != q:
         raise ValueError("solution shape does not match the equation")
-    return sol.phi - _substitute(psi, sol.phi, sol.degree_cap)
+    image = _substitute(psi, sol.phi, sol.degree_cap)
+    return SeriesMap(tuple(a - b for a, b in zip(sol.phi.components, image.components)))
 
 
 # -- set-partition oracle ------------------------------------------------
@@ -231,19 +232,13 @@ def resolve_linear(raw: SeriesMap) -> EquationSpec:
     elimination with partial pivoting, over the rationals in exact mode.
     A singular ``I - L`` is an error, and in float mode so is one whose
     best pivot is at most 1e-13.  The result carries componentwise norm
-    profiles.
+    profiles, and ``EquationSpec`` refuses it if ``raw`` has a constant term.
     """
     q = raw.output_dim
     p = raw.num_vars - q
     mode = raw.mode
     zero = zero_value(mode)
     one = 1 if mode == EXACT else 1.0
-    origin = (0,) * (p + q)
-    for i, comp in enumerate(raw.components):
-        if comp.coefficient(origin) != zero:
-            raise ValueError(
-                f"component {i} has a constant term; shifts of the origin "
-                f"are not supported")
 
     def unit_gamma(j: int) -> tuple[int, ...]:
         return (0,) * p + tuple(1 if k == j else 0 for k in range(q))

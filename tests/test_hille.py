@@ -141,6 +141,14 @@ def test_geometric_comparison_is_unbounded():
     assert got.status == UNBOUNDED
 
 
+@pytest.mark.xfail(strict=True, reason="no turn below Y_CAP is read as no turn "
+                   "at all; a certified boundary solve is ROADMAP item 2")
+def test_turn_above_the_y_cap_is_not_unbounded():
+    # Y = X + 1e-7 Y^2 turns at X* = 2.5e6, Y* = 5e6 > Y_CAP = 1e6
+    got = hille_point(scalar_comparison({(1, 0): 1.0, (0, 2): 1e-7}))
+    assert got.status == FOUND
+
+
 def test_requires_x_dependence():
     with pytest.raises(ValueError, match="depend on X"):
         hille_point(scalar_comparison({(0, 2): 1.0}))
@@ -301,6 +309,15 @@ def test_radius_on_seeded_system():
         assert 0 < got.t_inside <= got.t_outside
 
 
+@pytest.mark.xfail(strict=True, reason="no outside verdict up to PROBE_CAP is "
+                   "read as unbounded; a certified boundary solve is ROADMAP item 2")
+def test_crossing_beyond_the_probe_cap_is_not_unbounded():
+    # along the direction 1e-13 the quadratic's boundary is at t* = 2.5e12,
+    # above PROBE_CAP = 1e12
+    got = radius_along_ray(quadratic_comparison(), LatticeVec((1e-13,)), tol=1e-4)
+    assert not got.unbounded
+
+
 def test_radius_takes_any_number_type_as_direction():
     # the direction is read as floats whatever the comparison's mode, so an
     # exact Catalan comparison accepts a Fraction, int or float direction
@@ -323,6 +340,13 @@ def test_radius_rejects_bad_direction():
     for entry in (Fraction(10 ** 400), Fraction(1, 10 ** 400)):
         with pytest.raises(ValueError, match="^direction entry .* for a float$"):
             radius_along_ray(quadratic_comparison(), LatticeVec((entry,)))
+    # a non-finite entry passed the sign check and was refused while probing,
+    # as a coefficient
+    for entry in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^direction must be finite"):
+            radius_along_ray(quadratic_comparison(), LatticeVec((entry,)))
+    with pytest.raises(ValueError, match="^direction must be non-negative and nonzero$"):
+        radius_along_ray(quadratic_comparison(), LatticeVec((float("-inf"),)))
 
 
 def test_coefficient_below_the_float_range_is_refused_not_dropped():

@@ -460,8 +460,28 @@ def test_overflow_raises_on_the_next_step():
 
 
 def test_nan_point_raises():
-    with pytest.raises(ValueError, match="^float coefficients must be finite, got nan$"):
+    with pytest.raises(ValueError,
+                       match=r"^X must be entrywise non-negative and finite, got \(nan\)$"):
         membership(big_linear_comparison(), X_at(float("nan")))
+
+
+def test_non_finite_points_are_refused_as_points():
+    # coerce_value refused them as coefficients: "float coefficients must
+    # be finite, got inf"
+    with pytest.raises(ValueError,
+                       match=r"^X must be entrywise non-negative and finite, got \(inf\)$"):
+        membership(quadratic_comparison(), X_at(math.inf))
+    with pytest.raises(ValueError, match=r"^Y_tilde must be entrywise non-negative "
+                       r"and finite, got \(nan\)$"):
+        certificate_check(quadratic_comparison(), (0.1,), (math.nan,))
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_primal_refuses_a_non_finite_x(x):
+    # its norm reached the comparison run, which refused it as a coefficient
+    eq = quadratic_equation(mode=FLOAT, sign=-1)
+    with pytest.raises(ValueError, match="^x must be finite"):
+        iterate_primal(eq, (x,), majorant(eq))
 
 
 @pytest.mark.parametrize("c, fraction, want", [

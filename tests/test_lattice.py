@@ -49,14 +49,6 @@ def frac_vecs(draw, dim=3):
 
 
 # ---------------------------------------------------------------------------
-# lattice vectors
-
-def test_dimension_mismatch():
-    with pytest.raises(ValueError):
-        LatticeVec((1,)) + LatticeVec((1, 2))
-
-
-# ---------------------------------------------------------------------------
 # norm profiles
 
 def test_profile_values():
@@ -81,8 +73,9 @@ def test_norm_axioms(a, b, t):
             (a.entries == (0, 0, 0))
         scaled = norm(profile, LatticeVec(tuple(t * e for e in a.entries)))
         assert scaled.entries == tuple(e * abs(t) for e in na.entries)
-        triangle = zip(norm(profile, a + b).entries,
-                       (na + norm(profile, b)).entries)
+        a_plus_b = tuple(x + y for x, y in zip(a.entries, b.entries))
+        triangle = zip(norm(profile, a_plus_b).entries,
+                       (x + y for x, y in zip(na.entries, norm(profile, b).entries)))
         assert all(lhs <= rhs for lhs, rhs in triangle)
 
 
@@ -306,6 +299,58 @@ def test_samples_refuse_a_comparison_that_cannot_dominate(cmp_eq, message):
         check_majorant_samples(quadratic_equation(mode=FLOAT), cmp_eq, 10, _box(2))
 
 
+def _halved(cmp_eq):
+    return ComparisonEquation(SeriesMap(tuple(
+        Series(c.num_vars, c.degree_cap, {a: v / 2 for a, v in c.terms.items()}, c.mode)
+        for c in cmp_eq.psi.components)))
+
+
+def test_samples_report_frozen_exact():
+    # recorded before the value and increment checks shared one comparison:
+    # pins the draw order of points and pairs and the order of violations
+    eq = quadratic_equation(mode=EXACT, sign=-1, cap=4)
+    box = (LatticeVec((F(-1, 2),) * 2), LatticeVec((F(1, 2),) * 2))
+    report = check_majorant_samples(eq, _halved(majorant(eq)), 3, box,
+                                    check_increments=True, rng=random.Random(4))
+    assert repr(report) == (
+        "MajorantSampleReport(points_checked=3, increments_checked=3, violations=("
+        "MajorantViolation(kind='value', component=0, point=(Fraction(-1829, 65536), "
+        "Fraction(6985, 65536)), increment=None, lhs=Fraction(168655569, 4294967296), "
+        "rhs=Fraction(168655569, 8589934592)), "
+        "MajorantViolation(kind='value', component=0, point=(Fraction(-9623, 32768), "
+        "Fraction(2393, 8192)), increment=None, lhs=Fraction(25434353, 67108864), "
+        "rhs=Fraction(25434353, 134217728)), "
+        "MajorantViolation(kind='value', component=0, point=(Fraction(29999, 65536), "
+        "Fraction(-1557, 8192)), increment=None, lhs=Fraction(28294727, 67108864), "
+        "rhs=Fraction(33143225, 134217728)), "
+        "MajorantViolation(kind='increment', component=0, point=(Fraction(3497, 65536), "
+        "Fraction(-10137, 65536)), increment=(Fraction(-18851, 65536), Fraction(3, 128)), "
+        "lhs=Fraction(1178357, 4194304), rhs=Fraction(1239179, 8388608))))")
+
+
+def test_samples_report_frozen_float_aggregate():
+    # psi = (x - y1^2, 2 x y0) measured by the max norm on y, recorded like
+    # the exact report above
+    psi = SeriesMap((Series(3, 4, {(1, 0, 0): 1.0, (0, 0, 2): -1.0}, FLOAT),
+                     Series(3, 4, {(1, 1, 0): 2.0}, FLOAT)))
+    eq = EquationSpec(psi, COMPONENTWISE, AGGREGATE)
+    box = (LatticeVec((-0.5,) * 3), LatticeVec((0.5,) * 3))
+    report = check_majorant_samples(eq, _halved(majorant(eq)), 3, box,
+                                    check_increments=True, rng=random.Random(8))
+    assert repr(report) == (
+        "MajorantSampleReport(points_checked=3, increments_checked=3, violations=("
+        "MajorantViolation(kind='value', component=0, point=(-0.2732941406189512, "
+        "0.4622950358343828, -0.37366910134914044), increment=None, "
+        "lhs=0.4129227379220254, rhs=0.36984794491879713), "
+        "MajorantViolation(kind='value', component=0, point=(0.49912853916257904, "
+        "-0.2906023681110872, 0.141868435072107), increment=None, "
+        "lhs=0.4790018862927704, rhs=0.43683707322964843), "
+        "MajorantViolation(kind='increment', component=0, point=(-0.0408662372276033, "
+        "-0.04686756886185717, -0.005017306110822295), increment=(-0.30776915775731783, "
+        "0.3305212736329717, -0.4104343765594104), lhs=0.48034408503023585, "
+        "rhs=0.4148651721981132)))")
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_samples_refuse_an_empty_check(n):
     # a check of no points is no evidence for the majorant
@@ -452,6 +497,31 @@ def test_document_degree_above_cap():
                        "value": "1.0"}])
     with pytest.raises(SpecFormatError):
         equation_from_dict(doc)
+
+
+@pytest.mark.parametrize("terms, cap, message", [
+    ([{"output": 0, "alpha": [0], "beta": [3], "value": "1.0"}], 2,
+     r"^term \(0, 3\) of degree 3 exceeds the cap 2$"),
+    ([{"output": 0, "alpha": [1], "beta": [0], "value": "1.0"},
+      {"output": 0, "alpha": [0], "beta": [1], "value": "0.5"}], 8,
+     r"^component 0: linear y term \(0, 1\) is not allowed"),
+    ([{"output": 0, "alpha": [0], "beta": [0], "value": "1.0"}], 8,
+     "^component 0: constant term is not allowed"),
+], ids=["over cap", "linear y", "constant"])
+def test_document_normal_form_refusal_names_the_term(terms, cap, message):
+    # the reader no longer repeats these rules; Series and EquationSpec
+    # refuse the term and name it
+    with pytest.raises(SpecFormatError, match=message):
+        equation_from_dict(_doc(degree_cap=cap, terms=terms))
+
+
+def test_document_zero_valued_term_is_no_term():
+    # a zero coefficient leaves the map as it is, so it breaks no rule of
+    # the normal form, even at a constant or linear y position
+    zeros = [{"output": 0, "alpha": [0], "beta": [0], "value": "0.0"},
+             {"output": 0, "alpha": [0], "beta": [1], "value": "0.0"}]
+    eq = equation_from_dict(_doc(terms=_doc()["terms"] + zeros))
+    assert eq.psi == equation_from_dict(_doc()).psi
 
 
 def test_document_rational_in_float_mode():

@@ -1,14 +1,19 @@
-"""Monotone fixed-point iteration on the comparison equation.
+"""Membership certificates and monotone fixed-point iteration on the
+comparison equation.
 
-The comparison iterates ``Y(p+1) = Psi(X, Y(p))`` started from zero form
-a nondecreasing sequence.  When it settles, its limit is the smallest
-fixed point at the given X, and the step gaps translate into a-posteriori
-error bounds for the primal iteration run alongside it.  ``membership``
-runs the same iteration but keeps only its last iterate.  The loop alone
-decides the verdict, ``INSIDE``, ``OUTSIDE`` or ``UNRESOLVED``, and every
-caller reads it; ``_point`` checks each comparison point on its way in.
-Only a ``ComparisonEquation`` is taken: its non-negative coefficients make
-the iterates from zero increase, so nothing re-checks their order.
+By Hille's theorem X lies in the convergence region when ``Y = Psi(X, Y)``
+has a least fixed point there.  ``_newton_certificate`` looks for a
+witness ``Y~`` by float Newton from zero, and it counts only once
+``certificate_check`` finds ``Y~ >= Psi(X, Y~)`` in exact arithmetic.
+Proof sketch: Psi has non-negative coefficients and ``X >= 0``, so it is
+nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p))
+<= Psi(X, Y~) <= Y~``.  So every Kleene iterate from zero lies below
+``Y~``; they increase, so they converge, to the least fixed point ``Y*``,
+which is at most ``Y~``.  A checked ``Y~`` proves ``INSIDE`` and bounds
+every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  The Kleene iterates still run for
+the trace and for the ``OUTSIDE`` verdict, on a divergence test; a step
+that settles without a certificate proves nothing and is ``UNRESOLVED``.
+Only a ``ComparisonEquation`` is taken; ``_point`` checks each point.
 """
 
 from __future__ import annotations
@@ -17,16 +22,20 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite
+from operator import add, mul
 from typing import IO, Sequence
 
 from .errors import DomainError
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
                       check_majorant_shape, norm)
 from .series import EXACT, FLOAT, Number, _float, coerce_value, format_value, zero_value
+from .solver import _invert
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 10000
 DIVERGENCE_THRESHOLD = 1e9
+NEWTON_STEPS = 100  # float Newton steps tried before a certificate is checked
+INFLATIONS = (1e-14, 1e-12, 1e-10)  # pushes along v, relative to max(1, max Y)
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -75,17 +84,70 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
 
 
-def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,
-            keep: bool) -> tuple[tuple, list, int, str]:
-    """Kleene iteration from 0 on plain tuples: ``(x, iterates, steps,
-    verdict)``, with ``x`` the checked point, ``iterates`` every ``Y(p)`` if
-    ``keep``, else the last, and the verdict set where the loop stops.  Each
-    step calls the kernels of ``Psi`` on ``x + Y``; a non-finite float
-    iterate raises when the next step reads it, as evaluating there would."""
+def _start(cmp: ComparisonEquation, X, max_iter: int, tol: float) -> tuple:
+    """The checked point ``X``, once the budget and ``tol`` are legal."""
     x = _point(cmp, X, cmp.dim_x, "X")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     check_tol(tol)
+    return x
+
+
+def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
+    """``(Y~, steps)`` with ``Y~ >= Psi(x, Y~)`` checked exactly at the
+    checked point ``x``, or None.
+
+    Float Newton from 0 (Etessami and Yannakakis, JACM 2009): each step
+    solves ``(I - J) d = Psi(x, Y) - Y``, ``J`` the Jacobian in Y, until no
+    entry rises.  Below the least fixed point ``I - J`` is a nonsingular
+    M-matrix, so ``v = (I - J)^-1 * 1 >= 1``, and to first order
+    ``Psi(x, Y + e v) = Y + e v + (Psi(x, Y) - Y) - e``: pushed along ``v``
+    by ``e = eps * max(1, max Y)``, for an ``eps`` of ``INFLATIONS``, a
+    float fixed point becomes a pre-fixed point.  Only the exact check
+    decides, so a singular or non-finite step just gives None.
+    """
+    try:
+        values, jacobian = cmp._newton_kernels
+        xf = tuple(map(float, x))
+    except (ValueError, OverflowError):  # beyond the float range
+        return None
+    Y = (0.0,) * cmp.dim_y
+    for steps in range(1, NEWTON_STEPS + 1):
+        z = xf + Y
+        r = [run(z, leaves, 0.0) - y for (run, leaves), y in zip(values, Y)]
+        try:
+            inverse = _invert([[(i == j) - run(z, leaves, 0.0)
+                                for j, (run, leaves) in enumerate(row)]
+                               for i, row in enumerate(jacobian)], FLOAT)
+        except DomainError:
+            return None
+        d = [sum(map(mul, row, r)) for row in inverse]
+        Y_next = tuple(map(add, Y, d))
+        if not max(d) > 0 or Y_next == Y:
+            break
+        Y = Y_next
+    # never push down: Y = 4XY stops at its fixed point 0, where J = 4X may exceed 1
+    v = [max(sum(row), 0.0) for row in inverse]
+    scale = max(1.0, *Y)
+    for eps in INFLATIONS:
+        Y_tilde = tuple(y + eps * scale * w for y, w in zip(Y, v))
+        if not all(0 <= e < inf for e in Y_tilde):
+            return None
+        if cmp.mode == EXACT:
+            Y_tilde = tuple(map(Fraction, Y_tilde))
+        if certificate_check(cmp, x, Y_tilde):
+            return Y_tilde, steps
+    return None
+
+
+def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
+            keep: bool) -> tuple[list, int, str]:
+    """Kleene iteration from 0 at the checked point ``x`` on plain tuples:
+    ``(iterates, steps, verdict)``, with ``iterates`` every ``Y(p)`` if
+    ``keep``, else the last.  A step that settles stops it but proves
+    nothing, so the verdict is ``OUTSIDE`` or ``UNRESOLVED``.  Each step
+    calls the kernels of ``Psi`` on ``x + Y``; a non-finite float iterate
+    raises when the next step reads it, as evaluating there would."""
     exact = cmp.mode == EXACT
     tol_v = Fraction(tol) if exact else float(tol)
     zero = zero_value(cmp.mode)
@@ -111,14 +173,13 @@ def _kleene(cmp: ComparisonEquation, X, max_iter: int, tol: float,
         if keep:
             iterates.append(Y)
         if settled:
-            verdict = INSIDE
             break
         if (prev_step is not None and step >= prev_step
                 and any(e > DIVERGENCE_THRESHOLD for e in Y)):
             verdict = OUTSIDE
             break
         prev_step = step
-    return x, (iterates if keep else [Y]), steps, verdict
+    return (iterates if keep else [Y]), steps, verdict
 
 
 def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
@@ -126,23 +187,26 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
                        tol: float = DEFAULT_TOL) -> IterationTrace:
     """Run the comparison iteration at the point ``X``.
 
-    The trace's verdict is ``INSIDE`` once every entry moves by at most
-    ``tol`` in one step, ``OUTSIDE`` on divergence, and ``UNRESOLVED`` when
-    the budget runs out.  Divergence needs two signs at once: an entry
-    beyond the threshold and a step that stopped shrinking.  A monotone sequence either converges or its steps stop
-    shrinking eventually, so the pair is a sound proxy; the size test alone
-    would misread a large fixed point reached in a few steps.  The trace
-    keeps every iterate, with error bounds when inside: the gaps to the
-    last iterate, never negative, as the iterates never decrease.
+    The trace keeps every Kleene iterate from zero, up to ``max_iter`` of
+    them or until no entry moves by more than ``tol``.  It is ``INSIDE``
+    when a pre-fixed point ``Y~ >= Psi(X, Y~)`` is checked exactly: that
+    ``Y~`` bounds every Kleene iterate, so the least fixed point ``Y*``
+    exists and is at most ``Y~``, and the error bounds ``Y~ - Y(p)`` cover
+    the whole tail ``Y* - Y(p)``, however early the trace stops.  Else it
+    is ``OUTSIDE`` once an entry passes the threshold while the steps stop
+    shrinking, which a converging monotone sequence never does for long,
+    and ``UNRESOLVED`` otherwise.
     """
-    x, found, _, verdict = _kleene(cmp, X, max_iter, tol, keep=True)
+    x = _start(cmp, X, max_iter, tol)
+    certified = _newton_certificate(cmp, x)
+    found, _, verdict = _kleene(cmp, x, max_iter, tol, keep=True)
     error_bounds = residual_norm = None
-    if verdict == INSIDE:
-        final = found[-1]
+    if certified is not None:
+        verdict, (Y_tilde, _) = INSIDE, certified
         error_bounds = tuple(
-            LatticeVec(tuple(f - e for f, e in zip(final, Y))) for Y in found)
-        res = cmp.psi.evaluate(x + final)
-        residual_norm = max(abs(r - f) for r, f in zip(res, final))
+            LatticeVec(tuple(t - e for t, e in zip(Y_tilde, Y))) for Y in found)
+        res = cmp.psi.evaluate(x + found[-1])
+        residual_norm = max(abs(r - f) for r, f in zip(res, found[-1]))
     return IterationTrace(
         iterates_Y=tuple(map(LatticeVec, found)), iterates_y=None,
         verdict=verdict, residual_norm=residual_norm, error_bounds=error_bounds)
@@ -153,10 +217,11 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
                    tol: float = DEFAULT_TOL) -> IterationTrace:
     """Primal iteration paired with its comparison run.
 
-    The comparison is run at ``X = norm(x)``; its convergence is the
-    certificate, so a diverged or unfinished comparison run raises.  The
-    primal iterates are then produced in lockstep and the trace carries
-    the comparison gaps as error bounds valid for the primal sequence.
+    The comparison is run at ``X = norm(x)``; its certificate ``Y~`` is the
+    certificate here, so a diverged or uncertified comparison run raises.
+    The primal iterates are then produced in lockstep and the trace carries
+    the comparison's bounds ``Y~ - Y(p)``, which dominate ``|y* - y(p)|``
+    for the exact primal iterates.
     """
     check_majorant_shape(eq, cmp)
     x = tuple(x.entries) if isinstance(x, LatticeVec) else tuple(x)
@@ -167,7 +232,7 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     comp = iterate_comparison(cmp, norm(eq.profile_x, x), max_iter, tol)
     if comp.verdict != INSIDE:
         why = ("diverged at this point" if comp.verdict == OUTSIDE
-               else "exhausted its budget")
+               else "found no certificate")
         raise DomainError(f"the comparison iteration {why}; "
                           "no convergence certificate is available")
     zero = zero_value(eq.mode)
@@ -187,11 +252,19 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
                budget: int = DEFAULT_BUDGET) -> Membership:
     """Classify ``X`` against the convergence region of the comparison equation.
 
-    The iteration of :func:`iterate_comparison` at ``DEFAULT_TOL``, keeping
-    only its last iterate.
+    ``INSIDE`` means a pre-fixed point ``Y~ >= Psi(X, Y~)`` was checked
+    exactly: it bounds every Kleene iterate, so the least fixed point
+    exists and is at most ``Y~``.  ``principal_Y`` is that ``Y~`` and
+    ``iterations_used`` counts the Newton steps.  Without a certificate
+    the iteration of :func:`iterate_comparison` runs ``budget`` steps at
+    ``DEFAULT_TOL``: ``OUTSIDE`` keeps its last iterate as the witness.
     """
-    _, (Y,), used, verdict = _kleene(cmp, X, budget, DEFAULT_TOL, keep=False)
-    return Membership(verdict, LatticeVec(Y) if verdict == INSIDE else None, used,
+    x = _start(cmp, X, budget, DEFAULT_TOL)
+    certified = _newton_certificate(cmp, x)
+    if certified is not None:
+        return Membership(INSIDE, LatticeVec(certified[0]), certified[1])
+    (Y,), used, verdict = _kleene(cmp, x, budget, DEFAULT_TOL, keep=False)
+    return Membership(verdict, None, used,
                       witness=LatticeVec(Y) if verdict == OUTSIDE else None)
 
 
@@ -208,7 +281,7 @@ def certificate_check(cmp: ComparisonEquation, X: LatticeVec,
 
 
 def error_bound(trace: IterationTrace, p: int) -> LatticeVec:
-    """The certified gap ``Y_final - Y(p)``, an upper bound on the primal error."""
+    """The certified gap ``Y~ - Y(p)``, an upper bound on the primal error."""
     if trace.verdict != INSIDE:
         raise DomainError("error bounds exist only for converged traces")
     if not 0 <= p < len(trace.error_bounds):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isfinite
 from operator import add, sub
 from typing import Mapping, Sequence
@@ -141,6 +142,16 @@ class ComparisonEquation(EquationSpec):
             return self
         return ComparisonEquation(self.psi.as_float())
 
+    @cached_property
+    def _newton_kernels(self) -> tuple:
+        """Float kernels ``(values, jacobian)`` of ``Psi`` and of ``dPsi_i/dY_j``
+        from ``psi.as_float()``, so exact input gets them too; built on first
+        use and kept, like ``Series._plan``.  Not a field."""
+        comps = self.psi.as_float().components
+        return ([c._plan for c in comps],
+                [[c.partial(self.dim_x + j)._plan for j in range(self.dim_y)]
+                 for c in comps])
+
 
 def check_comparison(cmp: ComparisonEquation) -> None:
     """Refuse anything but a ``ComparisonEquation``: no other type vouches
@@ -159,47 +170,50 @@ def map_abs(m: SeriesMap) -> SeriesMap:
     return SeriesMap(tuple(series_abs(comp) for comp in m.components))
 
 
+def _comparison_dims(eq: EquationSpec) -> tuple[int, int]:
+    """The dimensions of the comparison of ``eq``: an aggregate side, measured
+    by one norm, collapses to one variable; the other keeps its own."""
+    return (1 if eq.profile_x == AGGREGATE else eq.dim_x,
+            1 if eq.profile_y == AGGREGATE else eq.dim_y)
+
+
 def majorant(eq: EquationSpec) -> ComparisonEquation:
     """Build the comparison equation dominating ``eq``.
 
     With componentwise (or scalar) profiles on both sides, the moduli of
-    the coefficients are a majorant and the dimensions carry over.  As
-    soon as an aggregate profile is involved, everything collapses to one
-    norming variable per side and the coefficient at bidegree ``(m, n)``
-    is the largest coefficient-modulus sum any output component carries at
-    that bidegree; that sum bounds the max norm of the corresponding
-    symmetric multilinear term, though it is coarser than the tight
-    operator norm.
+    the coefficients are a majorant and the dimensions carry over.  Each
+    aggregate side collapses on its own to one norming variable, as
+    ``|x^alpha| <= |x|^|alpha|`` in the max norm: an aggregate x side sums
+    the coefficient moduli over ``alpha`` of equal ``|alpha|``; an aggregate
+    y side sums over ``beta`` of equal ``|beta|`` and keeps the largest sum
+    of any output component, a bound coarser than the operator norm.
     """
     if AGGREGATE not in (eq.profile_x, eq.profile_y):
         return ComparisonEquation(map_abs(eq.psi))
     p = eq.dim_x
-    cap = eq.degree_cap
-    mode = eq.mode
-    zero = zero_value(mode)
-    sums: list[dict[tuple[int, int], Number]] = []
+    fold_x, fold_y = eq.profile_x == AGGREGATE, eq.profile_y == AGGREGATE
+    zero = zero_value(eq.mode)
+    sums: list[dict[tuple, Number]] = []
     for comp in eq.psi.components:
-        acc: dict[tuple[int, int], Number] = {}
+        acc: dict[tuple, Number] = {}
         for gamma, value in comp.terms.items():
-            key = (sum(gamma[:p]), sum(gamma[p:]))
+            alpha, beta = gamma[:p], gamma[p:]
+            key = ((sum(alpha),) if fold_x else alpha) + ((sum(beta),) if fold_y else beta)
             acc[key] = acc.get(key, zero) + abs(value)
         sums.append(acc)
-    terms: dict[tuple[int, int], Number] = {}
-    for acc in sums:
-        for key, value in acc.items():
-            if key not in terms or value > terms[key]:
-                terms[key] = value
-    collapsed = Series(2, cap, {(m, n): v for (m, n), v in terms.items()}, mode)
-    return ComparisonEquation(SeriesMap((collapsed,)))
+    if fold_y:  # the first largest sum, keys in order of first appearance
+        sums = [{k: max(acc[k] for acc in sums if k in acc) for acc in sums for k in acc}]
+    num_vars = sum(_comparison_dims(eq))
+    return ComparisonEquation(SeriesMap(tuple(
+        Series(num_vars, eq.degree_cap, acc, eq.mode) for acc in sums)))
 
 
 def check_majorant_shape(eq: EquationSpec, cmp: EquationSpec) -> None:
     """Refuse a ``cmp`` that cannot dominate ``eq``: another mode, or
-    dimensions other than those of the norms of ``eq``'s two sides."""
+    dimensions other than those ``majorant`` gives it."""
     if eq.mode != cmp.mode:
         raise ValueError(f"mode mismatch: {eq.mode} vs {cmp.mode}")
-    if ((1 if eq.profile_x == AGGREGATE else eq.dim_x,
-         1 if eq.profile_y == AGGREGATE else eq.dim_y) != (cmp.dim_x, cmp.dim_y)):
+    if _comparison_dims(eq) != (cmp.dim_x, cmp.dim_y):
         raise ValueError(
             "the norm profiles do not match the comparison equation dimensions")
 

@@ -193,3 +193,104 @@ def random_comparison(rng, cap=8):
             body[gamma] = rng.randint(1, 4) / 2.0
         comps.append(Series(P + Q, cap, body, FLOAT))
     return ComparisonEquation(SeriesMap(tuple(comps)))
+
+
+# ---------------------------------------------------------------------------
+# exact least fixed points of positive systems
+
+def exact_polys(cmp_eq):
+    """The components of a comparison equation as exact dicts over (X, Y)."""
+    return [{g: Fraction(v) for g, v in comp.terms.items()}
+            for comp in cmp_eq.psi.components]
+
+
+def poly_at(poly, z):
+    """Exact value of a dict polynomial at the point ``z``."""
+    total = Fraction(0)
+    for g, c in poly.items():
+        term = Fraction(c)
+        for zi, e in zip(z, g):
+            term *= Fraction(zi) ** e
+        total += term
+    return total
+
+
+def is_pre_fixed(polys, X, Y):
+    """Exactly ``0 <= Y`` and ``P(X, Y) <= Y``, entry by entry."""
+    z = tuple(map(Fraction, X)) + tuple(map(Fraction, Y))
+    return all(Fraction(y) >= 0 and poly_at(p, z) <= Fraction(y)
+               for p, y in zip(polys, Y))
+
+
+def _jacobian(polys, z, dim_x):
+    """Exact ``dP_i/dY_j`` at ``z``."""
+    out = []
+    for p in polys:
+        row = []
+        for j in range(dim_x, len(z)):
+            d = {}
+            for g, c in p.items():
+                if g[j]:
+                    d[g[:j] + (g[j] - 1,) + g[j + 1:]] = c * g[j]
+            row.append(poly_at(d, z))
+        out.append(row)
+    return out
+
+
+def _exact_inverse(A):
+    """Inverse of a small Fraction matrix, or None when it is singular."""
+    n = len(A)
+    work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(A)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [v / work[col][col] for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                f = work[r][col]
+                work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def fixed_point_oracle(polys, X, steps=80, bits=256):
+    """Exact monotone Newton from zero on the positive system Y = P(X, Y).
+
+    Returns ``(lower, upper, outside)``.  P has non-negative coefficients,
+    so for ``0 <= Y <= Y*`` convexity gives ``(I - J(Y))(Y* - Y) >= P(X, Y)
+    - Y``; while ``(I - J(Y))^-1 >= 0`` the Newton step stays below the
+    least fixed point ``Y*``, and so does its value rounded down to a
+    multiple of ``2^-bits`` and clamped at 0.  So ``lower <= Y*`` whenever
+    ``Y*`` exists.  A ``Y*`` with no zero entry has ``rho(J(Y*)) <= 1``
+    (Esparza, Kiefer and Luttenberger, JACM 2010), and ``rho(J)`` only grows
+    with Y, so at a positive ``Y <= Y*`` an ``I - J(Y)`` that is nonsingular
+    with a negative entry in its inverse (``rho(J(Y)) > 1``) proves that no
+    ``Y*`` exists: ``outside`` is True.  A zero entry proves nothing: Y = 4XY
+    has ``Y* = 0`` at every X, where ``J = 4X``.  ``upper``
+    is ``lower`` pushed by ``2^-(bits/2)`` along ``(I - J)^-1 * 1`` when
+    that is exactly a pre-fixed point, which proves ``Y*`` exists and lies
+    below it; else None.
+    """
+    X = tuple(map(Fraction, X))
+    dim_x, q = len(X), len(polys)
+    grid = 2 ** bits
+    Y = (Fraction(0),) * q
+    for _ in range(steps):
+        z = X + Y
+        inverse = _exact_inverse([[int(i == j) - e for j, e in enumerate(row)]
+                                  for i, row in enumerate(_jacobian(polys, z, dim_x))])
+        if inverse is None:
+            return Y, None, False
+        if any(e < 0 for row in inverse for e in row):
+            return Y, None, all(y > 0 for y in Y)
+        r = [poly_at(p, z) - y for p, y in zip(polys, Y)]
+        step = [sum(a * b for a, b in zip(row, r)) for row in inverse]
+        if max(step) * grid <= 1:
+            push = Fraction(1, 2 ** (bits // 2))
+            upper = tuple(y + push * sum(row) for y, row in zip(Y, inverse))
+            return Y, (upper if is_pre_fixed(polys, X, upper) else None), False
+        Y = tuple(max(Fraction(math.floor((y + s) * grid), grid), Fraction(0))
+                  for y, s in zip(Y, step))
+    return Y, None, False

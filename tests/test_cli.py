@@ -300,6 +300,47 @@ def test_check_reports_clean_samples(spec_file, capsys):
     assert doc["violations"] == []
 
 
+MIXED = {
+    # y0 = x + y1^2, y1 = x/100 + y0^2/100, the x side measured by the max norm
+    "dim_x": 1, "dim_y": 2, "mode": "float",
+    "profile_x": "aggregate", "profile_y": "componentwise", "degree_cap": 4,
+    "terms": [
+        {"output": 0, "alpha": [1], "beta": [0, 0], "value": "1.0"},
+        {"output": 0, "alpha": [0], "beta": [0, 2], "value": "1.0"},
+        {"output": 1, "alpha": [1], "beta": [0, 0], "value": "0.01"},
+        {"output": 1, "alpha": [0], "beta": [2, 0], "value": "0.01"},
+    ],
+}
+
+
+def test_check_accepts_the_majorant_of_a_mixed_profile_spec(spec_file, capsys):
+    # the majorant collapsed both sides, and check refused it with "the norm
+    # profiles do not match the comparison equation dimensions" (exit 2)
+    path = spec_file(MIXED)
+    code, out, err = run(capsys, ["check", "--spec", path, "--samples", "200"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["violations"] == []
+    code, out, _ = run(capsys, ["iterate", "--spec", path, "--x", "0.1"])
+    assert code == 0 and out.startswith("p,Y0,Y1,y0,y1,bound0,bound1,")
+
+
+def test_mixed_profile_radius_is_at_least_the_collapsed_one(spec_file, capsys):
+    # keeping the y side componentwise can only widen the certified region:
+    # collapsing it too gives Y = X + Y^2, radius 1/4
+    radii = []
+    for profile_y in ("componentwise", "aggregate"):
+        path = spec_file(dict(MIXED, profile_y=profile_y))
+        code, out, _ = run(capsys, ["majorant", "--spec", path])
+        assert code == 0
+        cmp_path = spec_file(json.loads(out), name="cmp.json")
+        code, out, _ = run(capsys, ["radius", "--spec", cmp_path,
+                                    "--direction", "1.0", "--tol", "1e-3"])
+        assert code == 0
+        radii.append(json.loads(out)["t_inside"])
+    assert radii[1] == pytest.approx(0.25, abs=1e-3)
+    assert radii[0] >= radii[1]
+
+
 def test_check_deterministic_under_seed(spec_file, capsys):
     path = spec_file(QUAD_MINUS)
     _, a, _ = run(capsys, ["check", "--spec", path, "--samples", "50",
@@ -511,9 +552,9 @@ FROZEN_DOCUMENTS = [
 {
   "verdict": "inside",
   "principal_Y": [
-    0.27639320224914243
+    0.27639320225004343
   ],
-  "iterations_used": 43,
+  "iterations_used": 7,
   "witness": null
 }
 """),
@@ -539,9 +580,11 @@ FROZEN_DOCUMENTS = [
 """ % EXACT_WITNESS),
     (QUAD_PLUS_EXACT, ["membership", "--X", "1/5", "--budget", "3"], """\
 {
-  "verdict": "unresolved",
-  "principal_Y": null,
-  "iterations_used": 3,
+  "verdict": "inside",
+  "principal_Y": [
+    "8121010851297459/36028797018963968"
+  ],
+  "iterations_used": 6,
   "witness": null
 }
 """),
@@ -568,6 +611,21 @@ def test_record_document_text_is_frozen(spec_file, capsys, doc, argv, expected):
     path = spec_file(doc)
     code, out, err = run(capsys, [argv[0], "--spec", path, *argv[1:]])
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, X, c, root", [
+    (["membership", "--X", "0.2"], Fraction(0.2), 1, (1 - 0.2 ** 0.5) / 2),
+    (["membership", "--X", "1/5", "--budget", "3"], Fraction(1, 5), Fraction(1, 2),
+     1 - 0.6 ** 0.5),
+], ids=["float", "exact"])
+def test_frozen_inside_documents_hold_a_pre_fixed_point(argv, X, c, root):
+    # the oracle behind the frozen inside documents: Y = X + c Y^2 has the
+    # least root (1 - sqrt(1 - 4cX))/(2c); the printed principal_Y is exactly
+    # a pre-fixed point at X and lies less than 1e-12 above that root
+    text = next(out for _, args, out in FROZEN_DOCUMENTS if args == argv)
+    (Y,) = map(Fraction, json.loads(text)["principal_Y"])
+    assert X + c * Y * Y <= Y
+    assert 0 < Y - Fraction(root) < 1e-12
 
 
 def test_trace_without_bounds_text_is_frozen(spec_file, capsys):

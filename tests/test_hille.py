@@ -250,11 +250,14 @@ def test_radius_brackets_quadratic():
 
 def test_bisection_grid_frozen():
     # exact values pin the bisection grids: the ray bracket is a pair of
-    # grid points, and the turning point is the inside end of another
+    # grid points, and the turning point is the inside end of another; the
+    # ray bracket holds the closed-form crossing X* = 1/4 and meets its tol
     ray = radius_along_ray(quadratic_comparison(), LatticeVec((1.0,)),
                            tol=1e-6)
     assert (ray.t_inside, ray.t_outside) == (
-        0.24999868869781494, 0.25000011921179066)
+        0.2499995231628418, 0.25000023841903385)
+    assert ray.t_inside < 0.25 < ray.t_outside
+    assert ray.t_outside - ray.t_inside <= 1e-6
     turn = hille_point(scalar_comparison(
         {(1, 0): 1.0, (1, 1): 1.0, (0, 3): 1.0}))
     assert (turn.X_star, turn.Y_star, turn.status) == (

@@ -39,6 +39,9 @@ from impsolve import (
 )
 
 from helpers import (
+    exact_polys,
+    fixed_point_oracle,
+    is_pre_fixed,
     principal_quadratic,
     quadratic_comparison,
     quadratic_equation,
@@ -168,12 +171,17 @@ def test_a_non_comparison_is_refused(call):
 # error bounds
 
 def test_error_bounds_shrink_to_zero():
+    # each bound covers the whole tail Y* - Y(p): measured against the exact
+    # oracle's lower bound on Y*, never against the last iterate
     trace = iterate_comparison(quadratic_comparison(), X_at(0.2))
     bounds = [b.entries[0] for b in trace.error_bounds]
     assert len(bounds) == len(trace.iterates_Y)
     assert all(b >= 0 for b in bounds)
     assert all(a >= b for a, b in zip(bounds, bounds[1:]))
-    assert bounds[-1] == 0.0
+    lower, _, _ = fixed_point_oracle(exact_polys(quadratic_comparison()), (0.2,))
+    for b, Y in zip(bounds, trace.iterates_Y):
+        assert Fraction(b) >= lower[0] - Fraction(Y.entries[0])
+    assert bounds[-1] <= 1e-12
 
 
 def test_error_bound_accessor():
@@ -278,9 +286,6 @@ def test_membership_unresolved_on_boundary():
     assert got.iterations_used == DEFAULT_BUDGET
 
 
-@pytest.mark.xfail(strict=True, reason="a step of at most tol is taken as "
-                   "convergence; an inside certificate that checks "
-                   "Psi(X, Y) <= Y is ROADMAP item 1")
 def test_large_tol_does_not_certify_a_point_outside():
     # no fixed point exists for X > 1/4, and at tol 0.01 the verdict is
     # outside; at tol 1 the first step, from 0 to 0.3, counts as settled
@@ -303,8 +308,13 @@ def test_bad_tol_rejected(tol):
 
 
 def test_zero_tol_is_legal():
+    # no step settles at tol 0, so the trace runs the whole budget; the
+    # certificate does not depend on tol, and its bounds hold at every step
     got = iterate_comparison(quadratic_comparison(), X_at(0.2), max_iter=20, tol=0.0)
-    assert got.verdict == UNRESOLVED and got.steps == 20
+    assert got.verdict == INSIDE and got.steps == 20
+    lower, _, _ = fixed_point_oracle(exact_polys(quadratic_comparison()), (0.2,))
+    for b, Y in zip(got.error_bounds, got.iterates_Y):
+        assert Fraction(b.entries[0]) >= lower[0] - Fraction(Y.entries[0])
 
 
 @pytest.mark.parametrize("call, message", [
@@ -428,9 +438,25 @@ def test_trace_csv_without_primal():
 # ---------------------------------------------------------------------------
 # frozen loop results
 #
-# Recorded from the loop that built a LatticeVec per step, before membership
-# ran on plain tuples.  Equality is exact: the step count, the final iterate
-# and the witness pin every comparison and every float operation.
+# Recorded from the code.  Equality is exact: the step count, the certified
+# point and the witness pin every comparison and every float operation.  An
+# inside result is the Newton certificate, recorded only once the exact
+# oracle of helpers.py agreed with it (see _agrees_with_oracle); an outside
+# one is still the Kleene loop's, on a point the oracle proves outside.
+
+
+def _agrees_with_oracle(cmp_eq, X, got):
+    """The verdict matches the exact oracle, and an inside ``principal_Y``
+    is a pre-fixed point at X within 1e-10 (relative) above its lower bound
+    on the least fixed point."""
+    polys = exact_polys(cmp_eq)
+    lower, upper, outside = fixed_point_oracle(polys, X)
+    if got.verdict == OUTSIDE:
+        return outside
+    Y = got.principal_Y.entries
+    return (upper is not None and is_pre_fixed(polys, X, Y)
+            and all(Fraction(y) - low <= Fraction(1e-10) * max(1, low)
+                    for y, low in zip(Y, lower)))
 
 def big_linear_comparison():
     """Y = 1e10 X + Y^2, the comparison of y = 1e10 x + y^2."""
@@ -485,27 +511,29 @@ def test_primal_refuses_a_non_finite_x(x):
 
 
 @pytest.mark.parametrize("c, fraction, want", [
-    (1.0, 0.5, Membership(INSIDE, LatticeVec((0.14644660940660406,)), 22)),
-    (1.0, 0.999996, Membership(INSIDE, LatticeVec((0.4989999995016816,)), 7587)),
+    (1.0, 0.5, Membership(INSIDE, LatticeVec((0.1464466094067404,)), 6)),
+    (1.0, 0.999996, Membership(INSIDE, LatticeVec((0.4990000000049981,)), 14)),
     (1.0, 1.000004, Membership(OUTSIDE, None, 3144,
                                witness=LatticeVec((1712218149.6939335,)))),
-    (2.5, 0.5, Membership(INSIDE, LatticeVec((0.05857864376252364,)), 21)),
-    (2.5, 0.999996, Membership(INSIDE, LatticeVec((0.19959999950137325,)), 7129)),
+    (2.5, 0.5, Membership(INSIDE, LatticeVec((0.05857864376270464,)), 6)),
+    (2.5, 0.999996, Membership(INSIDE, LatticeVec((0.19960000000500328,)), 14)),
     (2.5, 1.000004, Membership(OUTSIDE, None, 3145,
                                witness=LatticeVec((1.172676346292223e+18,)))),
 ])
 def test_membership_quadratic_family_frozen(c, fraction, want):
     cmp_eq = scalar_comparison({(1, 0): 1.0, (0, 2): c})
-    got = membership(cmp_eq, X_at(fraction * (1 / (4 * c))))
+    X = fraction * (1 / (4 * c))
+    got = membership(cmp_eq, X_at(X))
     assert (got.verdict, got.iterations_used) == (want.verdict, want.iterations_used)
     assert got.principal_Y == want.principal_Y
     assert got.witness == want.witness
+    assert _agrees_with_oracle(cmp_eq, (X,), got)
 
 
 @pytest.mark.parametrize("X, want", [
-    (0.05, Membership(INSIDE, LatticeVec((0.09236005439025459, 0.058107659791733095)), 16)),
-    (0.1455, Membership(INSIDE, LatticeVec((0.4854813746967078, 0.30856348878555645)), 799)),
-    (0.14559, Membership(INSIDE, LatticeVec((0.4974253850690997, 0.31595931631439694)), 7531)),
+    (0.05, Membership(INSIDE, LatticeVec((0.09236005439039907, 0.058107659791829275)), 6)),
+    (0.1455, Membership(INSIDE, LatticeVec((0.4854813747361459, 0.30856348880996115)), 11)),
+    (0.14559, Membership(INSIDE, LatticeVec((0.4974253855680301, 0.31595931662288756)), 16)),
     (0.1456, Membership(OUTSIDE, None, 785,
                         witness=LatticeVec((5802416043716176.0, 3514114177706103.5)))),
     (0.4, Membership(OUTSIDE, None, 8,
@@ -514,14 +542,26 @@ def test_membership_quadratic_family_frozen(c, fraction, want):
 def test_membership_seeded_system_frozen(X, want):
     got = membership(seeded_ray_system(6), X_at(X))
     assert got == want
+    assert _agrees_with_oracle(seeded_ray_system(6), (X,), got)
 
 
 def test_radius_bracket_seeded_system_frozen():
     got = radius_along_ray(seeded_ray_system(6), X_at(1.0), tol=1e-6)
     assert (got.t_inside, got.t_outside, got.unbounded) == (
-        0.14558959007263184, 0.14559121973115907, False)
+        0.1455904245376587, 0.1455912393661265, False)
+    # the exact oracle certifies the inside end and proves the outside end
+    polys = exact_polys(seeded_ray_system(6))
+    assert fixed_point_oracle(polys, (got.t_inside,))[1] is not None
+    assert fixed_point_oracle(polys, (got.t_outside,))[2]
 
 
 def test_membership_exact_catalan_frozen():
+    # Newton runs in float, so exact input no longer iterates in Fraction;
+    # the certified point lies above the root (5 - sqrt(5))/10 by less than
+    # 1e-12, and 1/5 + Y^2 <= Y holds exactly
     got = membership(quadratic_comparison(EXACT), X_at(Fraction(1, 5)), 14)
-    assert got == Membership(UNRESOLVED, None, 14)
+    assert got == Membership(INSIDE, LatticeVec(
+        (Fraction(4979057290644135, 18014398509481984),)), 7)
+    (Y,) = got.principal_Y.entries
+    assert Fraction(1, 5) + Y * Y <= Y
+    assert 0 < Y - (5 - math.sqrt(5)) / 10 < 1e-12

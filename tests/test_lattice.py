@@ -351,6 +351,52 @@ def test_samples_report_frozen_float_aggregate():
         "rhs=0.4148651721981132)))")
 
 
+def _mixed(rng, mode, profile_x, profile_y):
+    """A seeded signed equation whose two sides are measured differently."""
+    eq, _ = random_equation(rng, mode=mode, cap=4)
+    return EquationSpec(eq.psi, profile_x, profile_y)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("profiles", [(AGGREGATE, COMPONENTWISE),
+                                      (COMPONENTWISE, AGGREGATE)],
+                         ids=["aggregate x", "aggregate y"])
+def test_mixed_profile_majorant_passes_the_samples(mode, profiles):
+    # the majorant collapses only the aggregate side; the sampler, which
+    # measures each side by its own profile, then finds no violation
+    rng = random.Random(1601)
+    shapes = set()
+    for _ in range(12):
+        eq = _mixed(rng, mode, *profiles)
+        cmp_eq = majorant(eq)
+        shapes.add((eq.dim_x, eq.dim_y, cmp_eq.dim_x, cmp_eq.dim_y))
+        half = F(1, 8) if mode == EXACT else 0.125
+        dim = eq.dim_x + eq.dim_y
+        report = check_majorant_samples(
+            eq, cmp_eq, 60, (LatticeVec((-half,) * dim), LatticeVec((half,) * dim)),
+            check_increments=True, rng=random.Random(rng.randrange(2 ** 31)))
+        assert report.violations == ()
+    # some draw keeps a componentwise side of dimension 2 next to a collapsed one
+    assert any(2 in shape[2:] for shape in shapes)
+
+
+def test_mixed_profile_majorant_collapses_one_side():
+    # y0 = x0 - x1 y1^2, y1 = 2 x0 x1 + y0^2 with an aggregate x side: the
+    # x monomials of equal degree sum, and both y variables stay
+    psi = SeriesMap((Series(4, 4, {(1, 0, 0, 0): 1.0, (0, 1, 0, 2): -1.0}, FLOAT),
+                     Series(4, 4, {(1, 1, 0, 0): 2.0, (0, 0, 2, 0): 1.0}, FLOAT)))
+    cmp_eq = majorant(EquationSpec(psi, AGGREGATE, COMPONENTWISE))
+    assert (cmp_eq.dim_x, cmp_eq.dim_y) == (1, 2)
+    assert [dict(c.terms) for c in cmp_eq.psi.components] == [
+        {(1, 0, 0): 1.0, (1, 0, 2): 1.0}, {(2, 0, 0): 2.0, (0, 2, 0): 1.0}]
+    # with the aggregate side on y instead, the x variables stay and the
+    # larger output sum of each monomial is kept
+    cmp_eq = majorant(EquationSpec(psi, COMPONENTWISE, AGGREGATE))
+    assert (cmp_eq.dim_x, cmp_eq.dim_y) == (2, 1)
+    assert dict(cmp_eq.psi.components[0].terms) == {
+        (1, 0, 0): 1.0, (0, 1, 2): 1.0, (1, 1, 0): 2.0, (0, 0, 2): 1.0}
+
+
 @pytest.mark.parametrize("n", [0, -3])
 def test_samples_refuse_an_empty_check(n):
     # a check of no points is no evidence for the majorant

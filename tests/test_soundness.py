@@ -1,0 +1,100 @@
+"""Soundness of every certified claim on random positive systems.
+
+Hypothesis draws small comparison equations (one or two unknowns, total
+degree at most 3, dyadic coefficients, so float and exact mode hold the
+same numbers), points X and tolerances.  Each claim of ``membership``,
+``iterate_comparison`` and ``iterate_primal`` is checked against the exact
+oracle of helpers.py, monotone Newton in ``Fraction`` arithmetic, never
+against the library:
+
+- ``inside`` has an exact pre-fixed point at X: ``principal_Y``, or
+  ``Y(0) + bound(0)`` for a trace, passes the oracle's own exact check, and
+  the oracle does not prove X outside;
+- every error bound is at least the true error, ``bound(p) >= Y* - Y(p)``,
+  tested against the oracle's lower bound on the least fixed point ``Y*``;
+- ``outside`` is not contradicted by a pre-fixed point the oracle verified.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from impsolve import (COMPONENTWISE, EXACT, FLOAT, INSIDE, OUTSIDE,
+                      ComparisonEquation, DomainError, EquationSpec,
+                      LatticeVec, Series, SeriesMap, iterate_comparison,
+                      iterate_primal, membership)
+
+from helpers import exact_polys, fixed_point_oracle, is_pre_fixed
+
+# exact iteration grows its rationals at every step, so exact runs get
+# small budgets: (membership budget, trace max_iter) per mode
+BUDGET = {EXACT: (6, 6), FLOAT: (2000, 400)}
+
+dyadics = st.builds(lambda k, j: Fraction(k, 2 ** j), st.integers(1, 8),
+                    st.integers(0, 3))
+
+
+@st.composite
+def systems(draw):
+    """``(cmp, X, tol)``: a positive system, a point X >= 0 and a tol."""
+    mode = draw(st.sampled_from([EXACT, FLOAT]))
+    value = Fraction if mode == EXACT else float
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    gammas = st.tuples(*[st.integers(0, 3)] * (p + q)).filter(
+        lambda g: sum(g) <= 3 and (any(g[:p]) or sum(g) >= 2))
+    comps = tuple(
+        Series(p + q, 3, {g: value(c) for g, c in draw(
+            st.dictionaries(gammas, dyadics, min_size=1, max_size=4)).items()},
+            mode)
+        for _ in range(q))
+    X = tuple(value(Fraction(k, 64)) for k in draw(
+        st.lists(st.integers(0, 40), min_size=p, max_size=p)))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.5, 1.0]))
+    return ComparisonEquation(SeriesMap(comps)), X, tol
+
+
+def _bounds_cover_the_tail(polys, X, trace):
+    """The trace's inside claim and bounds against the exact oracle."""
+    lower, _, outside = fixed_point_oracle(polys, X)
+    Y_tilde = [Fraction(y) + Fraction(b) for y, b in
+               zip(trace.iterates_Y[0].entries, trace.error_bounds[0].entries)]
+    assert not outside
+    assert is_pre_fixed(polys, X, Y_tilde)
+    for Y, bound in zip(trace.iterates_Y, trace.error_bounds):
+        for y, b, low in zip(Y.entries, bound.entries, lower):
+            assert Fraction(b) >= low - Fraction(y)
+
+
+@settings(max_examples=200)
+@given(systems())
+def test_membership_claims_hold(case):
+    cmp_eq, X, _ = case
+    polys = exact_polys(cmp_eq)
+    got = membership(cmp_eq, LatticeVec(X), BUDGET[cmp_eq.mode][0])
+    _, upper, outside = fixed_point_oracle(polys, X)
+    if got.verdict == INSIDE:
+        assert not outside
+        assert is_pre_fixed(polys, X, got.principal_Y.entries)
+    if got.verdict == OUTSIDE:
+        assert upper is None
+
+
+@settings(max_examples=200)
+@given(systems())
+def test_every_bound_covers_the_true_error(case):
+    cmp_eq, X, tol = case
+    polys = exact_polys(cmp_eq)
+    budget = BUDGET[cmp_eq.mode][1]
+    trace = iterate_comparison(cmp_eq, LatticeVec(X), budget, tol)
+    if trace.verdict == INSIDE:
+        _bounds_cover_the_tail(polys, X, trace)
+    # a positive system is its own majorant: the paired run's primal
+    # iterates are the comparison's, and so is its true error
+    eq = EquationSpec(cmp_eq.psi, COMPONENTWISE, COMPONENTWISE)
+    try:
+        paired = iterate_primal(eq, X, cmp_eq, budget, tol)
+    except DomainError:
+        assert trace.verdict != INSIDE
+        return
+    assert trace.verdict == INSIDE
+    _bounds_cover_the_tail(polys, X, paired)

@@ -4,8 +4,9 @@ On the graph of ``Y = Psi(X, Y)`` the principal branch rises from the
 origin until the partial derivative of ``Psi`` in ``Y`` reaches one; at
 that turning point the graph has a vertical tangent and the X coordinate
 is the radius of convergence of the principal solution branch.  This
-module locates that point numerically, traces the graph itself, probes
-the convergence region along rays through the origin, and offers an
+module locates that point and traces the graph on the comparison's cached
+float kernels, the ones Newton reads, building no series; it probes the
+convergence region along rays through the origin, and offers an
 empirical coefficient-ratio estimate of the radius for comparison.
 """
 
@@ -18,7 +19,7 @@ from typing import IO, Callable, NamedTuple
 
 from .kantorovich import DEFAULT_TOL, INSIDE, OUTSIDE, check_tol, membership
 from .lattice import ComparisonEquation, LatticeVec, check_comparison
-from .series import Number, Series, _float, zero_value
+from .series import FLOAT, Number, _float, coerce_value, zero_value
 from .solver import SolutionSeries
 
 FOUND = "found"
@@ -68,18 +69,20 @@ class RayRadius:
         return 0.5 * (self.t_inside + self.t_outside)
 
 
-def _scalar_series(cmp: ComparisonEquation) -> Series:
+def _scalar_kernels(cmp: ComparisonEquation) -> tuple[Callable, Callable]:
+    """``Psi(X, Y)`` and ``dPsi/dY(X, Y)`` of a scalar comparison, on floats."""
     check_comparison(cmp)
     if cmp.dim_x != 1 or cmp.dim_y != 1:
         raise ValueError(
             f"a scalar comparison equation is required, got dimensions "
             f"({cmp.dim_x}, {cmp.dim_y})")
-    psi = cmp.psi.as_float().components[0]
-    if not any(gamma[0] > 0 for gamma in psi.terms):
+    ((run, leaves),), (((run_y, leaves_y),),) = cmp._float_kernels
+    if not any(gamma[0] > 0 for gamma in cmp.psi.components[0].terms):
         raise ValueError(
             "the comparison equation does not depend on X; the graph "
             "solve is ill-posed")
-    return psi
+    return (lambda X, Y: run((X, Y), leaves, 0.0),
+            lambda X, Y: run_y((X, Y), leaves_y, 0.0))
 
 
 def _bisect(below: Callable[[float], bool], lo: float, hi: float,
@@ -101,23 +104,23 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float,
     return lo, hi
 
 
-def _graph_x(psi: Series, Y: float) -> float | None:
+def _graph_x(psi: Callable, Y: float) -> float | None:
     """Smallest X >= 0 with Psi(X, Y) = Y, or None when there is none.
 
     Psi is nondecreasing in X with all-positive coefficients, so doubling
     then bisection to float resolution solves the equation in X.
     """
-    gap = psi.evaluate((0.0, Y)) - Y
+    gap = psi(0.0, Y) - Y
     if gap > 0.0:
         return None
     if gap == 0.0:
         return 0.0
     hi = 1.0
-    while psi.evaluate((hi, Y)) - Y < 0.0:
+    while psi(hi, Y) - Y < 0.0:
         hi *= 2.0
         if hi > 1e307:  # keeps 0.5 * (lo + hi) finite
             return None
-    lo, hi = _bisect(lambda X: psi.evaluate((X, Y)) - Y < 0.0, 0.0, hi, 0.0)
+    lo, hi = _bisect(lambda X: psi(X, Y) - Y < 0.0, 0.0, hi, 0.0)
     return 0.5 * (lo + hi)
 
 
@@ -132,12 +135,11 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
     exceeds ``DEFAULT_TOL``) and ``|1 - dPsi/dY| <= DEFAULT_TOL``, else it
     failed; with the derivative below one up to ``Y_CAP`` it is unbounded.
     """
-    psi = _scalar_series(cmp)
-    psi_y = psi.partial(1)
+    psi, psi_y = _scalar_kernels(cmp)
 
     def below_turn(Y: float) -> bool:
         X = _graph_x(psi, Y)
-        return X is not None and psi_y.evaluate((X, Y)) < 1.0
+        return X is not None and psi_y(X, Y) < 1.0
 
     lo, hi = 0.0, 1.0 / 1024.0
     while below_turn(hi):
@@ -147,8 +149,8 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
 
     Y, _ = _bisect(below_turn, lo, hi, 0.0)
     X = _graph_x(psi, Y)
-    fixed = abs(Y - psi.evaluate((X, Y)))
-    derivative = abs(1.0 - psi_y.evaluate((X, Y)))
+    fixed = abs(Y - psi(X, Y))
+    derivative = abs(1.0 - psi_y(X, Y))
     found = fixed <= DEFAULT_TOL * max(1.0, Y) and derivative <= DEFAULT_TOL
     return HillePoint(X, Y, fixed, derivative, FOUND if found else FAILED)
 
@@ -161,22 +163,22 @@ def trace_graph(cmp: ComparisonEquation, Y_max: float, steps: int) -> RegionSamp
     kept points, or None when the maximum sits at the end of the range
     (no turning inside it).
     """
-    psi = _scalar_series(cmp)
+    psi, psi_y = _scalar_kernels(cmp)
     if steps < 1:
         raise ValueError("steps must be positive")
     if not (Y_max > 0 and isfinite(Y_max * steps)):
         raise ValueError(
             f"Y_max must be positive, with Y_max * steps finite, got {Y_max!r}")
-    psi_y = psi.partial(1)
     points: list[GraphPoint] = []
     omitted: list[float] = []
     for j in range(steps + 1):
-        Y = Y_max * j / steps
+        # the kernels take floats: a Y_max giving no float grid is refused here
+        Y = coerce_value(Y_max * j / steps, FLOAT)
         X = _graph_x(psi, Y)
         if X is None:
             omitted.append(Y)
             continue
-        points.append(GraphPoint(X, Y, psi_y.evaluate((X, Y))))
+        points.append(GraphPoint(X, Y, psi_y(X, Y)))
     # Y = 0 always gives X = 0, as psi has no constant term, so points is not empty
     turning = max(range(len(points)), key=lambda k: points[k].X)
     if turning == len(points) - 1:

@@ -3,7 +3,8 @@ comparison equation.
 
 By Hille's theorem X lies in the convergence region when ``Y = Psi(X, Y)``
 has a least fixed point there.  ``_newton_certificate`` looks for a
-witness ``Y~`` by float Newton from zero, and it counts only once
+witness ``Y~`` by float Newton from zero, on the comparison's cached float
+kernels that ``hille`` reads too, and it counts only once
 ``certificate_check`` finds ``Y~ >= Psi(X, Y~)`` in exact arithmetic.
 Proof sketch: Psi has non-negative coefficients and ``X >= 0``, so it is
 nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p))
@@ -47,7 +48,6 @@ class IterationTrace:
     iterates_Y: tuple[LatticeVec, ...]
     iterates_y: tuple[tuple[Number, ...], ...] | None
     verdict: str
-    residual_norm: Number | None
     error_bounds: tuple[LatticeVec, ...] | None
 
     @property
@@ -84,12 +84,11 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tol must be a finite non-negative number, got {tol!r}")
 
 
-def _start(cmp: ComparisonEquation, X, max_iter: int, tol: float) -> tuple:
-    """The checked point ``X``, once the budget and ``tol`` are legal."""
+def _start(cmp: ComparisonEquation, X, max_iter: int) -> tuple:
+    """The checked point ``X``, once the budget is legal."""
     x = _point(cmp, X, cmp.dim_x, "X")
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
-    check_tol(tol)
     return x
 
 
@@ -107,7 +106,7 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
     decides, so a singular or non-finite step just gives None.
     """
     try:
-        values, jacobian = cmp._newton_kernels
+        values, jacobian = cmp._float_kernels
         xf = tuple(map(float, x))
     except (ValueError, OverflowError):  # beyond the float range
         return None
@@ -197,19 +196,18 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
     shrinking, which a converging monotone sequence never does for long,
     and ``UNRESOLVED`` otherwise.
     """
-    x = _start(cmp, X, max_iter, tol)
+    x = _start(cmp, X, max_iter)
+    check_tol(tol)
     certified = _newton_certificate(cmp, x)
     found, _, verdict = _kleene(cmp, x, max_iter, tol, keep=True)
-    error_bounds = residual_norm = None
+    error_bounds = None
     if certified is not None:
         verdict, (Y_tilde, _) = INSIDE, certified
         error_bounds = tuple(
             LatticeVec(tuple(t - e for t, e in zip(Y_tilde, Y))) for Y in found)
-        res = cmp.psi.evaluate(x + found[-1])
-        residual_norm = max(abs(r - f) for r, f in zip(res, found[-1]))
     return IterationTrace(
         iterates_Y=tuple(map(LatticeVec, found)), iterates_y=None,
-        verdict=verdict, residual_norm=residual_norm, error_bounds=error_bounds)
+        verdict=verdict, error_bounds=error_bounds)
 
 
 def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquation,
@@ -241,11 +239,9 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     for _ in range(comp.steps):
         y = eq.psi.evaluate(x + y)
         ys.append(y)
-    res = eq.psi.evaluate(x + y)
-    residual_norm = max(abs(r - f) for r, f in zip(res, y))
     return IterationTrace(
         iterates_Y=comp.iterates_Y, iterates_y=tuple(ys), verdict=INSIDE,
-        residual_norm=residual_norm, error_bounds=comp.error_bounds)
+        error_bounds=comp.error_bounds)
 
 
 def membership(cmp: ComparisonEquation, X: LatticeVec,
@@ -259,7 +255,7 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
     the iteration of :func:`iterate_comparison` runs ``budget`` steps at
     ``DEFAULT_TOL``: ``OUTSIDE`` keeps its last iterate as the witness.
     """
-    x = _start(cmp, X, budget, DEFAULT_TOL)
+    x = _start(cmp, X, budget)
     certified = _newton_certificate(cmp, x)
     if certified is not None:
         return Membership(INSIDE, LatticeVec(certified[0]), certified[1])

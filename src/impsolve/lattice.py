@@ -143,10 +143,11 @@ class ComparisonEquation(EquationSpec):
         return ComparisonEquation(self.psi.as_float())
 
     @cached_property
-    def _newton_kernels(self) -> tuple:
+    def _float_kernels(self) -> tuple:
         """Float kernels ``(values, jacobian)`` of ``Psi`` and of ``dPsi_i/dY_j``
         from ``psi.as_float()``, so exact input gets them too; built on first
-        use and kept, like ``Series._plan``.  Not a field."""
+        use and kept, like ``Series._plan``.  Not a field.  The one float
+        engine of a comparison: Newton, the graph and the turn all read it."""
         comps = self.psi.as_float().components
         return ([c._plan for c in comps],
                 [[c.partial(self.dim_x + j)._plan for j in range(self.dim_y)]

@@ -13,12 +13,14 @@ from math import isfinite
 import pytest
 
 import impsolve.hille
+import impsolve.series
 from impsolve import (
     ComparisonEquation,
     EXACT,
     FAILED,
     FLOAT,
     FOUND,
+    INSIDE,
     ITERATIVE,
     LatticeVec,
     Series,
@@ -174,6 +176,26 @@ def test_requires_scalar_dimensions():
         cmp_eq = random_comparison(rng)
     with pytest.raises(ValueError, match="scalar"):
         hille_point(cmp_eq)
+
+
+def test_the_searches_share_the_comparison_kernels(monkeypatch):
+    # Newton, the turn and the graph all read the comparison's two cached
+    # float kernels, Psi and dPsi/dY, so nothing is compiled after them
+    cmp_eq = quadratic_comparison()
+    built = []
+    original = impsolve.series._compile
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(impsolve.series, "_compile", counting)
+    assert membership(cmp_eq, LatticeVec((0.2,))).verdict == INSIDE
+    turn = hille_point(cmp_eq)
+    assert turn.status == FOUND
+    trace_graph(cmp_eq, 0.9, 9)
+    assert hille_point(cmp_eq) == turn
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ is the radius of convergence of the principal solution branch.  This
 module locates that point and traces the graph on the comparison's cached
 float kernels, the ones Newton reads, building no series; it probes the
 convergence region along rays through the origin, and offers an
-empirical coefficient-ratio estimate of the radius for comparison.
+empirical coefficient-ratio estimate of the radius for comparison.  A ray
+probe that only asks whether a scale is inside runs the Newton
+certificate alone; a probe that needs an ``outside`` verdict runs
+``membership``, whose Kleene loop follows a failed certificate.
 """
 
 from __future__ import annotations
@@ -17,7 +20,8 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import IO, Callable, NamedTuple
 
-from .kantorovich import DEFAULT_TOL, INSIDE, OUTSIDE, check_tol, membership
+from .kantorovich import (DEFAULT_TOL, INSIDE, OUTSIDE, _newton_certificate, _point,
+                          check_tol, membership)
 from .lattice import ComparisonEquation, LatticeVec, check_comparison
 from .series import FLOAT, Number, _float, coerce_value, zero_value
 from .solver import SolutionSeries
@@ -207,6 +211,13 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     claimed for either side, so they stay inside it, and a ``tol`` below
     the float spacing at the crossing cannot be met.  The probing is a
     float computation; an exact comparison equation is converted first.
+
+    The halving search (``t = 1, 1/2, ...``) and the inside-end bisection
+    ask only whether ``t`` is certified inside, which the Newton
+    certificate decides on the point ``membership`` would check, so they
+    run no Kleene loop.  The doubling search and the outside-end bisection
+    need an ``outside`` verdict and call ``membership``.  The brackets are
+    those of asking ``membership`` everywhere.
     """
     check_comparison(cmp)
     check_tol(tol)
@@ -222,14 +233,20 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     if not all(map(isfinite, dir_entries)):
         raise ValueError(f"direction must be finite, got {direction}")
 
+    def at(t: float) -> LatticeVec:
+        return LatticeVec(tuple(t * e for e in dir_entries))
+
+    def inside(t: float) -> bool:
+        x = _point(cmp, at(t), cmp.dim_x, "X")
+        return _newton_certificate(cmp, x) is not None
+
     def verdict(t: float) -> str:
-        X = LatticeVec(tuple(t * e for e in dir_entries))
-        return membership(cmp, X).verdict
+        return membership(cmp, at(t)).verdict
 
     t_in = 0.0
     t = 1.0
     for _ in range(200):
-        if verdict(t) == INSIDE:
+        if inside(t):
             t_in = t
             break
         t *= 0.5
@@ -247,7 +264,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     if t_out is None:
         return RayRadius(t_inside=t_in, t_outside=None, unbounded=True)
 
-    t_in, _ = _bisect(lambda t: verdict(t) == INSIDE, t_in, t_out, tol)
+    t_in, _ = _bisect(inside, t_in, t_out, tol)
     _, t_out = _bisect(lambda t: verdict(t) != OUTSIDE, t_in, t_out, tol)
     return RayRadius(t_inside=t_in, t_outside=t_out, unbounded=False)
 

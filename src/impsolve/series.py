@@ -44,6 +44,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
@@ -146,13 +147,16 @@ def format_value(value: Number, mode: str) -> str:
     """Render a coefficient as its canonical string.
 
     Exact values become decimal-free rational literals (``"5"``,
-    ``"-3/7"``); float values use the shortest decimal that round-trips.
+    ``"-3/7"``) of any size: ``Decimal`` prints an int exactly, free of the
+    interpreter's int-to-str digit limit.  Float values use the shortest
+    decimal that round-trips.
     """
     if mode == EXACT:
         frac = Fraction(value)
+        numerator = str(Decimal(frac.numerator))
         if frac.denominator == 1:
-            return str(frac.numerator)
-        return f"{frac.numerator}/{frac.denominator}"
+            return numerator
+        return f"{numerator}/{str(Decimal(frac.denominator))}"
     return repr(float(value))
 
 

@@ -5,6 +5,7 @@ exit codes and document shapes are pinned.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -284,6 +285,28 @@ def test_iterate_requires_exactly_one_point(spec_file, capsys):
     code, _, _ = run(capsys, ["iterate", "--spec", path,
                               "--X", "0.1", "--x", "0.1"])
     assert code == 2
+
+
+def test_iterate_prints_exact_iterates_of_any_size(spec_file, capsys):
+    # exact iterates of y = x + y^2/2 at X = 1/5 double their digits each
+    # step and outgrow the interpreter's 4300-digit int-to-str guard by
+    # step 14; the CSV must still print them in full
+    path = spec_file(QUAD_PLUS_EXACT)
+    code, out, err = run(capsys, ["iterate", "--spec", path, "--X", "1/5",
+                                  "--max-iter", "14"])
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        Y = Fraction(0)
+        for _ in range(14):
+            Y = Fraction(1, 5) + Y * Y / 2
+        want = f"{Y.numerator}/{Y.denominator}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(want) > 4300
+    p, Y14 = out.splitlines()[15].split(",")[:2]
+    assert (p, Y14) == ("14", want)
 
 
 # ---------------------------------------------------------------------------

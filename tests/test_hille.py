@@ -13,6 +13,7 @@ from math import isfinite
 import pytest
 
 import impsolve.hille
+import impsolve.kantorovich
 import impsolve.series
 from impsolve import (
     ComparisonEquation,
@@ -264,9 +265,7 @@ def test_radius_brackets_quadratic():
                            tol=1e-6)
     assert not got.unbounded
     assert got.t_inside <= 0.25 <= got.t_outside
-    # the bracket width is set by the iteration budget near the sublinear
-    # boundary, not by the bisection tolerance alone
-    assert got.t_outside - got.t_inside <= 1e-5
+    assert got.t_outside - got.t_inside <= 1e-6
     assert got.midpoint == pytest.approx(0.25, abs=1e-6)
 
 
@@ -288,20 +287,45 @@ def test_bisection_grid_frozen():
 
 def test_radius_stops_at_float_spacing(monkeypatch):
     # along direction 1e-5 the crossing sits at t = 25000, where floats are
-    # 3.6e-12 apart, so tol = 1e-12 cannot be met; the bisection must stop
-    # when the midpoint repeats an end instead of re-probing it
+    # 3.6e-12 apart, so tol = 1e-12 cannot be met; neither bisection may
+    # re-probe an end once the midpoint repeats it.  The inside end asks the
+    # certificate alone, the outside end asks membership: count both
     probes = []
 
-    def counted(*args, **kwargs):
-        probes.append(args[1])
-        return membership(*args, **kwargs)
+    def counted(call):
+        def probe(*args, **kwargs):
+            probes.append(args[1])
+            return call(*args, **kwargs)
+        return probe
 
-    monkeypatch.setattr(impsolve.hille, "membership", counted)
+    monkeypatch.setattr(impsolve.hille, "membership", counted(membership))
+    monkeypatch.setattr(impsolve.hille, "_newton_certificate",
+                        counted(impsolve.kantorovich._newton_certificate))
     got = radius_along_ray(quadratic_comparison(), LatticeVec((1e-5,)), tol=1e-12)
     assert len(probes) < 200
     assert got.t_inside <= 25000 <= got.t_outside
     inside = membership(quadratic_comparison(), LatticeVec((got.t_inside * 1e-5,)))
     assert inside.verdict == "inside"
+
+
+def test_radius_runs_no_kleene_loop_for_an_inside_question(monkeypatch):
+    # the halving search and the inside-end bisection only ask whether a
+    # scale is certified inside, which the Newton certificate alone decides;
+    # the halving lands on the crossing t = 1/4 itself, where a Kleene loop
+    # runs its whole budget for an unresolved answer no search reads
+    runs = []
+    kleene = impsolve.kantorovich._kleene
+
+    def recorded(cmp, x, *args, **kwargs):
+        result = kleene(cmp, x, *args, **kwargs)
+        runs.append((x, result[1]))
+        return result
+
+    monkeypatch.setattr(impsolve.kantorovich, "_kleene", recorded)
+    got = radius_along_ray(quadratic_comparison(), LatticeVec((1.0,)), tol=1e-6)
+    assert got.t_inside < 0.25 < got.t_outside
+    assert all(x != (0.25,) for x, _ in runs)
+    assert sum(steps for _, steps in runs) < 20000
 
 
 def test_radius_respects_direction_scaling():

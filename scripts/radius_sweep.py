@@ -62,7 +62,7 @@ def main():
         turn = hille_point(eq)
         ray = radius_along_ray(eq, LatticeVec((1.0,)), tol=args.tol)
         est = empirical_radius(solve_formal(eq, args.degree))
-        print(f"{c:>6.2f} {exact:>12.8f} {turn.X_star:>14.8f} "
+        print(f"{c:>6g} {exact:>12.8f} {turn.X_star:>14.8f} "
               f"{ray.midpoint:>13.8f} {est.estimate:>13.8f}")
     print()
     print("the ratio column converges to the closed form like O(1/n); "

@@ -10,7 +10,8 @@ convergence region along rays through the origin, and offers an
 empirical coefficient-ratio estimate of the radius for comparison.  A ray
 probe that only asks whether a scale is inside runs the Newton
 certificate alone; a probe that needs an ``outside`` verdict runs
-``membership``, whose Kleene loop follows a failed certificate.
+``membership``, whose Kleene loop follows a failed certificate.  Whether
+a turn or a crossing exists at all is read off Psi's terms.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 from math import isfinite
 from typing import IO, Callable, NamedTuple
 
+from .errors import DomainError
 from .kantorovich import (DEFAULT_TOL, INSIDE, OUTSIDE, _newton_certificate, _point,
                           check_tol, membership)
 from .lattice import ComparisonEquation, LatticeVec, check_comparison
@@ -29,9 +31,6 @@ from .solver import SolutionSeries
 FOUND = "found"
 UNBOUNDED = "unbounded"
 FAILED = "failed"
-
-Y_CAP = 1e6  # hille_point: no turn below this Y means unbounded
-PROBE_CAP = 1e12  # radius_along_ray: no outside verdict up to here means unbounded
 
 
 @dataclass(frozen=True)
@@ -131,15 +130,23 @@ def _graph_x(psi: Callable, Y: float) -> float | None:
 def hille_point(cmp: ComparisonEquation) -> HillePoint:
     """Locate the vertical-tangent point of the comparison graph.
 
-    Brackets the turn by doubling ``Y = (2^k - 1)/1024``, bisects it to
-    float resolution and reports the graph point at the inside end.  A
-    probe past the end of the graph reads as past the turn: below it the
-    graph rises, so it can only end beyond.  The point is found when
-    ``|Y - Psi| <= DEFAULT_TOL * max(1, Y)`` (a float spacing of a large Y
-    exceeds ``DEFAULT_TOL``) and ``|1 - dPsi/dY| <= DEFAULT_TOL``, else it
-    failed; with the derivative below one up to ``Y_CAP`` it is unbounded.
+    Unbounded exactly when Psi has no term free of Y, so the branch is
+    ``Y = 0``, or none of Y-degree 2 or more, so ``Psi = A(X) + B(X) Y`` and
+    the graph rises to ``B(X) = 1`` without turning.  With both, ``Y* >=
+    A(X)`` grows with X while ``Y* >= c X^a Y*^b`` keeps it bounded, so the
+    branch ends at a finite X, where ``dPsi/dY`` reaches one.  Brackets the
+    turn by doubling ``Y = (2^k - 1)/1024``, bisects it to float resolution
+    and reports the graph point at the inside end.  A probe past the end of
+    the graph reads as past the turn: below it the graph rises, so it can
+    only end beyond.  The point is found when ``|Y - Psi| <= DEFAULT_TOL *
+    max(1, Y)`` (a float spacing of a large Y exceeds ``DEFAULT_TOL``) and
+    ``|1 - dPsi/dY| <= DEFAULT_TOL``, else it failed, as when the doubling
+    leaves the float range.
     """
     psi, psi_y = _scalar_kernels(cmp)
+    degrees = {gamma[1] for gamma in cmp.psi.components[0].terms}
+    if 0 not in degrees or max(degrees) < 2:
+        return HillePoint(None, None, None, None, UNBOUNDED)
 
     def below_turn(Y: float) -> bool:
         X = _graph_x(psi, Y)
@@ -148,8 +155,8 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
     lo, hi = 0.0, 1.0 / 1024.0
     while below_turn(hi):
         lo, hi = hi, 2.0 * hi + 1.0 / 1024.0
-        if lo >= Y_CAP:
-            return HillePoint(None, None, None, None, UNBOUNDED)
+        if hi > 1e307:  # keeps 0.5 * (lo + hi) finite
+            return HillePoint(None, None, None, None, FAILED)
 
     Y, _ = _bisect(below_turn, lo, hi, 0.0)
     X = _graph_x(psi, Y)
@@ -212,12 +219,18 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     the float spacing at the crossing cannot be met.  The probing is a
     float computation; an exact comparison equation is converted first.
 
-    The halving search (``t = 1, 1/2, ...``) and the inside-end bisection
-    ask only whether ``t`` is certified inside, which the Newton
-    certificate decides on the point ``membership`` would check, so they
-    run no Kleene loop.  The doubling search and the outside-end bisection
-    need an ``outside`` verdict and call ``membership``.  The brackets are
-    those of asking ``membership`` everywhere.
+    The ray is unbounded, with ``t_inside`` from the halving search, exactly
+    when the unknowns it feeds have no dependency cycle: then the least
+    fixed point is a polynomial in ``t``.  Along a cycle each entry of
+    ``dPsi/dY`` holds ``x`` or a fed unknown, as no term is linear in Y
+    alone, so the cycle's product, a lower bound on ``rho(dPsi/dY)``, passes
+    1 as ``t`` grows, where a least fixed point has ``rho <= 1`` on its
+    support (Etessami and Yannakakis, JACM 2009).  The fed set is ``dim_y``
+    Kleene steps at ``x``, ``Y`` in {0, 1}, where a kernel is nonzero
+    exactly when a term lives on the ones, and a cycle on it is a walk of
+    length ``dim_y`` in the pattern of ``dPsi/dY``.  The doubling search
+    then runs to an ``outside`` verdict, raising ``DomainError`` where the
+    float range ends.
     """
     check_comparison(cmp)
     check_tol(tol)
@@ -243,26 +256,28 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     def verdict(t: float) -> str:
         return membership(cmp, at(t)).verdict
 
-    t_in = 0.0
-    t = 1.0
-    for _ in range(200):
-        if inside(t):
-            t_in = t
-            break
-        t *= 0.5
-
-    t_out = None
-    t = max(1.0, 2.0 * t_in)
-    while t <= PROBE_CAP:
-        v = verdict(t)
-        if v == OUTSIDE:
-            t_out = t
-            break
-        if v == INSIDE:
-            t_in = t
-        t *= 2.0
-    if t_out is None:
+    t_in = 1.0
+    while t_in > 0 and not inside(t_in):
+        t_in *= 0.5
+    values, jacobian = cmp._float_kernels
+    x = tuple(float(e > 0) for e in dir_entries)
+    fed = (0.0,) * cmp.dim_y
+    for _ in range(cmp.dim_y):
+        fed = tuple(float(run(x + fed, leaves, 0.0) != 0) for run, leaves in values)
+    walk = fed
+    for _ in range(cmp.dim_y):
+        walk = [any(w and run(x + fed, leaves, 0.0) != 0
+                    for w, (run, leaves) in zip(walk, row)) for row in jacobian]
+    if not any(walk):
         return RayRadius(t_inside=t_in, t_outside=None, unbounded=True)
+
+    t_out = max(1.0, 2.0 * t_in)
+    while (v := verdict(t_out)) != OUTSIDE:
+        if v == INSIDE:
+            t_in = t_out
+        t_out *= 2.0
+        if not isfinite(2.0 * t_out * max(1.0, *dir_entries)):  # keeps t * e, lo + hi finite
+            raise DomainError(f"no outside verdict along {direction} in the float range")
 
     t_in, _ = _bisect(inside, t_in, t_out, tol)
     _, t_out = _bisect(lambda t: verdict(t) != OUTSIDE, t_in, t_out, tol)

@@ -22,8 +22,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isfinite
+from math import inf, isfinite, nextafter
 from operator import add, mul
+from sys import float_info
 from typing import IO, Sequence
 
 from .errors import DomainError
@@ -244,6 +245,12 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
         error_bounds=comp.error_bounds)
 
 
+def _float_below(e: Number) -> float:
+    """The largest float at most ``e >= 0``."""
+    f = float(min(e, float_info.max))
+    return f if f <= e else nextafter(f, 0.0)
+
+
 def membership(cmp: ComparisonEquation, X: LatticeVec,
                budget: int = DEFAULT_BUDGET) -> Membership:
     """Classify ``X`` against the convergence region of the comparison equation.
@@ -253,13 +260,19 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
     exists and is at most ``Y~``.  ``principal_Y`` is that ``Y~`` and
     ``iterations_used`` counts the Newton steps.  Without a certificate
     the iteration of :func:`iterate_comparison` runs ``budget`` steps at
-    ``DEFAULT_TOL``: ``OUTSIDE`` keeps its last iterate as the witness.
+    ``DEFAULT_TOL`` on the float twin, at ``X`` rounded down to floats: Psi
+    is nondecreasing in X, so no fixed point there means none at ``X``.
+    ``OUTSIDE`` keeps its last iterate as the witness, in exact mode as
+    exact images of its finite entries.
     """
     x = _start(cmp, X, budget)
     certified = _newton_certificate(cmp, x)
     if certified is not None:
         return Membership(INSIDE, LatticeVec(certified[0]), certified[1])
-    (Y,), used, verdict = _kleene(cmp, x, budget, DEFAULT_TOL, keep=False)
+    below = tuple(map(_float_below, x))
+    (Y,), used, verdict = _kleene(cmp.as_float(), below, budget, DEFAULT_TOL, keep=False)
+    if cmp.mode == EXACT:
+        Y = tuple(Fraction(e) if isfinite(e) else e for e in Y)
     return Membership(verdict, None, used,
                       witness=LatticeVec(Y) if verdict == OUTSIDE else None)
 

@@ -138,17 +138,22 @@ class ComparisonEquation(EquationSpec):
                         f"{tuple(gamma)}: not of positive type")
 
     def as_float(self) -> ComparisonEquation:
-        if self.mode == FLOAT:
-            return self
+        """Itself in float mode, else its float twin, made once and kept."""
+        return self if self.mode == FLOAT else self._float_twin
+
+    @cached_property
+    def _float_twin(self) -> ComparisonEquation:
         return ComparisonEquation(self.psi.as_float())
 
     @cached_property
     def _float_kernels(self) -> tuple:
         """Float kernels ``(values, jacobian)`` of ``Psi`` and of ``dPsi_i/dY_j``
-        from ``psi.as_float()``, so exact input gets them too; built on first
+        from ``as_float()``, so exact input gets its twin's; built on first
         use and kept, like ``Series._plan``.  Not a field.  The one float
         engine of a comparison: Newton, the graph and the turn all read it."""
-        comps = self.psi.as_float().components
+        if self.mode != FLOAT:
+            return self._float_twin._float_kernels
+        comps = self.psi.components
         return ([c._plan for c in comps],
                 [[c.partial(self.dim_x + j)._plan for j in range(self.dim_y)]
                  for c in comps])

@@ -161,7 +161,12 @@ def format_value(value: Number, mode: str) -> str:
 
 
 def parse_value(text: str, mode: str) -> Number:
-    """Parse a coefficient literal under the rules of *mode*."""
+    """Parse a coefficient literal under the rules of *mode*.
+
+    An exact literal may have any number of digits: its numerator and
+    denominator are read through ``Decimal``, the mirror of
+    :func:`format_value`, free of the int-from-str digit limit.
+    """
     if not isinstance(text, str):
         raise SpecFormatError(f"coefficient literals must be strings, got {text!r}")
     text = text.strip()
@@ -169,7 +174,8 @@ def parse_value(text: str, mode: str) -> Number:
         if not _RATIONAL_RE.match(text):
             raise SpecFormatError(
                 f"bad exact coefficient {text!r}: expected an integer or p/q rational")
-        return Fraction(text)
+        numerator, _, denominator = text.partition("/")
+        return Fraction(int(Decimal(numerator)), int(Decimal(denominator or 1)))
     if "/" in text:
         raise SpecFormatError(
             f"rational literal {text!r} is not allowed in float mode")

@@ -11,19 +11,24 @@ from fractions import Fraction
 from math import isfinite
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import impsolve.hille
 import impsolve.kantorovich
 import impsolve.series
 from impsolve import (
     ComparisonEquation,
+    DomainError,
     EXACT,
     FAILED,
     FLOAT,
     FOUND,
+    HillePoint,
     INSIDE,
     ITERATIVE,
     LatticeVec,
+    OUTSIDE,
+    RayRadius,
     Series,
     SeriesMap,
     SolutionSeries,
@@ -38,6 +43,10 @@ from impsolve import (
 )
 
 from helpers import (
+    exact_polys,
+    fixed_point_oracle,
+    is_pre_fixed,
+    poly_at,
     quadratic_comparison,
     quadratic_equation,
     random_comparison,
@@ -144,12 +153,37 @@ def test_geometric_comparison_is_unbounded():
     assert got.status == UNBOUNDED
 
 
-@pytest.mark.xfail(strict=True, reason="no turn below Y_CAP is read as no turn "
-                   "at all; a certified boundary solve is ROADMAP item 2")
 def test_turn_above_the_y_cap_is_not_unbounded():
-    # Y = X + 1e-7 Y^2 turns at X* = 2.5e6, Y* = 5e6 > Y_CAP = 1e6
+    # Y = X + 1e-7 Y^2 turns at X* = 2.5e6, Y* = 5e6: a search capped at
+    # Y = 1e6 called it unbounded
     got = hille_point(scalar_comparison({(1, 0): 1.0, (0, 2): 1e-7}))
     assert got.status == FOUND
+
+
+@pytest.mark.parametrize("terms, x_star", [
+    # X* = 1/(4c); X^2 + cY^2 = Y turns at Y* = 1/(2c), X* = (2c)^(-1/2);
+    # X + cY^3 turns at Y* = (3c)^(-1/2), X* = (2/3) Y*
+    ({(1, 0): 1.0, (0, 2): 1e-7}, 2.5e6),
+    ({(2, 0): 1.0, (0, 2): 1e-20}, 5e9),
+    ({(1, 0): 1.0, (0, 3): 1e-30}, (2 / 3) * (3e-30) ** -0.5),
+], ids=["X + 1e-7 Y^2", "X^2 + 1e-20 Y^2", "X + 1e-30 Y^3"])
+def test_far_turns_are_found(terms, x_star):
+    # all three came back unbounded from a search capped at Y = 1e6
+    got = hille_point(scalar_comparison(terms))
+    assert got.status == FOUND
+    assert got.X_star == pytest.approx(x_star, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0): 2.0}, {(1, 0): 1.0, (1, 1): 1.0},
+    {(1, 1): 4.0}, {(1, 1): 1.0, (0, 2): 1.0},
+], ids=["2X", "X + XY", "4XY", "XY + Y^2"])
+def test_a_branch_that_cannot_turn_is_unbounded(terms):
+    # with Y-degree at most 1 the graph never turns; with no term free of Y
+    # the principal branch is Y = 0, where 4XY and XY + Y^2 were found turning
+    # at X = 1/4 and X = 1
+    got = hille_point(scalar_comparison(terms))
+    assert got == HillePoint(None, None, None, None, UNBOUNDED)
 
 
 def test_requires_x_dependence():
@@ -197,6 +231,26 @@ def test_the_searches_share_the_comparison_kernels(monkeypatch):
     trace_graph(cmp_eq, 0.9, 9)
     assert hille_point(cmp_eq) == turn
     assert len(built) == 2
+
+
+def test_an_exact_comparison_has_one_float_twin(monkeypatch):
+    # membership read kernels from one float copy of an exact comparison,
+    # and the ray radius compiled them again on another; now the twin's two
+    # kernels are built once, next to the exact plan the exact check runs
+    cmp_eq = quadratic_comparison(EXACT)
+    built = []
+    original = impsolve.series._compile
+
+    def counting(*args):
+        built.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(impsolve.series, "_compile", counting)
+    assert cmp_eq.as_float() is cmp_eq.as_float()
+    assert membership(cmp_eq, LatticeVec((Fraction(1, 5),))).verdict == INSIDE
+    assert membership(cmp_eq, LatticeVec((Fraction(26, 100),))).verdict == OUTSIDE
+    radius_along_ray(cmp_eq, LatticeVec((1.0,)), tol=1e-3)
+    assert len(built) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +412,30 @@ def test_radius_on_seeded_system():
         assert 0 < got.t_inside <= got.t_outside
 
 
-@pytest.mark.xfail(strict=True, reason="no outside verdict up to PROBE_CAP is "
-                   "read as unbounded; a certified boundary solve is ROADMAP item 2")
 def test_crossing_beyond_the_probe_cap_is_not_unbounded():
     # along the direction 1e-13 the quadratic's boundary is at t* = 2.5e12,
-    # above PROBE_CAP = 1e12
+    # above the scale 1e12 where a capped doubling search gave up
     got = radius_along_ray(quadratic_comparison(), LatticeVec((1e-13,)), tol=1e-4)
     assert not got.unbounded
+
+
+def test_crossing_beyond_the_probe_cap_is_bracketed():
+    got = radius_along_ray(quadratic_comparison(), LatticeVec((1e-13,)), tol=1e-4)
+    assert got.t_inside <= 2.5e12 <= got.t_outside
+
+
+def test_an_unbounded_ray_reports_the_halving_scale():
+    # Y = 2X feeds no cycle: the ray is unbounded at once, and t_inside is
+    # the first scale the halving search certified, not a doubling's last
+    got = radius_along_ray(scalar_comparison({(1, 0): 2.0}), LatticeVec((1.0,)))
+    assert got == RayRadius(t_inside=1.0, t_outside=None, unbounded=True)
+
+
+def test_a_crossing_beyond_the_float_range_is_a_domain_error():
+    # Y = X + 1e-300 Y^2 along 1e-300 crosses at t* = 2.5e599
+    with pytest.raises(DomainError, match="float range"):
+        radius_along_ray(scalar_comparison({(1, 0): 1.0, (0, 2): 1e-300}),
+                         LatticeVec((1e-300,)))
 
 
 def test_radius_takes_any_number_type_as_direction():
@@ -421,6 +492,95 @@ def test_bad_tol_rejected(tol):
 def test_zero_tol_is_legal():
     ray = radius_along_ray(quadratic_comparison(), LatticeVec((1.0,)), tol=0.0)
     assert ray.t_inside <= ray.t_outside
+
+
+# ---------------------------------------------------------------------------
+# both unbounded rules against the exact oracle
+
+dyadics = st.builds(lambda k, j: Fraction(k, 2 ** j), st.integers(1, 8),
+                    st.integers(0, 3))
+
+
+@st.composite
+def positive_systems(draw, p=None, q=None):
+    """A float comparison equation of total degree at most 3 whose dyadic
+    coefficients the exact oracle reads unrounded."""
+    p, q = p or draw(st.integers(1, 2)), q or draw(st.integers(1, 2))
+    gammas = st.tuples(*[st.integers(0, 3)] * (p + q)).filter(
+        lambda g: sum(g) <= 3 and (any(g[:p]) or sum(g) >= 2))
+    return ComparisonEquation(SeriesMap(tuple(
+        Series(p + q, 3, {g: float(c) for g, c in draw(
+            st.dictionaries(gammas, dyadics, min_size=1, max_size=4)).items()},
+            FLOAT)
+        for _ in range(q))))
+
+
+def _oracle_on_the_fed_unknowns(polys, direction, t):
+    """``(lower, upper)`` of the oracle at ``t * direction`` on the unknowns
+    the ray feeds, the others held at 0, as points of the whole system.
+
+    An unknown that is 0 after ``q`` Kleene steps at the direction is 0 in
+    every iterate, so in the least fixed point; the oracle alone stops at
+    its first Jacobian with a negative inverse entry, which a loop of such
+    an unknown, as in ``Y = 4XY``, gives at a large t.
+    """
+    p, q = len(direction), len(polys)
+    Y = (Fraction(0),) * q
+    for _ in range(q):
+        Y = tuple(poly_at(f, direction + Y) for f in polys)
+    fed = [i for i in range(q) if Y[i] > 0]
+    zero = (Fraction(0),) * q
+    if not fed:
+        return zero, zero
+    sub = [{g[:p] + tuple(g[p + j] for j in fed): c for g, c in polys[i].items()
+            if not any(g[p + j] for j in range(q) if j not in fed)} for i in fed]
+    lower, upper, _ = fixed_point_oracle(sub, tuple(t * d for d in direction))
+
+    def whole(point):
+        if point is None:
+            return None
+        entries = dict(zip(fed, point))
+        return tuple(entries.get(j, Fraction(0)) for j in range(q))
+    return whole(lower), whole(upper)
+
+
+@settings(max_examples=100)
+@given(positive_systems(), st.data())
+def test_the_ray_rule_against_the_oracle(cmp_eq, data):
+    # a ray called unbounded has a pre-fixed point far out along it; a
+    # bracket has a verified inside end and an outside end the oracle
+    # cannot verify
+    direction = tuple(data.draw(st.lists(
+        st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)]),
+        min_size=cmp_eq.dim_x, max_size=cmp_eq.dim_x).filter(any)))
+    polys = exact_polys(cmp_eq)
+    got = radius_along_ray(cmp_eq, LatticeVec(tuple(map(float, direction))),
+                           tol=1e-3)
+    if got.unbounded:
+        for t in (1, 2 ** 16, 2 ** 32):
+            lower, _ = _oracle_on_the_fed_unknowns(polys, direction, t)
+            assert is_pre_fixed(polys, tuple(t * d for d in direction), lower)
+        return
+    t_in, t_out = Fraction(got.t_inside), Fraction(got.t_outside)
+    _, upper = _oracle_on_the_fed_unknowns(polys, direction, t_in)
+    assert upper is not None
+    assert is_pre_fixed(polys, tuple(t_in * d for d in direction), upper)
+    assert _oracle_on_the_fed_unknowns(polys, direction, t_out)[1] is None
+
+
+@given(positive_systems(p=1, q=1).filter(
+    lambda c: any(g[0] for g in c.psi.components[0].terms)))
+def test_the_turn_rule_against_the_oracle(cmp_eq):
+    # unbounded exactly when no term is free of Y or none has Y-degree 2 or
+    # more; a found turn lies on the oracle's boundary
+    degrees = {g[1] for g in cmp_eq.psi.components[0].terms}
+    got = hille_point(cmp_eq)
+    assert (got.status == UNBOUNDED) == (0 not in degrees or max(degrees) < 2)
+    if got.status == FOUND:
+        polys = exact_polys(cmp_eq)
+        X = Fraction(got.X_star)
+        assert fixed_point_oracle(polys, (X * (1 - Fraction(1, 2 ** 20)),))[1]
+        assert fixed_point_oracle(polys, (X * (1 + Fraction(1, 2 ** 20)),))[2]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ limits come from the closed-form roots in helpers.py.
 import io
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,25 @@ def test_membership_outside_with_witness():
     assert got.principal_Y is None
     assert got.iterations_used <= 50
     assert got.witness.entries[0] > 1e9
+
+
+def test_exact_membership_outside_finishes():
+    # the divergence search iterated in Fraction, whose digits double each
+    # step, and never returned at the default budget; it now runs on the
+    # float twin at X rounded down, and the alarm turns a hang into a failure
+    def too_slow(signum, frame):
+        raise TimeoutError("exact membership ran for more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        got = membership(quadratic_comparison(EXACT), X_at(Fraction(26, 100)))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert got.verdict == OUTSIDE
+    (Y,) = got.witness.entries
+    assert type(Y) is Fraction and Y == float(Y) > 1e9
 
 
 def test_membership_unresolved_on_boundary():

@@ -17,6 +17,11 @@ ROOT = Path(__file__).resolve().parents[1]
     (["scripts/radius_sweep.py", "--curvatures", "1", "--degree", "10"],
      "the ratio column converges to the closed form like O(1/n); "
      "the other two agree to their tolerances"),
+    # the turn at X* = 2.5e6 was reported unbounded, and printing its None
+    # X_star raised TypeError
+    (["scripts/radius_sweep.py", "--curvatures", "1e-7", "--degree", "10"],
+     "the ratio column converges to the closed form like O(1/n); "
+     "the other two agree to their tolerances"),
 ])
 def test_script_runs_to_its_closing_line(argv, closing):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -84,6 +84,15 @@ def test_format_round_trips():
     assert parse_value(format_value(v, FLOAT), FLOAT) == v
 
 
+def test_exact_literals_of_any_length_round_trip():
+    # format_value prints exact values past the interpreter's 4300-digit
+    # int-from-str limit, and parse_value refused to read them back
+    text = "7" * 5000 + "/3"
+    value = parse_value(text, EXACT)
+    assert (value.numerator % 10, value.denominator) == (7, 3)
+    assert format_value(value, EXACT) == text
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 

@@ -144,10 +144,11 @@ def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
             keep: bool) -> tuple[list, int, str]:
     """Kleene iteration from 0 at the checked point ``x`` on plain tuples:
     ``(iterates, steps, verdict)``, with ``iterates`` every ``Y(p)`` if
-    ``keep``, else the last.  A step that settles stops it but proves
-    nothing, so the verdict is ``OUTSIDE`` or ``UNRESOLVED``.  Each step
-    calls the kernels of ``Psi`` on ``x + Y``; a non-finite float iterate
-    raises when the next step reads it, as evaluating there would."""
+    ``keep``, else the last whose entries are all finite.  A step that
+    settles stops it but proves nothing, so the verdict is ``OUTSIDE`` or
+    ``UNRESOLVED``.  Each step calls the kernels of ``Psi`` on ``x + Y``; a
+    non-finite float iterate raises when the next step reads it, as
+    evaluating there would."""
     exact = cmp.mode == EXACT
     tol_v = Fraction(tol) if exact else float(tol)
     zero = zero_value(cmp.mode)
@@ -169,7 +170,7 @@ def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
             if step is None or d > step:
                 step = d
             settled = settled and abs(d) <= tol_v
-        Y = Y_next
+        last, Y = Y, Y_next
         if keep:
             iterates.append(Y)
         if settled:
@@ -179,7 +180,7 @@ def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
             verdict = OUTSIDE
             break
         prev_step = step
-    return (iterates if keep else [Y]), steps, verdict
+    return (iterates if keep else [Y if bad is None else last]), steps, verdict
 
 
 def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
@@ -262,8 +263,8 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
     the iteration of :func:`iterate_comparison` runs ``budget`` steps at
     ``DEFAULT_TOL`` on the float twin, at ``X`` rounded down to floats: Psi
     is nondecreasing in X, so no fixed point there means none at ``X``.
-    ``OUTSIDE`` keeps its last iterate as the witness, in exact mode as
-    exact images of its finite entries.
+    ``OUTSIDE`` keeps its last iterate whose entries are all finite as the
+    witness, in exact mode as the exact images of those entries.
     """
     x = _start(cmp, X, budget)
     certified = _newton_certificate(cmp, x)
@@ -272,7 +273,7 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
     below = tuple(map(_float_below, x))
     (Y,), used, verdict = _kleene(cmp.as_float(), below, budget, DEFAULT_TOL, keep=False)
     if cmp.mode == EXACT:
-        Y = tuple(Fraction(e) if isfinite(e) else e for e in Y)
+        Y = tuple(map(Fraction, Y))
     return Membership(verdict, None, used,
                       witness=LatticeVec(Y) if verdict == OUTSIDE else None)
 

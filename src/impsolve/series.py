@@ -30,6 +30,12 @@ feed degrees above the cap.  Evaluation and substitution share one engine:
 a series compiles its Horner plan once into a straight-line function,
 generated from integer indices alone, never from a value (``_compile``).
 
+An exact product multiplies no ``Fraction`` pair by pair: the pair loop
+runs on each operand's integer numerators over the lcm of its
+denominators, and each output is divided once by the product of the two
+lcms.  Float products run the same loop on their floats in the same
+order, so ``test_solve_float_frozen`` still pins them bit for bit.
+
 The monomial coefficient ``c[alpha]`` of a degree-``n`` term is the value
 of the completely symmetric n-linear coefficient form on the basis
 multiset with exponent pattern ``alpha``, divided by ``alpha!``, the
@@ -80,6 +86,15 @@ def _normalised(terms: Mapping, mode: str) -> Mapping:
             if not math.isfinite(value):
                 raise ValueError(f"float coefficients must be finite, got {value!r}")
     return MappingProxyType({a: v for a, v in terms.items() if v})
+
+
+def _over_common_denominator(s: Series) -> tuple:
+    """``(items, den)``: an exact series' terms as integer numerators over
+    ``den``, the lcm of their denominators; float terms as they are, over 1."""
+    if s.mode == FLOAT:
+        return s.terms.items(), 1
+    den = math.lcm(*(v.denominator for v in s.terms.values()))
+    return [(a, v.numerator * (den // v.denominator)) for a, v in s.terms.items()], den
 
 
 def multiindex_factorial(alpha: Sequence[int]) -> int:
@@ -307,9 +322,11 @@ class Series:
     def __mul__(self, other: Series) -> Series:
         self._check_compatible(other, "multiply")
         cap = self.degree_cap
-        right = [(b, sum(b), cb) for b, cb in other.terms.items()]
+        left, den_a = _over_common_denominator(self)
+        right, den_b = _over_common_denominator(other)
+        right = [(b, sum(b), cb) for b, cb in right]
         out: dict[tuple, Number] = {}
-        for a, ca in self.terms.items():
+        for a, ca in left:
             room = cap - sum(a)
             for b, db, cb in right:
                 if db > room:
@@ -317,6 +334,9 @@ class Series:
                 key = tuple(map(operator.add, a, b))
                 prod = ca * cb
                 out[key] = out[key] + prod if key in out else prod
+        if self.mode == EXACT:
+            den = den_a * den_b
+            out = {key: Fraction(v, den) for key, v in out.items()}
         return Series._ring(self.num_vars, cap, out, self.mode)
 
     def partial(self, var: int) -> Series:

@@ -207,6 +207,25 @@ def test_membership_outside(spec_file, capsys):
     assert doc["witness"][0] > 1e9
 
 
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("mode, X", [("float", "1e200"), ("exact", "1" + "0" * 200)],
+                         ids=["float", "exact"])
+def test_overflowing_witness_is_the_last_finite_iterate(spec_file, capsys, mode, X):
+    # the second iterate, X + Y(1)^2, overflows; the first, X as a float, is the witness
+    doc = dict(QUAD_PLUS_EXACT, mode=mode, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "1"},
+    ])
+    code, out, _ = run(capsys, ["membership", "--spec", spec_file(doc), "--X", X])
+    assert code == 0
+    got = json.loads(out, parse_constant=_refuse_constant)
+    assert got["verdict"] == "outside"
+    assert [Fraction(e) for e in got["witness"]] == [Fraction(1e200)]
+
+
 def test_region_csv(spec_file, capsys):
     cmp_doc = dict(QUAD_MINUS)
     cmp_doc["terms"] = [

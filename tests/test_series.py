@@ -220,6 +220,20 @@ def test_solve_checks_few_series(monkeypatch):
     assert len(checked) < 100
 
 
+def test_exact_solve_multiplies_no_fractions(monkeypatch):
+    # multiplying Fractions pair by pair took 11,480 products here
+    products = []
+    original = Fraction.__mul__
+
+    def counting(a, b):
+        products.append(a)
+        return original(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", counting)
+    solve_formal(quadratic_equation(EXACT, cap=40), 40)
+    assert len(products) < 100
+
+
 # ---------------------------------------------------------------------------
 # ring operations against the naive oracle
 
@@ -238,6 +252,37 @@ def test_product_matches_naive(ta, tb):
     want = naive_mul({k: v for k, v in ta.items() if v != 0},
                      {k: v for k, v in tb.items() if v != 0}, 8)
     assert dict((a * b).terms) == want
+
+
+@st.composite
+def wide_terms(draw, num_vars=2, max_expo=3, max_terms=6):
+    """Exponent tuple -> Fraction with numerators up to +-10**20 over
+    denominators up to 10**4, large coprime ones among them."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        expo = tuple(draw(st.integers(0, max_expo)) for _ in range(num_vars))
+        num = draw(st.integers(-10**20, 10**20))
+        den = draw(st.one_of(st.integers(1, 10**4), st.sampled_from([9949, 9967, 9973])))
+        terms[expo] = Fraction(num, den)
+    return terms
+
+
+def assert_reduced(s):
+    for v in s.terms.values():
+        assert type(v) is Fraction and v != 0
+        assert v.denominator > 0 and math.gcd(v.numerator, v.denominator) == 1
+
+
+@given(wide_terms(), wide_terms(), wide_terms(), st.integers(0, 6))
+def test_wide_exact_products_match_naive(ta, tb, tn, cap):
+    a, b, n = (make({k: v for k, v in t.items() if sum(k) <= cap}, cap=cap)
+               for t in (ta, tb, tn))
+    # (a + n)(a - n) = a^2 - n^2: the cross terms cancel to zero
+    for left, right in ((a, b), (a + n, a - n), (make({}, cap=cap), b), (a, make({}, cap=cap))):
+        got = left * right
+        assert dict(got.terms) == naive_mul(dict(left.terms), dict(right.terms), cap)
+        assert_reduced(got)
+    assert dict(((a + n) * (a - n)).terms) == dict((a * a - n * n).terms)
 
 
 @given(exact_terms(), exact_terms(), exact_terms())

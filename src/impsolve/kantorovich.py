@@ -11,9 +11,11 @@ nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p))
 <= Psi(X, Y~) <= Y~``.  So every Kleene iterate from zero lies below
 ``Y~``; they increase, so they converge, to the least fixed point ``Y*``,
 which is at most ``Y~``.  A checked ``Y~`` proves ``INSIDE`` and bounds
-every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  The Kleene iterates still run for
-the trace and for the ``OUTSIDE`` verdict, on a divergence test; a step
-that settles without a certificate proves nothing and is ``UNRESOLVED``.
+every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  Else the Kleene iterates run for
+the ``OUTSIDE`` verdict, on a divergence test that goes on in exact
+arithmetic past a float overflow; a step that settles proves nothing and
+is ``UNRESOLVED``.  Only ``membership`` reaches a verdict;
+``iterate_comparison`` reports it.
 Only a ``ComparisonEquation`` is taken; ``_point`` checks each point.
 """
 
@@ -23,7 +25,7 @@ import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import inf, isfinite, nextafter
-from operator import add, mul
+from operator import add, le, mul, sub
 from sys import float_info
 from typing import IO, Sequence
 
@@ -37,7 +39,7 @@ DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 10000
 DIVERGENCE_THRESHOLD = 1e9
 NEWTON_STEPS = 100  # float Newton steps tried before a certificate is checked
-INFLATIONS = (1e-14, 1e-12, 1e-10)  # pushes along v, relative to max(1, max Y)
+PUSH = 1e-14  # push along v, relative to max Y, floored at the least normal float
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -102,9 +104,9 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
     entry rises.  Below the least fixed point ``I - J`` is a nonsingular
     M-matrix, so ``v = (I - J)^-1 * 1 >= 1``, and to first order
     ``Psi(x, Y + e v) = Y + e v + (Psi(x, Y) - Y) - e``: pushed along ``v``
-    by ``e = eps * max(1, max Y)``, for an ``eps`` of ``INFLATIONS``, a
-    float fixed point becomes a pre-fixed point.  Only the exact check
-    decides, so a singular or non-finite step just gives None.
+    by ``e = PUSH * max(max Y, float_info.min)``, relative as rounding is,
+    a float fixed point becomes a pre-fixed point.  Only the one exact
+    check decides, so a singular or non-finite step just gives None.
     """
     try:
         values, jacobian = cmp._float_kernels
@@ -126,29 +128,24 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
         if not max(d) > 0 or Y_next == Y:
             break
         Y = Y_next
-    # never push down: Y = 4XY stops at its fixed point 0, where J = 4X may exceed 1
-    v = [max(sum(row), 0.0) for row in inverse]
-    scale = max(1.0, *Y)
-    for eps in INFLATIONS:
-        Y_tilde = tuple(y + eps * scale * w for y, w in zip(Y, v))
-        if not all(0 <= e < inf for e in Y_tilde):
-            return None
-        if cmp.mode == EXACT:
-            Y_tilde = tuple(map(Fraction, Y_tilde))
-        if certificate_check(cmp, x, Y_tilde):
-            return Y_tilde, steps
-    return None
+    # never push down: Y = 4XY stops at its fixed point 0, where J = 4X may
+    # exceed 1; the floor keeps a push there and for a subnormal Y
+    push = PUSH * max(float_info.min, *Y)
+    Y_tilde = tuple(y + push * max(sum(row), 0.0) for y, row in zip(Y, inverse))
+    if not all(0 <= e < inf for e in Y_tilde):
+        return None
+    if cmp.mode == EXACT:
+        Y_tilde = tuple(map(Fraction, Y_tilde))
+    return (Y_tilde, steps) if certificate_check(cmp, x, Y_tilde) else None
 
 
 def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
             keep: bool) -> tuple[list, int, str]:
     """Kleene iteration from 0 at the checked point ``x`` on plain tuples:
-    ``(iterates, steps, verdict)``, with ``iterates`` every ``Y(p)`` if
-    ``keep``, else the last whose entries are all finite.  A step that
-    settles stops it but proves nothing, so the verdict is ``OUTSIDE`` or
-    ``UNRESOLVED``.  Each step calls the kernels of ``Psi`` on ``x + Y``; a
-    non-finite float iterate raises when the next step reads it, as
-    evaluating there would."""
+    ``(iterates, steps, verdict)``, with ``iterates`` every finite ``Y(p)``
+    if ``keep``, else the last.  A step that settles stops it but proves
+    nothing, so the verdict is ``OUTSIDE`` or ``UNRESOLVED``.  Each step
+    calls the kernels of ``Psi`` on ``x + Y``."""
     exact = cmp.mode == EXACT
     tol_v = Fraction(tol) if exact else float(tol)
     zero = zero_value(cmp.mode)
@@ -156,21 +153,30 @@ def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
     Y = (zero,) * cmp.dim_y
     iterates = [Y]
     verdict = UNRESOLVED
-    prev_step = bad = None
+    prev_step = None
     for steps in range(1, max_iter + 1):
-        if bad is not None:
-            raise ValueError(f"float coefficients must be finite, got {bad!r}")
         point = x + Y
         Y_next = tuple([run(point, leaves, zero) for run, leaves in kernels])
+        if not (exact or all(map(isfinite, Y_next))):
+            # an overflow says nothing (Horner may overflow on a power that
+            # other factors bring back down, a sequence may converge past the
+            # float range): the test goes on exactly, to a step with one before
+            last, Y = (iterates if keep else [Y]), tuple(map(Fraction, Y))
+            for steps in range(steps, max_iter + 1):
+                Y_next = tuple(_exact_psi(cmp, x + Y))
+                step = max(map(sub, Y_next, Y))
+                if prev_step is not None:
+                    diverges = step >= prev_step and max(Y_next) > DIVERGENCE_THRESHOLD
+                    return last, steps, OUTSIDE if diverges else UNRESOLVED
+                prev_step, Y = step, Y_next
+            return last, steps, UNRESOLVED
         step, settled = None, True
         for a, b in zip(Y, Y_next):
-            if not (exact or bad is not None or isfinite(b)):
-                bad = b
             d = b - a
             if step is None or d > step:
                 step = d
             settled = settled and abs(d) <= tol_v
-        last, Y = Y, Y_next
+        Y = Y_next
         if keep:
             iterates.append(Y)
         if settled:
@@ -180,7 +186,7 @@ def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
             verdict = OUTSIDE
             break
         prev_step = step
-    return (iterates if keep else [Y if bad is None else last]), steps, verdict
+    return (iterates if keep else [Y]), steps, verdict
 
 
 def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
@@ -188,28 +194,30 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
                        tol: float = DEFAULT_TOL) -> IterationTrace:
     """Run the comparison iteration at the point ``X``.
 
-    The trace keeps every Kleene iterate from zero, up to ``max_iter`` of
-    them or until no entry moves by more than ``tol``.  It is ``INSIDE``
-    when a pre-fixed point ``Y~ >= Psi(X, Y~)`` is checked exactly: that
-    ``Y~`` bounds every Kleene iterate, so the least fixed point ``Y*``
-    exists and is at most ``Y~``, and the error bounds ``Y~ - Y(p)`` cover
-    the whole tail ``Y* - Y(p)``, however early the trace stops.  Else it
-    is ``OUTSIDE`` once an entry passes the threshold while the steps stop
-    shrinking, which a converging monotone sequence never does for long,
-    and ``UNRESOLVED`` otherwise.
+    The verdict is that of ``membership(cmp, X, max_iter)``, whatever
+    ``tol`` is.  The trace keeps the finite Kleene iterates from zero until
+    no entry moves by more than ``tol``, or for ``max_iter`` steps, or for
+    ``OUTSIDE`` the ``iterations_used``; in float mode at a ``tol`` no finer
+    than membership's, membership's loop gives them.  ``INSIDE`` carries a
+    checked ``Y~ >= Psi(X, Y~)``, which bounds every Kleene iterate, so the
+    bounds ``Y~ - Y(p)`` cover the tail ``Y* - Y(p)`` wherever it stops.
     """
     x = _start(cmp, X, max_iter)
     check_tol(tol)
-    certified = _newton_certificate(cmp, x)
-    found, _, verdict = _kleene(cmp, x, max_iter, tol, keep=True)
-    error_bounds = None
-    if certified is not None:
-        verdict, (Y_tilde, _) = INSIDE, certified
-        error_bounds = tuple(
-            LatticeVec(tuple(t - e for t, e in zip(Y_tilde, Y))) for Y in found)
+    got, found = _classify(cmp, x, max_iter, cmp.mode == FLOAT and tol >= DEFAULT_TOL)
+    if found is None:
+        found = _kleene(cmp, x, got.iterations_used if got.verdict == OUTSIDE
+                        else max_iter, tol, keep=True)[0]
+    elif tol > DEFAULT_TOL:  # cut where tol settles the trace
+        for p in range(1, len(found)):
+            if max(map(abs, map(sub, found[p], found[p - 1]))) <= tol:
+                found = found[:p + 1]
+                break
+    Y_tilde = got.principal_Y
     return IterationTrace(
-        iterates_Y=tuple(map(LatticeVec, found)), iterates_y=None,
-        verdict=verdict, error_bounds=error_bounds)
+        iterates_Y=tuple(map(LatticeVec, found)), iterates_y=None, verdict=got.verdict,
+        error_bounds=None if Y_tilde is None else tuple(
+            LatticeVec(tuple(map(sub, Y_tilde.entries, Y))) for Y in found))
 
 
 def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquation,
@@ -260,34 +268,45 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
     exactly: it bounds every Kleene iterate, so the least fixed point
     exists and is at most ``Y~``.  ``principal_Y`` is that ``Y~`` and
     ``iterations_used`` counts the Newton steps.  Without a certificate
-    the iteration of :func:`iterate_comparison` runs ``budget`` steps at
-    ``DEFAULT_TOL`` on the float twin, at ``X`` rounded down to floats: Psi
-    is nondecreasing in X, so no fixed point there means none at ``X``.
-    ``OUTSIDE`` keeps its last iterate whose entries are all finite as the
-    witness, in exact mode as the exact images of those entries.
+    the Kleene iteration runs ``budget`` steps at ``DEFAULT_TOL`` on the
+    float twin, at ``X`` rounded down to floats: Psi is nondecreasing in X,
+    so no fixed point there means none at ``X``.  ``OUTSIDE`` keeps its
+    last finite iterate as the witness, in exact mode as its exact image;
+    ``iterations_used`` counts the Kleene steps.
     """
-    x = _start(cmp, X, budget)
+    return _classify(cmp, _start(cmp, X, budget), budget, keep=False)[0]
+
+
+def _classify(cmp: ComparisonEquation, x: tuple, budget: int,
+              keep: bool) -> tuple[Membership, list | None]:
+    """``membership`` at the checked point ``x``, and if ``keep`` the float
+    Kleene iterates it ran, or None."""
     certified = _newton_certificate(cmp, x)
     if certified is not None:
-        return Membership(INSIDE, LatticeVec(certified[0]), certified[1])
+        return Membership(INSIDE, LatticeVec(certified[0]), certified[1]), None
     below = tuple(map(_float_below, x))
-    (Y,), used, verdict = _kleene(cmp.as_float(), below, budget, DEFAULT_TOL, keep=False)
-    if cmp.mode == EXACT:
-        Y = tuple(map(Fraction, Y))
-    return Membership(verdict, None, used,
-                      witness=LatticeVec(Y) if verdict == OUTSIDE else None)
+    found, used, verdict = _kleene(cmp.as_float(), below, budget, DEFAULT_TOL, keep)
+    Y = tuple(map(Fraction, found[-1])) if cmp.mode == EXACT else found[-1]
+    return Membership(verdict, None, used, LatticeVec(Y) if verdict == OUTSIDE
+                      else None), found if keep else None
 
 
 def certificate_check(cmp: ComparisonEquation, X: LatticeVec,
                       Y_tilde: LatticeVec) -> bool:
     """Does ``Y_tilde`` witness convergence, i.e. ``Y_tilde >= Psi(X, Y_tilde)``?
-    Decided exactly in both modes: the kernels of ``Psi`` run on ``Fraction``
-    images of the point and the coefficients, which hold any float exactly."""
+    Decided exactly in both modes, by ``_exact_psi``."""
     x = _point(cmp, X, cmp.dim_x, "X")
-    y = tuple(map(Fraction, _point(cmp, Y_tilde, cmp.dim_y, "Y_tilde")))
-    point = tuple(map(Fraction, x)) + y
-    return all(run(point, tuple(map(Fraction, leaves)), Fraction(0)) <= e
-               for (run, leaves), e in zip((c._plan for c in cmp.psi.components), y))
+    y = _point(cmp, Y_tilde, cmp.dim_y, "Y_tilde")
+    return all(map(le, _exact_psi(cmp, x + y), y))
+
+
+def _exact_psi(cmp: ComparisonEquation, point: tuple):
+    """``Psi(point)`` in exact arithmetic, one component at a time: the
+    kernels of ``Psi`` run on ``Fraction`` images of the point and the
+    coefficients, which hold any float exactly."""
+    point = tuple(map(Fraction, point))
+    return (run(point, tuple(map(Fraction, leaves)), Fraction(0))
+            for run, leaves in (c._plan for c in cmp.psi.components))
 
 
 def error_bound(trace: IterationTrace, p: int) -> LatticeVec:

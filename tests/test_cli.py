@@ -226,6 +226,19 @@ def test_overflowing_witness_is_the_last_finite_iterate(spec_file, capsys, mode,
     assert [Fraction(e) for e in got["witness"]] == [Fraction(1e200)]
 
 
+def test_iterate_through_an_overflow_is_an_outside_trace(spec_file, capsys):
+    # 1e10 * 1e300 overflows in the first step; the second step read it and
+    # raised, so the verb exited 2.  The trace keeps only the finite Y(0),
+    # and being outside it has no bounds
+    doc = dict(QUAD_PLUS, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1e10"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "1.0"},
+    ])
+    code, out, err = run(capsys, ["iterate", "--spec", spec_file(doc),
+                                  "--X", "1e300", "--max-iter", "2"])
+    assert (code, out, err) == (0, "p,Y0,bound0,delta0\n0,0.0,,0.0\n", "")
+
+
 def test_region_csv(spec_file, capsys):
     cmp_doc = dict(QUAD_MINUS)
     cmp_doc["terms"] = [
@@ -593,7 +606,7 @@ FROZEN_DOCUMENTS = [
 {
   "verdict": "inside",
   "principal_Y": [
-    0.27639320225004343
+    0.2763932022500272
   ],
   "iterations_used": 7,
   "witness": null
@@ -623,7 +636,7 @@ FROZEN_DOCUMENTS = [
 {
   "verdict": "inside",
   "principal_Y": [
-    "8121010851297459/36028797018963968"
+    "8121010851297099/36028797018963968"
   ],
   "iterations_used": 6,
   "witness": null

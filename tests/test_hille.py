@@ -438,6 +438,25 @@ def test_a_crossing_beyond_the_float_range_is_a_domain_error():
                          LatticeVec((1e-300,)))
 
 
+def test_a_ray_with_a_tiny_crossing_has_a_positive_inside_end():
+    # Y = X + 1e20 Y^2 crosses at t* = 2.5e-21 along 1; no push of at least
+    # 1e-14 certified a scale there, and the halving search ran to 0.0
+    cmp_eq = scalar_comparison({(1, 0): 1.0, (0, 2): 1e20})
+    got = radius_along_ray(cmp_eq, LatticeVec((1.0,)))
+    assert 0 < got.t_inside <= 2.5e-21 <= got.t_outside
+    assert fixed_point_oracle(exact_polys(cmp_eq), (got.t_inside,))[1] is not None
+
+
+def test_a_probe_whose_first_iterate_overflows_is_outside():
+    # y = x^2 + y^2 crosses at x = 1/2, so at t* = 5e-201 along 1e200; the
+    # doubling search's first probe, t = 1, overflows in its first Kleene
+    # step, and raised "float coefficients must be finite, got inf"
+    got = radius_along_ray(scalar_comparison({(2, 0): 1.0, (0, 2): 1.0}),
+                           LatticeVec((1e200,)))
+    assert 0 < got.t_inside <= 5e-201 <= got.t_outside
+    assert not got.unbounded
+
+
 def test_radius_takes_any_number_type_as_direction():
     # the direction is read as floats whatever the comparison's mode, so an
     # exact Catalan comparison accepts a Fraction, int or float direction

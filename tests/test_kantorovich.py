@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import impsolve.kantorovich
 from impsolve import (
     COMPONENTWISE,
     DEFAULT_BUDGET,
@@ -497,11 +498,45 @@ def test_overflow_is_unresolved_when_the_budget_is_spent():
     assert got == Membership(UNRESOLVED, None, 1)
 
 
-def test_overflow_raises_on_the_next_step():
-    with pytest.raises(ValueError, match="^float coefficients must be finite, got inf$"):
-        membership(big_linear_comparison(), X_at(1e300), 2)
-    with pytest.raises(ValueError, match="^float coefficients must be finite, got inf$"):
-        iterate_comparison(big_linear_comparison(), X_at(1e300), 2)
+def test_overflow_is_outside_when_the_exact_steps_diverge():
+    # the second step raised "float coefficients must be finite, got inf"
+    # when it read the overflowed iterate; redone exactly, the steps 1e310
+    # and 1e620 + 1e310 - 1e310 grow past the threshold
+    got = membership(big_linear_comparison(), X_at(1e300), 2)
+    assert got == Membership(OUTSIDE, None, 2, witness=LatticeVec((0.0,)))
+    trace = iterate_comparison(big_linear_comparison(), X_at(1e300), 2)
+    assert trace.verdict == OUTSIDE
+    assert trace.iterates_Y == (LatticeVec((0.0,)),)
+
+
+def test_a_first_iterate_that_overflows_is_outside():
+    # y = x^2 + y^2 has its crossing at X = 1/2; at 1e155 the first iterate,
+    # 1e310, overflows, and the next step raised ValueError
+    got = membership(scalar_comparison({(2, 0): 1.0, (0, 2): 1.0}), X_at(1e155))
+    assert got == Membership(OUTSIDE, None, 2, witness=LatticeVec((0.0,)))
+
+
+@pytest.mark.parametrize("X2", [0.0, 1e-201], ids=["nan", "inf"])
+def test_an_overflow_that_horner_brings_back_is_unresolved(X2):
+    # X0^40 X1 X2 + X0/1e12 + Y^2 at (1e10, 1e-201, X2) is inside: its least
+    # fixed point solves Y = 0.01 + Y^2, or about 0.02 + Y^2.  Horner
+    # overflows on 1e10^40 before it multiplies by X1 and X2, so every float
+    # evaluation is inf, or NaN where X2 = 0, which says nothing about the
+    # true value; the second step raised "got inf" or "got nan".  Redone
+    # exactly, the steps shrink
+    psi = SeriesMap((Series(4, 42, {(40, 1, 1, 0): 1.0, (1, 0, 0, 0): 1e-12,
+                                    (0, 0, 0, 2): 1.0}, FLOAT),))
+    cmp_eq, X = ComparisonEquation(psi), LatticeVec((1e10, 1e-201, X2))
+    assert membership(cmp_eq, X) == Membership(UNRESOLVED, None, 2)
+    assert iterate_comparison(cmp_eq, X).verdict == UNRESOLVED
+
+
+def test_a_sequence_converging_past_the_float_range_is_unresolved():
+    # Y = 1e300 X0 X1 + X1 Y/2 at (1e10, 1) has the fixed point 2e310: its
+    # first iterate overflows, and the exact steps 1e310, 5e309 shrink
+    psi = SeriesMap((Series(3, 24, {(1, 1, 0): 1e300, (0, 1, 1): 0.5}, FLOAT),))
+    got = membership(ComparisonEquation(psi), LatticeVec((1e10, 1.0)))
+    assert got == Membership(UNRESOLVED, None, 2)
 
 
 def test_nan_point_raises():
@@ -530,12 +565,12 @@ def test_primal_refuses_a_non_finite_x(x):
 
 
 @pytest.mark.parametrize("c, fraction, want", [
-    (1.0, 0.5, Membership(INSIDE, LatticeVec((0.1464466094067404,)), 6)),
-    (1.0, 0.999996, Membership(INSIDE, LatticeVec((0.4990000000049981,)), 14)),
+    (1.0, 0.5, Membership(INSIDE, LatticeVec((0.14644660940672832,)), 6)),
+    (1.0, 0.999996, Membership(INSIDE, LatticeVec((0.4990000000024931,)), 14)),
     (1.0, 1.000004, Membership(OUTSIDE, None, 3144,
                                witness=LatticeVec((1712218149.6939335,)))),
-    (2.5, 0.5, Membership(INSIDE, LatticeVec((0.05857864376270464,)), 6)),
-    (2.5, 0.999996, Membership(INSIDE, LatticeVec((0.19960000000500328,)), 14)),
+    (2.5, 0.5, Membership(INSIDE, LatticeVec((0.058578643762691326,)), 6)),
+    (2.5, 0.999996, Membership(INSIDE, LatticeVec((0.19960000000100128,)), 14)),
     (2.5, 1.000004, Membership(OUTSIDE, None, 3145,
                                witness=LatticeVec((1.172676346292223e+18,)))),
 ])
@@ -550,9 +585,9 @@ def test_membership_quadratic_family_frozen(c, fraction, want):
 
 
 @pytest.mark.parametrize("X, want", [
-    (0.05, Membership(INSIDE, LatticeVec((0.09236005439039907, 0.058107659791829275)), 6)),
-    (0.1455, Membership(INSIDE, LatticeVec((0.4854813747361459, 0.30856348880996115)), 11)),
-    (0.14559, Membership(INSIDE, LatticeVec((0.4974253855680301, 0.31595931662288756)), 16)),
+    (0.05, Membership(INSIDE, LatticeVec((0.09236005439038703, 0.05810765979181866)), 6)),
+    (0.1455, Membership(INSIDE, LatticeVec((0.485481374735882, 0.30856348880979667)), 11)),
+    (0.14559, Membership(INSIDE, LatticeVec((0.4974253855648422, 0.3159593166209154)), 16)),
     (0.1456, Membership(OUTSIDE, None, 785,
                         witness=LatticeVec((5802416043716176.0, 3514114177706103.5)))),
     (0.4, Membership(OUTSIDE, None, 8,
@@ -580,7 +615,80 @@ def test_membership_exact_catalan_frozen():
     # 1e-12, and 1/5 + Y^2 <= Y holds exactly
     got = membership(quadratic_comparison(EXACT), X_at(Fraction(1, 5)), 14)
     assert got == Membership(INSIDE, LatticeVec(
-        (Fraction(4979057290644135, 18014398509481984),)), 7)
+        (Fraction(4979057290643843, 18014398509481984),)), 7)
     (Y,) = got.principal_Y.entries
     assert Fraction(1, 5) + Y * Y <= Y
     assert 0 < Y - (5 - math.sqrt(5)) / 10 < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one push, one verdict
+
+@pytest.mark.parametrize("c, X", [(1e20, 1e-30), (1.0, 1e-320)],
+                         ids=["large-coefficient", "subnormal"])
+def test_a_tiny_fixed_point_is_certified(c, X):
+    # Y = X + 1e20 Y^2 has X* = 2.5e-21; at X = 1e-30 a push of 1e-14, at
+    # least, far above Y = 1e-30, failed the check, and the answer was
+    # unresolved.  A push relative to a subnormal Y rounds to nothing; the
+    # floor at the least normal float keeps one
+    cmp_eq = scalar_comparison({(1, 0): 1.0, (0, 2): c})
+    got = membership(cmp_eq, X_at(X))
+    assert got.verdict == INSIDE
+    assert is_pre_fixed(exact_polys(cmp_eq), (X,), got.principal_Y.entries)
+
+
+@pytest.mark.parametrize("X", [0.3, 0.2500001])
+@pytest.mark.parametrize("tol", [1e-12, 1e-3, 1.0])
+def test_iterate_reports_the_membership_verdict(X, tol):
+    # at X = 0.2500001 and tol 1e-3 the trace settled and said unresolved,
+    # while membership said outside
+    cmp_eq = quadratic_comparison()
+    want = membership(cmp_eq, X_at(X))
+    got = iterate_comparison(cmp_eq, X_at(X), tol=tol)
+    assert got.verdict == want.verdict == OUTSIDE
+    # tol says only where the trace stops, at the latest where the verdict came
+    assert got.steps <= want.iterations_used
+
+
+def test_a_failed_certificate_runs_one_exact_check(monkeypatch):
+    calls = []
+    check = impsolve.kantorovich.certificate_check
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(impsolve.kantorovich, "certificate_check", counted)
+    assert membership(quadratic_comparison(), X_at(0.3)).verdict == OUTSIDE
+    assert len(calls) == 1
+
+
+def _float_trace(X, tol, steps):
+    """The float Kleene iterates of Y = X + Y^2 from zero, up to ``steps``
+    steps or the first that moves by at most ``tol``."""
+    Y = [0.0]
+    while len(Y) <= steps and (len(Y) < 2 or abs(Y[-1] - Y[-2]) > tol):
+        Y.append(X + Y[-1] * Y[-1])
+    return tuple(LatticeVec((y,)) for y in Y)
+
+
+@pytest.mark.parametrize("X", [0.2, 0.25, 0.3])
+@pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-3, 1.0])
+def test_the_trace_is_membership_loop_cut_at_tol(monkeypatch, X, tol):
+    # an uncertified float point ran the Kleene loop twice, once for the
+    # verdict and once for the trace; a tol no finer than membership's now
+    # cuts the trace from the verdict's own loop
+    want = membership(quadratic_comparison(), X_at(X), 500)
+    calls = []
+    kleene = impsolve.kantorovich._kleene
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return kleene(*args, **kwargs)
+
+    monkeypatch.setattr(impsolve.kantorovich, "_kleene", counted)
+    got = iterate_comparison(quadratic_comparison(), X_at(X), 500, tol)
+    assert got.verdict == want.verdict
+    steps = want.iterations_used if want.verdict == OUTSIDE else 500
+    assert got.iterates_Y == _float_trace(X, tol, steps)
+    assert len(calls) == (1 if got.verdict == INSIDE or tol >= 1e-12 else 2)

@@ -13,8 +13,13 @@ against the library:
 - every error bound is at least the true error, ``bound(p) >= Y* - Y(p)``,
   tested against the oracle's lower bound on the least fixed point ``Y*``;
 - ``outside`` is not contradicted by a pre-fixed point the oracle verified.
+
+A second strategy spans the scales of ``y = x + c y^2`` over twenty
+decades of c, where every point drawn is inside and the certified ``Y~``
+must lie close above the closed-form root.
 """
 
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -24,7 +29,7 @@ from impsolve import (COMPONENTWISE, EXACT, FLOAT, INSIDE, OUTSIDE,
                       LatticeVec, Series, SeriesMap, iterate_comparison,
                       iterate_primal, membership)
 
-from helpers import exact_polys, fixed_point_oracle, is_pre_fixed
+from helpers import exact_polys, fixed_point_oracle, is_pre_fixed, scalar_comparison
 
 # exact iteration grows its rationals at every step, so exact runs get
 # small budgets: (membership budget, trace max_iter) per mode
@@ -98,3 +103,32 @@ def test_every_bound_covers_the_true_error(case):
         return
     assert trace.verdict == INSIDE
     _bounds_cover_the_tail(polys, X, paired)
+
+
+@st.composite
+def scaled_quadratics(draw):
+    """``(c, X)``: c log-uniform in [1, 1e20], X log-uniform over thirty
+    decades below ``(1 - 1e-6) / (4c)``, inside the region ``X < 1/(4c)``."""
+    c = 10.0 ** draw(st.floats(0, 20))
+    return c, (1 - 1e-6) / (4 * c) * 10.0 ** -draw(st.floats(0, 30))
+
+
+@settings(max_examples=200)
+@given(scaled_quadratics())
+def test_the_push_is_relative_at_every_scale(case):
+    # a push never below 1e-14 failed every check once Y was far below it,
+    # so large c and small X came back unresolved
+    c, X = case
+    cmp_eq = scalar_comparison({(1, 0): 1.0, (0, 2): c})
+    got = membership(cmp_eq, LatticeVec((X,)))
+    assert got.verdict == INSIDE
+    (Y,) = got.principal_Y.entries
+    assert is_pre_fixed(exact_polys(cmp_eq), (X,), (Y,))
+    # the root (1 - sqrt(1 - 4cX))/(2c), in a form without cancellation; the
+    # push along v = (1 - dPsi/dY)^-1 = 1/sqrt(1 - 4cX) grows with v, up to
+    # 1e3 at the top of the range, so the gap is bounded relative to Y* v
+    with localcontext() as ctx:
+        ctx.prec = 50
+        s = (1 - 4 * Decimal(c) * Decimal(X)).sqrt()
+        root = 2 * Decimal(X) / (1 + s)
+        assert 0 <= Decimal(Y) - root <= Decimal("1e-12") * root / s

@@ -12,10 +12,11 @@ nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p))
 ``Y~``; they increase, so they converge, to the least fixed point ``Y*``,
 which is at most ``Y~``.  A checked ``Y~`` proves ``INSIDE`` and bounds
 every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  Else the Kleene iterates run for
-the ``OUTSIDE`` verdict, on a divergence test that goes on in exact
-arithmetic past a float overflow; a step that settles proves nothing and
-is ``UNRESOLVED``.  Only ``membership`` reaches a verdict;
-``iterate_comparison`` reports it.
+the ``OUTSIDE`` verdict; a step that settles proves nothing and is
+``UNRESOLVED``.  ``membership`` reaches the verdict, ``iterate_comparison``
+reports it, and one loop runs their iterates, in float on the float twin
+at X rounded down: exact input never iterates in ``Fraction``, and exact
+arithmetic only checks, past a float overflow too.
 Only a ``ComparisonEquation`` is taken; ``_point`` checks each point.
 """
 
@@ -24,7 +25,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, isfinite, nextafter
+from math import copysign, inf, isfinite, nextafter
 from operator import add, le, mul, sub
 from sys import float_info
 from typing import IO, Sequence
@@ -32,7 +33,7 @@ from typing import IO, Sequence
 from .errors import DomainError
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
                       check_majorant_shape, norm)
-from .series import EXACT, FLOAT, Number, _float, coerce_value, format_value, zero_value
+from .series import EXACT, FLOAT, Number, _float, coerce_value, format_value
 from .solver import _invert
 
 DEFAULT_TOL = 1e-12
@@ -141,41 +142,40 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
 
 def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
             keep: bool) -> tuple[list, int, str]:
-    """Kleene iteration from 0 at the checked point ``x`` on plain tuples:
-    ``(iterates, steps, verdict)``, with ``iterates`` every finite ``Y(p)``
-    if ``keep``, else the last.  A step that settles stops it but proves
-    nothing, so the verdict is ``OUTSIDE`` or ``UNRESOLVED``.  Each step
-    calls the kernels of ``Psi`` on ``x + Y``."""
-    exact = cmp.mode == EXACT
-    tol_v = Fraction(tol) if exact else float(tol)
-    zero = zero_value(cmp.mode)
-    kernels = [comp._plan for comp in cmp.psi.components]
-    Y = (zero,) * cmp.dim_y
+    """Kleene iteration from 0 on the float twin of ``cmp`` at the checked
+    point ``x`` rounded down (Psi grows with X, so a divergence there is one
+    at ``x``): ``(iterates, steps, verdict)``, ``iterates`` every finite
+    ``Y(p)`` if ``keep``, else the last, exact images for an exact ``cmp``.
+    A step that settles proves nothing: the verdict is ``OUTSIDE`` or ``UNRESOLVED``."""
+    twin, x = cmp.as_float(), tuple(map(_float_below, x))
+    kernels = [comp._plan for comp in twin.psi.components]
+    Y = (0.0,) * cmp.dim_y
     iterates = [Y]
     verdict = UNRESOLVED
     prev_step = None
     for steps in range(1, max_iter + 1):
         point = x + Y
-        Y_next = tuple([run(point, leaves, zero) for run, leaves in kernels])
-        if not (exact or all(map(isfinite, Y_next))):
+        Y_next = tuple([run(point, leaves, 0.0) for run, leaves in kernels])
+        if not all(map(isfinite, Y_next)):
             # an overflow says nothing (Horner may overflow on a power that
             # other factors bring back down, a sequence may converge past the
             # float range): the test goes on exactly, to a step with one before
-            last, Y = (iterates if keep else [Y]), tuple(map(Fraction, Y))
+            Z = tuple(map(Fraction, Y))
             for steps in range(steps, max_iter + 1):
-                Y_next = tuple(_exact_psi(cmp, x + Y))
-                step = max(map(sub, Y_next, Y))
+                Z_next = tuple(_exact_psi(twin, x + Z))
+                step = max(map(sub, Z_next, Z))
                 if prev_step is not None:
-                    diverges = step >= prev_step and max(Y_next) > DIVERGENCE_THRESHOLD
-                    return last, steps, OUTSIDE if diverges else UNRESOLVED
-                prev_step, Y = step, Y_next
-            return last, steps, UNRESOLVED
+                    if step >= prev_step and max(Z_next) > DIVERGENCE_THRESHOLD:
+                        verdict = OUTSIDE
+                    break
+                prev_step, Z = step, Z_next
+            break
         step, settled = None, True
         for a, b in zip(Y, Y_next):
             d = b - a
             if step is None or d > step:
                 step = d
-            settled = settled and abs(d) <= tol_v
+            settled = settled and abs(d) <= tol
         Y = Y_next
         if keep:
             iterates.append(Y)
@@ -186,7 +186,9 @@ def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
             verdict = OUTSIDE
             break
         prev_step = step
-    return (iterates if keep else [Y]), steps, verdict
+    found = iterates if keep else [Y]
+    return (found if cmp.mode == FLOAT else [tuple(map(Fraction, Y)) for Y in found],
+            steps, verdict)
 
 
 def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
@@ -197,14 +199,15 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
     The verdict is that of ``membership(cmp, X, max_iter)``, whatever
     ``tol`` is.  The trace keeps the finite Kleene iterates from zero until
     no entry moves by more than ``tol``, or for ``max_iter`` steps, or for
-    ``OUTSIDE`` the ``iterations_used``; in float mode at a ``tol`` no finer
-    than membership's, membership's loop gives them.  ``INSIDE`` carries a
-    checked ``Y~ >= Psi(X, Y~)``, which bounds every Kleene iterate, so the
-    bounds ``Y~ - Y(p)`` cover the tail ``Y* - Y(p)`` wherever it stops.
+    ``OUTSIDE`` the ``iterations_used``; at a ``tol`` no finer than
+    membership's, membership's loop gives them, and for exact input they
+    are exact images of ``_kleene``'s float iterates.  ``INSIDE`` carries a
+    checked ``Y~ >= Psi(X, Y~)``, so the bounds ``Y~ - Y(p)`` cover the tail
+    ``Y* - Y(p)`` wherever it stops, but not the iterates' rounding.
     """
     x = _start(cmp, X, max_iter)
     check_tol(tol)
-    got, found = _classify(cmp, x, max_iter, cmp.mode == FLOAT and tol >= DEFAULT_TOL)
+    got, found = _classify(cmp, x, max_iter, tol >= DEFAULT_TOL)
     if found is None:
         found = _kleene(cmp, x, got.iterations_used if got.verdict == OUTSIDE
                         else max_iter, tol, keep=True)[0]
@@ -227,9 +230,10 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
 
     The comparison is run at ``X = norm(x)``; its certificate ``Y~`` is the
     certificate here, so a diverged or uncertified comparison run raises.
-    The primal iterates are then produced in lockstep and the trace carries
-    the comparison's bounds ``Y~ - Y(p)``, which dominate ``|y* - y(p)|``
-    for the exact primal iterates.
+    The primal iterates then run in lockstep, on psi's float twin at ``x``
+    rounded toward zero, so a positive system that is its own majorant
+    repeats its comparison trace.  The trace carries the comparison's bounds
+    ``Y~ - Y(p)``, which dominate ``|y* - y(p)|`` for the exact primal iterates.
     """
     check_majorant_shape(eq, cmp)
     x = tuple(x.entries) if isinstance(x, LatticeVec) else tuple(x)
@@ -243,12 +247,12 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
                else "found no certificate")
         raise DomainError(f"the comparison iteration {why}; "
                           "no convergence certificate is available")
-    zero = zero_value(eq.mode)
-    y: tuple[Number, ...] = (zero,) * eq.dim_y
-    ys = [y]
+    psi, x = eq.psi.as_float(), tuple(copysign(_float_below(abs(e)), e) for e in x)
+    ys = [(0.0,) * eq.dim_y]
     for _ in range(comp.steps):
-        y = eq.psi.evaluate(x + y)
-        ys.append(y)
+        ys.append(psi.evaluate(x + ys[-1]))
+    if eq.mode == EXACT:
+        ys = [tuple(map(Fraction, y)) for y in ys]
     return IterationTrace(
         iterates_Y=comp.iterates_Y, iterates_y=tuple(ys), verdict=INSIDE,
         error_bounds=comp.error_bounds)
@@ -268,26 +272,22 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
     exactly: it bounds every Kleene iterate, so the least fixed point
     exists and is at most ``Y~``.  ``principal_Y`` is that ``Y~`` and
     ``iterations_used`` counts the Newton steps.  Without a certificate
-    the Kleene iteration runs ``budget`` steps at ``DEFAULT_TOL`` on the
-    float twin, at ``X`` rounded down to floats: Psi is nondecreasing in X,
-    so no fixed point there means none at ``X``.  ``OUTSIDE`` keeps its
-    last finite iterate as the witness, in exact mode as its exact image;
-    ``iterations_used`` counts the Kleene steps.
+    ``_kleene`` runs ``budget`` steps at ``DEFAULT_TOL``; ``OUTSIDE`` keeps
+    its last finite iterate as the witness, and ``iterations_used`` counts
+    the Kleene steps.
     """
     return _classify(cmp, _start(cmp, X, budget), budget, keep=False)[0]
 
 
 def _classify(cmp: ComparisonEquation, x: tuple, budget: int,
               keep: bool) -> tuple[Membership, list | None]:
-    """``membership`` at the checked point ``x``, and if ``keep`` the float
+    """``membership`` at the checked point ``x``, and if ``keep`` the
     Kleene iterates it ran, or None."""
     certified = _newton_certificate(cmp, x)
     if certified is not None:
         return Membership(INSIDE, LatticeVec(certified[0]), certified[1]), None
-    below = tuple(map(_float_below, x))
-    found, used, verdict = _kleene(cmp.as_float(), below, budget, DEFAULT_TOL, keep)
-    Y = tuple(map(Fraction, found[-1])) if cmp.mode == EXACT else found[-1]
-    return Membership(verdict, None, used, LatticeVec(Y) if verdict == OUTSIDE
+    found, used, verdict = _kleene(cmp, x, budget, DEFAULT_TOL, keep)
+    return Membership(verdict, None, used, LatticeVec(found[-1]) if verdict == OUTSIDE
                       else None), found if keep else None
 
 

@@ -7,6 +7,7 @@ the arithmetic below goes through Series.
 """
 
 import math
+import signal
 from fractions import Fraction
 
 from impsolve import (
@@ -294,3 +295,21 @@ def fixed_point_oracle(polys, X, steps=80, bits=256):
         Y = tuple(max(Fraction(math.floor((y + s) * grid), grid), Fraction(0))
                   for y, s in zip(Y, step))
     return Y, None, False
+
+
+# ---------------------------------------------------------------------------
+# time limits
+
+def within(seconds, call):
+    """``call()``, or TimeoutError once it has run ``seconds``: the alarm
+    turns a hang into a failure."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"ran for more than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -7,11 +7,14 @@ exit codes and document shapes are pinned.
 import json
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from impsolve.cli import build_parser, main
 from impsolve.lattice import MajorantSampleReport, MajorantViolation
+
+from helpers import within
 
 
 QUAD_MINUS = {
@@ -211,10 +214,15 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("mode, X", [("float", "1e200"), ("exact", "1" + "0" * 200)],
-                         ids=["float", "exact"])
-def test_overflowing_witness_is_the_last_finite_iterate(spec_file, capsys, mode, X):
-    # the second iterate, X + Y(1)^2, overflows; the first, X as a float, is the witness
+@pytest.mark.parametrize("mode, X, witness", [
+    ("float", "1e200", 1e200),
+    ("exact", "1" + "0" * 200, 1e200),
+    ("exact", "1" + "0" * 400, sys.float_info.max),
+], ids=["float", "exact", "exact beyond floats"])
+def test_overflowing_witness_is_the_last_finite_iterate(spec_file, capsys, mode, X,
+                                                        witness):
+    # the second iterate, X + Y(1)^2, overflows; the first, X rounded down to
+    # floats, is the witness.  No float Newton runs at 1e400, beyond the range
     doc = dict(QUAD_PLUS_EXACT, mode=mode, terms=[
         {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
         {"output": 0, "alpha": [0], "beta": [2], "value": "1"},
@@ -223,7 +231,7 @@ def test_overflowing_witness_is_the_last_finite_iterate(spec_file, capsys, mode,
     assert code == 0
     got = json.loads(out, parse_constant=_refuse_constant)
     assert got["verdict"] == "outside"
-    assert [Fraction(e) for e in got["witness"]] == [Fraction(1e200)]
+    assert [Fraction(e) for e in got["witness"]] == [Fraction(witness)]
 
 
 def test_iterate_through_an_overflow_is_an_outside_trace(spec_file, capsys):
@@ -319,26 +327,97 @@ def test_iterate_requires_exactly_one_point(spec_file, capsys):
     assert code == 2
 
 
-def test_iterate_prints_exact_iterates_of_any_size(spec_file, capsys):
-    # exact iterates of y = x + y^2/2 at X = 1/5 double their digits each
-    # step and outgrow the interpreter's 4300-digit int-to-str guard by
-    # step 14; the CSV must still print them in full
-    path = spec_file(QUAD_PLUS_EXACT)
-    code, out, err = run(capsys, ["iterate", "--spec", path, "--X", "1/5",
-                                  "--max-iter", "14"])
+QUAD_EXACT = dict(QUAD_PLUS_EXACT, terms=[
+    # y = x + y^2, exact
+    {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+    {"output": 0, "alpha": [0], "beta": [2], "value": "1"},
+])
+
+
+def test_exact_iterate_prints_exact_images_of_float_iterates(spec_file, capsys):
+    # the trace ran in Fraction, whose digits double each step; it now prints
+    # the exact image of each float iterate, each bound exactly Y~ - Y(p)
+    code, out, err = run(capsys, ["iterate", "--spec", spec_file(QUAD_EXACT),
+                                  "--X", "1/5", "--max-iter", "60"])
     assert (code, err) == (0, "")
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        Y = Fraction(0)
-        for _ in range(14):
-            Y = Fraction(1, 5) + Y * Y / 2
-        want = f"{Y.numerator}/{Y.denominator}"
-    finally:
-        sys.set_int_max_str_digits(limit)
-    assert len(want) > 4300
-    p, Y14 = out.splitlines()[15].split(",")[:2]
-    assert (p, Y14) == ("14", want)
+    header, *lines = out.splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert 2 <= len(rows) <= 61
+    Y_tilde = Fraction(rows[0]["bound0"])
+    for row in rows:
+        Y = Fraction(row["Y0"])
+        assert Fraction(float(Y)) == Y
+        assert Fraction(row["bound0"]) == Y_tilde - Y
+
+
+@pytest.mark.parametrize("tol", ["1e-12", "1e-3"])
+@pytest.mark.parametrize("doc, point", [
+    (QUAD_EXACT, ["--X", "1/5"]),
+    (QUAD_EXACT, ["--X", "13/50"]),
+    (QUAD_EXACT, ["--X", "251/1000"]),
+    (dict(QUAD_MINUS, mode="exact", terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "-1"},
+    ]), ["--x", "1/5"]),
+], ids=["X 1/5", "X 13/50", "X 251/1000", "x 1/5"])
+def test_exact_iterate_finishes(spec_file, capsys, doc, point, tol):
+    # an exact trace iterated in Fraction, whose digits double each step,
+    # and none of these finished: 13/50 and 251/1000 lie outside, 1/5 inside
+    argv = ["iterate", "--spec", spec_file(doc), *point, "--tol", tol]
+    code, out, err = within(2.0, lambda: run(capsys, argv))
+    assert (code, err) == (0, "")
+    assert out.startswith("p,Y0,")
+
+
+def test_majorant_prints_an_exact_coefficient_of_any_length(spec_file, capsys):
+    # a 5,000-digit denominator outgrows the interpreter's 4,300-digit
+    # int-to-str guard; the comparison must still print it in full
+    denominator = "9" * 5000
+    doc = dict(QUAD_EXACT, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": f"-1/{denominator}"},
+    ])
+    code, out, err = run(capsys, ["majorant", "--spec", spec_file(doc)])
+    assert (code, err) == (0, "")
+    values = {tuple(t["beta"]): t["value"] for t in json.loads(out)["terms"]}
+    assert values[(2,)] == f"1/{denominator}"
+
+
+# ---------------------------------------------------------------------------
+# the README's commands
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_section(title):
+    return README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1].split(
+        "\n## ", 1)[0]
+
+
+@pytest.mark.parametrize("mode", ["float", "exact"])
+def test_every_readme_command_runs(tmp_path, monkeypatch, capsys, mode):
+    # the README's example equation, or its exact copy, whose points are
+    # written as rationals; solve --method partition_oracle exited 2 at the
+    # default degree 10, and the exact iterate lines never finished
+    doc = json.loads(_readme_section("The equation file format").split(
+        "```json\n", 1)[1].split("```", 1)[0])
+    if mode == "exact":
+        doc["mode"] = mode
+        for term in doc["terms"]:
+            term["value"] = str(int(float(term["value"])))
+    (tmp_path / "eq.json").write_text(json.dumps(doc))
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, ["majorant", "--spec", "eq.json", "--out", "cmp.json"])[0] == 0
+    commands = [line.split("#")[0].split()[1:] for line in
+                _readme_section("Command line").splitlines()
+                if line.startswith("impsolve ")]
+    assert len(commands) == 12
+    for argv in commands:
+        if mode == "exact":
+            argv = [str(Fraction(a)) if flag in ("--X", "--x") else a
+                    for flag, a in zip([None] + argv, argv)]
+        code, _, err = within(10.0, lambda: run(capsys, argv))
+        assert (code, err) == (0, ""), argv
 
 
 # ---------------------------------------------------------------------------

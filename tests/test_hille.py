@@ -101,6 +101,12 @@ def test_turning_point_beyond_the_float_range_fails():
     assert all(isfinite(v) for v in fields)
 
 
+def test_a_graph_that_turns_past_the_float_range_fails():
+    # Y = X + 1e-310 Y^2 turns at Y* = 5e309: the doubling of Y passes 1e307
+    got = hille_point(scalar_comparison({(1, 0): 1.0, (0, 2): 1e-310}))
+    assert got == HillePoint(None, None, None, None, FAILED)
+
+
 def test_cubic_turning_point_against_bisection_oracle():
     # Y = X + XY + Y^3.  Eliminating X: on the graph X = (Y - Y^3)/(1 + Y)
     # and the tangency condition X + 3Y^2 = 1 reduce to 2Y^3 + 3Y^2 = 1.
@@ -429,6 +435,7 @@ def test_an_unbounded_ray_reports_the_halving_scale():
     # the first scale the halving search certified, not a doubling's last
     got = radius_along_ray(scalar_comparison({(1, 0): 2.0}), LatticeVec((1.0,)))
     assert got == RayRadius(t_inside=1.0, t_outside=None, unbounded=True)
+    assert got.midpoint == 1.0
 
 
 def test_a_crossing_beyond_the_float_range_is_a_domain_error():

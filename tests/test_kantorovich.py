@@ -8,7 +8,6 @@ limits come from the closed-form roots in helpers.py.
 import io
 import math
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -51,6 +50,7 @@ from helpers import (
     random_equation,
     scalar_comparison,
     signed_quadratic,
+    within,
 )
 
 
@@ -140,8 +140,7 @@ def test_iterates_from_zero_never_decrease(case):
     # non-negative coefficients and X make every step of the compiled Psi
     # monotone, in float rounding as in exact arithmetic
     cmp_eq, X = case
-    trace = iterate_comparison(cmp_eq, X, max_iter=6 if cmp_eq.mode == EXACT else 400,
-                               tol=1e-6)
+    trace = iterate_comparison(cmp_eq, X, max_iter=400, tol=1e-6)
     for a, b in zip(trace.iterates_Y, trace.iterates_Y[1:]):
         assert all(x <= y for x, y in zip(a.entries, b.entries))
     for bound in trace.error_bounds or ():
@@ -284,17 +283,9 @@ def test_membership_outside_with_witness():
 def test_exact_membership_outside_finishes():
     # the divergence search iterated in Fraction, whose digits double each
     # step, and never returned at the default budget; it now runs on the
-    # float twin at X rounded down, and the alarm turns a hang into a failure
-    def too_slow(signum, frame):
-        raise TimeoutError("exact membership ran for more than 1 s")
-
-    previous = signal.signal(signal.SIGALRM, too_slow)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        got = membership(quadratic_comparison(EXACT), X_at(Fraction(26, 100)))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    # float twin at X rounded down
+    got = within(1.0, lambda: membership(quadratic_comparison(EXACT),
+                                         X_at(Fraction(26, 100))))
     assert got.verdict == OUTSIDE
     (Y,) = got.witness.entries
     assert type(Y) is Fraction and Y == float(Y) > 1e9

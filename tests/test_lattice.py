@@ -498,6 +498,21 @@ def test_document_reader_refuses_only_with_spec_errors(mutations):
     assert isinstance(eq, EquationSpec)
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([], "^an equation document must be a JSON object$"),
+    (_doc(mode="rational"), "^field 'mode' must be 'exact' or 'float', got 'rational'$"),
+    (_doc(dim_x=0), "^dim_x and dim_y must be positive$"),
+    (_doc(dim_y=0), "^dim_x and dim_y must be positive$"),
+    (_doc(terms=["x"]), r"^terms\[0\] must be an object$"),
+    (_doc(terms=[{"output": 1, "alpha": [1], "beta": [0], "value": "1.0"}]),
+     r"^terms\[0\]: output 1 out of range for dim_y=1$"),
+], ids=["not an object", "unknown mode", "dim_x 0", "dim_y 0", "term not an object",
+        "output out of range"])
+def test_document_structure_refusals(doc, message):
+    with pytest.raises(SpecFormatError, match=message):
+        equation_from_dict(doc)
+
+
 def test_document_missing_field():
     doc = _doc()
     del doc["dim_y"]

@@ -31,9 +31,9 @@ from impsolve import (COMPONENTWISE, EXACT, FLOAT, INSIDE, OUTSIDE,
 
 from helpers import exact_polys, fixed_point_oracle, is_pre_fixed, scalar_comparison
 
-# exact iteration grows its rationals at every step, so exact runs get
-# small budgets: (membership budget, trace max_iter) per mode
-BUDGET = {EXACT: (6, 6), FLOAT: (2000, 400)}
+# the membership budget and the trace's max_iter, the same in both modes:
+# an exact run iterates on its float twin, never in Fraction
+BUDGET, MAX_ITER = 2000, 400
 
 dyadics = st.builds(lambda k, j: Fraction(k, 2 ** j), st.integers(1, 8),
                     st.integers(0, 3))
@@ -75,7 +75,7 @@ def _bounds_cover_the_tail(polys, X, trace):
 def test_membership_claims_hold(case):
     cmp_eq, X, _ = case
     polys = exact_polys(cmp_eq)
-    got = membership(cmp_eq, LatticeVec(X), BUDGET[cmp_eq.mode][0])
+    got = membership(cmp_eq, LatticeVec(X), BUDGET)
     _, upper, outside = fixed_point_oracle(polys, X)
     if got.verdict == INSIDE:
         assert not outside
@@ -89,15 +89,14 @@ def test_membership_claims_hold(case):
 def test_every_bound_covers_the_true_error(case):
     cmp_eq, X, tol = case
     polys = exact_polys(cmp_eq)
-    budget = BUDGET[cmp_eq.mode][1]
-    trace = iterate_comparison(cmp_eq, LatticeVec(X), budget, tol)
+    trace = iterate_comparison(cmp_eq, LatticeVec(X), MAX_ITER, tol)
     if trace.verdict == INSIDE:
         _bounds_cover_the_tail(polys, X, trace)
     # a positive system is its own majorant: the paired run's primal
     # iterates are the comparison's, and so is its true error
     eq = EquationSpec(cmp_eq.psi, COMPONENTWISE, COMPONENTWISE)
     try:
-        paired = iterate_primal(eq, X, cmp_eq, budget, tol)
+        paired = iterate_primal(eq, X, cmp_eq, MAX_ITER, tol)
     except DomainError:
         assert trace.verdict != INSIDE
         return

@@ -5,18 +5,21 @@ By Hille's theorem X lies in the convergence region when ``Y = Psi(X, Y)``
 has a least fixed point there.  ``_newton_certificate`` looks for a
 witness ``Y~`` by float Newton from zero, on the comparison's cached float
 kernels that ``hille`` reads too, and it counts only once
-``certificate_check`` finds ``Y~ >= Psi(X, Y~)`` in exact arithmetic.
-Proof sketch: Psi has non-negative coefficients and ``X >= 0``, so it is
-nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p))
-<= Psi(X, Y~) <= Y~``.  So every Kleene iterate from zero lies below
-``Y~``; they increase, so they converge, to the least fixed point ``Y*``,
-which is at most ``Y~``.  A checked ``Y~`` proves ``INSIDE`` and bounds
-every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  Else the Kleene iterates run for
-the ``OUTSIDE`` verdict; a step that settles proves nothing and is
-``UNRESOLVED``.  ``membership`` reaches the verdict, ``iterate_comparison``
-reports it, and one loop runs their iterates, in float on the float twin
-at X rounded down: exact input never iterates in ``Fraction``, and exact
-arithmetic only checks, past a float overflow too.
+``certificate_check`` proves ``Y~ >= Psi(X, Y~)`` in float, on Psi's kernels
+rounded up and down: a round-to-nearest result and its neighbour bracket
+the exact value, subnormal or ``inf`` too; Horner on non-negative values is
+monotone; ``inf`` and NaN prove nothing.  Proof sketch: Psi has
+non-negative coefficients and ``X >= 0``, so it is nondecreasing in Y, and
+``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p)) <= Psi(X, Y~) <= Y~``.
+So every Kleene iterate from zero lies below ``Y~``; they increase, so
+they converge, to the least fixed point ``Y*``, which is at most ``Y~``.
+A checked ``Y~`` proves ``INSIDE`` and bounds every tail: ``Y* - Y(p) <=
+Y~ - Y(p)``.  Else the Kleene iterates run for the ``OUTSIDE`` verdict; a
+step that settles proves nothing and is ``UNRESOLVED``.  ``membership``
+reaches the verdict, ``iterate_comparison`` reports it, and one loop runs
+their iterates, in float on the float twin at X rounded down: exact input
+never iterates in ``Fraction``, which only referees a tie of the check and
+goes on past a float overflow in ``_kleene``.
 Only a ``ComparisonEquation`` is taken; ``_point`` checks each point.
 """
 
@@ -25,7 +28,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign, inf, isfinite, nextafter
+from math import copysign, inf, isfinite
 from operator import add, le, mul, sub
 from sys import float_info
 from typing import IO, Sequence
@@ -33,7 +36,7 @@ from typing import IO, Sequence
 from .errors import DomainError
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
                       check_majorant_shape, norm)
-from .series import EXACT, FLOAT, Number, _float, coerce_value, format_value
+from .series import EXACT, FLOAT, Number, _float, _toward, coerce_value, format_value
 from .solver import _invert
 
 DEFAULT_TOL = 1e-12
@@ -97,8 +100,8 @@ def _start(cmp: ComparisonEquation, X, max_iter: int) -> tuple:
 
 
 def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
-    """``(Y~, steps)`` with ``Y~ >= Psi(x, Y~)`` checked exactly at the
-    checked point ``x``, or None.
+    """``(Y~, steps)`` with ``Y~ >= Psi(x, Y~)`` proved at the checked point
+    ``x``, or None.
 
     Float Newton from 0 (Etessami and Yannakakis, JACM 2009): each step
     solves ``(I - J) d = Psi(x, Y) - Y``, ``J`` the Jacobian in Y, until no
@@ -106,8 +109,8 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
     M-matrix, so ``v = (I - J)^-1 * 1 >= 1``, and to first order
     ``Psi(x, Y + e v) = Y + e v + (Psi(x, Y) - Y) - e``: pushed along ``v``
     by ``e = PUSH * max(max Y, float_info.min)``, relative as rounding is,
-    a float fixed point becomes a pre-fixed point.  Only the one exact
-    check decides, so a singular or non-finite step just gives None.
+    a float fixed point becomes a pre-fixed point.  Only the one check,
+    ``_pre_fixed``, decides, so a singular or non-finite step just gives None.
     """
     try:
         values, jacobian = cmp._float_kernels
@@ -137,7 +140,7 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
         return None
     if cmp.mode == EXACT:
         Y_tilde = tuple(map(Fraction, Y_tilde))
-    return (Y_tilde, steps) if certificate_check(cmp, x, Y_tilde) else None
+    return (Y_tilde, steps) if _pre_fixed(cmp, x, Y_tilde) else None
 
 
 def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
@@ -147,7 +150,7 @@ def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
     at ``x``): ``(iterates, steps, verdict)``, ``iterates`` every finite
     ``Y(p)`` if ``keep``, else the last, exact images for an exact ``cmp``.
     A step that settles proves nothing: the verdict is ``OUTSIDE`` or ``UNRESOLVED``."""
-    twin, x = cmp.as_float(), tuple(map(_float_below, x))
+    twin, x = cmp.as_float(), tuple(_toward(e, 0.0) for e in x)
     kernels = [comp._plan for comp in twin.psi.components]
     Y = (0.0,) * cmp.dim_y
     iterates = [Y]
@@ -247,7 +250,7 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
                else "found no certificate")
         raise DomainError(f"the comparison iteration {why}; "
                           "no convergence certificate is available")
-    psi, x = eq.psi.as_float(), tuple(copysign(_float_below(abs(e)), e) for e in x)
+    psi, x = eq.psi.as_float(), tuple(copysign(_toward(abs(e), 0.0), e) for e in x)
     ys = [(0.0,) * eq.dim_y]
     for _ in range(comp.steps):
         ys.append(psi.evaluate(x + ys[-1]))
@@ -256,12 +259,6 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     return IterationTrace(
         iterates_Y=comp.iterates_Y, iterates_y=tuple(ys), verdict=INSIDE,
         error_bounds=comp.error_bounds)
-
-
-def _float_below(e: Number) -> float:
-    """The largest float at most ``e >= 0``."""
-    f = float(min(e, float_info.max))
-    return f if f <= e else nextafter(f, 0.0)
 
 
 def membership(cmp: ComparisonEquation, X: LatticeVec,
@@ -294,16 +291,30 @@ def _classify(cmp: ComparisonEquation, x: tuple, budget: int,
 def certificate_check(cmp: ComparisonEquation, X: LatticeVec,
                       Y_tilde: LatticeVec) -> bool:
     """Does ``Y_tilde`` witness convergence, i.e. ``Y_tilde >= Psi(X, Y_tilde)``?
-    Decided exactly in both modes, by ``_exact_psi``."""
-    x = _point(cmp, X, cmp.dim_x, "X")
-    y = _point(cmp, Y_tilde, cmp.dim_y, "Y_tilde")
+    Decided exactly in both modes: yes if Psi's ``up`` kernel at the point
+    rounded up is at most ``Y_tilde`` rounded down, no if ``down`` at the point
+    rounded down exceeds ``Y_tilde`` rounded up, else by ``_exact_psi``.  As
+    ``down <= Psi <= up``: a round-to-nearest result and its neighbour bracket
+    the exact value, subnormal or ``inf`` too; Horner on non-negative values
+    is monotone; ``inf`` and NaN prove nothing."""
+    return _pre_fixed(cmp, _point(cmp, X, cmp.dim_x, "X"),
+                      _point(cmp, Y_tilde, cmp.dim_y, "Y_tilde"))
+
+
+def _pre_fixed(cmp: ComparisonEquation, x: tuple, y: tuple) -> bool:
+    """``certificate_check`` at the checked points ``x`` and ``y``."""
+    (up, down), q = cmp._rounded_kernels, len(x)
+    hi, lo = (tuple(_toward(e, d) for e in x + y) for d in (inf, 0.0))
+    if all(run(hi, leaves, 0.0) <= e for (run, leaves), e in zip(up, lo[q:])):
+        return True
+    if any(run(lo, leaves, 0.0) > e for (run, leaves), e in zip(down, hi[q:])):
+        return False
     return all(map(le, _exact_psi(cmp, x + y), y))
 
 
 def _exact_psi(cmp: ComparisonEquation, point: tuple):
-    """``Psi(point)`` in exact arithmetic, one component at a time: the
-    kernels of ``Psi`` run on ``Fraction`` images of the point and the
-    coefficients, which hold any float exactly."""
+    """``Psi(point)`` in ``Fraction``, one component at a time: Psi's kernels
+    on exact images of the point and coefficients, which hold any float."""
     point = tuple(map(Fraction, point))
     return (run(point, tuple(map(Fraction, leaves)), Fraction(0))
             for run, leaves in (c._plan for c in cmp.psi.components))

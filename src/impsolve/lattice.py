@@ -18,12 +18,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import isfinite
+from math import inf, isfinite
 from operator import add, sub
 from typing import Mapping, Sequence
 
 from .errors import SpecFormatError
-from .series import (EXACT, FLOAT, Number, Series, SeriesMap, coerce_value,
+from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _compile, coerce_value,
                      format_value, parse_value, zero_value)
 
 SCALAR = "scalar"
@@ -157,6 +157,12 @@ class ComparisonEquation(EquationSpec):
         return ([c._plan for c in comps],
                 [[c.partial(self.dim_x + j)._plan for j in range(self.dim_y)]
                  for c in comps])
+
+    @cached_property
+    def _rounded_kernels(self) -> tuple:
+        """Psi's kernels ``(up, down)``, from its own coefficients; kept."""
+        return tuple([_compile(c.terms, c.num_vars, d) for c in self.psi.components]
+                     for d in (inf, 0.0))
 
 
 def check_comparison(cmp: ComparisonEquation) -> None:

@@ -29,6 +29,8 @@ are required to vanish at the origin, so discarded cross terms only ever
 feed degrees above the cap.  Evaluation and substitution share one engine:
 a series compiles its Horner plan once into a straight-line function,
 generated from integer indices alone, never from a value (``_compile``).
+Rounded up and down at each step, the same kernels bracket an exact value
+in float, and ``Fraction`` only referees the values they cannot separate.
 
 An exact product multiplies no ``Fraction`` pair by pair: the pair loop
 runs on each operand's integer numerators over the lcm of its
@@ -49,6 +51,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -417,7 +420,13 @@ class Series:
         return " + ".join(bits)
 
 
-def _compile(terms: Mapping, num_vars: int) -> tuple:
+def _toward(value: Number, d: float) -> float:
+    """The float nearest ``value >= 0`` on the side of ``d``, ``inf`` or ``0.0``."""
+    f = float(min(value, sys.float_info.max))
+    return f if (f >= value if d > 0 else f <= value) else math.nextafter(f, d)
+
+
+def _compile(terms: Mapping, num_vars: int, rounding: float | None = None) -> tuple:
     """Kernel ``run(point, leaves, zero)`` of *terms*, and its coefficients.
 
     Nested Horner form: a node of variable ``j`` starts from ``zero`` and,
@@ -427,6 +436,13 @@ def _compile(terms: Mapping, num_vars: int) -> tuple:
     as that product fixes the sign of a zero result.  Each step is one
     assignment to the node's temporary, so nothing nests however long the
     plan; the source holds only integer indices and fixed names.
+
+    ``rounding`` None rounds to nearest; ``d = inf`` (up) or ``0.0`` (down)
+    takes each step as ``nextafter(nextafter(prev * t, d) + leaf, d)``, on
+    leaves that are the coefficients rounded toward ``d``.  On non-negative
+    terms and points ``down <= exact <= up``: a round-to-nearest result and its
+    neighbour bracket the exact value, subnormal or ``inf`` too; Horner on
+    non-negative values is monotone; ``inf`` and NaN prove nothing.
     """
     coefficients: list[Number] = []
     lines: list[str] = []
@@ -446,7 +462,13 @@ def _compile(terms: Mapping, num_vars: int) -> tuple:
                 coefficients.extend(sub.values())
             else:
                 add = f" + {node(sub, var - 1)}"
-            lines.append(f"{acc} = {prev} * t{var}{add}")
+            step = f"{prev} * t{var}"
+            if rounding is None:
+                step += add
+            else:
+                step = f"nextafter(nextafter({step}, d){add}, d)" if add else \
+                    f"nextafter({step}, d)"
+            lines.append(f"{acc} = {step}")
             prev = acc
         return prev
 
@@ -454,9 +476,10 @@ def _compile(terms: Mapping, num_vars: int) -> tuple:
     names = "".join(f"t{j}, " for j in range(num_vars))
     source = "\n    ".join([f"def run(point, leaves, zero):\n    {names}= point",
                            *lines, f"return {root}"])
-    namespace: dict = {}
+    namespace: dict = {"nextafter": math.nextafter, "d": rounding}
     exec(source, namespace)
-    return namespace["run"], tuple(coefficients)
+    return namespace["run"], tuple(coefficients if rounding is None else
+                                   (_toward(c, rounding) for c in coefficients))
 
 
 @dataclass(frozen=True)

@@ -643,15 +643,48 @@ def test_iterate_reports_the_membership_verdict(X, tol):
 
 def test_a_failed_certificate_runs_one_exact_check(monkeypatch):
     calls = []
-    check = impsolve.kantorovich.certificate_check
+    check = impsolve.kantorovich._pre_fixed
 
     def counted(*args):
         calls.append(args)
         return check(*args)
 
-    monkeypatch.setattr(impsolve.kantorovich, "certificate_check", counted)
+    monkeypatch.setattr(impsolve.kantorovich, "_pre_fixed", counted)
     assert membership(quadratic_comparison(), X_at(0.3)).verdict == OUTSIDE
     assert len(calls) == 1
+
+
+def test_the_rounded_kernels_decide_and_fraction_referees_ties(monkeypatch):
+    # every membership check ran Psi in Fraction; now Psi's kernels rounded
+    # up and down decide, and only a tie between them runs it
+    calls = []
+    exact = impsolve.kantorovich._exact_psi
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(impsolve.kantorovich, "_exact_psi", counted)
+    assert membership(quadratic_comparison(), X_at(0.2)).verdict == INSIDE
+    assert membership(quadratic_comparison(), X_at(0.3)).verdict == OUTSIDE
+    assert calls == []
+    # Psi(1/4, 1/2) = 1/2: the exact tie no rounded kernel can settle
+    for mode, value in ((FLOAT, float), (EXACT, Fraction)):
+        calls.clear()
+        assert certificate_check(quadratic_comparison(mode), (value(Fraction(1, 4)),),
+                                 (value(Fraction(1, 2)),))
+        assert len(calls) == 1
+    assert not certificate_check(quadratic_comparison(), (0.25 + 2 ** -54,), (0.5,))
+
+
+def test_a_point_with_no_float_image_is_rounded_outward():
+    # Y = 2^1000 X + Y^2 at a subnormal X: rounded to nearest, X = 3.45
+    # units of 2^-1074 reads as 3, and Psi(X, Y) as 3 * 2^-74 < Y
+    cmp_eq = ComparisonEquation(SeriesMap((Series(
+        2, 4, {(1, 0): Fraction(2 ** 1000), (0, 2): Fraction(1)}, EXACT),)))
+    unit, Y = Fraction(1, 2 ** 1074), Fraction(34, 10 * 2 ** 74)
+    assert not certificate_check(cmp_eq, (Fraction(345, 100) * unit,), (Y,))
+    assert certificate_check(cmp_eq, (Fraction(335, 100) * unit,), (Y,))
 
 
 def _float_trace(X, tol, steps):

@@ -7,10 +7,11 @@ helpers.py; frozen examples were expanded by hand.
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from impsolve import (
     EXACT,
@@ -27,7 +28,7 @@ from impsolve import (
 )
 from impsolve import series as series_module
 
-from helpers import catalan, naive_mul, naive_substitute, quadratic_equation
+from helpers import catalan, naive_mul, naive_substitute, poly_at, quadratic_equation
 
 
 def F(n, d=1):
@@ -595,3 +596,107 @@ def test_solve_compiles_psi_once_per_term_set(monkeypatch):
     # round 1 runs at cap 1, where y^2 is dropped; every later round shares
     # the plan of psi's full term set
     assert len(built) == 2
+
+
+# ---------------------------------------------------------------------------
+# outward-rounded kernels
+
+# points with no float image (1/5, above the float range), subnormal ones,
+# and one at the top of the range, whose products overflow
+EDGE_POINTS = (0.0, 5e-324, sys.float_info.min / 3, 1e-200, sys.float_info.max,
+               Fraction(sys.float_info.max) + 1, Fraction(1, 5), Fraction(7, 3))
+EDGE_COEFFICIENTS = (Fraction(1, 10 ** 400), Fraction(10 ** 400), Fraction(1, 5))
+
+
+@st.composite
+def rounded_cases(draw):
+    """``(terms, num_vars, point)``: a non-negative series in 1-3 variables,
+    exact or float, and a point of non-negative floats or Fractions."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        value = st.one_of(st.sampled_from(EDGE_COEFFICIENTS),
+                          st.fractions(0, 10, max_denominator=1000))
+    else:
+        value = st.floats(0, sys.float_info.max)
+    alphas = st.tuples(*[st.integers(0, 3)] * n).filter(lambda a: sum(a) <= 4)
+    terms = draw(st.dictionaries(alphas, value, max_size=6))
+    point = tuple(draw(st.one_of(st.sampled_from(EDGE_POINTS), st.floats(0, 4),
+                                 st.fractions(0, 4, max_denominator=1000)))
+                  for _ in range(n))
+    return terms, n, point
+
+
+@settings(max_examples=300)
+@given(rounded_cases())
+def test_rounded_kernels_bracket_the_exact_value(case):
+    terms, n, point = case
+    exact = poly_at(terms, point)
+    run, leaves = series_module._compile(terms, n, math.inf)
+    up = run(tuple(series_module._toward(e, math.inf) for e in point), leaves, 0.0)
+    run, leaves = series_module._compile(terms, n, 0.0)
+    down = run(tuple(series_module._toward(e, 0.0) for e in point), leaves, 0.0)
+    # down is finite and proves a lower bound; up may be inf or NaN, which
+    # prove nothing, but is never below the exact value
+    assert 0 <= down <= exact
+    assert not up < exact
+
+
+@given(st.one_of(st.sampled_from(EDGE_POINTS + EDGE_COEFFICIENTS),
+                 st.fractions(0, 10, max_denominator=10 ** 6), st.floats(0, 1e300)))
+def test_toward_picks_the_neighbouring_floats(value):
+    up, down = series_module._toward(value, math.inf), series_module._toward(value, 0.0)
+    assert down <= value <= up
+    assert up == down or math.nextafter(down, math.inf) == up
+
+
+# the source _compile generated for Y = X + Y^2 before it took a rounding
+NEAREST_SOURCE = """def run(point, leaves, zero):
+    t0, t1, = point
+    a1 = zero * t0 + leaves[0]
+    a0 = zero * t1 + a1
+    a0 = a0 * t1
+    a2 = zero * t0 + leaves[1]
+    a2 = a2 * t0
+    a0 = a0 * t1 + a2
+    return a0"""
+
+
+def _reference_horner(terms, var, point):
+    """Nested Horner in the order of ``_compile``'s nearest kernel."""
+    groups = {}
+    for alpha, value in terms.items():
+        groups.setdefault(alpha[var], {})[alpha] = value
+    acc = 0.0
+    for k in range(max(groups, default=-1), -1, -1):
+        sub = groups.get(k)
+        if sub is None:
+            acc = acc * point[var]
+        elif var == 0:
+            acc = acc * point[var] + next(iter(sub.values()))
+        else:
+            acc = acc * point[var] + _reference_horner(sub, var - 1, point)
+    return acc
+
+
+def test_the_nearest_kernel_source_is_unchanged():
+    namespace = {}
+    exec(NEAREST_SOURCE, namespace)
+    run, leaves = series_module._compile({(1, 0): 1.0, (0, 2): 1.0}, 2)
+    # the flags differ only by the modules' __future__ imports
+    for field in ("co_code", "co_consts", "co_names", "co_varnames"):
+        assert getattr(run.__code__, field) == getattr(namespace["run"].__code__, field)
+    assert leaves == (1.0, 1.0)
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * n),
+                    st.floats(-1e3, 1e3).filter(bool), max_size=6),
+    st.tuples(*[st.floats(-4, 4)] * n))))
+def test_the_nearest_kernel_is_plain_horner(case):
+    terms, point = case
+    run, leaves = series_module._compile(terms, len(point))
+    got = run(point, leaves, 0.0)
+    want = _reference_horner(terms, len(point) - 1, point)
+    assert math.copysign(1, got) == math.copysign(1, want) and got == want
+    assert leaves == tuple(terms[a] for a in sorted(terms, key=lambda a: a[::-1],
+                                                    reverse=True))

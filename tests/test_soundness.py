@@ -12,7 +12,9 @@ against the library:
   the oracle does not prove X outside;
 - every error bound is at least the true error, ``bound(p) >= Y* - Y(p)``,
   tested against the oracle's lower bound on the least fixed point ``Y*``;
-- ``outside`` is not contradicted by a pre-fixed point the oracle verified.
+- ``outside`` is not contradicted by a pre-fixed point the oracle verified;
+- ``certificate_check`` is the exact decision ``is_pre_fixed``, at drawn
+  witnesses and at the least fixed point and one ulp either side of it.
 
 A second strategy spans the scales of ``y = x + c y^2`` over twenty
 decades of c, where every point drawn is inside and the certified ``Y~``
@@ -21,13 +23,14 @@ must lie close above the closed-form root.
 
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import inf, nextafter
 
 from hypothesis import given, settings, strategies as st
 
 from impsolve import (COMPONENTWISE, EXACT, FLOAT, INSIDE, OUTSIDE,
                       ComparisonEquation, DomainError, EquationSpec,
-                      LatticeVec, Series, SeriesMap, iterate_comparison,
-                      iterate_primal, membership)
+                      LatticeVec, Series, SeriesMap, certificate_check,
+                      iterate_comparison, iterate_primal, membership)
 
 from helpers import exact_polys, fixed_point_oracle, is_pre_fixed, scalar_comparison
 
@@ -102,6 +105,25 @@ def test_every_bound_covers_the_true_error(case):
         return
     assert trace.verdict == INSIDE
     _bounds_cover_the_tail(polys, X, paired)
+
+
+@settings(max_examples=200)
+@given(systems(), st.data())
+def test_the_check_is_the_exact_decision(case, data):
+    # the float kernels rounded up and down decide certificate_check, so on
+    # a witness at the least fixed point, or one ulp either side, they
+    # must agree with the pure-Fraction test
+    cmp_eq, X, _ = case
+    polys = exact_polys(cmp_eq)
+    value = Fraction if cmp_eq.mode == EXACT else float
+    lower, _, _ = fixed_point_oracle(polys, X)
+    ulps = st.sampled_from([-1, 0, 1])
+    Y = tuple(value(y) if k == 0 else value(max(nextafter(float(y), k * inf), 0.0))
+              for y, k in zip(lower, data.draw(st.tuples(*[ulps] * len(lower)))))
+    if data.draw(st.booleans()):
+        Y = tuple(value(Fraction(k, 64)) for k in data.draw(
+            st.lists(st.integers(0, 64), min_size=len(Y), max_size=len(Y))))
+    assert certificate_check(cmp_eq, X, Y) == is_pre_fixed(polys, X, Y)
 
 
 @st.composite

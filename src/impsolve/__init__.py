@@ -11,11 +11,10 @@ from .errors import DomainError, SpecFormatError
 from .hille import (FAILED, FOUND, UNBOUNDED, GraphPoint, HillePoint,
                     RadiusEstimate, RayRadius, RegionSample, empirical_radius,
                     hille_point, radius_along_ray, region_to_csv, trace_graph)
-from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, DIVERGENCE_THRESHOLD,
-                          INSIDE, OUTSIDE, UNRESOLVED, IterationTrace,
-                          Membership, certificate_check, error_bound,
-                          iterate_comparison, iterate_primal, membership,
-                          trace_to_csv)
+from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, INSIDE, OUTSIDE,
+                          UNRESOLVED, IterationTrace, Membership,
+                          certificate_check, error_bound, iterate_comparison,
+                          iterate_primal, membership, trace_to_csv)
 from .lattice import (AGGREGATE, COMPONENTWISE, SCALAR, ComparisonEquation,
                       EquationSpec, LatticeVec, MajorantSampleReport,
                       MajorantViolation, check_majorant_samples,

@@ -2,25 +2,23 @@
 comparison equation.
 
 By Hille's theorem X lies in the convergence region when ``Y = Psi(X, Y)``
-has a least fixed point there.  ``_newton_certificate`` looks for a
-witness ``Y~`` by float Newton from zero, on the comparison's cached float
-kernels that ``hille`` reads too, and it counts only once
-``certificate_check`` proves ``Y~ >= Psi(X, Y~)`` in float, on Psi's kernels
-rounded up and down: a round-to-nearest result and its neighbour bracket
-the exact value, subnormal or ``inf`` too; Horner on non-negative values is
-monotone; ``inf`` and NaN prove nothing.  Proof sketch: Psi has
-non-negative coefficients and ``X >= 0``, so it is nondecreasing in Y, and
-``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p)) <= Psi(X, Y~) <= Y~``.
-So every Kleene iterate from zero lies below ``Y~``; they increase, so
-they converge, to the least fixed point ``Y*``, which is at most ``Y~``.
-A checked ``Y~`` proves ``INSIDE`` and bounds every tail: ``Y* - Y(p) <=
-Y~ - Y(p)``.  Else the Kleene iterates run for the ``OUTSIDE`` verdict; a
-step that settles proves nothing and is ``UNRESOLVED``.  ``membership``
-reaches the verdict, ``iterate_comparison`` reports it, and one loop runs
-their iterates, in float on the float twin at X rounded down: exact input
-never iterates in ``Fraction``, which only referees a tie of the check and
-goes on past a float overflow in ``_kleene``.
-Only a ``ComparisonEquation`` is taken; ``_point`` checks each point.
+has a least fixed point there.  ``_newton_certificate`` looks for a witness
+``Y~`` by float Newton from zero, on the comparison's cached float kernels
+that ``hille`` reads too, and it counts only once ``certificate_check``
+proves ``Y~ >= Psi(X, Y~)`` in float, on Psi's kernels rounded up and down:
+a round-to-nearest result and its neighbour bracket the exact value,
+subnormal or ``inf`` too; Horner on non-negative values is monotone; ``inf``
+and NaN prove nothing.  Proof sketch: Psi has non-negative coefficients and
+``X >= 0``, so it is nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives
+``Y(p+1) = Psi(X, Y(p)) <= Psi(X, Y~) <= Y~``.  So every Kleene iterate from
+zero lies below ``Y~``; they increase, so they converge, to the least fixed
+point ``Y*``, which is at most ``Y~``.  A checked ``Y~`` proves ``INSIDE``
+and bounds every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  ``OUTSIDE`` is proved by
+``_outside``: a Kleene iterate below every fixed point where ``dPsi/dY`` has
+spectral radius above 1, which no least fixed point allows.  All else is
+``UNRESOLVED``.  Exact input never iterates in ``Fraction``, which only
+referees a tie of the check and confirms an ``OUTSIDE`` witness.  Only a
+``ComparisonEquation`` is taken; ``_point`` checks each point.
 """
 
 from __future__ import annotations
@@ -41,9 +39,9 @@ from .solver import _invert
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 10000
-DIVERGENCE_THRESHOLD = 1e9
 NEWTON_STEPS = 100  # float Newton steps tried before a certificate is checked
 PUSH = 1e-14  # push along v, relative to max Y, floored at the least normal float
+POWER_STEPS = 4  # power steps on I + J per check of an OUTSIDE witness
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -143,55 +141,63 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
     return (Y_tilde, steps) if _pre_fixed(cmp, x, Y_tilde) else None
 
 
-def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float,
-            keep: bool) -> tuple[list, int, str]:
-    """Kleene iteration from 0 on the float twin of ``cmp`` at the checked
-    point ``x`` rounded down (Psi grows with X, so a divergence there is one
-    at ``x``): ``(iterates, steps, verdict)``, ``iterates`` every finite
-    ``Y(p)`` if ``keep``, else the last, exact images for an exact ``cmp``.
-    A step that settles proves nothing: the verdict is ``OUTSIDE`` or ``UNRESOLVED``."""
+def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
+    """``(witness, steps)``: Kleene from 0 on Psi's ``down`` kernel at the
+    checked ``x`` rounded down, whose iterates Y lie below every fixed point
+    ``mu`` and never overflow, until a step settles or the budget ends.  The
+    witness (exact images for an exact ``cmp``) is the first Y, or None,
+    where some ``w >= 0`` on Y's support has ``(J w)_i > w_i`` wherever
+    ``w_i > 0`` in float and then in ``Fraction``, J the ``down`` kernels of
+    ``dPsi/dY`` at Y.  Then ``rho(J) > 1`` there, but ``J <= dPsi/dY(mu)``, whose
+    ``rho`` on a least ``mu``'s support is at most 1, else ``mu - e v``, v a
+    Perron vector there, is a smaller pre-fixed point (Etessami and
+    Yannakakis, JACM 2009).  Checked where the two-step increment grows;
+    w takes power steps on ``I + J`` (no period) from the last check until
+    it settles, and drops entries below ``2^-20`` to sit on one block."""
+    (_, down), jacobian = cmp._rounded_kernels, cmp._jacobian
+    x = tuple(_toward(e, 0.0) for e in x)
+    before = Y = (0.0,) * cmp.dim_y
+    w, grown = [1.0] * cmp.dim_y, 0.0
+    for steps in range(1, budget + 1):
+        Y_next = tuple([run(x + Y, leaves, 0.0) for run, leaves in down])
+        if max(map(sub, Y_next, Y)) <= DEFAULT_TOL:
+            break
+        growth = max(map(sub, Y_next, before))
+        before, Y = Y, Y_next
+        if growth > grown:
+            J = [[run(x + Y, leaves, 0.0) for run, leaves in row] for row in jacobian]
+            for _ in range(POWER_STEPS):
+                v = [e + sum(map(mul, row, w)) if y > 0 else 0.0
+                     for e, row, y in zip(w, J, Y)]
+                if not 0 < (top := max(v)) < inf:
+                    break
+                w, last = [e / top for e in v], w
+                if w == last:
+                    break
+            u = [e if e >= 2 ** -20 and y > 0 else 0.0 for e, y in zip(w, Y)]
+            if any(u) and all(all(sum(map(mul, map(t, row), map(t, u))) > e
+                                  for row, e in zip(J, u) if e) for t in (float, Fraction)):
+                return Y if cmp.mode == FLOAT else tuple(map(Fraction, Y)), steps
+        grown = growth
+    return None, steps
+
+
+def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float) -> list:
+    """The trace: Kleene from 0 on the float twin at ``x`` rounded down, until no entry moves
+    by more than ``tol``, for ``max_iter`` steps or to the last finite one; exact images."""
     twin, x = cmp.as_float(), tuple(_toward(e, 0.0) for e in x)
     kernels = [comp._plan for comp in twin.psi.components]
     Y = (0.0,) * cmp.dim_y
     iterates = [Y]
-    verdict = UNRESOLVED
-    prev_step = None
-    for steps in range(1, max_iter + 1):
-        point = x + Y
-        Y_next = tuple([run(point, leaves, 0.0) for run, leaves in kernels])
+    for _ in range(max_iter):
+        Y_next = tuple([run(x + Y, leaves, 0.0) for run, leaves in kernels])
         if not all(map(isfinite, Y_next)):
-            # an overflow says nothing (Horner may overflow on a power that
-            # other factors bring back down, a sequence may converge past the
-            # float range): the test goes on exactly, to a step with one before
-            Z = tuple(map(Fraction, Y))
-            for steps in range(steps, max_iter + 1):
-                Z_next = tuple(_exact_psi(twin, x + Z))
-                step = max(map(sub, Z_next, Z))
-                if prev_step is not None:
-                    if step >= prev_step and max(Z_next) > DIVERGENCE_THRESHOLD:
-                        verdict = OUTSIDE
-                    break
-                prev_step, Z = step, Z_next
             break
-        step, settled = None, True
-        for a, b in zip(Y, Y_next):
-            d = b - a
-            if step is None or d > step:
-                step = d
-            settled = settled and abs(d) <= tol
+        iterates.append(Y_next)
+        if all(abs(b - a) <= tol for a, b in zip(Y, Y_next)):
+            break
         Y = Y_next
-        if keep:
-            iterates.append(Y)
-        if settled:
-            break
-        if (prev_step is not None and step >= prev_step
-                and any(e > DIVERGENCE_THRESHOLD for e in Y)):
-            verdict = OUTSIDE
-            break
-        prev_step = step
-    found = iterates if keep else [Y]
-    return (found if cmp.mode == FLOAT else [tuple(map(Fraction, Y)) for Y in found],
-            steps, verdict)
+    return iterates if cmp.mode == FLOAT else [tuple(map(Fraction, Y)) for Y in iterates]
 
 
 def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
@@ -199,26 +205,18 @@ def iterate_comparison(cmp: ComparisonEquation, X: LatticeVec,
                        tol: float = DEFAULT_TOL) -> IterationTrace:
     """Run the comparison iteration at the point ``X``.
 
-    The verdict is that of ``membership(cmp, X, max_iter)``, whatever
-    ``tol`` is.  The trace keeps the finite Kleene iterates from zero until
-    no entry moves by more than ``tol``, or for ``max_iter`` steps, or for
-    ``OUTSIDE`` the ``iterations_used``; at a ``tol`` no finer than
-    membership's, membership's loop gives them, and for exact input they
-    are exact images of ``_kleene``'s float iterates.  ``INSIDE`` carries a
-    checked ``Y~ >= Psi(X, Y~)``, so the bounds ``Y~ - Y(p)`` cover the tail
-    ``Y* - Y(p)`` wherever it stops, but not the iterates' rounding.
+    The verdict and ``Y~`` are those of ``membership(cmp, X, max_iter)``,
+    whatever ``tol`` is.  The trace is ``_kleene``'s: until no entry moves
+    by more than ``tol``, or for ``max_iter`` steps, or for ``OUTSIDE`` the
+    ``iterations_used``.  ``INSIDE`` carries a checked ``Y~ >= Psi(X, Y~)``,
+    so the bounds ``Y~ - Y(p)`` cover the tail ``Y* - Y(p)`` wherever it
+    stops, but not the iterates' rounding.
     """
     x = _start(cmp, X, max_iter)
     check_tol(tol)
-    got, found = _classify(cmp, x, max_iter, tol >= DEFAULT_TOL)
-    if found is None:
-        found = _kleene(cmp, x, got.iterations_used if got.verdict == OUTSIDE
-                        else max_iter, tol, keep=True)[0]
-    elif tol > DEFAULT_TOL:  # cut where tol settles the trace
-        for p in range(1, len(found)):
-            if max(map(abs, map(sub, found[p], found[p - 1]))) <= tol:
-                found = found[:p + 1]
-                break
+    got = _classify(cmp, x, max_iter)
+    found = _kleene(cmp, x, got.iterations_used if got.verdict == OUTSIDE
+                    else max_iter, tol)
     Y_tilde = got.principal_Y
     return IterationTrace(
         iterates_Y=tuple(map(LatticeVec, found)), iterates_y=None, verdict=got.verdict,
@@ -268,24 +266,21 @@ def membership(cmp: ComparisonEquation, X: LatticeVec,
     ``INSIDE`` means a pre-fixed point ``Y~ >= Psi(X, Y~)`` was checked
     exactly: it bounds every Kleene iterate, so the least fixed point
     exists and is at most ``Y~``.  ``principal_Y`` is that ``Y~`` and
-    ``iterations_used`` counts the Newton steps.  Without a certificate
-    ``_kleene`` runs ``budget`` steps at ``DEFAULT_TOL``; ``OUTSIDE`` keeps
-    its last finite iterate as the witness, and ``iterations_used`` counts
-    the Kleene steps.
+    ``iterations_used`` counts the Newton steps.  Else ``_outside`` runs at
+    most ``budget`` Kleene steps, which ``iterations_used`` counts, and
+    ``OUTSIDE`` carries its checked iterate as the witness.
     """
-    return _classify(cmp, _start(cmp, X, budget), budget, keep=False)[0]
+    return _classify(cmp, _start(cmp, X, budget), budget)
 
 
-def _classify(cmp: ComparisonEquation, x: tuple, budget: int,
-              keep: bool) -> tuple[Membership, list | None]:
-    """``membership`` at the checked point ``x``, and if ``keep`` the
-    Kleene iterates it ran, or None."""
+def _classify(cmp: ComparisonEquation, x: tuple, budget: int) -> Membership:
+    """``membership`` at the checked point ``x``."""
     certified = _newton_certificate(cmp, x)
     if certified is not None:
-        return Membership(INSIDE, LatticeVec(certified[0]), certified[1]), None
-    found, used, verdict = _kleene(cmp, x, budget, DEFAULT_TOL, keep)
-    return Membership(verdict, None, used, LatticeVec(found[-1]) if verdict == OUTSIDE
-                      else None), found if keep else None
+        return Membership(INSIDE, LatticeVec(certified[0]), certified[1])
+    witness, used = _outside(cmp, x, budget)
+    return Membership(UNRESOLVED if witness is None else OUTSIDE, None, used,
+                      witness and LatticeVec(witness))
 
 
 def certificate_check(cmp: ComparisonEquation, X: LatticeVec,

@@ -164,6 +164,12 @@ class ComparisonEquation(EquationSpec):
         return tuple([_compile(c.terms, c.num_vars, d) for c in self.psi.components]
                      for d in (inf, 0.0))
 
+    @cached_property
+    def _jacobian(self) -> list:
+        """Kernels of ``dPsi_i/dY_j`` rounded down, from Psi's own coefficients; kept."""
+        return [[_compile(p.terms, p.num_vars, 0.0) for p in map(c.partial, range(
+            self.dim_x, self.dim_x + self.dim_y))] for c in self.psi.components]
+
 
 def check_comparison(cmp: ComparisonEquation) -> None:
     """Refuse anything but a ``ComparisonEquation``: no other type vouches

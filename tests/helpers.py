@@ -238,6 +238,19 @@ def _jacobian(polys, z, dim_x):
     return out
 
 
+def expands(polys, X, W):
+    """``rho(J) > 1`` exactly for ``J = dP/dY`` at ``(X, W)``, one or two
+    unknowns, in closed form: the larger root of ``(l - a)(l - d) = bc``
+    exceeds 1 exactly when ``a + d > 2`` or ``bc > (1 - a)(1 - d)``.  No
+    least fixed point at X lies at or above such a W with no zero entry
+    (Etessami and Yannakakis, JACM 2009)."""
+    J = _jacobian(polys, tuple(map(Fraction, X)) + tuple(map(Fraction, W)), len(X))
+    if len(J) == 1:
+        return J[0][0] > 1
+    (a, b), (c, d) = J
+    return a + d > 2 or b * c > (1 - a) * (1 - d)
+
+
 def _exact_inverse(A):
     """Inverse of a small Fraction matrix, or None when it is singular."""
     n = len(A)

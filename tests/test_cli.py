@@ -5,6 +5,7 @@ exit codes and document shapes are pinned.
 """
 
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -207,22 +208,26 @@ def test_membership_outside(spec_file, capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "outside"
     assert doc["principal_Y"] is None
-    assert doc["witness"][0] > 1e9
+    # dPsi/dY = 2Y exceeds 1 at the witness, which no least fixed point allows
+    assert 2 * Fraction(doc["witness"][0]) > 1
 
 
 def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("mode, X, witness", [
+@pytest.mark.parametrize("mode, X, rounded", [
     ("float", "1e200", 1e200),
     ("exact", "1" + "0" * 200, 1e200),
     ("exact", "1" + "0" * 400, sys.float_info.max),
 ], ids=["float", "exact", "exact beyond floats"])
-def test_overflowing_witness_is_the_last_finite_iterate(spec_file, capsys, mode, X,
-                                                        witness):
-    # the second iterate, X + Y(1)^2, overflows; the first, X rounded down to
-    # floats, is the witness.  No float Newton runs at 1e400, beyond the range
+def test_the_witness_at_a_huge_point_is_its_first_down_iterate(spec_file, capsys, mode,
+                                                               X, rounded):
+    # the second iterate, X + Y(1)^2, overflowed, and the first, X rounded
+    # down to floats, was the witness after a divergence test.  Psi's down
+    # kernel steps one ulp down at each of its three rounded Horner steps,
+    # and its first iterate, where dPsi/dY = 2Y > 1, is the witness.  No
+    # float Newton runs at 1e400, beyond the range
     doc = dict(QUAD_PLUS_EXACT, mode=mode, terms=[
         {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
         {"output": 0, "alpha": [0], "beta": [2], "value": "1"},
@@ -230,7 +235,8 @@ def test_overflowing_witness_is_the_last_finite_iterate(spec_file, capsys, mode,
     code, out, _ = run(capsys, ["membership", "--spec", spec_file(doc), "--X", X])
     assert code == 0
     got = json.loads(out, parse_constant=_refuse_constant)
-    assert got["verdict"] == "outside"
+    assert (got["verdict"], got["iterations_used"]) == ("outside", 1)
+    witness = math.nextafter(math.nextafter(math.nextafter(rounded, 0), 0), 0)
     assert [Fraction(e) for e in got["witness"]] == [Fraction(witness)]
 
 
@@ -245,6 +251,24 @@ def test_iterate_through_an_overflow_is_an_outside_trace(spec_file, capsys):
     code, out, err = run(capsys, ["iterate", "--spec", spec_file(doc),
                                   "--X", "1e300", "--max-iter", "2"])
     assert (code, out, err) == (0, "p,Y0,bound0,delta0\n0,0.0,,0.0\n", "")
+
+
+def test_membership_answers_for_a_coefficient_below_the_float_range(spec_file, capsys):
+    # exact y = x + 10^-400 y^2 is inside at X = 1/5; membership read the
+    # float twin, which refuses the coefficient, and exited 2.  It now reads
+    # Psi rounded down, where the coefficient is 0, and its iterates settle
+    # at once.  iterate still prints a float-twin trace and refuses
+    doc = dict(QUAD_PLUS_EXACT, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "1/1" + "0" * 400},
+    ])
+    path = spec_file(doc)
+    code, out, err = run(capsys, ["membership", "--spec", path, "--X", "1/5"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"verdict": "unresolved", "principal_Y": None,
+                               "iterations_used": 2, "witness": None}
+    code, out, err = run(capsys, ["iterate", "--spec", path, "--X", "1/5"])
+    assert code == 2 and not out and "too small for a float" in err
 
 
 def test_region_csv(spec_file, capsys):
@@ -667,9 +691,9 @@ QUAD_PLUS = dict(QUAD_MINUS, terms=[
     {"output": 0, "alpha": [0], "beta": [2], "value": "1.0"},
 ])
 
-# exact membership searches for divergence in float: its witness is the
-# exact image of the eighth float iterate of Y = 3/2 + Y^2/2, 55174125960344.516
-EXACT_WITNESS = "3531144061462049/64"
+# exact membership's witness is the exact image of the first iterate of
+# Psi's down kernel, Y = 3/2 + Y^2/2 rounded down: 3/2 less three ulps
+EXACT_WITNESS = "6755399441055741/4503599627370496"
 
 FROZEN_DOCUMENTS = [
     (QUAD_PLUS, ["hille"], """\
@@ -695,9 +719,9 @@ FROZEN_DOCUMENTS = [
 {
   "verdict": "outside",
   "principal_Y": null,
-  "iterations_used": 17,
+  "iterations_used": 6,
   "witness": [
-    237605761386.8204
+    0.607374573854818
   ]
 }
 """),
@@ -705,7 +729,7 @@ FROZEN_DOCUMENTS = [
 {
   "verdict": "outside",
   "principal_Y": null,
-  "iterations_used": 8,
+  "iterations_used": 1,
   "witness": [
     "%s"
   ]
@@ -759,6 +783,20 @@ def test_frozen_inside_documents_hold_a_pre_fixed_point(argv, X, c, root):
     (Y,) = map(Fraction, json.loads(text)["principal_Y"])
     assert X + c * Y * Y <= Y
     assert 0 < Y - Fraction(root) < 1e-12
+
+
+@pytest.mark.parametrize("argv, c", [
+    (["membership", "--X", "0.3"], 1),
+    (["membership", "--X", "3/2"], Fraction(1, 2)),
+], ids=["float", "exact"])
+def test_frozen_outside_documents_hold_an_expanding_witness(argv, c):
+    # the oracle behind the frozen outside documents: Y = X + c Y^2 has no
+    # fixed point beyond X = 1/(4c), and dPsi/dY = 2cY exceeds 1 exactly at
+    # the printed witness, which no least fixed point allows
+    doc = json.loads(next(out for _, args, out in FROZEN_DOCUMENTS if args == argv))
+    X = Fraction(argv[2])
+    (Y,) = map(Fraction, doc["witness"])
+    assert X > 1 / (4 * c) and 2 * c * Y > 1
 
 
 def test_trace_without_bounds_text_is_frozen(spec_file, capsys):

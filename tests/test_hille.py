@@ -376,17 +376,17 @@ def test_radius_runs_no_kleene_loop_for_an_inside_question(monkeypatch):
     # the halving lands on the crossing t = 1/4 itself, where a Kleene loop
     # runs its whole budget for an unresolved answer no search reads
     runs = []
-    kleene = impsolve.kantorovich._kleene
+    outside = impsolve.kantorovich._outside
 
     def recorded(cmp, x, *args, **kwargs):
-        result = kleene(cmp, x, *args, **kwargs)
+        result = outside(cmp, x, *args, **kwargs)
         runs.append((x, result[1]))
         return result
 
-    monkeypatch.setattr(impsolve.kantorovich, "_kleene", recorded)
+    monkeypatch.setattr(impsolve.kantorovich, "_outside", recorded)
     got = radius_along_ray(quadratic_comparison(), LatticeVec((1.0,)), tol=1e-6)
     assert got.t_inside < 0.25 < got.t_outside
-    assert all(x != (0.25,) for x, _ in runs)
+    assert runs and all(x != (0.25,) for x, _ in runs)
     assert sum(steps for _, steps in runs) < 20000
 
 

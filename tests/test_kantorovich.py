@@ -8,6 +8,7 @@ limits come from the closed-form roots in helpers.py.
 import io
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -41,6 +42,7 @@ from impsolve import (
 
 from helpers import (
     exact_polys,
+    expands,
     fixed_point_oracle,
     is_pre_fixed,
     principal_quadratic,
@@ -273,22 +275,22 @@ def test_membership_inside():
 
 
 def test_membership_outside_with_witness():
+    # the witness is a Kleene iterate below every fixed point where
+    # dPsi/dY = 2Y exceeds 1, which no least fixed point allows
     got = membership(quadratic_comparison(), X_at(0.3))
-    assert got.verdict == OUTSIDE
-    assert got.principal_Y is None
-    assert got.iterations_used <= 50
-    assert got.witness.entries[0] > 1e9
+    assert got == Membership(OUTSIDE, None, 6, witness=LatticeVec((0.607374573854818,)))
+    assert 2 * Fraction(got.witness.entries[0]) > 1
 
 
 def test_exact_membership_outside_finishes():
     # the divergence search iterated in Fraction, whose digits double each
-    # step, and never returned at the default budget; it now runs on the
-    # float twin at X rounded down
+    # step, and never returned at the default budget; it now runs in float
+    # on Psi's down kernel at X rounded down, and the witness has 2Y > 1
     got = within(1.0, lambda: membership(quadratic_comparison(EXACT),
                                          X_at(Fraction(26, 100))))
-    assert got.verdict == OUTSIDE
+    assert (got.verdict, got.iterations_used) == (OUTSIDE, 14)
     (Y,) = got.witness.entries
-    assert type(Y) is Fraction and Y == float(Y) > 1e9
+    assert type(Y) is Fraction and Y == float(Y) and 2 * Y > 1
 
 
 def test_membership_unresolved_on_boundary():
@@ -453,17 +455,18 @@ def test_trace_csv_without_primal():
 # point and the witness pin every comparison and every float operation.  An
 # inside result is the Newton certificate, recorded only once the exact
 # oracle of helpers.py agreed with it (see _agrees_with_oracle); an outside
-# one is still the Kleene loop's, on a point the oracle proves outside.
+# one is a Kleene iterate rounded down, at a point the oracle proves
+# outside, where dPsi/dY has spectral radius above 1 exactly.
 
 
 def _agrees_with_oracle(cmp_eq, X, got):
-    """The verdict matches the exact oracle, and an inside ``principal_Y``
-    is a pre-fixed point at X within 1e-10 (relative) above its lower bound
-    on the least fixed point."""
+    """The verdict matches the exact oracle, an inside ``principal_Y`` is a
+    pre-fixed point at X within 1e-10 (relative) above its lower bound on
+    the least fixed point, and an outside witness has ``rho(J) > 1``."""
     polys = exact_polys(cmp_eq)
     lower, upper, outside = fixed_point_oracle(polys, X)
     if got.verdict == OUTSIDE:
-        return outside
+        return outside and expands(polys, X, got.witness.entries)
     Y = got.principal_Y.entries
     return (upper is not None and is_pre_fixed(polys, X, Y)
             and all(Fraction(y) - low <= Fraction(1e-10) * max(1, low)
@@ -483,18 +486,27 @@ def seeded_ray_system(seed):
     return ComparisonEquation(SeriesMap((Y0, Y1)))
 
 
-def test_overflow_is_unresolved_when_the_budget_is_spent():
-    # 1e10 * 1e300 overflows in the first step; only a second step reads it
+# the first iterate of Psi's down kernel where 1e10 * 1e300 or 1e155^2
+# overflows: rounding down stops at the largest float, and its last add
+# steps one ulp below it
+FIRST_DOWN_ITERATE = math.nextafter(sys.float_info.max, 0)
+
+
+def test_an_overflowing_first_step_is_outside_at_budget_one():
+    # 1e300 is far past X* = 2.5e-11: the overflow needed a second step, in
+    # Fraction, so a budget of 1 said unresolved; the down kernel stops at
+    # the largest float, where dPsi/dY = 2Y exceeds 1 at once
     got = membership(big_linear_comparison(), X_at(1e300), 1)
-    assert got == Membership(UNRESOLVED, None, 1)
+    assert got == Membership(OUTSIDE, None, 1, witness=LatticeVec((FIRST_DOWN_ITERATE,)))
 
 
 def test_overflow_is_outside_when_the_exact_steps_diverge():
     # the second step raised "float coefficients must be finite, got inf"
-    # when it read the overflowed iterate; redone exactly, the steps 1e310
-    # and 1e620 + 1e310 - 1e310 grow past the threshold
+    # when it read the overflowed iterate.  The exact iterates 1e310, 1e620
+    # diverge; rounded down, the first is the largest float, where dPsi/dY
+    # exceeds 1.  The trace, on the nearest kernels, keeps the finite Y(0)
     got = membership(big_linear_comparison(), X_at(1e300), 2)
-    assert got == Membership(OUTSIDE, None, 2, witness=LatticeVec((0.0,)))
+    assert got == Membership(OUTSIDE, None, 1, witness=LatticeVec((FIRST_DOWN_ITERATE,)))
     trace = iterate_comparison(big_linear_comparison(), X_at(1e300), 2)
     assert trace.verdict == OUTSIDE
     assert trace.iterates_Y == (LatticeVec((0.0,)),)
@@ -504,7 +516,7 @@ def test_a_first_iterate_that_overflows_is_outside():
     # y = x^2 + y^2 has its crossing at X = 1/2; at 1e155 the first iterate,
     # 1e310, overflows, and the next step raised ValueError
     got = membership(scalar_comparison({(2, 0): 1.0, (0, 2): 1.0}), X_at(1e155))
-    assert got == Membership(OUTSIDE, None, 2, witness=LatticeVec((0.0,)))
+    assert got == Membership(OUTSIDE, None, 1, witness=LatticeVec((FIRST_DOWN_ITERATE,)))
 
 
 @pytest.mark.parametrize("X2", [0.0, 1e-201], ids=["nan", "inf"])
@@ -513,21 +525,23 @@ def test_an_overflow_that_horner_brings_back_is_unresolved(X2):
     # fixed point solves Y = 0.01 + Y^2, or about 0.02 + Y^2.  Horner
     # overflows on 1e10^40 before it multiplies by X1 and X2, so every float
     # evaluation is inf, or NaN where X2 = 0, which says nothing about the
-    # true value; the second step raised "got inf" or "got nan".  Redone
-    # exactly, the steps shrink
+    # true value; the second step raised "got inf" or "got nan".  Psi's down
+    # kernel stops at the largest float, a lower bound, so its iterates
+    # settle near 0.01, where dPsi/dY = 2Y stays below 1
     psi = SeriesMap((Series(4, 42, {(40, 1, 1, 0): 1.0, (1, 0, 0, 0): 1e-12,
                                     (0, 0, 0, 2): 1.0}, FLOAT),))
     cmp_eq, X = ComparisonEquation(psi), LatticeVec((1e10, 1e-201, X2))
-    assert membership(cmp_eq, X) == Membership(UNRESOLVED, None, 2)
+    assert membership(cmp_eq, X) == Membership(UNRESOLVED, None, 7)
     assert iterate_comparison(cmp_eq, X).verdict == UNRESOLVED
 
 
 def test_a_sequence_converging_past_the_float_range_is_unresolved():
     # Y = 1e300 X0 X1 + X1 Y/2 at (1e10, 1) has the fixed point 2e310: its
-    # first iterate overflows, and the exact steps 1e310, 5e309 shrink
+    # first iterate overflows; rounded down it settles at the largest
+    # float, where dPsi/dY = 1/2
     psi = SeriesMap((Series(3, 24, {(1, 1, 0): 1e300, (0, 1, 1): 0.5}, FLOAT),))
     got = membership(ComparisonEquation(psi), LatticeVec((1e10, 1.0)))
-    assert got == Membership(UNRESOLVED, None, 2)
+    assert got == Membership(UNRESOLVED, None, 3)
 
 
 def test_nan_point_raises():
@@ -558,12 +572,12 @@ def test_primal_refuses_a_non_finite_x(x):
 @pytest.mark.parametrize("c, fraction, want", [
     (1.0, 0.5, Membership(INSIDE, LatticeVec((0.14644660940672832,)), 6)),
     (1.0, 0.999996, Membership(INSIDE, LatticeVec((0.4990000000024931,)), 14)),
-    (1.0, 1.000004, Membership(OUTSIDE, None, 3144,
-                               witness=LatticeVec((1712218149.6939335,)))),
+    (1.0, 1.000004, Membership(OUTSIDE, None, 1565,
+                               witness=LatticeVec((0.5000028788999608,)))),
     (2.5, 0.5, Membership(INSIDE, LatticeVec((0.058578643762691326,)), 6)),
     (2.5, 0.999996, Membership(INSIDE, LatticeVec((0.19960000000100128,)), 14)),
-    (2.5, 1.000004, Membership(OUTSIDE, None, 3145,
-                               witness=LatticeVec((1.172676346292223e+18,)))),
+    (2.5, 1.000004, Membership(OUTSIDE, None, 1565,
+                               witness=LatticeVec((0.2000011515599817,)))),
 ])
 def test_membership_quadratic_family_frozen(c, fraction, want):
     cmp_eq = scalar_comparison({(1, 0): 1.0, (0, 2): c})
@@ -579,10 +593,10 @@ def test_membership_quadratic_family_frozen(c, fraction, want):
     (0.05, Membership(INSIDE, LatticeVec((0.09236005439038703, 0.05810765979181866)), 6)),
     (0.1455, Membership(INSIDE, LatticeVec((0.485481374735882, 0.30856348880979667)), 11)),
     (0.14559, Membership(INSIDE, LatticeVec((0.4974253855648422, 0.3159593166209154)), 16)),
-    (0.1456, Membership(OUTSIDE, None, 785,
-                        witness=LatticeVec((5802416043716176.0, 3514114177706103.5)))),
-    (0.4, Membership(OUTSIDE, None, 8,
-                     witness=LatticeVec((95990003930.87567, 75713749524.37463)))),
+    (0.1456, Membership(OUTSIDE, None, 386,
+                        witness=LatticeVec((0.498519545941314, 0.3166367318170405)))),
+    (0.4, Membership(OUTSIDE, None, 1,
+                     witness=LatticeVec((0.6699999999999996, 0.41399999999999976)))),
 ])
 def test_membership_seeded_system_frozen(X, want):
     got = membership(seeded_ray_system(6), X_at(X))
@@ -700,8 +714,8 @@ def _float_trace(X, tol, steps):
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-3, 1.0])
 def test_the_trace_is_membership_loop_cut_at_tol(monkeypatch, X, tol):
     # an uncertified float point ran the Kleene loop twice, once for the
-    # verdict and once for the trace; a tol no finer than membership's now
-    # cuts the trace from the verdict's own loop
+    # verdict and once for the trace.  The verdict now runs on Psi's down
+    # kernel, and the trace is the one nearest-kernel loop at every tol
     want = membership(quadratic_comparison(), X_at(X), 500)
     calls = []
     kleene = impsolve.kantorovich._kleene
@@ -715,4 +729,76 @@ def test_the_trace_is_membership_loop_cut_at_tol(monkeypatch, X, tol):
     assert got.verdict == want.verdict
     steps = want.iterations_used if want.verdict == OUTSIDE else 500
     assert got.iterates_Y == _float_trace(X, tol, steps)
-    assert len(calls) == (1 if got.verdict == INSIDE or tol >= 1e-12 else 2)
+    assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# outside is a checked claim: a Kleene iterate rounded down where dPsi/dY
+# has spectral radius above 1
+
+def big_pair_comparison():
+    """Y0 = 1e10 X + 2.5e-11 Y0^2, Y1 = 1e-9 Y0^2: X* = 1, where Y0 = 2e10."""
+    return ComparisonEquation(SeriesMap((
+        Series(3, 2, {(1, 0, 0): 1e10, (0, 2, 0): 2.5e-11}, FLOAT),
+        Series(3, 2, {(0, 2, 0): 1e-9}, FLOAT))))
+
+
+def test_a_large_iterate_below_the_fixed_point_is_not_outside():
+    # the divergence test read Y0 > 1e9 with a growing step as outside, after
+    # 2 steps, with the witness (12499999999.985, 99999999999.8); the oracle
+    # proves a fixed point near (2e10, 4e11) exists there
+    cmp_eq, X = big_pair_comparison(), (0.999999999999,)
+    assert fixed_point_oracle(exact_polys(cmp_eq), X)[1] is not None
+    assert membership(cmp_eq, LatticeVec(X)) == Membership(UNRESOLVED, None, DEFAULT_BUDGET)
+
+
+def test_a_ray_bracket_ends_outside_past_a_large_fixed_point():
+    # at tol 0 the outside end was 0.9999999999961351, where the oracle
+    # finds a pre-fixed point
+    cmp_eq = big_pair_comparison()
+    got = radius_along_ray(cmp_eq, X_at(1.0), tol=0.0)
+    polys = exact_polys(cmp_eq)
+    assert fixed_point_oracle(polys, (got.t_inside,))[1] is not None
+    assert fixed_point_oracle(polys, (got.t_outside,))[2]
+
+
+def test_a_reducible_system_is_outside_on_one_block():
+    # Y1 = X^2 Y1 / 8 + X^2 / 4 converges on its own; Y0 = Y1^3 / 4 + Y0^2 Y1
+    # + 3 Y0 Y1 has dY0'/dY0 >= 3 Y1 > 1 at X = 1.08, so w sits on Y0 alone.
+    # The divergence test needed 33 steps and Y0 = 2.4e14
+    cmp_eq = ComparisonEquation(SeriesMap((
+        Series(3, 6, {(0, 0, 3): 0.25, (0, 2, 1): 1.0, (0, 1, 1): 3.0}, FLOAT),
+        Series(3, 6, {(2, 0, 1): 0.125, (2, 0, 0): 0.25}, FLOAT))))
+    got = membership(cmp_eq, X_at(1.08))
+    assert got == Membership(OUTSIDE, None, 10, witness=LatticeVec(
+        (0.10035370996583366, 0.34137204253594766)))
+    assert expands(exact_polys(cmp_eq), (1.08,), got.witness.entries)
+    assert fixed_point_oracle(exact_polys(cmp_eq), (1.08,))[1] is None
+
+
+def test_a_nearly_bipartite_majorant_is_outside_near_its_crossing():
+    # the majorant of y0 = x + y1^2, y1 = x/100 + y0^2/100 (x measured by
+    # the max norm) crosses at X = 9.8142567461971...; at 9.81426 the
+    # divergence test ran its whole budget and said unresolved
+    eq = EquationSpec(SeriesMap((
+        Series(3, 4, {(1, 0, 0): 1.0, (0, 0, 2): 1.0}, FLOAT),
+        Series(3, 4, {(1, 0, 0): 0.01, (0, 2, 0): 0.01}, FLOAT))), "aggregate",
+        COMPONENTWISE)
+    cmp_eq = majorant(eq)
+    got = membership(cmp_eq, X_at(9.81426))
+    assert got == Membership(OUTSIDE, None, 5180, witness=LatticeVec(
+        (13.331077315560952, 1.8753188189939864)))
+    polys = exact_polys(cmp_eq)
+    assert expands(polys, (9.81426,), got.witness.entries)
+    assert fixed_point_oracle(polys, (9.81426,))[2]
+
+
+def test_an_unknown_that_stays_zero_is_no_witness():
+    # Y1 = 16 X Y1 + Y0 Y1 stays 0, so the least fixed point (0.1127..., 0)
+    # exists at X = 1 although dY1'/dY1 = 16 + Y0 > 1: a w on Y1, where
+    # every iterate is 0, proves nothing, and the loop must settle without one
+    cmp_eq = ComparisonEquation(SeriesMap((
+        Series(3, 4, {(1, 0, 0): 0.1, (0, 2, 0): 1.0}, FLOAT),
+        Series(3, 4, {(1, 0, 1): 16.0, (0, 1, 1): 1.0}, FLOAT))))
+    assert membership(cmp_eq, X_at(1.0)).verdict == INSIDE
+    assert impsolve.kantorovich._outside(cmp_eq, (1.0,), DEFAULT_BUDGET)[0] is None

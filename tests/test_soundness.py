@@ -12,7 +12,8 @@ against the library:
   the oracle does not prove X outside;
 - every error bound is at least the true error, ``bound(p) >= Y* - Y(p)``,
   tested against the oracle's lower bound on the least fixed point ``Y*``;
-- ``outside`` is not contradicted by a pre-fixed point the oracle verified;
+- ``outside`` is not contradicted by a pre-fixed point the oracle verified,
+  and ``dPsi/dY`` has spectral radius above 1 exactly at its witness;
 - ``certificate_check`` is the exact decision ``is_pre_fixed``, at drawn
   witnesses and at the least fixed point and one ulp either side of it.
 
@@ -32,7 +33,8 @@ from impsolve import (COMPONENTWISE, EXACT, FLOAT, INSIDE, OUTSIDE,
                       LatticeVec, Series, SeriesMap, certificate_check,
                       iterate_comparison, iterate_primal, membership)
 
-from helpers import exact_polys, fixed_point_oracle, is_pre_fixed, scalar_comparison
+from helpers import (exact_polys, expands, fixed_point_oracle, is_pre_fixed,
+                     scalar_comparison)
 
 # the membership budget and the trace's max_iter, the same in both modes:
 # an exact run iterates on its float twin, never in Fraction
@@ -85,6 +87,7 @@ def test_membership_claims_hold(case):
         assert is_pre_fixed(polys, X, got.principal_Y.entries)
     if got.verdict == OUTSIDE:
         assert upper is None
+        assert expands(polys, X, got.witness.entries)
 
 
 @settings(max_examples=200)

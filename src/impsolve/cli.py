@@ -4,7 +4,10 @@ Verbs map one-to-one onto the library operations; every verb reads an
 equation file (see ``equation_to_dict`` for the format) and returns CSV text
 or a JSON document, which ``main`` writes once, to stdout or ``--out``, after
 the verb succeeds.  ``hille``, ``membership``, ``radius`` and ``check`` print
-every field of their result record (see ``_doc``).  Exit codes are 0 on
+every field of their result record, a ``NamedTuple``, in declaration order
+(see ``_doc``).  Nothing the CLI imports loads ``dataclasses`` or
+``inspect``, whose import cost a verb more than its own work on small
+inputs.  Exit codes are 0 on
 success, 1 on domain errors, and 2 on usage or file-format errors, an
 ``--out`` that cannot be written among them, refused before the verb runs.
 Output is deterministic: identical inputs produce byte-identical documents.
@@ -19,7 +22,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpecFormatError
@@ -70,14 +72,15 @@ def _parse_vector(text: str, mode: str, what: str) -> LatticeVec:
 def _doc(value):
     """The JSON value of a verb's result.
 
-    A record becomes an object of its fields in declaration order, a vector
-    or tuple a list, and an exact number its rational string; a document
-    already built as a dict passes through unchanged.
+    A record, a ``NamedTuple``, becomes an object of its ``_fields`` in
+    declaration order, a vector or any other tuple a list, and an exact
+    number its rational string; a document already built as a dict passes
+    through unchanged.
     """
     if isinstance(value, LatticeVec):
         return [_doc(e) for e in value.entries]
-    if is_dataclass(value):
-        return {f.name: _doc(getattr(value, f.name)) for f in fields(value)}
+    if hasattr(value, "_fields"):
+        return {name: _doc(getattr(value, name)) for name in value._fields}
     if isinstance(value, tuple):
         return [_doc(e) for e in value]
     if isinstance(value, Fraction):

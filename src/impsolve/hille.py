@@ -17,7 +17,6 @@ a turn or a crossing exists at all is read off Psi's terms.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from math import isfinite
 from typing import IO, Callable, NamedTuple
 
@@ -33,8 +32,7 @@ UNBOUNDED = "unbounded"
 FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class HillePoint:
+class HillePoint(NamedTuple):
     """The turning point of the comparison graph, if one was found."""
 
     X_star: float | None
@@ -50,15 +48,13 @@ class GraphPoint(NamedTuple):
     dPsi_dY: float
 
 
-@dataclass(frozen=True)
-class RegionSample:
+class RegionSample(NamedTuple):
     points: tuple[GraphPoint, ...]
     turning_index: int | None
     omitted: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class RayRadius:
+class RayRadius(NamedTuple):
     """Certified bracket around the boundary crossing along a ray."""
 
     t_inside: float

@@ -24,12 +24,11 @@ referees a tie of the check and confirms an ``OUTSIDE`` witness.  Only a
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
 from math import copysign, inf, isfinite
 from operator import add, le, mul, sub
 from sys import float_info
-from typing import IO, Sequence
+from typing import IO, NamedTuple, Sequence
 
 from .errors import DomainError
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
@@ -48,8 +47,7 @@ OUTSIDE = "outside"
 UNRESOLVED = "unresolved"
 
 
-@dataclass(frozen=True)
-class IterationTrace:
+class IterationTrace(NamedTuple):
     iterates_Y: tuple[LatticeVec, ...]
     iterates_y: tuple[tuple[Number, ...], ...] | None
     verdict: str
@@ -60,8 +58,7 @@ class IterationTrace:
         return len(self.iterates_Y) - 1
 
 
-@dataclass(frozen=True)
-class Membership:
+class Membership(NamedTuple):
     verdict: str
     principal_Y: LatticeVec | None
     iterations_used: int
@@ -144,7 +141,8 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
 def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
     """``(witness, steps)``: Kleene from 0 on Psi's ``down`` kernel at the
     checked ``x`` rounded down, whose iterates Y lie below every fixed point
-    ``mu`` and never overflow, until a step settles or the budget ends.  The
+    ``mu`` and never overflow, until a step settles, moving no entry by more
+    than ``DEFAULT_TOL`` times the largest, or the budget ends.  The
     witness (exact images for an exact ``cmp``) is the first Y, or None,
     where some ``w >= 0`` on Y's support has ``(J w)_i > w_i`` wherever
     ``w_i > 0`` in float and then in ``Fraction``, J the ``down`` kernels of
@@ -158,9 +156,14 @@ def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
     x = tuple(_toward(e, 0.0) for e in x)
     before = Y = (0.0,) * cmp.dim_y
     w, grown = [1.0] * cmp.dim_y, 0.0
+    # total, the sum of the steps, telescopes to at least max(Y_next) / 2
+    # after rounding, so a step above slack * total has not settled and
+    # skips max(Y_next), about a tenth of a step's cost
+    total, slack = 0.0, 2 * DEFAULT_TOL
     for steps in range(1, budget + 1):
         Y_next = tuple([run(x + Y, leaves, 0.0) for run, leaves in down])
-        if max(map(sub, Y_next, Y)) <= DEFAULT_TOL:
+        total += (step := max(map(sub, Y_next, Y)))
+        if step <= slack * total and step <= DEFAULT_TOL * max(Y_next):
             break
         growth = max(map(sub, Y_next, before))
         before, Y = Y, Y_next

@@ -15,16 +15,15 @@ construction of the dominating comparison equation.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import inf, isfinite
 from operator import add, sub
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SpecFormatError
-from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _compile, coerce_value,
-                     format_value, parse_value, zero_value)
+from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _compile, _set,
+                     _Value, coerce_value, format_value, parse_value, zero_value)
 
 SCALAR = "scalar"
 COMPONENTWISE = "componentwise"
@@ -34,14 +33,14 @@ PROFILE_KINDS = (SCALAR, COMPONENTWISE, AGGREGATE)
 SAMPLE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class LatticeVec:
+class LatticeVec(_Value):
     """A finite vector ordered entry by entry."""
 
+    _fields = ("entries",)
     entries: tuple[Number, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(self.entries))
+    def __init__(self, entries: Iterable[Number]) -> None:
+        _set(self, "entries", tuple(entries))
 
     @property
     def dimension(self) -> int:
@@ -60,8 +59,7 @@ def norm(kind: str, v: Sequence[Number]) -> LatticeVec:
     return LatticeVec(tuple(abs(e) for e in entries))
 
 
-@dataclass(frozen=True)
-class EquationSpec:
+class EquationSpec(_Value):
     """An implicit equation ``y = psi(x, y)`` in normalized form.
 
     ``psi`` is a truncated map with no constant term and no term linear in
@@ -71,11 +69,15 @@ class EquationSpec:
     side, one of ``PROFILE_KINDS``; a scalar one needs a side of dimension 1.
     """
 
+    _fields = ("psi", "profile_x", "profile_y")
     psi: SeriesMap
     profile_x: str
     profile_y: str
 
-    def __post_init__(self) -> None:
+    def __init__(self, psi: SeriesMap, profile_x: str, profile_y: str) -> None:
+        _set(self, "psi", psi)
+        _set(self, "profile_x", profile_x)
+        _set(self, "profile_y", profile_y)
         if self.dim_x < 1:
             raise ValueError("dim_x and dim_y must be positive")
         for kind, dim in ((self.profile_x, self.dim_x),
@@ -116,7 +118,6 @@ class EquationSpec:
         return self.psi.degree_cap
 
 
-@dataclass(frozen=True, init=False)
 class ComparisonEquation(EquationSpec):
     """A dominating equation ``Y = Psi(X, Y)`` of positive type.
 
@@ -127,9 +128,6 @@ class ComparisonEquation(EquationSpec):
 
     def __init__(self, psi: SeriesMap) -> None:
         super().__init__(psi, COMPONENTWISE, COMPONENTWISE)
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
         for i, comp in enumerate(self.psi.components):
             for gamma, value in comp.terms.items():
                 if value < 0:
@@ -239,8 +237,7 @@ def check_majorant_shape(eq: EquationSpec, cmp: EquationSpec) -> None:
 # -- sampled domination check -------------------------------------------
 
 
-@dataclass(frozen=True)
-class MajorantViolation:
+class MajorantViolation(NamedTuple):
     kind: str
     component: int
     point: tuple[Number, ...]
@@ -249,8 +246,7 @@ class MajorantViolation:
     rhs: Number
 
 
-@dataclass(frozen=True)
-class MajorantSampleReport:
+class MajorantSampleReport(NamedTuple):
     points_checked: int
     increments_checked: int
     violations: tuple[MajorantViolation, ...]

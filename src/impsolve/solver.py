@@ -14,30 +14,31 @@ be checked against each other; it is capped at low degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement, permutations
 from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .lattice import COMPONENTWISE, EquationSpec
-from .series import (EXACT, Number, Series, SeriesMap, multiindex_factorial,
-                     series_compose, zero_value)
+from .series import (EXACT, Number, Series, SeriesMap, _set, _Value,
+                     multiindex_factorial, series_compose, zero_value)
 
 ITERATIVE = "iterative"
 PARTITION_ORACLE = "partition_oracle"
 PARTITION_ORACLE_MAX_DEGREE = 6
 
 
-@dataclass(frozen=True)
-class SolutionSeries:
+class SolutionSeries(_Value):
     """Truncated series of the solution branch through the origin."""
 
+    _fields = ("phi", "source")
     phi: SeriesMap
     source: str
 
-    def __post_init__(self) -> None:
-        if self.source not in (ITERATIVE, PARTITION_ORACLE):
-            raise ValueError(f"unknown solution source {self.source!r}")
+    def __init__(self, phi: SeriesMap, source: str) -> None:
+        if source not in (ITERATIVE, PARTITION_ORACLE):
+            raise ValueError(f"unknown solution source {source!r}")
+        _set(self, "phi", phi)
+        _set(self, "source", source)
 
     @property
     def degree_cap(self) -> int:

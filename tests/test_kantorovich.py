@@ -527,21 +527,34 @@ def test_an_overflow_that_horner_brings_back_is_unresolved(X2):
     # evaluation is inf, or NaN where X2 = 0, which says nothing about the
     # true value; the second step raised "got inf" or "got nan".  Psi's down
     # kernel stops at the largest float, a lower bound, so its iterates
-    # settle near 0.01, where dPsi/dY = 2Y stays below 1
+    # settle near 0.01, where dPsi/dY = 2Y stays below 1; a step settles
+    # when it moves no entry by more than 1e-12 of the largest, the 8th here
     psi = SeriesMap((Series(4, 42, {(40, 1, 1, 0): 1.0, (1, 0, 0, 0): 1e-12,
                                     (0, 0, 0, 2): 1.0}, FLOAT),))
     cmp_eq, X = ComparisonEquation(psi), LatticeVec((1e10, 1e-201, X2))
-    assert membership(cmp_eq, X) == Membership(UNRESOLVED, None, 7)
+    assert membership(cmp_eq, X) == Membership(UNRESOLVED, None, 8)
     assert iterate_comparison(cmp_eq, X).verdict == UNRESOLVED
 
 
 def test_a_sequence_converging_past_the_float_range_is_unresolved():
     # Y = 1e300 X0 X1 + X1 Y/2 at (1e10, 1) has the fixed point 2e310: its
     # first iterate overflows; rounded down it settles at the largest
-    # float, where dPsi/dY = 1/2
+    # float, where dPsi/dY = 1/2; the second step moves it by 6e292, less
+    # than 1e-12 of its size, so it settles there
     psi = SeriesMap((Series(3, 24, {(1, 1, 0): 1e300, (0, 1, 1): 0.5}, FLOAT),))
     got = membership(ComparisonEquation(psi), LatticeVec((1e10, 1.0)))
-    assert got == Membership(UNRESOLVED, None, 3)
+    assert got == Membership(UNRESOLVED, None, 2)
+
+
+@pytest.mark.parametrize("X", [1e-20, 1e-19, 1e-15])
+def test_a_tiny_scale_point_far_outside_is_outside(X):
+    # y = x + 1e20 y^2 has X* = 2.5e-21.  Its first iterate, X, moved by
+    # less than the absolute 1e-12 that counted as settled, so the answer
+    # was unresolved after 1 step; there dPsi/dY = 2e20 X exceeds 1 already
+    got = membership(scalar_comparison({(1, 0): 1.0, (0, 2): 1e20}), X_at(X))
+    assert (got.verdict, got.principal_Y, got.iterations_used) == (OUTSIDE, None, 1)
+    (Y,) = got.witness.entries
+    assert Y <= X and 2 * Fraction(1e20) * Fraction(Y) > 1
 
 
 def test_nan_point_raises():

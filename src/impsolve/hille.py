@@ -17,6 +17,7 @@ a turn or a crossing exists at all is read off Psi's terms.
 from __future__ import annotations
 
 import csv
+from fractions import Fraction
 from math import isfinite
 from typing import IO, Callable, NamedTuple
 
@@ -24,7 +25,7 @@ from .errors import DomainError
 from .kantorovich import (DEFAULT_TOL, INSIDE, OUTSIDE, _newton_certificate, _point,
                           check_tol, membership)
 from .lattice import ComparisonEquation, LatticeVec, check_comparison
-from .series import FLOAT, Number, _float, coerce_value, zero_value
+from .series import EXACT, FLOAT, Number, _float, coerce_value, zero_value
 from .solver import SolutionSeries
 
 FOUND = "found"
@@ -167,8 +168,8 @@ def trace_graph(cmp: ComparisonEquation, Y_max: float, steps: int) -> RegionSamp
 
     Grid points without a solution are left out and reported in the
     ``omitted`` list.  ``turning_index`` marks the maximal X among the
-    kept points, or None when the maximum sits at the end of the range
-    (no turning inside it).
+    kept points, or None when the maximum sits at either end of them (no
+    turning inside the range).
     """
     psi, psi_y = _scalar_kernels(cmp)
     if steps < 1:
@@ -186,9 +187,10 @@ def trace_graph(cmp: ComparisonEquation, Y_max: float, steps: int) -> RegionSamp
             omitted.append(Y)
             continue
         points.append(GraphPoint(X, Y, psi_y(X, Y)))
-    # Y = 0 always gives X = 0, as psi has no constant term, so points is not empty
+    # Y = 0 always gives X = 0, as psi has no constant term, so points is not
+    # empty and starts at the origin, where dPsi/dY = 0: never the turn
     turning = max(range(len(points)), key=lambda k: points[k].X)
-    if turning == len(points) - 1:
+    if turning in (0, len(points) - 1):
         turning = None
     return RegionSample(points=tuple(points), turning_index=turning,
                         omitted=tuple(omitted))
@@ -212,8 +214,9 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     bracket is at most ``tol`` wide or no float lies between the ends.
     The bracket can stay wider than ``tol``: unresolved scales cannot be
     claimed for either side, so they stay inside it, and a ``tol`` below
-    the float spacing at the crossing cannot be met.  The probing is a
-    float computation; an exact comparison equation is converted first.
+    the float spacing at the crossing cannot be met.  The scales are floats;
+    an exact comparison takes each probe ``t * d`` as its exact image, so
+    every ``inside`` and ``outside`` is checked against the exact Psi.
 
     The ray is unbounded, with ``t_inside`` from the halving search, exactly
     when the unknowns it feeds have no dependency cycle: then the least
@@ -222,28 +225,33 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     alone, so the cycle's product, a lower bound on ``rho(dPsi/dY)``, passes
     1 as ``t`` grows, where a least fixed point has ``rho <= 1`` on its
     support (Etessami and Yannakakis, JACM 2009).  The fed set is ``dim_y``
-    Kleene steps at ``x``, ``Y`` in {0, 1}, where a kernel is nonzero
-    exactly when a term lives on the ones, and a cycle on it is a walk of
-    length ``dim_y`` in the pattern of ``dPsi/dY``.  The doubling search
-    then runs to an ``outside`` verdict, raising ``DomainError`` where the
-    float range ends.
+    Kleene steps at ``x``, ``Y`` in {0, 1}, where a kernel with every leaf
+    1.0 is nonzero exactly when a term lives on the ones, however small its
+    coefficient, and a cycle on it is a walk of length ``dim_y`` in the
+    pattern of ``dPsi/dY``.  The doubling search then runs to an ``outside``
+    verdict, raising ``DomainError`` where the float range ends.
     """
     check_comparison(cmp)
     check_tol(tol)
-    cmp = cmp.as_float()
+    values, jacobian = cmp._float_kernels
     if not isinstance(direction, LatticeVec):
         direction = LatticeVec(tuple(direction))
     if direction.dimension != cmp.dim_x:
         raise ValueError(
             f"direction has dimension {direction.dimension}, expected {cmp.dim_x}")
     dir_entries = tuple(_float(e, "direction entry") for e in direction.entries)
+    for e, f in zip(direction.entries, dir_entries):
+        if e and not f:  # a ray along a dropped entry would be another ray
+            raise ValueError(f"direction entry {e} is too small for a float")
     if any(e < 0 for e in dir_entries) or all(e == 0 for e in dir_entries):
         raise ValueError("direction must be non-negative and nonzero")
     if not all(map(isfinite, dir_entries)):
         raise ValueError(f"direction must be finite, got {direction}")
 
+    image = Fraction if cmp.mode == EXACT else float
+
     def at(t: float) -> LatticeVec:
-        return LatticeVec(tuple(t * e for e in dir_entries))
+        return LatticeVec(tuple(image(t * e) for e in dir_entries))
 
     def inside(t: float) -> bool:
         x = _point(cmp, at(t), cmp.dim_x, "X")
@@ -255,14 +263,13 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     t_in = 1.0
     while t_in > 0 and not inside(t_in):
         t_in *= 0.5
-    values, jacobian = cmp._float_kernels
     x = tuple(float(e > 0) for e in dir_entries)
     fed = (0.0,) * cmp.dim_y
     for _ in range(cmp.dim_y):
-        fed = tuple(float(run(x + fed, leaves, 0.0) != 0) for run, leaves in values)
+        fed = tuple(float(run(x + fed, [1.0] * len(leaves), 0.0) != 0) for run, leaves in values)
     walk = fed
     for _ in range(cmp.dim_y):
-        walk = [any(w and run(x + fed, leaves, 0.0) != 0
+        walk = [any(w and run(x + fed, [1.0] * len(leaves), 0.0) != 0
                     for w, (run, leaves) in zip(walk, row)) for row in jacobian]
     if not any(walk):
         return RayRadius(t_inside=t_in, t_outside=None, unbounded=True)

@@ -33,7 +33,8 @@ from typing import IO, NamedTuple, Sequence
 from .errors import DomainError
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
                       check_majorant_shape, norm)
-from .series import EXACT, FLOAT, Number, _float, _toward, coerce_value, format_value
+from .series import (EXACT, FLOAT, Number, _float, _nearest_plan, _toward, coerce_value,
+                     format_value)
 from .solver import _invert
 
 DEFAULT_TOL = 1e-12
@@ -186,10 +187,9 @@ def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
 
 
 def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float) -> list:
-    """The trace: Kleene from 0 on the float twin at ``x`` rounded down, until no entry moves
-    by more than ``tol``, for ``max_iter`` steps or to the last finite one; exact images."""
-    twin, x = cmp.as_float(), tuple(_toward(e, 0.0) for e in x)
-    kernels = [comp._plan for comp in twin.psi.components]
+    """The trace: Kleene from 0 on Psi's nearest kernels at ``x`` rounded down, until no entry
+    moves by more than ``tol``, for ``max_iter`` steps or to the last finite one; exact images."""
+    (kernels, _), x = cmp._float_kernels, tuple(_toward(e, 0.0) for e in x)
     Y = (0.0,) * cmp.dim_y
     iterates = [Y]
     for _ in range(max_iter):
@@ -234,9 +234,10 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
 
     The comparison is run at ``X = norm(x)``; its certificate ``Y~`` is the
     certificate here, so a diverged or uncertified comparison run raises.
-    The primal iterates then run in lockstep, on psi's float twin at ``x``
-    rounded toward zero, so a positive system that is its own majorant
-    repeats its comparison trace.  The trace carries the comparison's bounds
+    The primal iterates then run in lockstep, on psi's kernels on its own
+    coefficients rounded to nearest (``_nearest_plan``) at ``x`` rounded
+    toward zero, so a positive system that is its own majorant repeats its
+    comparison trace.  The trace carries the comparison's bounds
     ``Y~ - Y(p)``, which dominate ``|y* - y(p)|`` for the exact primal iterates.
     """
     check_majorant_shape(eq, cmp)
@@ -251,10 +252,11 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
                else "found no certificate")
         raise DomainError(f"the comparison iteration {why}; "
                           "no convergence certificate is available")
-    psi, x = eq.psi.as_float(), tuple(copysign(_toward(abs(e), 0.0), e) for e in x)
+    kernels = [_nearest_plan(c) for c in eq.psi.components]
+    x = tuple(copysign(_toward(abs(e), 0.0), e) for e in x)
     ys = [(0.0,) * eq.dim_y]
     for _ in range(comp.steps):
-        ys.append(psi.evaluate(x + ys[-1]))
+        ys.append(tuple([run(x + ys[-1], leaves, 0.0) for run, leaves in kernels]))
     if eq.mode == EXACT:
         ys = [tuple(map(Fraction, y)) for y in ys]
     return IterationTrace(

@@ -22,8 +22,8 @@ from operator import add, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SpecFormatError
-from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _compile, _set,
-                     _Value, coerce_value, format_value, parse_value, zero_value)
+from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _compile, _nearest_plan,
+                     _set, _Value, coerce_value, format_value, parse_value, zero_value)
 
 SCALAR = "scalar"
 COMPONENTWISE = "componentwise"
@@ -135,25 +135,16 @@ class ComparisonEquation(EquationSpec):
                         f"component {i} has a negative coefficient at "
                         f"{tuple(gamma)}: not of positive type")
 
-    def as_float(self) -> ComparisonEquation:
-        """Itself in float mode, else its float twin, made once and kept."""
-        return self if self.mode == FLOAT else self._float_twin
-
-    @cached_property
-    def _float_twin(self) -> ComparisonEquation:
-        return ComparisonEquation(self.psi.as_float())
-
     @cached_property
     def _float_kernels(self) -> tuple:
-        """Float kernels ``(values, jacobian)`` of ``Psi`` and of ``dPsi_i/dY_j``
-        from ``as_float()``, so exact input gets its twin's; built on first
-        use and kept, like ``Series._plan``.  Not a field.  The one float
-        engine of a comparison: Newton, the graph and the turn all read it."""
-        if self.mode != FLOAT:
-            return self._float_twin._float_kernels
+        """Kernels ``(values, jacobian)`` of ``Psi`` and of ``dPsi_i/dY_j``
+        from their own coefficients rounded to nearest (``_nearest_plan``), in
+        either mode; built on first use and kept, like ``Series._plan``.  Not
+        a field.  The one float engine of a comparison, which only searches:
+        Newton, the Kleene trace, the graph and the turn all read it."""
         comps = self.psi.components
-        return ([c._plan for c in comps],
-                [[c.partial(self.dim_x + j)._plan for j in range(self.dim_y)]
+        return ([_nearest_plan(c) for c in comps],
+                [[_nearest_plan(c.partial(self.dim_x + j)) for j in range(self.dim_y)]
                  for c in comps])
 
     @cached_property

@@ -13,8 +13,9 @@ kept strictly apart:
 ``"float"``
     coefficients are finite IEEE doubles.
 
-Mixing modes in one operation raises an error; a series is converted
-between modes only through the explicit :meth:`Series.as_float` method.
+Mixing modes in one operation raises an error, and no series is converted
+between modes: float work on exact coefficients runs :func:`_nearest_plan`,
+an untrusted image that only searches, and is checked on the exact series.
 
 Terms are checked where they come in: the public constructor and
 :meth:`Series.coefficient` check every key and value.  Sums, products and
@@ -149,15 +150,12 @@ def coerce_value(value: Number, mode: str) -> Number:
 
 
 def _float(value: Number, name: str) -> float:
-    """``float(value)``, refusing an int or Fraction ``name`` beyond the float
-    range: too large, or nonzero and so small that it rounds to zero."""
+    """``float(value)``, correctly rounded, refusing an int or Fraction
+    ``name`` too large for a float."""
     try:
-        out = float(value)
+        return float(value)
     except OverflowError:
         raise ValueError(f"{name} {value} is too large for a float") from None
-    if value and not out:
-        raise ValueError(f"{name} {value} is too small for a float")
-    return out
 
 
 def format_value(value: Number, mode: str) -> str:
@@ -342,13 +340,6 @@ class Series(_Value):
             out.__dict__["_plan_source"] = self.__dict__.get("_plan_source", self)
         return out
 
-    def as_float(self) -> Series:
-        """Explicit conversion to float mode (exact coefficients are rounded)."""
-        if self.mode == FLOAT:
-            return self
-        return Series._ring(self.num_vars, self.degree_cap,
-                            {a: _float(v, "coefficient") for a, v in self.terms.items()}, FLOAT)
-
     # -- ring operations ------------------------------------------------
 
     def __add__(self, other: Series) -> Series:
@@ -463,6 +454,13 @@ class Series(_Value):
         return " + ".join(bits)
 
 
+def _nearest_plan(s: Series) -> tuple:
+    """``s._plan``'s kernel on its coefficients rounded to nearest, which
+    reads one below the float range as 0.0; one above it is refused."""
+    run, coefficients = s._plan
+    return run, tuple(_float(c, "coefficient") for c in coefficients)
+
+
 def _toward(value: Number, d: float) -> float:
     """The float nearest ``value >= 0`` on the side of ``d``, ``inf`` or ``0.0``."""
     f = float(min(value, sys.float_info.max))
@@ -568,9 +566,6 @@ class SeriesMap(_Value):
 
     def with_cap(self, degree_cap: int) -> SeriesMap:
         return SeriesMap(tuple(comp.with_cap(degree_cap) for comp in self.components))
-
-    def as_float(self) -> SeriesMap:
-        return SeriesMap(tuple(comp.as_float() for comp in self.components))
 
     def evaluate(self, point: Sequence[Number]) -> tuple[Number, ...]:
         return tuple(comp.evaluate(point) for comp in self.components)

@@ -310,6 +310,35 @@ def fixed_point_oracle(polys, X, steps=80, bits=256):
     return Y, None, False
 
 
+def oracle_on_the_fed_unknowns(polys, direction, t):
+    """``(lower, upper)`` of the oracle at ``t * direction`` on the unknowns
+    the ray feeds, the others held at 0, as points of the whole system.
+
+    An unknown that is 0 after ``q`` Kleene steps at the direction is 0 in
+    every iterate, so in the least fixed point; the oracle alone stops at
+    its first Jacobian with a negative inverse entry, which a loop of such
+    an unknown, as in ``Y = 4XY``, gives at a large t.
+    """
+    p, q = len(direction), len(polys)
+    Y = (Fraction(0),) * q
+    for _ in range(q):
+        Y = tuple(poly_at(f, direction + Y) for f in polys)
+    fed = [i for i in range(q) if Y[i] > 0]
+    zero = (Fraction(0),) * q
+    if not fed:
+        return zero, zero
+    sub = [{g[:p] + tuple(g[p + j] for j in fed): c for g, c in polys[i].items()
+            if not any(g[p + j] for j in range(q) if j not in fed)} for i in fed]
+    lower, upper, _ = fixed_point_oracle(sub, tuple(t * d for d in direction))
+
+    def whole(point):
+        if point is None:
+            return None
+        entries = dict(zip(fed, point))
+        return tuple(entries.get(j, Fraction(0)) for j in range(q))
+    return whole(lower), whole(upper)
+
+
 # ---------------------------------------------------------------------------
 # time limits
 

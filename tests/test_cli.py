@@ -15,7 +15,7 @@ import pytest
 from impsolve.cli import build_parser, main
 from impsolve.lattice import MajorantSampleReport, MajorantViolation
 
-from helpers import within
+from helpers import is_pre_fixed, within
 
 
 QUAD_MINUS = {
@@ -254,10 +254,10 @@ def test_iterate_through_an_overflow_is_an_outside_trace(spec_file, capsys):
 
 
 def test_membership_answers_for_a_coefficient_below_the_float_range(spec_file, capsys):
-    # exact y = x + 10^-400 y^2 is inside at X = 1/5; membership read the
-    # float twin, which refuses the coefficient, and exited 2.  It now reads
-    # Psi rounded down, where the coefficient is 0, and its iterates settle
-    # at once.  iterate still prints a float-twin trace and refuses
+    # exact y = x + 10^-400 y^2 is inside at X = 1/5.  Newton ran on a float
+    # copy of the comparison, which refused the coefficient: membership
+    # answered unresolved and iterate exited 2.  Newton now searches on the
+    # coefficient rounded to nearest, 0.0, and the exact check proves Y~
     doc = dict(QUAD_PLUS_EXACT, terms=[
         {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
         {"output": 0, "alpha": [0], "beta": [2], "value": "1/1" + "0" * 400},
@@ -265,10 +265,29 @@ def test_membership_answers_for_a_coefficient_below_the_float_range(spec_file, c
     path = spec_file(doc)
     code, out, err = run(capsys, ["membership", "--spec", path, "--X", "1/5"])
     assert (code, err) == (0, "")
-    assert json.loads(out) == {"verdict": "unresolved", "principal_Y": None,
-                               "iterations_used": 2, "witness": None}
+    got = json.loads(out)
+    Y_tilde = [Fraction(e) for e in got["principal_Y"]]
+    assert is_pre_fixed([{(1, 0): 1, (0, 2): Fraction(1, 10 ** 400)}],
+                        (Fraction(1, 5),), Y_tilde)
+    assert got == {"verdict": "inside",
+                   "principal_Y": ["3602879701896433/18014398509481984"],
+                   "iterations_used": 2, "witness": None}
     code, out, err = run(capsys, ["iterate", "--spec", path, "--X", "1/5"])
-    assert code == 2 and not out and "too small for a float" in err
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1].startswith("2,7205759403792793/36028797018963968,")
+
+
+def test_iterate_x_answers_for_a_coefficient_below_the_float_range(spec_file, capsys):
+    # the primal run of exact y = x - 10^-400 y^2 read psi's float copy,
+    # which refused the coefficient, and exited 2; the nearest leaf is -0.0
+    doc = dict(QUAD_PLUS_EXACT, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "-1/1" + "0" * 400},
+    ])
+    code, out, err = run(capsys, ["iterate", "--spec", spec_file(doc), "--x", "1/5"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "p,Y0,y0,bound0,delta0"
+    assert out.splitlines()[-1].split(",")[2] == "7205759403792793/36028797018963968"
 
 
 def test_region_csv(spec_file, capsys):
@@ -628,16 +647,26 @@ def test_coefficient_beyond_the_float_range_is_a_usage_error(spec_file, capsys,
                                   ["radius", "--direction", "1.0"]])
 def test_coefficient_below_the_float_range_is_a_usage_error(spec_file, capsys,
                                                             argv):
-    # the float comparison dropped the term rounded to 0.0: hille and region
-    # refused Y = 10^-400 X + Y^2 as not depending on X, and radius answered
-    # unbounded, as for Y = Y^2
+    # No longer a usage error: the verbs answer.  A float copy that dropped
+    # the term rounded to 0.0 refused Y = 10^-400 X + Y^2 as not depending
+    # on X in hille and region, and answered unbounded in radius, as for
+    # Y = Y^2; a copy that refused the term exited 2.  The turn is at
+    # X = 2.5e399, beyond the float range, so hille fails, region shows no
+    # turn, and radius finds no outside verdict
     path = spec_file(dict(QUAD_PLUS_EXACT, terms=[
         {"output": 0, "alpha": [1], "beta": [0], "value": f"1/{10 ** 400}"},
         {"output": 0, "alpha": [0], "beta": [2], "value": "1"}]))
     code, out, err = run(capsys, argv[:1] + ["--spec", path] + argv[1:])
-    assert code == 2 and not out
-    assert err.startswith("error: coefficient 1/1000")
-    assert err.endswith(" is too small for a float\n")
+    assert "does not depend on X" not in err and "unbounded" not in out
+    if argv[0] == "radius":
+        assert (code, out) == (1, "")
+        assert err == "error: no outside verdict along (1.0) in the float range\n"
+    elif argv[0] == "hille":
+        assert (code, err) == (0, "")
+        assert json.loads(out)["status"] == "failed"
+    else:
+        assert (code, err) == (0, "")
+        assert out.endswith(",0\n") and ",1\n" not in out
 
 
 @pytest.mark.parametrize("argv, message", [

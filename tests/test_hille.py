@@ -35,6 +35,7 @@ from impsolve import (
     UNBOUNDED,
     empirical_radius,
     hille_point,
+    iterate_comparison,
     membership,
     radius_along_ray,
     region_to_csv,
@@ -46,7 +47,7 @@ from helpers import (
     exact_polys,
     fixed_point_oracle,
     is_pre_fixed,
-    poly_at,
+    oracle_on_the_fed_unknowns,
     quadratic_comparison,
     quadratic_equation,
     random_comparison,
@@ -239,12 +240,11 @@ def test_the_searches_share_the_comparison_kernels(monkeypatch):
     assert len(built) == 2
 
 
-def test_an_exact_comparison_has_one_float_twin(monkeypatch):
+def test_an_exact_comparison_compiles_its_nearest_kernels_once(monkeypatch):
     # membership read kernels from one float copy of an exact comparison,
-    # and the ray radius compiled them again on another; now the twin's two
-    # kernels are built once.  The check decides on the comparison's
-    # outward-rounded kernels, so the exact plan is built only for a tie,
-    # which none of these calls reaches
+    # and the ray radius compiled them again on another.  Now every search
+    # reads Psi's and dPsi/dY's own plans on their coefficients rounded to
+    # nearest, compiled once; a tie of the check reads the same plan of Psi
     cmp_eq = quadratic_comparison(EXACT)
     built = []
     original = impsolve.series._compile
@@ -254,9 +254,10 @@ def test_an_exact_comparison_has_one_float_twin(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(impsolve.series, "_compile", counting)
-    assert cmp_eq.as_float() is cmp_eq.as_float()
     assert membership(cmp_eq, LatticeVec((Fraction(1, 5),))).verdict == INSIDE
     assert membership(cmp_eq, LatticeVec((Fraction(26, 100),))).verdict == OUTSIDE
+    assert iterate_comparison(cmp_eq, LatticeVec((Fraction(1, 5),))).verdict == INSIDE
+    assert hille_point(cmp_eq).status == FOUND
     radius_along_ray(cmp_eq, LatticeVec((1.0,)), tol=1e-3)
     assert len(built) == 2
 
@@ -295,6 +296,14 @@ def test_trace_reports_omitted_grid_points():
 
 def test_trace_without_interior_turn():
     sample = trace_graph(quadratic_comparison(), 0.4, 100)
+    assert sample.turning_index is None
+
+
+def test_trace_never_marks_the_origin_as_the_turn():
+    # Y = 0 and Y = 1 both have X = 0 on Y = X + Y^2, and the first of the
+    # tied maxima, the origin, where dPsi/dY = 0, was marked as the turn
+    sample = trace_graph(quadratic_comparison(), 1.0, 1)
+    assert [(pt.X, pt.Y) for pt in sample.points] == [(0.0, 0.0), (0.0, 1.0)]
     assert sample.turning_index is None
 
 
@@ -498,15 +507,30 @@ def test_radius_rejects_bad_direction():
 
 
 def test_coefficient_below_the_float_range_is_refused_not_dropped():
-    # as_float rounded 10^-400 to 0.0 and dropped the term: hille_point
-    # refused Y = 10^-400 X + Y^2 as not depending on X, and the ray radius
-    # came back unbounded, as for Y = Y^2
+    # Answered now, and still not dropped.  A float copy rounded 10^-400 to
+    # 0.0 and dropped the term: hille_point refused Y = 10^-400 X + Y^2 as
+    # not depending on X, and the ray radius came back unbounded, as for
+    # Y = Y^2; a copy that refused the term raised.  The turn is at
+    # X = 2.5e399, beyond the float range, so the search fails
     cmp_eq = ComparisonEquation(SeriesMap((
         Series(2, 4, {(1, 0): Fraction(1, 10 ** 400), (0, 2): 1}, EXACT),)))
-    with pytest.raises(ValueError, match="too small for a float"):
-        hille_point(cmp_eq)
-    with pytest.raises(ValueError, match="too small for a float"):
-        radius_along_ray(cmp_eq, LatticeVec((1.0,)))
+    assert hille_point(cmp_eq).status == FAILED
+    assert trace_graph(cmp_eq, 1.0, 10).turning_index is None
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0): Fraction(1, 10 ** 400), (0, 2): 1},
+    {(1, 0): 1, (0, 2): Fraction(1, 10 ** 400)},
+], ids=["tiny-x", "tiny-y2"])
+def test_a_ray_reads_its_cycles_from_the_terms_not_their_rounding(terms):
+    # both cross at X = 2.5e399, beyond the float range.  Read off kernels
+    # with leaves rounded to nearest, where 10^-400 is 0.0, Y = 10^-400 X +
+    # Y^2 is Y = Y^2 and Y = X + 10^-400 Y^2 has no cycle: both looked
+    # unbounded.  A float copy that refused the term raised ValueError
+    cmp_eq = ComparisonEquation(SeriesMap((Series(2, 4, terms, EXACT),)))
+    with pytest.raises(DomainError, match=r"^no outside verdict along \(1.0\) "
+                                          r"in the float range$"):
+        radius_along_ray(cmp_eq, LatticeVec((1.0,)), tol=1e-3)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("-inf"),
@@ -543,35 +567,6 @@ def positive_systems(draw, p=None, q=None):
         for _ in range(q))))
 
 
-def _oracle_on_the_fed_unknowns(polys, direction, t):
-    """``(lower, upper)`` of the oracle at ``t * direction`` on the unknowns
-    the ray feeds, the others held at 0, as points of the whole system.
-
-    An unknown that is 0 after ``q`` Kleene steps at the direction is 0 in
-    every iterate, so in the least fixed point; the oracle alone stops at
-    its first Jacobian with a negative inverse entry, which a loop of such
-    an unknown, as in ``Y = 4XY``, gives at a large t.
-    """
-    p, q = len(direction), len(polys)
-    Y = (Fraction(0),) * q
-    for _ in range(q):
-        Y = tuple(poly_at(f, direction + Y) for f in polys)
-    fed = [i for i in range(q) if Y[i] > 0]
-    zero = (Fraction(0),) * q
-    if not fed:
-        return zero, zero
-    sub = [{g[:p] + tuple(g[p + j] for j in fed): c for g, c in polys[i].items()
-            if not any(g[p + j] for j in range(q) if j not in fed)} for i in fed]
-    lower, upper, _ = fixed_point_oracle(sub, tuple(t * d for d in direction))
-
-    def whole(point):
-        if point is None:
-            return None
-        entries = dict(zip(fed, point))
-        return tuple(entries.get(j, Fraction(0)) for j in range(q))
-    return whole(lower), whole(upper)
-
-
 @settings(max_examples=100)
 @given(positive_systems(), st.data())
 def test_the_ray_rule_against_the_oracle(cmp_eq, data):
@@ -586,14 +581,14 @@ def test_the_ray_rule_against_the_oracle(cmp_eq, data):
                            tol=1e-3)
     if got.unbounded:
         for t in (1, 2 ** 16, 2 ** 32):
-            lower, _ = _oracle_on_the_fed_unknowns(polys, direction, t)
+            lower, _ = oracle_on_the_fed_unknowns(polys, direction, t)
             assert is_pre_fixed(polys, tuple(t * d for d in direction), lower)
         return
     t_in, t_out = Fraction(got.t_inside), Fraction(got.t_outside)
-    _, upper = _oracle_on_the_fed_unknowns(polys, direction, t_in)
+    _, upper = oracle_on_the_fed_unknowns(polys, direction, t_in)
     assert upper is not None
     assert is_pre_fixed(polys, tuple(t_in * d for d in direction), upper)
-    assert _oracle_on_the_fed_unknowns(polys, direction, t_out)[1] is None
+    assert oracle_on_the_fed_unknowns(polys, direction, t_out)[1] is None
 
 
 @given(positive_systems(p=1, q=1).filter(

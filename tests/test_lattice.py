@@ -134,8 +134,6 @@ def test_comparison_is_an_equation_with_componentwise_profiles():
     assert isinstance(cmp_eq, EquationSpec)
     assert cmp_eq.profile_x == COMPONENTWISE
     assert cmp_eq.profile_y == COMPONENTWISE
-    assert cmp_eq.as_float().mode == FLOAT
-    assert isinstance(cmp_eq.as_float(), ComparisonEquation)
 
 
 def test_comparison_serializes_as_an_equation():

@@ -148,10 +148,13 @@ def test_exact_values_beyond_the_float_range_are_refused():
     with pytest.raises(ValueError, match=r"^coefficient 10{400} is too large"):
         series_module.coerce_value(10 ** 400, FLOAT)
     with pytest.raises(ValueError, match=r"^coefficient 10{400}/3 is too large"):
-        Series(1, 2, {(1,): F(10 ** 400, 3)}, EXACT).as_float()
-    # float() rounded this to 0.0 and the ring dropped the term
-    with pytest.raises(ValueError, match=r"^coefficient -1/10{400} is too small"):
-        Series(1, 2, {(1,): F(-1, 10 ** 400)}, EXACT).as_float()
+        series_module._nearest_plan(Series(1, 2, {(1,): F(10 ** 400, 3)}, EXACT))
+    # below the float range the nearest leaf is a signed zero, and the exact
+    # series keeps its term for every check
+    tiny = Series(1, 2, {(1,): F(-1, 10 ** 400)}, EXACT)
+    leaves = series_module._nearest_plan(tiny)[1]
+    assert leaves == (0.0,) and str(leaves[0]) == "-0.0"
+    assert tiny.evaluate((1,)) == F(-1, 10 ** 400)
 
 
 def test_cap_mismatch_rejected():
@@ -194,7 +197,7 @@ def test_ring_results_pass_the_public_checks(mode, ta, tb, tu, tv):
     inner = [build(tu, 1, True), build(tv, 1, True)]
     results = [a + b, a - b, -a, a * b,
                a.partial(0), a.partial(1), a.with_cap(2), a.with_cap(6),
-               a.as_float(), compose_series(a, inner)]
+               compose_series(a, inner)]
     for r in results:
         assert_checked(r)
     assert (a - a).is_zero()
@@ -341,9 +344,8 @@ def test_evaluate_takes_ints_and_leaves_equality_alone():
     a, b = Series(2, 4, terms, EXACT), Series(2, 4, terms, EXACT)
     assert a.evaluate((2, F(1, 2))) == F(47, 24)
     assert a == b and b == a
-    fa = a.as_float()
+    fa = Series(2, 4, {k: float(v) for k, v in terms.items()}, FLOAT)
     assert fa.evaluate((2, 0.5)) == fa.evaluate((2.0, 0.5))
-    assert fa == b.as_float()
 
 
 # Values recorded from the evaluator before it was compiled into a plan.

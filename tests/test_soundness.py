@@ -20,6 +20,10 @@ against the library:
 A second strategy spans the scales of ``y = x + c y^2`` over twenty
 decades of c, where every point drawn is inside and the certified ``Y~``
 must lie close above the closed-form root.
+
+Both modes run one engine: an exact system with dyadic coefficients answers
+as its float image does, and a ray's bracket holds against the oracle in
+both modes, non-dyadic exact coefficients such as k/10 and k/3 included.
 """
 
 from decimal import Decimal, localcontext
@@ -31,17 +35,45 @@ from hypothesis import given, settings, strategies as st
 from impsolve import (COMPONENTWISE, EXACT, FLOAT, INSIDE, OUTSIDE,
                       ComparisonEquation, DomainError, EquationSpec,
                       LatticeVec, Series, SeriesMap, certificate_check,
-                      iterate_comparison, iterate_primal, membership)
+                      hille_point, iterate_comparison, iterate_primal,
+                      membership, radius_along_ray, trace_graph)
 
 from helpers import (exact_polys, expands, fixed_point_oracle, is_pre_fixed,
-                     scalar_comparison)
+                     oracle_on_the_fed_unknowns, scalar_comparison)
 
 # the membership budget and the trace's max_iter, the same in both modes:
-# an exact run iterates on its float twin, never in Fraction
+# an exact run searches on Psi's kernels on its coefficients rounded to
+# nearest, and never iterates in Fraction
 BUDGET, MAX_ITER = 2000, 400
 
 dyadics = st.builds(lambda k, j: Fraction(k, 2 ** j), st.integers(1, 8),
                     st.integers(0, 3))
+non_dyadics = st.builds(Fraction, st.integers(1, 8), st.sampled_from([1, 2, 3, 8, 10]))
+
+
+def _terms(draw, p, q, coefficients):
+    """The terms of ``q`` components in ``p + q`` variables: total degree at
+    most 3, none constant and none linear in Y alone."""
+    gammas = st.tuples(*[st.integers(0, 3)] * (p + q)).filter(
+        lambda g: sum(g) <= 3 and (any(g[:p]) or sum(g) >= 2))
+    return [draw(st.dictionaries(gammas, coefficients, min_size=1, max_size=4))
+            for _ in range(q)]
+
+
+def _crossing(draw, terms, p, coefficients):
+    """``terms`` with ``c X_0`` and ``c' Y_0^2`` added to component 0, so
+    that every ray feeds a cycle and crosses the boundary."""
+    n = p + len(terms)
+    x0 = tuple(int(j == 0) for j in range(n))
+    y0 = tuple(2 * (j == p) for j in range(n))
+    return [{**terms[0], x0: draw(coefficients), y0: draw(coefficients)}] + terms[1:]
+
+
+def _comparison(terms, mode):
+    value = Fraction if mode == EXACT else float
+    return ComparisonEquation(SeriesMap(tuple(
+        Series(len(next(iter(t))), 3, {g: value(c) for g, c in t.items()}, mode)
+        for t in terms)))
 
 
 @st.composite
@@ -50,17 +82,11 @@ def systems(draw):
     mode = draw(st.sampled_from([EXACT, FLOAT]))
     value = Fraction if mode == EXACT else float
     p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
-    gammas = st.tuples(*[st.integers(0, 3)] * (p + q)).filter(
-        lambda g: sum(g) <= 3 and (any(g[:p]) or sum(g) >= 2))
-    comps = tuple(
-        Series(p + q, 3, {g: value(c) for g, c in draw(
-            st.dictionaries(gammas, dyadics, min_size=1, max_size=4)).items()},
-            mode)
-        for _ in range(q))
+    terms = _terms(draw, p, q, dyadics)
     X = tuple(value(Fraction(k, 64)) for k in draw(
         st.lists(st.integers(0, 40), min_size=p, max_size=p)))
     tol = draw(st.sampled_from([0.0, 1e-12, 1e-6, 1e-3, 0.5, 1.0]))
-    return ComparisonEquation(SeriesMap(comps)), X, tol
+    return _comparison(terms, mode), X, tol
 
 
 def _bounds_cover_the_tail(polys, X, trace):
@@ -156,3 +182,45 @@ def test_the_push_is_relative_at_every_scale(case):
         s = (1 - 4 * Decimal(c) * Decimal(X)).sqrt()
         root = 2 * Decimal(X) / (1 + s)
         assert 0 <= Decimal(Y) - root <= Decimal("1e-12") * root / s
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 2), st.integers(1, 2), st.data())
+def test_an_exact_system_answers_as_its_float_image(p, q, data):
+    # one engine serves both modes: on dyadic coefficients the nearest
+    # kernels of the exact system are the float system's, and the exact
+    # checks decide as the float checks do, so every answer is the same
+    terms = _terms(data.draw, p, q, dyadics)
+    if data.draw(st.booleans()):
+        terms = _crossing(data.draw, terms, p, dyadics)
+    exact, image = _comparison(terms, EXACT), _comparison(terms, FLOAT)
+    X = tuple(Fraction(k, 64) for k in data.draw(
+        st.lists(st.integers(0, 40), min_size=p, max_size=p)))
+    got = membership(exact, LatticeVec(X), BUDGET)
+    assert got.principal_Y is None or type(got.principal_Y.entries[0]) is Fraction
+    assert got == membership(image, LatticeVec(tuple(map(float, X))), BUDGET)
+    direction = LatticeVec(tuple(data.draw(st.lists(
+        st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=p, max_size=p).filter(any))))
+    assert (radius_along_ray(exact, direction, tol=1e-3)
+            == radius_along_ray(image, direction, tol=1e-3))
+    if p == q == 1 and any(g[0] for g in terms[0]):
+        assert hille_point(exact) == hille_point(image)
+        assert trace_graph(exact, 1.0, 16) == trace_graph(image, 1.0, 16)
+
+
+@settings(max_examples=80)
+@given(st.sampled_from([EXACT, FLOAT]), st.integers(1, 2), st.data())
+def test_a_ray_bracket_holds_against_the_oracle(mode, q, data):
+    # the inside end has a pre-fixed point and the outside end none, in
+    # both modes; an exact comparison decides each probe against its own
+    # coefficients, k/10 or k/3 too, not against their float images
+    terms = _crossing(data.draw, _terms(data.draw, 1, q, non_dyadics), 1, non_dyadics)
+    cmp_eq = _comparison(terms, mode)
+    d = data.draw(st.sampled_from([Fraction(1, 2), Fraction(1), Fraction(2)]))
+    ray = radius_along_ray(cmp_eq, LatticeVec((float(d),)), tol=1e-3)
+    assert not ray.unbounded
+    polys = exact_polys(cmp_eq)
+    t_in, t_out = Fraction(ray.t_inside), Fraction(ray.t_outside)
+    _, upper = oracle_on_the_fed_unknowns(polys, (d,), t_in)
+    assert upper is not None and is_pre_fixed(polys, (t_in * d,), upper)
+    assert oracle_on_the_fed_unknowns(polys, (d,), t_out)[1] is None

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 from fractions import Fraction
-from math import isfinite
+from math import inf, isfinite
 from typing import IO, Callable, NamedTuple
 
 from .errors import DomainError
@@ -94,7 +94,7 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float,
     the ends, so the midpoint would repeat one of them.
     """
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # 0.5 * (lo + hi) wherever that is finite and normal
         if not lo < mid < hi:
             break
         if below(mid):
@@ -118,10 +118,10 @@ def _graph_x(psi: Callable, Y: float) -> float | None:
     hi = 1.0
     while psi(hi, Y) - Y < 0.0:
         hi *= 2.0
-        if hi > 1e307:  # keeps 0.5 * (lo + hi) finite
+        if hi == inf:
             return None
     lo, hi = _bisect(lambda X: psi(X, Y) - Y < 0.0, 0.0, hi, 0.0)
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def hille_point(cmp: ComparisonEquation) -> HillePoint:
@@ -152,7 +152,7 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
     lo, hi = 0.0, 1.0 / 1024.0
     while below_turn(hi):
         lo, hi = hi, 2.0 * hi + 1.0 / 1024.0
-        if hi > 1e307:  # keeps 0.5 * (lo + hi) finite
+        if hi == inf:
             return HillePoint(None, None, None, None, FAILED)
 
     Y, _ = _bisect(below_turn, lo, hi, 0.0)

@@ -5,20 +5,19 @@ By Hille's theorem X lies in the convergence region when ``Y = Psi(X, Y)``
 has a least fixed point there.  ``_newton_certificate`` looks for a witness
 ``Y~`` by float Newton from zero, on the comparison's cached float kernels
 that ``hille`` reads too, and it counts only once ``certificate_check``
-proves ``Y~ >= Psi(X, Y~)`` in float, on Psi's kernels rounded up and down:
-a round-to-nearest result and its neighbour bracket the exact value,
-subnormal or ``inf`` too; Horner on non-negative values is monotone; ``inf``
-and NaN prove nothing.  Proof sketch: Psi has non-negative coefficients and
-``X >= 0``, so it is nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives
-``Y(p+1) = Psi(X, Y(p)) <= Psi(X, Y~) <= Y~``.  So every Kleene iterate from
-zero lies below ``Y~``; they increase, so they converge, to the least fixed
-point ``Y*``, which is at most ``Y~``.  A checked ``Y~`` proves ``INSIDE``
-and bounds every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  ``OUTSIDE`` is proved by
+proves ``Y~ >= Psi(X, Y~)``, on the same kernels and ``series._bracket``.
+Proof sketch: Psi has non-negative coefficients and ``X >= 0``, so it is
+nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p))
+<= Psi(X, Y~) <= Y~``.  So every Kleene iterate from zero lies below
+``Y~``; they increase, so they converge, to the least fixed point ``Y*``,
+which is at most ``Y~``.  A checked ``Y~`` proves ``INSIDE`` and bounds
+every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  ``OUTSIDE`` is proved by
 ``_outside``: a Kleene iterate below every fixed point where ``dPsi/dY`` has
 spectral radius above 1, which no least fixed point allows.  All else is
 ``UNRESOLVED``.  Exact input never iterates in ``Fraction``, which only
-referees a tie of the check and confirms an ``OUTSIDE`` witness.  Only a
-``ComparisonEquation`` is taken; ``_point`` checks each point.
+referees a tie of the check, confirms an ``OUTSIDE`` witness and stands in
+where the bracket cannot.  Only a ``ComparisonEquation`` is taken;
+``_point`` checks each point.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from typing import IO, NamedTuple, Sequence
 from .errors import DomainError
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
                       check_majorant_shape, norm)
-from .series import (EXACT, FLOAT, Number, _float, _nearest_plan, _toward, coerce_value,
+from .series import (EXACT, FLOAT, Number, _down, _float, _nearest_plan, coerce_value,
                      format_value)
 from .solver import _invert
 
@@ -140,36 +139,48 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
 
 
 def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
-    """``(witness, steps)``: Kleene from 0 on Psi's ``down`` kernel at the
-    checked ``x`` rounded down, whose iterates Y lie below every fixed point
-    ``mu`` and never overflow, until a step settles, moving no entry by more
-    than ``DEFAULT_TOL`` times the largest, or the budget ends.  The
-    witness (exact images for an exact ``cmp``) is the first Y, or None,
-    where some ``w >= 0`` on Y's support has ``(J w)_i > w_i`` wherever
-    ``w_i > 0`` in float and then in ``Fraction``, J the ``down`` kernels of
-    ``dPsi/dY`` at Y.  Then ``rho(J) > 1`` there, but ``J <= dPsi/dY(mu)``, whose
-    ``rho`` on a least ``mu``'s support is at most 1, else ``mu - e v``, v a
-    Perron vector there, is a smaller pre-fixed point (Etessami and
-    Yannakakis, JACM 2009).  Checked where the two-step increment grows;
-    w takes power steps on ``I + J`` (no period) from the last check until
-    it settles, and drops entries below ``2^-20`` to sit on one block."""
-    (_, down), jacobian = cmp._rounded_kernels, cmp._jacobian
-    x = tuple(_toward(e, 0.0) for e in x)
-    before = Y = (0.0,) * cmp.dim_y
+    """``(witness, steps)``: Kleene from 0 on lower bounds on Psi, ``lo``
+    times its nearest value (``_bracket``), or ``_down`` of its ``Fraction``
+    value where the bracket cannot bound that, so the iterates Y lie below
+    every fixed point ``mu`` and never overflow, until a step settles,
+    moving no entry by more than ``DEFAULT_TOL`` times the largest, or the
+    budget ends.  The witness (exact images for an exact ``cmp``) is the
+    first Y, or None, where some ``w >= 0`` on Y's support has ``(J w)_i >
+    w_i`` wherever ``w_i > 0`` in float and then in ``Fraction``, J lower
+    bounds on ``dPsi/dY`` at Y the same way.  Then ``rho(J) > 1`` there, but
+    ``J <= dPsi/dY(mu)``, whose ``rho`` on a least ``mu``'s support is at
+    most 1, else ``mu - e v``, v a Perron vector there, is a smaller
+    pre-fixed point (Etessami and Yannakakis, JACM 2009).  Checked where the
+    two-step increment grows; w takes power steps on ``I + J`` (no period)
+    from the last check until it settles, and drops entries below ``2^-20``
+    to sit on one block."""
+    lo, _, floor, partials = cmp._bracket
+    try:
+        (values, jacobian), xf = cmp._float_kernels, tuple(map(float, x))
+    except (ValueError, OverflowError):  # beyond the float range
+        values, xf = None, x
+    before = Y = (0.0,) * cmp.dim_y  # the gate checks x once, and Y at every step
+    z, fits = xf + Y, (gated := values and min([1.0, *filter(None, xf)]) >= floor)
     w, grown = [1.0] * cmp.dim_y, 0.0
     # total, the sum of the steps, telescopes to at least max(Y_next) / 2
     # after rounding, so a step above slack * total has not settled and
     # skips max(Y_next), about a tenth of a step's cost
     total, slack = 0.0, 2 * DEFAULT_TOL
     for steps in range(1, budget + 1):
-        Y_next = tuple([run(x + Y, leaves, 0.0) for run, leaves in down])
+        Y_next = tuple([lo * run(z, leaves, 0.0) for run, leaves in values]) if fits else (inf,)
+        if not sum(Y_next) < inf:
+            Y_next = tuple(map(_down, _exact_psi(cmp.psi.components, x + Y)))
         total += (step := max(map(sub, Y_next, Y)))
         if step <= slack * total and step <= DEFAULT_TOL * max(Y_next):
             break
         growth = max(map(sub, Y_next, before))
         before, Y = Y, Y_next
+        z, fits = xf + Y, gated and (min(Y) >= floor or min([1.0, *filter(None, Y)]) >= floor)
         if growth > grown:
-            J = [[run(x + Y, leaves, 0.0) for run, leaves in row] for row in jacobian]
+            J = [[lo * run(z, leaves, 0.0) for run, leaves in row]
+                 for row in jacobian] if fits else [[inf]]
+            if not sum(map(sum, J)) < inf:
+                J = [list(map(_down, _exact_psi(row, x + Y))) for row in partials]
             for _ in range(POWER_STEPS):
                 v = [e + sum(map(mul, row, w)) if y > 0 else 0.0
                      for e, row, y in zip(w, J, Y)]
@@ -189,7 +200,7 @@ def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
 def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float) -> list:
     """The trace: Kleene from 0 on Psi's nearest kernels at ``x`` rounded down, until no entry
     moves by more than ``tol``, for ``max_iter`` steps or to the last finite one; exact images."""
-    (kernels, _), x = cmp._float_kernels, tuple(_toward(e, 0.0) for e in x)
+    (kernels, _), x = cmp._float_kernels, tuple(map(_down, x))
     Y = (0.0,) * cmp.dim_y
     iterates = [Y]
     for _ in range(max_iter):
@@ -253,7 +264,7 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
         raise DomainError(f"the comparison iteration {why}; "
                           "no convergence certificate is available")
     kernels = [_nearest_plan(c) for c in eq.psi.components]
-    x = tuple(copysign(_toward(abs(e), 0.0), e) for e in x)
+    x = tuple(copysign(_down(abs(e)), e) for e in x)
     ys = [(0.0,) * eq.dim_y]
     for _ in range(comp.steps):
         ys.append(tuple([run(x + ys[-1], leaves, 0.0) for run, leaves in kernels]))
@@ -291,33 +302,34 @@ def _classify(cmp: ComparisonEquation, x: tuple, budget: int) -> Membership:
 def certificate_check(cmp: ComparisonEquation, X: LatticeVec,
                       Y_tilde: LatticeVec) -> bool:
     """Does ``Y_tilde`` witness convergence, i.e. ``Y_tilde >= Psi(X, Y_tilde)``?
-    Decided exactly in both modes: yes if Psi's ``up`` kernel at the point
-    rounded up is at most ``Y_tilde`` rounded down, no if ``down`` at the point
-    rounded down exceeds ``Y_tilde`` rounded up, else by ``_exact_psi``.  As
-    ``down <= Psi <= up``: a round-to-nearest result and its neighbour bracket
-    the exact value, subnormal or ``inf`` too; Horner on non-negative values
-    is monotone; ``inf`` and NaN prove nothing."""
+    Decided exactly in both modes, by ``_pre_fixed``."""
     return _pre_fixed(cmp, _point(cmp, X, cmp.dim_x, "X"),
                       _point(cmp, Y_tilde, cmp.dim_y, "Y_tilde"))
 
 
 def _pre_fixed(cmp: ComparisonEquation, x: tuple, y: tuple) -> bool:
-    """``certificate_check`` at the checked points ``x`` and ``y``."""
-    (up, down), q = cmp._rounded_kernels, len(x)
-    hi, lo = (tuple(_toward(e, d) for e in x + y) for d in (inf, 0.0))
-    if all(run(hi, leaves, 0.0) <= e for (run, leaves), e in zip(up, lo[q:])):
-        return True
-    if any(run(lo, leaves, 0.0) > e for (run, leaves), e in zip(down, hi[q:])):
-        return False
-    return all(map(le, _exact_psi(cmp, x + y), y))
+    """``certificate_check`` at the checked ``x`` and ``y``: yes if ``hi*v <=
+    y``, no if ``lo*v > y`` somewhere, v Psi's nearest value (``_bracket``);
+    a tie, or a v it cannot bound above or below, goes to ``_exact_psi``."""
+    lo, hi, floor, _ = cmp._bracket
+    try:
+        (values, _), z = cmp._float_kernels, tuple(map(float, x + y))
+        v = [run(z, leaves, 0.0) for run, leaves in values]
+    except (ValueError, OverflowError):  # beyond the float range
+        v = [inf]
+    if sum(v) < inf and min([1.0, *(f for e, f in zip(x + y, z) if e)]) >= floor:
+        if (yes := all(hi * a <= e for a, e in zip(v, y))) or any(
+                lo * a > e for a, e in zip(v, y)):
+            return yes
+    return all(map(le, _exact_psi(cmp.psi.components, x + y), y))
 
 
-def _exact_psi(cmp: ComparisonEquation, point: tuple):
-    """``Psi(point)`` in ``Fraction``, one component at a time: Psi's kernels
-    on exact images of the point and coefficients, which hold any float."""
+def _exact_psi(series: Sequence, point: tuple):
+    """Each of ``series`` at ``point`` in ``Fraction``: its kernel on exact
+    images of the point and coefficients, which hold any float."""
     point = tuple(map(Fraction, point))
     return (run(point, tuple(map(Fraction, leaves)), Fraction(0))
-            for run, leaves in (c._plan for c in cmp.psi.components))
+            for run, leaves in (s._plan for s in series))
 
 
 def error_bound(trace: IterationTrace, p: int) -> LatticeVec:

@@ -17,12 +17,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import cached_property
-from math import inf, isfinite
+from math import isfinite
 from operator import add, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SpecFormatError
-from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _compile, _nearest_plan,
+from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _bracket, _nearest_plan,
                      _set, _Value, coerce_value, format_value, parse_value, zero_value)
 
 SCALAR = "scalar"
@@ -140,24 +140,19 @@ class ComparisonEquation(EquationSpec):
         """Kernels ``(values, jacobian)`` of ``Psi`` and of ``dPsi_i/dY_j``
         from their own coefficients rounded to nearest (``_nearest_plan``), in
         either mode; built on first use and kept, like ``Series._plan``.  Not
-        a field.  The one float engine of a comparison, which only searches:
-        Newton, the Kleene trace, the graph and the turn all read it."""
-        comps = self.psi.components
-        return ([_nearest_plan(c) for c in comps],
-                [[_nearest_plan(c.partial(self.dim_x + j)) for j in range(self.dim_y)]
-                 for c in comps])
+        a field.  The one float engine of a comparison: Newton, the Kleene
+        trace and the graph search on it, and ``_bracket`` makes it prove."""
+        return ([_nearest_plan(c) for c in self.psi.components],
+                [[_nearest_plan(p) for p in row] for row in self._bracket[3]])
 
     @cached_property
-    def _rounded_kernels(self) -> tuple:
-        """Psi's kernels ``(up, down)``, from its own coefficients; kept."""
-        return tuple([_compile(c.terms, c.num_vars, d) for c in self.psi.components]
-                     for d in (inf, 0.0))
-
-    @cached_property
-    def _jacobian(self) -> list:
-        """Kernels of ``dPsi_i/dY_j`` rounded down, from Psi's own coefficients; kept."""
-        return [[_compile(p.terms, p.num_vars, 0.0) for p in map(c.partial, range(
-            self.dim_x, self.dim_x + self.dim_y))] for c in self.psi.components]
+    def _bracket(self) -> tuple:
+        """``series._bracket`` of Psi, and ``dPsi_i/dY_j`` on Psi's exact
+        coefficients, whose plans the float Jacobian and ``Fraction`` share."""
+        exact = [Series._ring(c.num_vars, c.degree_cap, dict(zip(c.terms, map(
+            Fraction, c.terms.values()))), EXACT) for c in self.psi.components]
+        return (*_bracket(self.psi.components),
+                [[c.partial(self.dim_x + j) for j in range(self.dim_y)] for c in exact])
 
 
 def check_comparison(cmp: ComparisonEquation) -> None:

@@ -30,8 +30,8 @@ are required to vanish at the origin, so discarded cross terms only ever
 feed degrees above the cap.  Evaluation and substitution share one engine:
 a series compiles its Horner plan once into a straight-line function,
 generated from integer indices alone, never from a value (``_compile``).
-Rounded up and down at each step, the same kernels bracket an exact value
-in float, and ``Fraction`` only referees the values they cannot separate.
+The same nearest kernels also prove: ``_bracket`` bounds their rounding on
+non-negative data, and ``Fraction`` stands in where it cannot.
 
 An exact product multiplies no ``Fraction`` pair by pair: the pair loop
 runs on each operand's integer numerators over the lcm of its
@@ -461,13 +461,30 @@ def _nearest_plan(s: Series) -> tuple:
     return run, tuple(_float(c, "coefficient") for c in coefficients)
 
 
-def _toward(value: Number, d: float) -> float:
-    """The float nearest ``value >= 0`` on the side of ``d``, ``inf`` or ``0.0``."""
+def _down(value: Number) -> float:
+    """The largest float at most ``value >= 0``."""
     f = float(min(value, sys.float_info.max))
-    return f if (f >= value if d > 0 else f <= value) else math.nextafter(f, d)
+    return f if f <= value else f - 5e-324 if f <= sys.float_info.min else f * (1 - 2 ** -53)
 
 
-def _compile(terms: Mapping, num_vars: int, rounding: float | None = None) -> tuple:
+def _bracket(series: Sequence[Series]) -> tuple:
+    """``(lo, hi, floor)``: ``lo*v <= exact <= hi*v``, each product rounded,
+    for the nearest value v of a kernel of *series* at a point rounded to
+    nearest, if v is finite and ``floor <= min(1, positive entries)``.  On
+    non-negative data a term passes ``K <= 3|alpha| + num_vars + 1``
+    roundings: a product, its entry and a sum per Horner step, a sum into
+    each node, and the leaf, ``float(c)`` or ``fl(e*c)`` in a partial.  The
+    gate, ``c*floor^deg >= 2^-1000`` (least coefficient c, top degree deg)
+    and a normal floor, keeps every nonzero step normal, so v is within
+    ``(1 +- u)^K`` of exact (Higham, *Accuracy and Stability*, Lemma 3.1);
+    ``lo, hi = 1 -+ (K + 1) 2^-52``.  An entry rounded to 0 only lowers v."""
+    deg = max([1, *(sum(a) for s in series for a in s.terms)])
+    g = (3 * deg + series[0].num_vars + 2) * 2.0 ** -52
+    c = float(min([sys.float_info.max, *(v for s in series for v in s.terms.values())]))
+    return 1 - g, 1 + g, max(sys.float_info.min, 2 ** ((-1000 - math.log2(c or 5e-324)) / deg))
+
+
+def _compile(terms: Mapping, num_vars: int) -> tuple:
     """Kernel ``run(point, leaves, zero)`` of *terms*, and its coefficients.
 
     Nested Horner form: a node of variable ``j`` starts from ``zero`` and,
@@ -476,15 +493,8 @@ def _compile(terms: Mapping, num_vars: int, rounding: float | None = None) -> tu
     the coefficient ``leaves[i]``.  The first step multiplies ``zero`` too,
     as that product fixes the sign of a zero result.  Each step is one
     assignment to the node's temporary, so nothing nests however long the
-    plan; the source holds only integer indices and fixed names.
-
-    ``rounding`` None rounds to nearest; ``d = inf`` (up) or ``0.0`` (down)
-    takes each step as ``nextafter(nextafter(prev * t, d) + leaf, d)``, on
-    leaves that are the coefficients rounded toward ``d``.  On non-negative
-    terms and points ``down <= exact <= up``: a round-to-nearest result and its
-    neighbour bracket the exact value, subnormal or ``inf`` too; Horner on
-    non-negative values is monotone; ``inf`` and NaN prove nothing.
-    """
+    plan; the source holds only integer indices and fixed names.  On floats
+    ``_bracket`` bounds its rounding."""
     coefficients: list[Number] = []
     lines: list[str] = []
     temporaries = itertools.count()
@@ -503,13 +513,7 @@ def _compile(terms: Mapping, num_vars: int, rounding: float | None = None) -> tu
                 coefficients.extend(sub.values())
             else:
                 add = f" + {node(sub, var - 1)}"
-            step = f"{prev} * t{var}"
-            if rounding is None:
-                step += add
-            else:
-                step = f"nextafter(nextafter({step}, d){add}, d)" if add else \
-                    f"nextafter({step}, d)"
-            lines.append(f"{acc} = {step}")
+            lines.append(f"{acc} = {prev} * t{var}{add}")
             prev = acc
         return prev
 
@@ -517,10 +521,9 @@ def _compile(terms: Mapping, num_vars: int, rounding: float | None = None) -> tu
     names = "".join(f"t{j}, " for j in range(num_vars))
     source = "\n    ".join([f"def run(point, leaves, zero):\n    {names}= point",
                            *lines, f"return {root}"])
-    namespace: dict = {"nextafter": math.nextafter, "d": rounding}
+    namespace: dict = {}
     exec(source, namespace)
-    return namespace["run"], tuple(coefficients if rounding is None else
-                                   (_toward(c, rounding) for c in coefficients))
+    return namespace["run"], tuple(coefficients)
 
 
 class SeriesMap(_Value):

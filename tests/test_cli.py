@@ -5,7 +5,6 @@ exit codes and document shapes are pinned.
 """
 
 import json
-import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -216,18 +215,23 @@ def _refuse_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
-@pytest.mark.parametrize("mode, X, rounded", [
-    ("float", "1e200", 1e200),
-    ("exact", "1" + "0" * 200, 1e200),
+# the first lower bound on Psi(1e200, 0) = 1e200: Psi's nearest value,
+# 1e200, times the bracket's lo = 1 - 10 * 2^-52 for Y = X + Y^2
+LOWERED = 1e200 * (1 - 10 * 2 ** -52)
+
+
+@pytest.mark.parametrize("mode, X, witness", [
+    ("float", "1e200", LOWERED),
+    ("exact", "1" + "0" * 200, LOWERED),
     ("exact", "1" + "0" * 400, sys.float_info.max),
 ], ids=["float", "exact", "exact beyond floats"])
 def test_the_witness_at_a_huge_point_is_its_first_down_iterate(spec_file, capsys, mode,
-                                                               X, rounded):
+                                                               X, witness):
     # the second iterate, X + Y(1)^2, overflowed, and the first, X rounded
-    # down to floats, was the witness after a divergence test.  Psi's down
-    # kernel steps one ulp down at each of its three rounded Horner steps,
-    # and its first iterate, where dPsi/dY = 2Y > 1, is the witness.  No
-    # float Newton runs at 1e400, beyond the range
+    # down to floats, was the witness after a divergence test.  The first
+    # lower bound, where dPsi/dY = 2Y > 1, is the witness: 1e200 times lo,
+    # or at 1e400, beyond the range, Psi in Fraction rounded down, the
+    # largest float.  No float Newton runs at 1e400
     doc = dict(QUAD_PLUS_EXACT, mode=mode, terms=[
         {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
         {"output": 0, "alpha": [0], "beta": [2], "value": "1"},
@@ -236,7 +240,6 @@ def test_the_witness_at_a_huge_point_is_its_first_down_iterate(spec_file, capsys
     assert code == 0
     got = json.loads(out, parse_constant=_refuse_constant)
     assert (got["verdict"], got["iterations_used"]) == ("outside", 1)
-    witness = math.nextafter(math.nextafter(math.nextafter(rounded, 0), 0), 0)
     assert [Fraction(e) for e in got["witness"]] == [Fraction(witness)]
 
 
@@ -720,9 +723,9 @@ QUAD_PLUS = dict(QUAD_MINUS, terms=[
     {"output": 0, "alpha": [0], "beta": [2], "value": "1.0"},
 ])
 
-# exact membership's witness is the exact image of the first iterate of
-# Psi's down kernel, Y = 3/2 + Y^2/2 rounded down: 3/2 less three ulps
-EXACT_WITNESS = "6755399441055741/4503599627370496"
+# exact membership's witness is the exact image of the first lower bound
+# on Y = 3/2 + Y^2/2: 3/2 times lo = 1 - 10 * 2^-52, 3/2 less 15 ulps
+EXACT_WITNESS = "6755399441055729/4503599627370496"
 
 FROZEN_DOCUMENTS = [
     (QUAD_PLUS, ["hille"], """\
@@ -750,7 +753,7 @@ FROZEN_DOCUMENTS = [
   "principal_Y": null,
   "iterations_used": 6,
   "witness": [
-    0.607374573854818
+    0.6073745738548137
   ]
 }
 """),

@@ -7,6 +7,7 @@ other frozen values come from hand algebra on quadratics.
 
 import io
 import random
+import sys
 from fractions import Fraction
 from math import isfinite
 
@@ -33,6 +34,7 @@ from impsolve import (
     SeriesMap,
     SolutionSeries,
     UNBOUNDED,
+    certificate_check,
     empirical_radius,
     hille_point,
     iterate_comparison,
@@ -103,9 +105,26 @@ def test_turning_point_beyond_the_float_range_fails():
 
 
 def test_a_graph_that_turns_past_the_float_range_fails():
-    # Y = X + 1e-310 Y^2 turns at Y* = 5e309: the doubling of Y passes 1e307
+    # Y = X + 1e-310 Y^2 turns at Y* = 5e309: the doubling of Y reaches inf
     got = hille_point(scalar_comparison({(1, 0): 1.0, (0, 2): 1e-310}))
     assert got == HillePoint(None, None, None, None, FAILED)
+
+
+def test_a_turn_near_the_top_of_the_float_range_is_found():
+    # Y = 2^-1000 X + 2^-23 Y^2 turns at X* = 2^1021, Y* = 2^22.  Both
+    # doublings stopped at 1e307 to keep 0.5 * (lo + hi) finite, so the turn
+    # failed with X_star 5.6e306, while the ray radius bracketed the crossing
+    cmp_eq = scalar_comparison({(1, 0): 2.0 ** -1000, (0, 2): 2.0 ** -23})
+    assert hille_point(cmp_eq) == HillePoint(
+        2.247116418577895e+307, 4194303.9999999995, 0.0, 1.1102230246251565e-16, FOUND)
+    assert 2.247116418577895e+307 == pytest.approx(2.0 ** 1021, rel=1e-15, abs=0)
+    # the graph reaches X = 1.5 * 2^1020 on either side of the turn, which the
+    # X doubling skipped as past 1e307
+    sample = trace_graph(cmp_eq, 2.0 ** 23, 4)
+    assert not sample.omitted
+    assert [pt.X for pt in sample.points] == pytest.approx(
+        [0.0, 1.5 * 2.0 ** 1020, 2.0 ** 1021, 1.5 * 2.0 ** 1020, 0.0], rel=1e-15, abs=0)
+    assert sample.turning_index == 2
 
 
 def test_cubic_turning_point_against_bisection_oracle():
@@ -220,18 +239,26 @@ def test_requires_scalar_dimensions():
         hille_point(cmp_eq)
 
 
-def test_the_searches_share_the_comparison_kernels(monkeypatch):
-    # Newton, the turn and the graph all read the comparison's two cached
-    # float kernels, Psi and dPsi/dY, so nothing is compiled after them
-    cmp_eq = quadratic_comparison()
-    built = []
-    original = impsolve.series._compile
+def _count_compilations(monkeypatch):
+    """The arguments of every kernel compilation, counted in every module
+    that holds ``_compile``, as ``lattice`` did through its own import."""
+    built, original = [], impsolve.series._compile
 
     def counting(*args):
         built.append(args)
         return original(*args)
 
-    monkeypatch.setattr(impsolve.series, "_compile", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("impsolve") and hasattr(module, "_compile"):
+            monkeypatch.setattr(module, "_compile", counting)
+    return built
+
+
+def test_the_searches_share_the_comparison_kernels(monkeypatch):
+    # Newton, the turn and the graph all read the comparison's two cached
+    # float kernels, Psi and dPsi/dY, so nothing is compiled after them
+    cmp_eq = quadratic_comparison()
+    built = _count_compilations(monkeypatch)
     assert membership(cmp_eq, LatticeVec((0.2,))).verdict == INSIDE
     turn = hille_point(cmp_eq)
     assert turn.status == FOUND
@@ -240,26 +267,45 @@ def test_the_searches_share_the_comparison_kernels(monkeypatch):
     assert len(built) == 2
 
 
+def seeded_pair():
+    """Y0 = a X + b Y0 Y1 + c Y1^2, Y1 = d X + e Y0^2 + f X Y1, seeded."""
+    rng = random.Random(6)
+    co = lambda: rng.randint(500, 2000) / 1000
+    return ComparisonEquation(SeriesMap((
+        Series(3, 3, {(1, 0, 0): co(), (0, 1, 1): co(), (0, 0, 2): co()}, FLOAT),
+        Series(3, 3, {(1, 0, 0): co(), (0, 2, 0): co(), (1, 0, 1): co()}, FLOAT))))
+
+
+def _answer_everything(cmp_eq, inside, outside):
+    """Membership inside and outside, the check, the trace, the turn of a
+    scalar comparison and a ray radius, each from X = (inside,)."""
+    got = membership(cmp_eq, LatticeVec((inside,)))
+    assert got.verdict == INSIDE
+    assert certificate_check(cmp_eq, LatticeVec((inside,)), got.principal_Y)
+    assert membership(cmp_eq, LatticeVec((outside,))).verdict == OUTSIDE
+    assert iterate_comparison(cmp_eq, LatticeVec((inside,))).verdict == INSIDE
+    if cmp_eq.dim_y == 1:
+        assert hille_point(cmp_eq).status == FOUND
+    radius_along_ray(cmp_eq, LatticeVec((1.0,)), tol=1e-3)
+
+
 def test_an_exact_comparison_compiles_its_nearest_kernels_once(monkeypatch):
     # membership read kernels from one float copy of an exact comparison,
-    # and the ray radius compiled them again on another.  Now every search
-    # reads Psi's and dPsi/dY's own plans on their coefficients rounded to
-    # nearest, compiled once; a tie of the check reads the same plan of Psi
-    cmp_eq = quadratic_comparison(EXACT)
-    built = []
-    original = impsolve.series._compile
-
-    def counting(*args):
-        built.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(impsolve.series, "_compile", counting)
-    assert membership(cmp_eq, LatticeVec((Fraction(1, 5),))).verdict == INSIDE
-    assert membership(cmp_eq, LatticeVec((Fraction(26, 100),))).verdict == OUTSIDE
-    assert iterate_comparison(cmp_eq, LatticeVec((Fraction(1, 5),))).verdict == INSIDE
-    assert hille_point(cmp_eq).status == FOUND
-    radius_along_ray(cmp_eq, LatticeVec((1.0,)), tol=1e-3)
+    # and the ray radius compiled them again on another; then the checks
+    # compiled Psi rounded up and down and dPsi/dY rounded down, 5 kernels in
+    # all.  Now Psi's and dPsi/dY's nearest kernels decide every answer
+    built = _count_compilations(monkeypatch)
+    _answer_everything(quadratic_comparison(EXACT), Fraction(1, 5), Fraction(26, 100))
     assert len(built) == 2
+
+
+def test_a_system_compiles_one_kernel_per_series(monkeypatch):
+    # dim_y + dim_y^2 kernels, one for each component of Psi and of dPsi/dY;
+    # the rounded kernels made that 14 for a 1x2 system
+    cmp_eq = seeded_pair()
+    built = _count_compilations(monkeypatch)
+    _answer_everything(cmp_eq, 0.05, 0.4)
+    assert len(built) == cmp_eq.dim_y + cmp_eq.dim_y ** 2 == 6
 
 
 # ---------------------------------------------------------------------------

@@ -278,14 +278,14 @@ def test_membership_outside_with_witness():
     # the witness is a Kleene iterate below every fixed point where
     # dPsi/dY = 2Y exceeds 1, which no least fixed point allows
     got = membership(quadratic_comparison(), X_at(0.3))
-    assert got == Membership(OUTSIDE, None, 6, witness=LatticeVec((0.607374573854818,)))
+    assert got == Membership(OUTSIDE, None, 6, witness=LatticeVec((0.6073745738548137,)))
     assert 2 * Fraction(got.witness.entries[0]) > 1
 
 
 def test_exact_membership_outside_finishes():
     # the divergence search iterated in Fraction, whose digits double each
     # step, and never returned at the default budget; it now runs in float
-    # on Psi's down kernel at X rounded down, and the witness has 2Y > 1
+    # on lower bounds from Psi's nearest kernel, and the witness has 2Y > 1
     got = within(1.0, lambda: membership(quadratic_comparison(EXACT),
                                          X_at(Fraction(26, 100))))
     assert (got.verdict, got.iterations_used) == (OUTSIDE, 14)
@@ -455,8 +455,9 @@ def test_trace_csv_without_primal():
 # point and the witness pin every comparison and every float operation.  An
 # inside result is the Newton certificate, recorded only once the exact
 # oracle of helpers.py agreed with it (see _agrees_with_oracle); an outside
-# one is a Kleene iterate rounded down, at a point the oracle proves
-# outside, where dPsi/dY has spectral radius above 1 exactly.
+# one is a lower bound on a Kleene iterate, re-recorded only once expands
+# and the oracle agreed with it, at a point the oracle proves outside,
+# where dPsi/dY has spectral radius above 1 exactly.
 
 
 def _agrees_with_oracle(cmp_eq, X, got):
@@ -486,15 +487,15 @@ def seeded_ray_system(seed):
     return ComparisonEquation(SeriesMap((Y0, Y1)))
 
 
-# the first iterate of Psi's down kernel where 1e10 * 1e300 or 1e155^2
-# overflows: rounding down stops at the largest float, and its last add
-# steps one ulp below it
-FIRST_DOWN_ITERATE = math.nextafter(sys.float_info.max, 0)
+# the first iterate where 1e10 * 1e300 or 1e155^2 overflows: the nearest
+# kernel gives inf, so Psi is taken in Fraction and rounded down, to the
+# largest float
+FIRST_DOWN_ITERATE = sys.float_info.max
 
 
 def test_an_overflowing_first_step_is_outside_at_budget_one():
     # 1e300 is far past X* = 2.5e-11: the overflow needed a second step, in
-    # Fraction, so a budget of 1 said unresolved; the down kernel stops at
+    # Fraction, so a budget of 1 said unresolved; rounded down it stops at
     # the largest float, where dPsi/dY = 2Y exceeds 1 at once
     got = membership(big_linear_comparison(), X_at(1e300), 1)
     assert got == Membership(OUTSIDE, None, 1, witness=LatticeVec((FIRST_DOWN_ITERATE,)))
@@ -519,20 +520,20 @@ def test_a_first_iterate_that_overflows_is_outside():
     assert got == Membership(OUTSIDE, None, 1, witness=LatticeVec((FIRST_DOWN_ITERATE,)))
 
 
-@pytest.mark.parametrize("X2", [0.0, 1e-201], ids=["nan", "inf"])
-def test_an_overflow_that_horner_brings_back_is_unresolved(X2):
+@pytest.mark.parametrize("X2, steps", [(0.0, 8), (1e-201, 10)], ids=["nan", "inf"])
+def test_an_overflow_that_horner_brings_back_is_unresolved(X2, steps):
     # X0^40 X1 X2 + X0/1e12 + Y^2 at (1e10, 1e-201, X2) is inside: its least
     # fixed point solves Y = 0.01 + Y^2, or about 0.02 + Y^2.  Horner
     # overflows on 1e10^40 before it multiplies by X1 and X2, so every float
     # evaluation is inf, or NaN where X2 = 0, which says nothing about the
-    # true value; the second step raised "got inf" or "got nan".  Psi's down
-    # kernel stops at the largest float, a lower bound, so its iterates
-    # settle near 0.01, where dPsi/dY = 2Y stays below 1; a step settles
-    # when it moves no entry by more than 1e-12 of the largest, the 8th here
+    # true value; the second step raised "got inf" or "got nan".  So each
+    # step takes Psi in Fraction, rounded down, and the iterates settle near
+    # 0.01, or 0.02, where dPsi/dY = 2Y stays below 1; a step settles when
+    # it moves no entry by more than 1e-12 of the largest, the 8th or 10th
     psi = SeriesMap((Series(4, 42, {(40, 1, 1, 0): 1.0, (1, 0, 0, 0): 1e-12,
                                     (0, 0, 0, 2): 1.0}, FLOAT),))
     cmp_eq, X = ComparisonEquation(psi), LatticeVec((1e10, 1e-201, X2))
-    assert membership(cmp_eq, X) == Membership(UNRESOLVED, None, 8)
+    assert membership(cmp_eq, X) == Membership(UNRESOLVED, None, steps)
     assert iterate_comparison(cmp_eq, X).verdict == UNRESOLVED
 
 
@@ -586,11 +587,11 @@ def test_primal_refuses_a_non_finite_x(x):
     (1.0, 0.5, Membership(INSIDE, LatticeVec((0.14644660940672832,)), 6)),
     (1.0, 0.999996, Membership(INSIDE, LatticeVec((0.4990000000024931,)), 14)),
     (1.0, 1.000004, Membership(OUTSIDE, None, 1565,
-                               witness=LatticeVec((0.5000028788999608,)))),
+                               witness=LatticeVec((0.5000028788993047,)))),
     (2.5, 0.5, Membership(INSIDE, LatticeVec((0.058578643762691326,)), 6)),
     (2.5, 0.999996, Membership(INSIDE, LatticeVec((0.19960000000100128,)), 14)),
     (2.5, 1.000004, Membership(OUTSIDE, None, 1565,
-                               witness=LatticeVec((0.2000011515599817,)))),
+                               witness=LatticeVec((0.20000115155972226,)))),
 ])
 def test_membership_quadratic_family_frozen(c, fraction, want):
     cmp_eq = scalar_comparison({(1, 0): 1.0, (0, 2): c})
@@ -607,9 +608,9 @@ def test_membership_quadratic_family_frozen(c, fraction, want):
     (0.1455, Membership(INSIDE, LatticeVec((0.485481374735882, 0.30856348880979667)), 11)),
     (0.14559, Membership(INSIDE, LatticeVec((0.4974253855648422, 0.3159593166209154)), 16)),
     (0.1456, Membership(OUTSIDE, None, 386,
-                        witness=LatticeVec((0.498519545941314, 0.3166367318170405)))),
+                        witness=LatticeVec((0.49851954594115133, 0.3166367318169399)))),
     (0.4, Membership(OUTSIDE, None, 1,
-                     witness=LatticeVec((0.6699999999999996, 0.41399999999999976)))),
+                     witness=LatticeVec((0.6699999999999984, 0.413999999999999)))),
 ])
 def test_membership_seeded_system_frozen(X, want):
     got = membership(seeded_ray_system(6), X_at(X))
@@ -682,8 +683,8 @@ def test_a_failed_certificate_runs_one_exact_check(monkeypatch):
 
 
 def test_the_rounded_kernels_decide_and_fraction_referees_ties(monkeypatch):
-    # every membership check ran Psi in Fraction; now Psi's kernels rounded
-    # up and down decide, and only a tie between them runs it
+    # every membership check ran Psi in Fraction; now one nearest value of
+    # Psi, times the bracket's lo and hi, decides, and only a tie runs it
     calls = []
     exact = impsolve.kantorovich._exact_psi
 
@@ -714,6 +715,37 @@ def test_a_point_with_no_float_image_is_rounded_outward():
     assert certificate_check(cmp_eq, (Fraction(335, 100) * unit,), (Y,))
 
 
+def test_a_coefficient_beyond_the_float_range_keeps_every_answer():
+    # exact Y = X + 10^400 Y^2 has X* = 10^-400 / 4, and no float kernel:
+    # its coefficient is too large for a float.  Every check then runs on
+    # Psi in Fraction, as it did where the outward-rounded kernels capped it
+    cmp_eq = ComparisonEquation(SeriesMap((Series(
+        2, 4, {(1, 0): Fraction(1), (0, 2): Fraction(10 ** 400)}, EXACT),)))
+    polys = exact_polys(cmp_eq)
+    X = (Fraction(1, 10 ** 300),)
+    got = membership(cmp_eq, LatticeVec(X))
+    assert (got.verdict, got.iterations_used) == (OUTSIDE, 1)
+    assert expands(polys, X, got.witness.entries)
+    X = (Fraction(1, 10 ** 401),)
+    for Y, want in (((Fraction(2, 10 ** 401),), True), ((Fraction(1, 10 ** 402),), False)):
+        assert certificate_check(cmp_eq, X, Y) is want is is_pre_fixed(polys, X, Y)
+
+
+def test_a_subnormal_coefficient_keeps_its_value():
+    # float Y = 1e-323 X + 2^50 Y^2 has X* = 2^1021.  Stepping one ulp down
+    # at every Horner step read the subnormal 1e-323 as 5e-324, so 2X* was
+    # unresolved after 10,000 steps.  The bracket's gate now sends it to
+    # Fraction: Y = 2^-51, then 1.5 * 2^-51, where dPsi/dY = 2^51 Y = 1.5
+    cmp_eq = scalar_comparison({(1, 0): 1e-323, (0, 2): 2.0 ** 50})
+    polys = exact_polys(cmp_eq)
+    got = membership(cmp_eq, X_at(2.0 ** 1022))
+    assert got == Membership(OUTSIDE, None, 2, witness=LatticeVec((1.5 * 2.0 ** -51,)))
+    assert expands(polys, (2.0 ** 1022,), got.witness.entries)
+    got = membership(cmp_eq, X_at(2.0 ** 1020))
+    assert got.verdict == INSIDE
+    assert is_pre_fixed(polys, (2.0 ** 1020,), got.principal_Y.entries)
+
+
 def _float_trace(X, tol, steps):
     """The float Kleene iterates of Y = X + Y^2 from zero, up to ``steps``
     steps or the first that moves by at most ``tol``."""
@@ -727,8 +759,8 @@ def _float_trace(X, tol, steps):
 @pytest.mark.parametrize("tol", [0.0, 1e-12, 1e-3, 1.0])
 def test_the_trace_is_membership_loop_cut_at_tol(monkeypatch, X, tol):
     # an uncertified float point ran the Kleene loop twice, once for the
-    # verdict and once for the trace.  The verdict now runs on Psi's down
-    # kernel, and the trace is the one nearest-kernel loop at every tol
+    # verdict and once for the trace.  The verdict now runs on lower bounds
+    # from Psi's nearest kernel, and the trace is the one nearest-kernel loop
     want = membership(quadratic_comparison(), X_at(X), 500)
     calls = []
     kleene = impsolve.kantorovich._kleene
@@ -784,7 +816,7 @@ def test_a_reducible_system_is_outside_on_one_block():
         Series(3, 6, {(2, 0, 1): 0.125, (2, 0, 0): 0.25}, FLOAT))))
     got = membership(cmp_eq, X_at(1.08))
     assert got == Membership(OUTSIDE, None, 10, witness=LatticeVec(
-        (0.10035370996583366, 0.34137204253594766)))
+        (0.10035370996583055, 0.34137204253594683)))
     assert expands(exact_polys(cmp_eq), (1.08,), got.witness.entries)
     assert fixed_point_oracle(exact_polys(cmp_eq), (1.08,))[1] is None
 
@@ -800,7 +832,7 @@ def test_a_nearly_bipartite_majorant_is_outside_near_its_crossing():
     cmp_eq = majorant(eq)
     got = membership(cmp_eq, X_at(9.81426))
     assert got == Membership(OUTSIDE, None, 5180, witness=LatticeVec(
-        (13.331077315560952, 1.8753188189939864)))
+        (13.331077315516765, 1.8753188189821894)))
     polys = exact_polys(cmp_eq)
     assert expands(polys, (9.81426,), got.witness.entries)
     assert fixed_point_oracle(polys, (9.81426,))[2]

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from impsolve import (
     EXACT,
     FLOAT,
+    ComparisonEquation,
     Series,
     SeriesMap,
     SpecFormatError,
@@ -27,8 +28,10 @@ from impsolve import (
     solve_formal,
 )
 from impsolve import series as series_module
+from impsolve.kantorovich import _exact_psi
 
-from helpers import catalan, naive_mul, naive_substitute, poly_at, quadratic_equation
+from helpers import (_jacobian, catalan, exact_polys, naive_mul, naive_substitute, poly_at,
+                     quadratic_equation)
 
 
 def F(n, d=1):
@@ -601,7 +604,7 @@ def test_solve_compiles_psi_once_per_term_set(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# outward-rounded kernels
+# the bracket of the nearest kernels
 
 # points with no float image (1/5, above the float range), subnormal ones,
 # and one at the top of the range, whose products overflow
@@ -633,25 +636,81 @@ def rounded_cases(draw):
 def test_rounded_kernels_bracket_the_exact_value(case):
     terms, n, point = case
     exact = poly_at(terms, point)
-    run, leaves = series_module._compile(terms, n, math.inf)
-    up = run(tuple(series_module._toward(e, math.inf) for e in point), leaves, 0.0)
-    run, leaves = series_module._compile(terms, n, 0.0)
-    down = run(tuple(series_module._toward(e, 0.0) for e in point), leaves, 0.0)
-    # down is finite and proves a lower bound; up may be inf or NaN, which
-    # prove nothing, but is never below the exact value
-    assert 0 <= down <= exact
-    assert not up < exact
+    mode = FLOAT if all(type(v) is float for v in terms.values()) else EXACT
+    s = Series(n, 4, terms, mode)
+    lo, hi, floor = series_module._bracket([s])
+    try:
+        run, leaves = series_module._nearest_plan(s)
+        z = tuple(map(float, point))
+        v = run(z, leaves, 0.0)
+    except (ValueError, OverflowError):  # a coefficient or entry beyond the float range
+        v = math.inf
+    if v < math.inf and min([1.0, *(f for e, f in zip(point, z) if e)]) >= floor:
+        # one nearest evaluation, scaled and rounded, brackets the exact value
+        assert lo * v <= exact <= hi * v
+    else:
+        # the gate failed or v is not finite: the value is exact, rounded down
+        assert series_module._down(exact) <= exact
+
+
+@st.composite
+def jacobian_cases(draw):
+    """``(cmp, x, Y)`` drawn as ``rounded_cases`` draws: a comparison in one
+    X and one or two Y, exact or float, at a point ``x`` in its mode and
+    float ``Y``, as ``_outside`` reads them.  A float one also takes 0.1 at
+    Y-exponents 3, 5 or 6, where ``fl(e * 0.1)`` exceeds ``e * 0.1``."""
+    q, exact = draw(st.integers(1, 2)), draw(st.booleans())
+    if exact:
+        value = st.one_of(st.sampled_from(EDGE_COEFFICIENTS),
+                          st.fractions(0, 10, max_denominator=1000))
+    else:
+        value = st.floats(0, sys.float_info.max)
+    alphas = st.tuples(*[st.integers(0, 3)] * (1 + q)).filter(
+        lambda a: sum(a) <= 4 and (a[0] or sum(a) >= 2))
+    comps = [draw(st.dictionaries(alphas, value, max_size=6)) for _ in range(q)]
+    tenths = st.tuples(st.integers(1, q), st.sampled_from([3, 5, 6]))
+    for terms in comps if not exact else ():
+        for j, e in draw(st.lists(tenths, max_size=2)):
+            terms[tuple(e if k == j else 0 for k in range(1 + q))] = 0.1
+    mode = EXACT if exact else FLOAT
+    cmp_eq = ComparisonEquation(SeriesMap(tuple(Series(1 + q, 6, t, mode) for t in comps)))
+    floats = st.one_of(st.sampled_from([p for p in EDGE_POINTS if type(p) is float]),
+                       st.floats(0, 4))
+    x = draw(st.one_of(st.sampled_from(EDGE_POINTS), st.fractions(0, 4, max_denominator=1000))
+             if exact else floats)
+    return cmp_eq, (x,), tuple(draw(floats) for _ in range(q))
+
+
+@settings(max_examples=300)
+@given(jacobian_cases())
+def test_the_jacobian_lower_bounds_never_exceed_the_exact_partials(case):
+    # _outside reads dPsi/dY as lo times its nearest kernels where the gate
+    # passes and every value is finite, else as its Fraction value rounded
+    # down.  A partial's leaf fl(e * c) is one rounding more than Psi's, and
+    # fl(3 * 0.1) = 0.30000000000000004 exceeds 3 * Fraction(0.1): both the
+    # bracket and the Fraction fallback must start from e * c exactly
+    cmp_eq, x, Y = case
+    lo, _, floor, partials = cmp_eq._bracket
+    exact = _jacobian(exact_polys(cmp_eq), x + Y, 1)
+    try:
+        (_, jacobian), z = cmp_eq._float_kernels, tuple(map(float, x)) + Y
+        J = [[lo * run(z, leaves, 0.0) for run, leaves in row] for row in jacobian]
+    except (ValueError, OverflowError):  # a coefficient or entry beyond the float range
+        J = [[math.inf]]
+    if not (sum(map(sum, J)) < math.inf and min([1.0, *filter(None, z)]) >= floor):
+        J = [list(map(series_module._down, _exact_psi(row, x + Y))) for row in partials]
+    assert all(b <= e for bounds, row in zip(J, exact) for b, e in zip(bounds, row))
 
 
 @given(st.one_of(st.sampled_from(EDGE_POINTS + EDGE_COEFFICIENTS),
                  st.fractions(0, 10, max_denominator=10 ** 6), st.floats(0, 1e300)))
-def test_toward_picks_the_neighbouring_floats(value):
-    up, down = series_module._toward(value, math.inf), series_module._toward(value, 0.0)
-    assert down <= value <= up
-    assert up == down or math.nextafter(down, math.inf) == up
+def test_down_picks_the_float_below(value):
+    down = series_module._down(value)
+    assert type(down) is float and down <= value
+    assert down == sys.float_info.max or math.nextafter(down, math.inf) > value
 
 
-# the source _compile generated for Y = X + Y^2 before it took a rounding
+# the source _compile generates for Y = X + Y^2
 NEAREST_SOURCE = """def run(point, leaves, zero):
     t0, t1, = point
     a1 = zero * t0 + leaves[0]

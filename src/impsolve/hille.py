@@ -18,7 +18,8 @@ from __future__ import annotations
 
 import csv
 from fractions import Fraction
-from math import inf, isfinite
+from math import isfinite, nextafter
+from sys import float_info
 from typing import IO, Callable, NamedTuple
 
 from .errors import DomainError
@@ -66,7 +67,7 @@ class RayRadius(NamedTuple):
     def midpoint(self) -> float:
         if self.t_outside is None:
             return self.t_inside
-        return 0.5 * (self.t_inside + self.t_outside)
+        return 0.5 * self.t_inside + 0.5 * self.t_outside
 
 
 def _scalar_kernels(cmp: ComparisonEquation) -> tuple[Callable, Callable]:
@@ -108,7 +109,7 @@ def _graph_x(psi: Callable, Y: float) -> float | None:
     """Smallest X >= 0 with Psi(X, Y) = Y, or None when there is none.
 
     Psi is nondecreasing in X with all-positive coefficients, so doubling
-    then bisection to float resolution solves the equation in X.
+    to the largest float, then bisection to float resolution, solves it.
     """
     gap = psi(0.0, Y) - Y
     if gap > 0.0:
@@ -117,9 +118,9 @@ def _graph_x(psi: Callable, Y: float) -> float | None:
         return 0.0
     hi = 1.0
     while psi(hi, Y) - Y < 0.0:
-        hi *= 2.0
-        if hi == inf:
+        if hi == float_info.max:
             return None
+        hi = min(2.0 * hi, float_info.max)
     lo, hi = _bisect(lambda X: psi(X, Y) - Y < 0.0, 0.0, hi, 0.0)
     return 0.5 * lo + 0.5 * hi
 
@@ -132,13 +133,13 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
     the graph rises to ``B(X) = 1`` without turning.  With both, ``Y* >=
     A(X)`` grows with X while ``Y* >= c X^a Y*^b`` keeps it bounded, so the
     branch ends at a finite X, where ``dPsi/dY`` reaches one.  Brackets the
-    turn by doubling ``Y = (2^k - 1)/1024``, bisects it to float resolution
-    and reports the graph point at the inside end.  A probe past the end of
-    the graph reads as past the turn: below it the graph rises, so it can
-    only end beyond.  The point is found when ``|Y - Psi| <= DEFAULT_TOL *
-    max(1, Y)`` (a float spacing of a large Y exceeds ``DEFAULT_TOL``) and
-    ``|1 - dPsi/dY| <= DEFAULT_TOL``, else it failed, as when the doubling
-    leaves the float range.
+    turn by doubling ``Y = (2^k - 1)/1024`` up to the largest float, bisects
+    it to float resolution and reports the graph point at the inside end.  A
+    probe past the end of the graph reads as past the turn: below it the
+    graph rises, so it can only end beyond.  The point is found when ``|Y -
+    Psi| <= DEFAULT_TOL * max(1, Y)`` (a float spacing of a large Y exceeds
+    ``DEFAULT_TOL``) and ``|1 - dPsi/dY| <= DEFAULT_TOL``, else it failed,
+    as when the largest float is still below the turn.
     """
     psi, psi_y = _scalar_kernels(cmp)
     degrees = {gamma[1] for gamma in cmp.psi.components[0].terms}
@@ -151,9 +152,9 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
 
     lo, hi = 0.0, 1.0 / 1024.0
     while below_turn(hi):
-        lo, hi = hi, 2.0 * hi + 1.0 / 1024.0
-        if hi == inf:
+        if hi == float_info.max:
             return HillePoint(None, None, None, None, FAILED)
+        lo, hi = hi, min(2.0 * hi + 1.0 / 1024.0, float_info.max)
 
     Y, _ = _bisect(below_turn, lo, hi, 0.0)
     X = _graph_x(psi, Y)
@@ -229,7 +230,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     1.0 is nonzero exactly when a term lives on the ones, however small its
     coefficient, and a cycle on it is a walk of length ``dim_y`` in the
     pattern of ``dPsi/dY``.  The doubling search then runs to an ``outside``
-    verdict, raising ``DomainError`` where the float range ends.
+    verdict, raising ``DomainError`` past the largest finite probe.
     """
     check_comparison(cmp)
     check_tol(tol)
@@ -274,13 +275,14 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     if not any(walk):
         return RayRadius(t_inside=t_in, t_outside=None, unbounded=True)
 
-    t_out = max(1.0, 2.0 * t_in)
+    top = nextafter(float_info.max / max(1.0, *dir_entries), 0.0)  # keeps every t * e finite
+    t_out = min(max(1.0, 2.0 * t_in), top)
     while (v := verdict(t_out)) != OUTSIDE:
         if v == INSIDE:
             t_in = t_out
-        t_out *= 2.0
-        if not isfinite(2.0 * t_out * max(1.0, *dir_entries)):  # keeps t * e, lo + hi finite
+        if t_out == top:
             raise DomainError(f"no outside verdict along {direction} in the float range")
+        t_out = min(2.0 * t_out, top)
 
     t_in, _ = _bisect(inside, t_in, t_out, tol)
     _, t_out = _bisect(lambda t: verdict(t) != OUTSIDE, t_in, t_out, tol)

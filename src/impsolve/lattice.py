@@ -53,10 +53,12 @@ class LatticeVec(_Value):
 def norm(kind: str, v: Sequence[Number]) -> LatticeVec:
     """Measure ``v`` by a profile of ``kind``: the max norm for
     ``AGGREGATE``, every coordinate modulus otherwise."""
-    entries = tuple(v.entries) if isinstance(v, LatticeVec) else tuple(v)
-    if kind == AGGREGATE:
-        return LatticeVec((max(abs(e) for e in entries),))
-    return LatticeVec(tuple(abs(e) for e in entries))
+    return LatticeVec(_measure(kind, v.entries if isinstance(v, LatticeVec) else v))
+
+
+def _measure(kind: str, v: Iterable[Number]) -> tuple:
+    """The entries of ``norm(kind, v)``."""
+    return (max(map(abs, v)),) if kind == AGGREGATE else tuple(map(abs, v))
 
 
 class EquationSpec(_Value):
@@ -238,21 +240,6 @@ class MajorantSampleReport(NamedTuple):
     violations: tuple[MajorantViolation, ...]
 
 
-def _draw_point(rng: random.Random, lo: LatticeVec, hi: LatticeVec, mode: str):
-    if mode == FLOAT:
-        return tuple(a + (b - a) * rng.random()
-                     for a, b in zip(lo.entries, hi.entries))
-    denom = 1 << 16
-    return tuple(a + (b - a) * Fraction(rng.randrange(denom + 1), denom)
-                 for a, b in zip(lo.entries, hi.entries))
-
-
-def _norms(eq: EquationSpec, z: tuple[Number, ...]) -> tuple[Number, ...]:
-    """The norms of the x and y blocks of a primal point, as one tuple."""
-    return (norm(eq.profile_x, z[:eq.dim_x]).entries
-            + norm(eq.profile_y, z[eq.dim_x:]).entries)
-
-
 def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
                            n_samples: int, box: tuple[LatticeVec, LatticeVec],
                            check_increments: bool = False,
@@ -261,10 +248,11 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
 
     Draws ``n_samples >= 1`` points from the box (and, when asked, the same
     number of increment pairs) and verifies the value and increment
-    inequalities that a majorant must satisfy.  In float mode a violation
-    needs to clear the relative ``SAMPLE_SLACK`` before it is reported, and
-    a value that overflows raises, since it compares false against anything;
-    exact mode tolerates nothing.
+    inequalities that a majorant must satisfy, running each map's compiled
+    kernels (``Series._plan``) on the drawn tuples.  In float mode a violation
+    needs to clear the relative ``SAMPLE_SLACK`` before it is reported, and a
+    box whose draws, pair sums or values overflow raises, since inf compares
+    false against anything; exact mode tolerates nothing.
     """
     check_majorant_shape(eq, cmp)
     if n_samples < 1:
@@ -274,35 +262,47 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     if lo.dimension != dim or hi.dimension != dim:
         raise ValueError(f"box corners have dimensions {lo.dimension} and "
                          f"{hi.dimension}, expected {dim}")
+    spans = []
     for a, b in zip(lo.entries, hi.entries):
-        coerce_value(a, eq.mode)
-        coerce_value(b, eq.mode)
+        a, b = coerce_value(a, eq.mode), coerce_value(b, eq.mode)
         if a > b:
             raise ValueError("box lower corner exceeds upper corner")
-    if rng is None:
-        rng = random.Random(0)
-    exact = eq.mode == EXACT
+        spans.append((a, b - a))
+    exact, overflow = eq.mode == EXACT, f"values overflow on the box from {lo} to {hi}"
+    # a float draw z has |z| <= max(-a, a + span), as random() < 1; a pair sum twice that
+    reach = 2.0 if check_increments else 1.0
+    if not (exact or all(isfinite(reach * max(-a, a + s)) for a, s in spans)):
+        raise ValueError(overflow)
+    rng = random.Random(0) if rng is None else rng
+    unit = (lambda: Fraction(rng.randrange(65537), 65536)) if exact else rng.random
+    psi, Psi = ([c._plan for c in m.psi.components] for m in (eq, cmp))
+    zero, p = zero_value(eq.mode), eq.dim_x
     violations: list[MajorantViolation] = []
+
+    def draw() -> tuple:
+        return tuple(a + s * unit() for a, s in spans)
+
+    def norms(z: tuple) -> tuple:
+        return _measure(eq.profile_x, z[:p]) + _measure(eq.profile_y, z[p:])
+
+    def values(plans: list, z: tuple) -> list:
+        return [run(z, leaves, zero) for run, leaves in plans]
 
     def compare(kind: str, z: tuple, w: tuple | None, lhs, rhs) -> None:
         for i, (a, b) in enumerate(zip(lhs, rhs)):
             if not (exact or (isfinite(a) and isfinite(b))):
-                raise ValueError(f"values overflow on the box from {lo} to {hi}")
+                raise ValueError(overflow)
             if a > (b if exact else b + SAMPLE_SLACK * max(1.0, abs(b))):
                 violations.append(MajorantViolation(kind, i, z, w, a, b))
 
-    points = [_draw_point(rng, lo, hi, eq.mode) for _ in range(n_samples)]
-    for z in points:
-        compare("value", z, None, norm(eq.profile_y, eq.psi.evaluate(z)).entries,
-                cmp.psi.evaluate(_norms(eq, z)))
-    pairs = [(_draw_point(rng, lo, hi, eq.mode), _draw_point(rng, lo, hi, eq.mode))
-             for _ in range(n_samples if check_increments else 0)]
+    for z in [draw() for _ in range(n_samples)]:
+        compare("value", z, None, _measure(eq.profile_y, values(psi, z)), values(Psi, norms(z)))
+    pairs = [(draw(), draw()) for _ in range(n_samples if check_increments else 0)]
     for z, w in pairs:
-        Z, W = _norms(eq, z), _norms(eq, w)
-        move = map(sub, eq.psi.evaluate(tuple(map(add, z, w))), eq.psi.evaluate(z))
-        base = cmp.psi.evaluate(Z)
-        compare("increment", z, w, norm(eq.profile_y, move).entries,
-                map(sub, cmp.psi.evaluate(tuple(map(add, Z, W))), base))
+        Z, W = norms(z), norms(w)
+        move = map(sub, values(psi, tuple(map(add, z, w))), values(psi, z))
+        compare("increment", z, w, _measure(eq.profile_y, move),
+                map(sub, values(Psi, tuple(map(add, Z, W))), values(Psi, Z)))
     return MajorantSampleReport(points_checked=n_samples, increments_checked=len(pairs),
                                 violations=tuple(violations))
 

@@ -127,6 +127,52 @@ def test_a_turn_near_the_top_of_the_float_range_is_found():
     assert sample.turning_index == 2
 
 
+def _past_the_top_doubling():
+    # Y = (2^-1022 / 3) X + Y^2 / 4 turns at X* = 3 * 2^1022 = 1.348e308,
+    # Y* = 2: past 2^1023, the last power of two in the float range
+    return scalar_comparison({(1, 0): 2.0 ** -1022 / 3, (0, 2): 0.25})
+
+
+def test_a_turn_past_the_last_doubling_is_found():
+    # the X doubling of the graph solve stepped from 2^1023 to inf and gave
+    # up, so every Y past 4/3 read as past the end of the graph and the
+    # turn failed at X = 8.99e307; it now steps to the top of the range
+    got = hille_point(_past_the_top_doubling())
+    assert got.status == FOUND
+    assert got.X_star == pytest.approx(3 * 2.0 ** 1022, rel=1e-7, abs=0)
+    assert got.Y_star == pytest.approx(2.0, rel=1e-7, abs=0)
+    sample = trace_graph(_past_the_top_doubling(), 2.0, 2)
+    assert not sample.omitted
+    assert [pt.X for pt in sample.points] == pytest.approx(
+        [0.0, 2.25 * 2.0 ** 1022, 3 * 2.0 ** 1022], rel=1e-14, abs=0)
+
+
+def test_a_crossing_past_the_last_doubling_is_bracketed():
+    # membership is inside at 1.3e308 and outside at 1.7e308, but the scale
+    # doubling stopped at 2^1022 and raised "no outside verdict"
+    cmp_eq = _past_the_top_doubling()
+    assert membership(cmp_eq, LatticeVec((1.3e308,))).verdict == INSIDE
+    assert membership(cmp_eq, LatticeVec((1.7e308,))).verdict == OUTSIDE
+    got = radius_along_ray(cmp_eq, LatticeVec((1.0,)), tol=1e302)
+    assert got.t_inside <= 3 * 2.0 ** 1022 <= got.t_outside
+    assert got.t_outside - got.t_inside <= 1e-5 * 3 * 2.0 ** 1022
+    assert not got.unbounded
+    # 0.5 * (t_inside + t_outside) overflowed to inf
+    assert got.t_inside <= got.midpoint <= got.t_outside
+
+
+def test_a_ray_with_a_large_entry_stops_at_its_last_finite_probe():
+    # along e = 28333.38..., (float max / e) * e rounds to inf, so a doubling
+    # capped at float max / e would probe an inf X; the last probe is one
+    # below it, and with no crossing in the float range the search ends there
+    e = 28333.385349893353
+    assert sys.float_info.max / e * e == float("inf")
+    cmp_eq = ComparisonEquation(SeriesMap((
+        Series(2, 4, {(1, 0): Fraction(1, 10 ** 400), (0, 2): 1}, EXACT),)))
+    with pytest.raises(DomainError, match="^no outside verdict along"):
+        radius_along_ray(cmp_eq, LatticeVec((e,)), tol=1e-3)
+
+
 def test_cubic_turning_point_against_bisection_oracle():
     # Y = X + XY + Y^3.  Eliminating X: on the graph X = (Y - Y^3)/(1 + Y)
     # and the tangency condition X + 3Y^2 = 1 reduce to 2Y^3 + 3Y^2 = 1.

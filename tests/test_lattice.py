@@ -6,10 +6,11 @@ property is checked against the naive composition oracle.
 """
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from impsolve import (
     AGGREGATE,
@@ -20,6 +21,8 @@ from impsolve import (
     ComparisonEquation,
     EquationSpec,
     LatticeVec,
+    MajorantSampleReport,
+    MajorantViolation,
     Series,
     SeriesMap,
     SpecFormatError,
@@ -31,7 +34,7 @@ from impsolve import (
     norm,
     series_abs,
 )
-from impsolve.lattice import PROFILE_KINDS
+from impsolve.lattice import PROFILE_KINDS, SAMPLE_SLACK
 
 from helpers import quadratic_equation, random_equation
 
@@ -245,17 +248,23 @@ def test_samples_deterministic_under_seed():
 
 def test_samples_evaluate_psi_once_per_sample(monkeypatch):
     # a value sample evaluates psi(z) and Psi(Z); an increment sample
-    # psi(z + w), psi(z), Psi(Z) and Psi(Z + W)
-    evaluate = SeriesMap.evaluate
+    # psi(z + w), psi(z), Psi(Z) and Psi(Z + W).  Every map here has one
+    # component, so each map evaluation is one run of a compiled kernel
+    compiled = Series._plan
     calls = []
 
-    def counting(self, point):
-        calls.append(point)
-        return evaluate(self, point)
+    def counting_plan(self):
+        run, coefficients = compiled.__get__(self, Series)
 
-    monkeypatch.setattr(SeriesMap, "evaluate", counting)
+        def counting(point, leaves, zero):
+            calls.append(point)
+            return run(point, leaves, zero)
+        return counting, coefficients
+
     eq = quadratic_equation(mode=FLOAT, sign=-1)
-    check_majorant_samples(eq, majorant(eq), 30, _box(2),
+    cmp_eq = majorant(eq)
+    monkeypatch.setattr(Series, "_plan", property(counting_plan))
+    check_majorant_samples(eq, cmp_eq, 30, _box(2),
                            check_increments=True, rng=random.Random(5))
     assert len(calls) == 6 * 30
 
@@ -274,6 +283,41 @@ def test_samples_refuse_a_box_that_overflows(increments):
         check_majorant_samples(eq, liar, 60, _box(2, 1e200),
                                check_increments=increments,
                                rng=random.Random(3))
+
+
+@pytest.mark.parametrize("increments", [False, True])
+def test_samples_refuse_a_box_whose_span_overflows(increments):
+    # hi - lo of a box from -1e308 to 1e308 is inf, so every draw was inf or
+    # nan, and the refusal came from the evaluation as "float coefficients
+    # must be finite, got inf", which named no box
+    eq = quadratic_equation(mode=FLOAT, sign=-1)
+    with pytest.raises(ValueError, match="box from"):
+        check_majorant_samples(eq, majorant(eq), 10, _box(2, 1e308),
+                               check_increments=increments, rng=random.Random(3))
+
+
+@pytest.mark.parametrize("terms", [{(1, 0): 0.5}, {}], ids=["y=x/2", "y=0"])
+def test_samples_refuse_a_box_whose_pair_sums_overflow(terms):
+    # x in [1e308, 1.5e308]: every value psi(z) and Psi(Z) is finite, but
+    # every increment z + w leaves the float range.  y = 0 has kernels that
+    # read no coordinate, so only a check of their inputs can see the inf
+    eq = EquationSpec(SeriesMap((Series(2, 4, terms, FLOAT),)),
+                      COMPONENTWISE, COMPONENTWISE)
+    box = (LatticeVec((1e308, 0.0)), LatticeVec((1.5e308, 1.0)))
+    report = check_majorant_samples(eq, majorant(eq), 10, box, rng=random.Random(3))
+    assert report.violations == () and report.points_checked == 10
+    with pytest.raises(ValueError, match="box from"):
+        check_majorant_samples(eq, majorant(eq), 10, box, check_increments=True,
+                               rng=random.Random(3))
+
+
+def test_samples_take_a_box_up_to_the_top_of_the_float_range():
+    # the span of [0, float max] is finite, and so is every draw from it
+    eq = EquationSpec(SeriesMap((Series(2, 4, {(1, 0): 0.5}, FLOAT),)),
+                      COMPONENTWISE, COMPONENTWISE)
+    box = (LatticeVec((0.0, 0.0)), LatticeVec((sys.float_info.max, 1.0)))
+    report = check_majorant_samples(eq, majorant(eq), 50, box, rng=random.Random(3))
+    assert report.violations == () and report.points_checked == 50
 
 
 def test_samples_box_validation():
@@ -347,6 +391,100 @@ def test_samples_report_frozen_float_aggregate():
         "-0.04686756886185717, -0.005017306110822295), increment=(-0.30776915775731783, "
         "0.3305212736329717, -0.4104343765594104), lhs=0.48034408503023585, "
         "rhs=0.4148651721981132)))")
+
+
+def test_samples_report_frozen_float_componentwise():
+    # y0 = x0 - x1 y1 + y0^2/2, y1 = 2 x0 x1 - y0 y1 + x1 y0^2 measured entry
+    # by entry on both sides, recorded like the reports above
+    psi = SeriesMap((
+        Series(4, 4, {(1, 0, 0, 0): 1.0, (0, 1, 0, 1): -1.0, (0, 0, 2, 0): 0.5}, FLOAT),
+        Series(4, 4, {(1, 1, 0, 0): 2.0, (0, 0, 1, 1): -1.0, (0, 1, 2, 0): 1.0}, FLOAT)))
+    eq = EquationSpec(psi, COMPONENTWISE, COMPONENTWISE)
+    box = (LatticeVec((-0.5, -0.25, -0.5, -0.25)), LatticeVec((0.5, 0.5, 0.25, 0.5)))
+    report = check_majorant_samples(eq, _halved(majorant(eq)), 3, box,
+                                    check_increments=True, rng=random.Random(11))
+    assert repr(report) == (
+        "MajorantSampleReport(points_checked=3, increments_checked=3, violations=("
+        "MajorantViolation(kind='value', component=0, point=(-0.04762044649018138, "
+        "0.16982928956037197, 0.19315793801779702, 0.09923755257483002), increment=None, "
+        "lhs=0.045818895032031265, rhs=0.04156444202565919), "
+        "MajorantViolation(kind='value', component=1, point=(-0.04762044649018138, "
+        "0.16982928956037197, 0.19315793801779702, 0.09923755257483002), increment=None, "
+        "lhs=0.029006885292586507, rhs=0.020839771574944065), "
+        "MajorantViolation(kind='value', component=1, point=(0.007841273062271115, "
+        "0.19053862163742274, -0.36150474210884254, 0.13393147928135413), increment=None, "
+        "lhs=0.0763056646621392, rhs=0.0381528323310696), "
+        "MajorantViolation(kind='value', component=0, point=(0.12988272021680192, "
+        "0.3447326543899645, -0.4294074078280862, -0.02244905303160588), increment=None, "
+        "lhs=0.22981700280574666, rhs=0.11490850140287333), "
+        "MajorantViolation(kind='value', component=1, point=(0.12988272021680192, "
+        "0.3447326543899645, -0.4294074078280862, -0.02244905303160588), increment=None, "
+        "lhs=0.14347534313361127, rhs=0.08137746123730275), "
+        "MajorantViolation(kind='increment', component=0, point=(-0.4093294625081606, "
+        "0.3572334007753831, 0.020078861905929335, -0.2185897477226155), "
+        "increment=(0.48219342079877825, 0.4735683358441751, -0.009558099849619639, "
+        "0.21167202843392807), lhs=0.40970687791308746, rhs=0.38090284354019927)))")
+
+
+def _reference_samples(eq, cmp_eq, n, box, increments, rng):
+    """The sampled check written out on ``SeriesMap.evaluate`` and ``norm``:
+    the same draws, comparisons and order of violations."""
+    lo, hi = box
+    exact = eq.mode == EXACT
+
+    def draw():
+        if exact:
+            return tuple(a + (b - a) * F(rng.randrange(65537), 65536)
+                         for a, b in zip(lo.entries, hi.entries))
+        return tuple(a + (b - a) * rng.random() for a, b in zip(lo.entries, hi.entries))
+
+    def norms(z):
+        return (norm(eq.profile_x, z[:eq.dim_x]).entries
+                + norm(eq.profile_y, z[eq.dim_x:]).entries)
+
+    violations = []
+
+    def compare(kind, z, w, lhs, rhs):
+        for i, (a, b) in enumerate(zip(lhs, rhs)):
+            if a > (b if exact else b + SAMPLE_SLACK * max(1.0, abs(b))):
+                violations.append(MajorantViolation(kind, i, z, w, a, b))
+
+    for z in [draw() for _ in range(n)]:
+        compare("value", z, None, norm(eq.profile_y, eq.psi.evaluate(z)).entries,
+                cmp_eq.psi.evaluate(norms(z)))
+    pairs = [(draw(), draw()) for _ in range(n if increments else 0)]
+    for z, w in pairs:
+        Z, W = norms(z), norms(w)
+        move = [a - b for a, b in zip(eq.psi.evaluate(tuple(a + b for a, b in zip(z, w))),
+                                      eq.psi.evaluate(z))]
+        base = cmp_eq.psi.evaluate(Z)
+        compare("increment", z, w, norm(eq.profile_y, move).entries,
+                [a - b for a, b in zip(cmp_eq.psi.evaluate(
+                    tuple(a + b for a, b in zip(Z, W))), base)])
+    return MajorantSampleReport(n, len(pairs), tuple(violations))
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1))
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+@pytest.mark.parametrize("profiles", [(x, y) for x in (COMPONENTWISE, AGGREGATE)
+                                      for y in (COMPONENTWISE, AGGREGATE)])
+def test_samples_match_the_reference(mode, profiles, seed):
+    # true majorants and halved ones, which draw violations of both kinds
+    rng = random.Random(seed)
+    eq = _mixed(rng, mode, *profiles)
+    dim = eq.dim_x + eq.dim_y
+    step = F(1, 8) if mode == EXACT else 0.125
+    lo = LatticeVec(-step * rng.randint(0, 4) for _ in range(dim))
+    hi = LatticeVec(step * rng.randint(1, 4) for _ in range(dim))
+    for cmp_eq in (majorant(eq), _halved(majorant(eq))):
+        for increments in (False, True):
+            draws = rng.randrange(2 ** 31)
+            got = check_majorant_samples(eq, cmp_eq, 12, (lo, hi), increments,
+                                         random.Random(draws))
+            want = _reference_samples(eq, cmp_eq, 12, (lo, hi), increments,
+                                      random.Random(draws))
+            assert repr(got) == repr(want)
 
 
 def _mixed(rng, mode, profile_x, profile_y):

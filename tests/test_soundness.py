@@ -139,9 +139,10 @@ def test_every_bound_covers_the_true_error(case):
 @settings(max_examples=200)
 @given(systems(), st.data())
 def test_the_check_is_the_exact_decision(case, data):
-    # the float kernels rounded up and down decide certificate_check, so on
-    # a witness at the least fixed point, or one ulp either side, they
-    # must agree with the pure-Fraction test
+    # one nearest kernel per component, bracketed by _bracket, decides
+    # certificate_check, with Fraction only where the bracket cannot; on a
+    # witness at the least fixed point, or one ulp either side, it must
+    # agree with the pure-Fraction test
     cmp_eq, X, _ = case
     polys = exact_polys(cmp_eq)
     value = Fraction if cmp_eq.mode == EXACT else float

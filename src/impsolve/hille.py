@@ -4,8 +4,9 @@ On the graph of ``Y = Psi(X, Y)`` the principal branch rises from the
 origin until the partial derivative of ``Psi`` in ``Y`` reaches one; at
 that turning point the graph has a vertical tangent and the X coordinate
 is the radius of convergence of the principal solution branch.  This
-module locates that point and traces the graph on the comparison's cached
-float kernels, the ones Newton reads, building no series; it probes the
+module locates that point and traces the graph on the comparison's two
+cached map kernels, of Psi and of ``dPsi/dY``, the ones Newton reads, one
+call of each per point, building no series; it probes the
 convergence region along rays through the origin, and offers an
 empirical coefficient-ratio estimate of the radius for comparison.  A ray
 probe that only asks whether a scale is inside runs the Newton
@@ -77,13 +78,13 @@ def _scalar_kernels(cmp: ComparisonEquation) -> tuple[Callable, Callable]:
         raise ValueError(
             f"a scalar comparison equation is required, got dimensions "
             f"({cmp.dim_x}, {cmp.dim_y})")
-    ((run, leaves),), (((run_y, leaves_y),),) = cmp._float_kernels
+    (run, leaves), (run_y, leaves_y) = cmp._float_kernels
     if not any(gamma[0] > 0 for gamma in cmp.psi.components[0].terms):
         raise ValueError(
             "the comparison equation does not depend on X; the graph "
             "solve is ill-posed")
-    return (lambda X, Y: run((X, Y), leaves, 0.0),
-            lambda X, Y: run_y((X, Y), leaves_y, 0.0))
+    return (lambda X, Y: run((X, Y), leaves, 0.0, 1.0)[0],
+            lambda X, Y: run_y((X, Y), leaves_y, 0.0, 1.0)[0])
 
 
 def _bisect(below: Callable[[float], bool], lo: float, hi: float,
@@ -234,7 +235,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     """
     check_comparison(cmp)
     check_tol(tol)
-    values, jacobian = cmp._float_kernels
+    (psi, leaves), (jac, jac_leaves) = cmp._float_kernels
     if not isinstance(direction, LatticeVec):
         direction = LatticeVec(tuple(direction))
     if direction.dimension != cmp.dim_x:
@@ -264,14 +265,14 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     t_in = 1.0
     while t_in > 0 and not inside(t_in):
         t_in *= 0.5
-    x = tuple(float(e > 0) for e in dir_entries)
-    fed = (0.0,) * cmp.dim_y
-    for _ in range(cmp.dim_y):
-        fed = tuple(float(run(x + fed, [1.0] * len(leaves), 0.0) != 0) for run, leaves in values)
+    q, x = cmp.dim_y, tuple(float(e > 0) for e in dir_entries)
+    fed = (0.0,) * q
+    for _ in range(q):
+        fed = tuple(float(v != 0) for v in psi(x + fed, [1.0] * len(leaves), 0.0, 1.0))
+    J = jac(x + fed, [1.0] * len(jac_leaves), 0.0, 1.0)
     walk = fed
-    for _ in range(cmp.dim_y):
-        walk = [any(w and run(x + fed, [1.0] * len(leaves), 0.0) != 0
-                    for w, (run, leaves) in zip(walk, row)) for row in jacobian]
+    for _ in range(q):
+        walk = [any(w and J[i * q + j] != 0 for j, w in enumerate(walk)) for i in range(q)]
     if not any(walk):
         return RayRadius(t_inside=t_in, t_outside=None, unbounded=True)
 

@@ -3,9 +3,10 @@ comparison equation.
 
 By Hille's theorem X lies in the convergence region when ``Y = Psi(X, Y)``
 has a least fixed point there.  ``_newton_certificate`` looks for a witness
-``Y~`` by float Newton from zero, on the comparison's cached float kernels
-that ``hille`` reads too, and it counts only once ``certificate_check``
-proves ``Y~ >= Psi(X, Y~)``, on the same kernels and ``series._bracket``.
+``Y~`` by float Newton from zero, on the comparison's two cached map
+kernels, of Psi and of ``dPsi/dY``, which ``hille`` reads too, one call of
+each a step; it counts only once ``certificate_check`` proves ``Y~ >=
+Psi(X, Y~)``, on the same kernels and ``series._bracket``.
 Proof sketch: Psi has non-negative coefficients and ``X >= 0``, so it is
 nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p))
 <= Psi(X, Y~) <= Y~``.  So every Kleene iterate from zero lies below
@@ -13,10 +14,11 @@ nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p))
 which is at most ``Y~``.  A checked ``Y~`` proves ``INSIDE`` and bounds
 every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  ``OUTSIDE`` is proved by
 ``_outside``: a Kleene iterate below every fixed point where ``dPsi/dY`` has
-spectral radius above 1, which no least fixed point allows.  All else is
+spectral radius above 1, which no least fixed point allows, decided by
+``_exceeds`` in float with a stated rounding margin.  All else is
 ``UNRESOLVED``.  Exact input never iterates in ``Fraction``, which only
-referees a tie of the check, confirms an ``OUTSIDE`` witness and stands in
-where the bracket cannot.  Only a ``ComparisonEquation`` is taken;
+referees a tie of the check or of the margin and stands in where the
+bracket cannot.  Only a ``ComparisonEquation`` is taken;
 ``_point`` checks each point.
 """
 
@@ -32,8 +34,8 @@ from typing import IO, NamedTuple, Sequence
 from .errors import DomainError
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
                       check_majorant_shape, norm)
-from .series import (EXACT, FLOAT, Number, _down, _float, _nearest_plan, coerce_value,
-                     format_value)
+from .series import (EXACT, FLOAT, Number, SeriesMap, _down, _float, _nearest_plan,
+                     coerce_value, format_value)
 from .solver import _invert
 
 DEFAULT_TOL = 1e-12
@@ -41,6 +43,7 @@ DEFAULT_BUDGET = 10000
 NEWTON_STEPS = 100  # float Newton steps tried before a certificate is checked
 PUSH = 1e-14  # push along v, relative to max Y, floored at the least normal float
 POWER_STEPS = 4  # power steps on I + J per check of an OUTSIDE witness
+RHO_ULP = 2.0 ** -52  # the float rho test's margin per product, as a share of the sum
 
 INSIDE = "inside"
 OUTSIDE = "outside"
@@ -108,18 +111,19 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
     ``_pre_fixed``, decides, so a singular or non-finite step just gives None.
     """
     try:
-        values, jacobian = cmp._float_kernels
+        (psi, leaves), (jac, jac_leaves) = cmp._float_kernels
         xf = tuple(map(float, x))
     except (ValueError, OverflowError):  # beyond the float range
         return None
-    Y = (0.0,) * cmp.dim_y
+    q = cmp.dim_y
+    Y, starts = (0.0,) * q, tuple(enumerate(range(0, q * q, q)))
     for steps in range(1, NEWTON_STEPS + 1):
         z = xf + Y
-        r = [run(z, leaves, 0.0) - y for (run, leaves), y in zip(values, Y)]
+        r = tuple(map(sub, psi(z, leaves, 0.0, 1.0), Y))
+        J = jac(z, jac_leaves, 0.0, 1.0)
         try:
-            inverse = _invert([[(i == j) - run(z, leaves, 0.0)
-                                for j, (run, leaves) in enumerate(row)]
-                               for i, row in enumerate(jacobian)], FLOAT)
+            inverse = _invert([[(i == j) - e for j, e in enumerate(J[k:k + q])]
+                               for i, k in starts], FLOAT)
         except DomainError:
             return None
         d = [sum(map(mul, row, r)) for row in inverse]
@@ -140,14 +144,15 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
 
 def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
     """``(witness, steps)``: Kleene from 0 on lower bounds on Psi, ``lo``
-    times its nearest value (``_bracket``), or ``_down`` of its ``Fraction``
-    value where the bracket cannot bound that, so the iterates Y lie below
-    every fixed point ``mu`` and never overflow, until a step settles,
-    moving no entry by more than ``DEFAULT_TOL`` times the largest, or the
-    budget ends.  The witness (exact images for an exact ``cmp``) is the
-    first Y, or None, where some ``w >= 0`` on Y's support has ``(J w)_i >
-    w_i`` wherever ``w_i > 0`` in float and then in ``Fraction``, J lower
-    bounds on ``dPsi/dY`` at Y the same way.  Then ``rho(J) > 1`` there, but
+    times its nearest value (``_bracket``; the kernel's ``scale``), or
+    ``_down`` of its ``Fraction`` value where the bracket cannot bound that,
+    so the iterates Y lie below every fixed point ``mu`` and never overflow,
+    until a step settles, moving no entry by more than ``DEFAULT_TOL`` times
+    the largest, or the budget ends.  The witness (exact images for an
+    exact ``cmp``) is the first Y, or None, where some ``w >= 0`` on Y's
+    support has ``(J w)_i > w_i`` wherever ``w_i > 0`` in float and exactly
+    (``_exceeds``), J lower bounds on ``dPsi/dY`` at Y the same way, split
+    into rows from the kernel's flat value.  Then ``rho(J) > 1`` there, but
     ``J <= dPsi/dY(mu)``, whose ``rho`` on a least ``mu``'s support is at
     most 1, else ``mu - e v``, v a Perron vector there, is a smaller
     pre-fixed point (Etessami and Yannakakis, JACM 2009).  Checked where the
@@ -156,20 +161,21 @@ def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
     to sit on one block."""
     lo, _, floor, partials = cmp._bracket
     try:
-        (values, jacobian), xf = cmp._float_kernels, tuple(map(float, x))
+        ((psi, leaves), (jac, jac_leaves)), xf = cmp._float_kernels, tuple(map(float, x))
     except (ValueError, OverflowError):  # beyond the float range
-        values, xf = None, x
-    before = Y = (0.0,) * cmp.dim_y  # the gate checks x once, and Y at every step
-    z, fits = xf + Y, (gated := values and min([1.0, *filter(None, xf)]) >= floor)
-    w, grown = [1.0] * cmp.dim_y, 0.0
+        psi, xf = None, x
+    q = cmp.dim_y
+    before = Y = (0.0,) * q  # the gate checks x once, and Y at every step
+    z, fits = xf + Y, (gated := psi and min([1.0, *filter(None, xf)]) >= floor)
+    w, grown = [1.0] * q, 0.0
     # total, the sum of the steps, telescopes to at least max(Y_next) / 2
     # after rounding, so a step above slack * total has not settled and
     # skips max(Y_next), about a tenth of a step's cost
     total, slack = 0.0, 2 * DEFAULT_TOL
     for steps in range(1, budget + 1):
-        Y_next = tuple([lo * run(z, leaves, 0.0) for run, leaves in values]) if fits else (inf,)
+        Y_next = psi(z, leaves, 0.0, lo) if fits else (inf,)
         if not sum(Y_next) < inf:
-            Y_next = tuple(map(_down, _exact_psi(cmp.psi.components, x + Y)))
+            Y_next = tuple(map(_down, _exact_psi(cmp.psi, x + Y)))
         total += (step := max(map(sub, Y_next, Y)))
         if step <= slack * total and step <= DEFAULT_TOL * max(Y_next):
             break
@@ -177,34 +183,49 @@ def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
         before, Y = Y, Y_next
         z, fits = xf + Y, gated and (min(Y) >= floor or min([1.0, *filter(None, Y)]) >= floor)
         if growth > grown:
-            J = [[lo * run(z, leaves, 0.0) for run, leaves in row]
-                 for row in jacobian] if fits else [[inf]]
-            if not sum(map(sum, J)) < inf:
-                J = [list(map(_down, _exact_psi(row, x + Y))) for row in partials]
+            J = jac(z, jac_leaves, 0.0, lo) if fits else (inf,)
+            rows = [J[k:k + q] for k in range(0, q * q, q)]
+            if not sum(map(sum, rows)) < inf:
+                J = tuple(map(_down, _exact_psi(partials, x + Y)))
+                rows = [J[k:k + q] for k in range(0, q * q, q)]
             for _ in range(POWER_STEPS):
                 v = [e + sum(map(mul, row, w)) if y > 0 else 0.0
-                     for e, row, y in zip(w, J, Y)]
+                     for e, row, y in zip(w, rows, Y)]
                 if not 0 < (top := max(v)) < inf:
                     break
                 w, last = [e / top for e in v], w
                 if w == last:
                     break
             u = [e if e >= 2 ** -20 and y > 0 else 0.0 for e, y in zip(w, Y)]
-            if any(u) and all(all(sum(map(mul, map(t, row), map(t, u))) > e
-                                  for row, e in zip(J, u) if e) for t in (float, Fraction)):
+            if any(u) and all(_exceeds(row, u, e) for row, e in zip(rows, u) if e):
                 return Y if cmp.mode == FLOAT else tuple(map(Fraction, Y)), steps
         grown = growth
     return None, steps
 
 
+def _exceeds(row: Sequence[float], u: Sequence[float], e: float) -> bool:
+    """Is ``sum(row * u) > e``, in float and exactly, for non-negative floats?
+    Each of the n terms of the float sum s passes at most n roundings, of
+    relative size ``2^-53`` (Higham, *Accuracy and Stability*, Lemma 3.1),
+    and ``2^-1075`` more where a product underflows, so for a normal ``e``
+    and a finite s, ``s * (1 - (n + 1) RHO_ULP) > e``, rounded, proves the
+    exact sum above ``e``; between that and ``s <= e``, ``Fraction`` decides."""
+    s = sum(map(mul, row, u))
+    if not s > e:
+        return False
+    if s < inf and e >= float_info.min and s * (1 - (len(row) + 1) * RHO_ULP) > e:
+        return True
+    return sum(map(mul, map(Fraction, row), map(Fraction, u))) > e
+
+
 def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float) -> list:
     """The trace: Kleene from 0 on Psi's nearest kernels at ``x`` rounded down, until no entry
     moves by more than ``tol``, for ``max_iter`` steps or to the last finite one; exact images."""
-    (kernels, _), x = cmp._float_kernels, tuple(map(_down, x))
+    ((psi, leaves), _), x = cmp._float_kernels, tuple(map(_down, x))
     Y = (0.0,) * cmp.dim_y
     iterates = [Y]
     for _ in range(max_iter):
-        Y_next = tuple([run(x + Y, leaves, 0.0) for run, leaves in kernels])
+        Y_next = psi(x + Y, leaves, 0.0, 1.0)
         if not all(map(isfinite, Y_next)):
             break
         iterates.append(Y_next)
@@ -263,11 +284,11 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
                else "found no certificate")
         raise DomainError(f"the comparison iteration {why}; "
                           "no convergence certificate is available")
-    kernels = [_nearest_plan(c) for c in eq.psi.components]
+    psi, leaves = _nearest_plan(eq.psi)
     x = tuple(copysign(_down(abs(e)), e) for e in x)
     ys = [(0.0,) * eq.dim_y]
     for _ in range(comp.steps):
-        ys.append(tuple([run(x + ys[-1], leaves, 0.0) for run, leaves in kernels]))
+        ys.append(psi(x + ys[-1], leaves, 0.0, 1.0))
     if eq.mode == EXACT:
         ys = [tuple(map(Fraction, y)) for y in ys]
     return IterationTrace(
@@ -313,23 +334,22 @@ def _pre_fixed(cmp: ComparisonEquation, x: tuple, y: tuple) -> bool:
     a tie, or a v it cannot bound above or below, goes to ``_exact_psi``."""
     lo, hi, floor, _ = cmp._bracket
     try:
-        (values, _), z = cmp._float_kernels, tuple(map(float, x + y))
-        v = [run(z, leaves, 0.0) for run, leaves in values]
+        ((psi, leaves), _), z = cmp._float_kernels, tuple(map(float, x + y))
+        v = psi(z, leaves, 0.0, 1.0)
     except (ValueError, OverflowError):  # beyond the float range
-        v = [inf]
+        v = (inf,)
     if sum(v) < inf and min([1.0, *(f for e, f in zip(x + y, z) if e)]) >= floor:
         if (yes := all(hi * a <= e for a, e in zip(v, y))) or any(
                 lo * a > e for a, e in zip(v, y)):
             return yes
-    return all(map(le, _exact_psi(cmp.psi.components, x + y), y))
+    return all(map(le, _exact_psi(cmp.psi, x + y), y))
 
 
-def _exact_psi(series: Sequence, point: tuple):
-    """Each of ``series`` at ``point`` in ``Fraction``: its kernel on exact
+def _exact_psi(m: SeriesMap, point: tuple) -> tuple:
+    """The map ``m`` at ``point`` in ``Fraction``: its kernel on exact
     images of the point and coefficients, which hold any float."""
-    point = tuple(map(Fraction, point))
-    return (run(point, tuple(map(Fraction, leaves)), Fraction(0))
-            for run, leaves in (s._plan for s in series))
+    run, leaves = m._plan
+    return run(tuple(map(Fraction, point)), tuple(map(Fraction, leaves)), Fraction(0), 1)
 
 
 def error_bound(trace: IterationTrace, p: int) -> LatticeVec:

@@ -9,20 +9,20 @@ profile, how the vectors of one side are measured, is its kind alone:
 ``SCALAR``, ``COMPONENTWISE`` or ``AGGREGATE``, the string the file format
 stores.  This module owns the small vector lattice used for that
 bookkeeping, the equation containers and their file format, and the
-construction of the dominating comparison equation.
+construction of the dominating comparison equation, which keeps two map
+kernels, of Psi and of ``dPsi/dY`` (``_float_kernels``), as its float engine.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cached_property
 from math import isfinite
 from operator import add, sub
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SpecFormatError
-from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _bracket, _nearest_plan,
+from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _bracket, _cached, _nearest_plan,
                      _set, _Value, coerce_value, format_value, parse_value, zero_value)
 
 SCALAR = "scalar"
@@ -137,24 +137,23 @@ class ComparisonEquation(EquationSpec):
                         f"component {i} has a negative coefficient at "
                         f"{tuple(gamma)}: not of positive type")
 
-    @cached_property
+    @_cached
     def _float_kernels(self) -> tuple:
-        """Kernels ``(values, jacobian)`` of ``Psi`` and of ``dPsi_i/dY_j``
-        from their own coefficients rounded to nearest (``_nearest_plan``), in
-        either mode; built on first use and kept, like ``Series._plan``.  Not
-        a field.  The one float engine of a comparison: Newton, the Kleene
-        trace and the graph search on it, and ``_bracket`` makes it prove."""
-        return ([_nearest_plan(c) for c in self.psi.components],
-                [[_nearest_plan(p) for p in row] for row in self._bracket[3]])
+        """The map kernels of ``Psi`` and of ``dPsi/dY``, ``dPsi_i/dY_j`` at
+        ``i * dim_y + j``, on their coefficients rounded to nearest
+        (``_nearest_plan``) in either mode; not a field.  The float engine:
+        Newton, the Kleene trace and the graph search on it, and ``_bracket``
+        makes it prove."""
+        return _nearest_plan(self.psi), _nearest_plan(self._bracket[3])
 
-    @cached_property
+    @_cached
     def _bracket(self) -> tuple:
-        """``series._bracket`` of Psi, and ``dPsi_i/dY_j`` on Psi's exact
-        coefficients, whose plans the float Jacobian and ``Fraction`` share."""
+        """``series._bracket`` of Psi, and the map ``dPsi/dY`` on Psi's exact
+        coefficients, whose plan the float Jacobian and ``Fraction`` share."""
         exact = [Series._ring(c.num_vars, c.degree_cap, dict(zip(c.terms, map(
             Fraction, c.terms.values()))), EXACT) for c in self.psi.components]
         return (*_bracket(self.psi.components),
-                [[c.partial(self.dim_x + j) for j in range(self.dim_y)] for c in exact])
+                SeriesMap([c.partial(self.dim_x + j) for c in exact for j in range(self.dim_y)]))
 
 
 def check_comparison(cmp: ComparisonEquation) -> None:
@@ -249,7 +248,7 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     Draws ``n_samples >= 1`` points from the box (and, when asked, the same
     number of increment pairs) and verifies the value and increment
     inequalities that a majorant must satisfy, running each map's compiled
-    kernels (``Series._plan``) on the drawn tuples.  In float mode a violation
+    kernel (``SeriesMap._plan``) once per drawn tuple.  In float mode a violation
     needs to clear the relative ``SAMPLE_SLACK`` before it is reported, and a
     box whose draws, pair sums or values overflow raises, since inf compares
     false against anything; exact mode tolerates nothing.
@@ -275,7 +274,7 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
         raise ValueError(overflow)
     rng = random.Random(0) if rng is None else rng
     unit = (lambda: Fraction(rng.randrange(65537), 65536)) if exact else rng.random
-    psi, Psi = ([c._plan for c in m.psi.components] for m in (eq, cmp))
+    psi, Psi = eq.psi._plan, cmp.psi._plan
     zero, p = zero_value(eq.mode), eq.dim_x
     violations: list[MajorantViolation] = []
 
@@ -285,8 +284,9 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
     def norms(z: tuple) -> tuple:
         return _measure(eq.profile_x, z[:p]) + _measure(eq.profile_y, z[p:])
 
-    def values(plans: list, z: tuple) -> list:
-        return [run(z, leaves, zero) for run, leaves in plans]
+    def values(plan: tuple, z: tuple) -> tuple:
+        run, leaves = plan
+        return run(z, leaves, zero, 1)
 
     def compare(kind: str, z: tuple, w: tuple | None, lhs, rhs) -> None:
         for i, (a, b) in enumerate(zip(lhs, rhs)):

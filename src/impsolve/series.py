@@ -29,9 +29,10 @@ untruncated result; for substitution this holds because the inner series
 are required to vanish at the origin, so discarded cross terms only ever
 feed degrees above the cap.  Evaluation and substitution share one engine:
 a series compiles its Horner plan once into a straight-line function,
-generated from integer indices alone, never from a value (``_compile``).
-The same nearest kernels also prove: ``_bracket`` bounds their rounding on
-non-negative data, and ``Fraction`` stands in where it cannot.
+generated from integer indices alone, never from a value (``_compile``);
+a map's one kernel runs every component's plan and returns their values
+in one tuple.  The same nearest kernels also prove: ``_bracket`` bounds
+their rounding on non-negative data, and ``Fraction`` stands in where it cannot.
 
 An exact product multiplies no ``Fraction`` pair by pair: the pair loop
 runs on each operand's integer numerators over the lcm of its
@@ -55,7 +56,6 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -209,11 +209,26 @@ def parse_value(text: str, mode: str) -> Number:
 _set = object.__setattr__
 
 
+class _cached:
+    """A method run on first use, its value then kept with ``_set``, in line
+    with the fields; ``cached_property`` writes it into ``__dict__``, which
+    moves every field of the instance out of line."""
+
+    def __init__(self, build) -> None:
+        self.build, self.name, self.__doc__ = build, build.__name__, build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        _set(obj, self.name, value := self.build(obj))
+        return value
+
+
 class _Value:
     """An immutable value named by its ``_fields``: equal to an instance of
     its own class alone with equal fields, hashed and shown by them.  Every
     assignment raises; ``__init__`` sets the fields with ``_set``, and a
-    ``cached_property`` keeps what it builds in ``__dict__``."""
+    ``_cached`` method keeps what it builds the same way."""
 
     _fields: tuple[str, ...] = ()
 
@@ -337,7 +352,7 @@ class Series(_Value):
         kept = {a: v for a, v in self.terms.items() if sum(a) <= degree_cap}
         out = Series._ring(self.num_vars, degree_cap, kept, self.mode)
         if len(kept) == len(self.terms):
-            out.__dict__["_plan_source"] = self.__dict__.get("_plan_source", self)
+            _set(out, "_plan_source", getattr(self, "_plan_source", self))
         return out
 
     # -- ring operations ------------------------------------------------
@@ -396,12 +411,12 @@ class Series(_Value):
 
     # -- evaluation -----------------------------------------------------
 
-    @cached_property
+    @_cached
     def _plan(self) -> tuple:
         """Kernel and coefficients from :func:`_compile`, built on first use;
         not a field.  A :meth:`with_cap` copy that kept every term uses its
         source's."""
-        source = self.__dict__.get("_plan_source", self)
+        source = getattr(self, "_plan_source", self)
         return _compile(self.terms, self.num_vars) if source is self else source._plan
 
     def evaluate(self, point: Sequence[Number]) -> Number:
@@ -454,9 +469,9 @@ class Series(_Value):
         return " + ".join(bits)
 
 
-def _nearest_plan(s: Series) -> tuple:
-    """``s._plan``'s kernel on its coefficients rounded to nearest, which
-    reads one below the float range as 0.0; one above it is refused."""
+def _nearest_plan(s: Series | SeriesMap) -> tuple:
+    """``s._plan``'s kernel, a series' or a map's, on its coefficients rounded
+    to nearest, which reads one below the float range as 0.0; one above it is refused."""
     run, coefficients = s._plan
     return run, tuple(_float(c, "coefficient") for c in coefficients)
 
@@ -484,8 +499,10 @@ def _bracket(series: Sequence[Series]) -> tuple:
     return 1 - g, 1 + g, max(sys.float_info.min, 2 ** ((-1000 - math.log2(c or 5e-324)) / deg))
 
 
-def _compile(terms: Mapping, num_vars: int) -> tuple:
-    """Kernel ``run(point, leaves, zero)`` of *terms*, and its coefficients.
+def _compile(terms: Mapping | Sequence[Mapping], num_vars: int) -> tuple:
+    """Kernel ``run(point, leaves, zero)`` of one series' *terms*, or
+    ``run(point, leaves, zero, scale)``, the tuple of ``scale`` times each
+    value, of a map's sequence of them, and its coefficients, in turn.
 
     Nested Horner form: a node of variable ``j`` starts from ``zero`` and,
     from the top power of ``x_j`` down to 0, multiplies by ``point[j]`` and
@@ -517,10 +534,14 @@ def _compile(terms: Mapping, num_vars: int) -> tuple:
             prev = acc
         return prev
 
-    root = node(terms, num_vars - 1)
+    if isinstance(terms, Mapping):
+        args, result = "zero", node(terms, num_vars - 1)
+    else:
+        roots = [node(component, num_vars - 1) for component in terms]
+        args, result = "zero, scale", "(" + "".join(f"scale * {r}, " for r in roots) + ")"
     names = "".join(f"t{j}, " for j in range(num_vars))
-    source = "\n    ".join([f"def run(point, leaves, zero):\n    {names}= point",
-                           *lines, f"return {root}"])
+    source = "\n    ".join([f"def run(point, leaves, {args}):\n    {names}= point",
+                           *lines, f"return {result}"])
     namespace: dict = {}
     exec(source, namespace)
     return namespace["run"], tuple(coefficients)
@@ -556,6 +577,11 @@ class SeriesMap(_Value):
     @property
     def output_dim(self) -> int:
         return len(self.components)
+
+    @_cached
+    def _plan(self) -> tuple:
+        """The map's one kernel and its coefficients (:func:`_compile`)."""
+        return _compile([c.terms for c in self.components], self.num_vars)
 
     @classmethod
     def identity(cls, num_vars: int, degree_cap: int, mode: str) -> SeriesMap:

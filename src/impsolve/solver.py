@@ -272,13 +272,15 @@ def resolve_linear(raw: SeriesMap) -> EquationSpec:
 
 def _invert(M: list[list], mode: str):
     n = len(M)
-    zero = zero_value(mode)
     one = 1 if mode == EXACT else 1.0
-    work = [list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(M)]
     # an exact inverse does not depend on the pivot order, so both modes
     # take the largest pivot; only float refuses a tiny nonzero one
-    tiny = zero if mode == EXACT else 1e-13
+    tiny = 0 if mode == EXACT else 1e-13
+    if n == 1 and abs(M[0][0]) > tiny:  # the elimination's one division
+        return [[one / M[0][0]]]
+    zero = zero_value(mode)
+    work = [list(row) + [one if i == j else zero for j in range(n)]
+            for i, row in enumerate(M)]
     for col in range(n):
         best, pivot_row = tiny, None
         for r in range(col, n):

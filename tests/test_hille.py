@@ -345,13 +345,38 @@ def test_an_exact_comparison_compiles_its_nearest_kernels_once(monkeypatch):
     assert len(built) == 2
 
 
-def test_a_system_compiles_one_kernel_per_series(monkeypatch):
-    # dim_y + dim_y^2 kernels, one for each component of Psi and of dPsi/dY;
-    # the rounded kernels made that 14 for a 1x2 system
+def test_a_system_compiles_one_kernel_per_map(monkeypatch):
+    # one kernel for Psi and one for dPsi/dY; a kernel per component of
+    # each made that dim_y + dim_y^2 = 6 here, and the rounded kernels 14
     cmp_eq = seeded_pair()
     built = _count_compilations(monkeypatch)
     _answer_everything(cmp_eq, 0.05, 0.4)
-    assert len(built) == cmp_eq.dim_y + cmp_eq.dim_y ** 2 == 6
+    assert len(built) == 2
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 5])
+def test_building_the_kernels_compiles_two_functions(monkeypatch, q):
+    # Y_i = X + Y_{i+1 mod q}^2 + X Y_i: however many unknowns, Psi and
+    # dPsi/dY (its q^2 entries row-major) are one kernel each
+    n = 1 + q
+    cmp_eq = ComparisonEquation(SeriesMap(tuple(Series(n, 3, {
+        tuple(int(k == 0) for k in range(n)): 1.0,
+        tuple(2 * (k == 1 + (i + 1) % q) for k in range(n)): 1.0,
+        tuple(int(k in (0, 1 + i)) for k in range(n)): 1.0}, FLOAT) for i in range(q))))
+    built = _count_compilations(monkeypatch)
+    (psi, leaves), (jac, jac_leaves) = cmp_eq._float_kernels
+    assert len(built) == 2
+    assert [terms for terms, _ in built] == [
+        [c.terms for c in cmp_eq.psi.components],
+        [p.terms for p in cmp_eq._bracket[3].components]]
+    z = (0.5,) + tuple(0.25 * (k + 1) for k in range(q))
+    assert psi(z, leaves, 0.0, 1.0) == tuple(
+        0.5 + z[1 + (i + 1) % q] ** 2 + 0.5 * z[1 + i] for i in range(q))
+    assert jac(z, jac_leaves, 0.0, 1.0) == tuple(
+        (0.5 if i == j else 0.0) + (2 * z[1 + j] if j == (i + 1) % q else 0.0)
+        for i in range(q) for j in range(q))
+    membership(cmp_eq, LatticeVec((0.05,)))
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import impsolve.kantorovich
 from impsolve import (
@@ -847,3 +847,83 @@ def test_an_unknown_that_stays_zero_is_no_witness():
         Series(3, 4, {(1, 0, 1): 16.0, (0, 1, 1): 1.0}, FLOAT))))
     assert membership(cmp_eq, X_at(1.0)).verdict == INSIDE
     assert impsolve.kantorovich._outside(cmp_eq, (1.0,), DEFAULT_BUDGET)[0] is None
+
+
+# ---------------------------------------------------------------------------
+# the float rho decision: J u > u rowwise, in float with a rounding margin,
+# in Fraction only where the margin cannot separate the float sum from e
+
+# 4 products summed up to 0.946379242759552, one float above e, although
+# the exact sum is at most e
+NEAR_TIE = ((0.5124999345029883, 0.12924942760674862, 0.7773971822959025,
+             0.2054852577007612),
+            (0.9497192655214912, 0.4811018174142402, 0.36473604716360064,
+             0.5544011905777411), 0.9463792427595519)
+# three products of 0.6 units of 2^-1074 round to 1 unit each: 3 units
+# above e = 2 units, where the exact sum is 1.8 units
+SUBNORMAL_TIE = ((5e-324,) * 3, (0.6,) * 3, 1e-323)
+# two products rounded up sum to inf, where the exact sum is at most the
+# largest float
+OVERFLOW_TIE = ((1.5101944707739424e+308, 1.4283148294381005e+308),
+                (0.6624230373253103, 0.558214134690467), sys.float_info.max)
+# seeded draws in [0, 1): their products and sums round, where the simple
+# floats and integers a strategy favours are often exact
+FRACTIONS = st.integers(0, 2 ** 32).map(lambda seed: random.Random(seed).random())
+ENTRIES = st.one_of(FRACTIONS, FRACTIONS.map(lambda f: 4 * f), st.sampled_from(
+    [0.0, 5e-324, 3 * 5e-324, sys.float_info.min / 3, sys.float_info.min, 2.0 ** -20]),
+    st.floats(1e307, sys.float_info.max))
+
+
+@st.composite
+def rho_rows(draw):
+    """``(row, u, e)``: n <= 4 non-negative floats each, and ``e`` the
+    least float at or above their exact sum of products, the tie the float
+    sum can overshoot, for generic floats; for subnormal ones, small ones
+    and ones near the top of the range also up to two floats from it.
+    Now and then ``e`` is a subnormal, the least normal or 1 instead."""
+    n, generic = draw(st.integers(1, 4)), draw(st.booleans())
+    row = tuple(draw(FRACTIONS if generic else ENTRIES) for _ in range(n))
+    u = tuple(draw(FRACTIONS if generic else st.sampled_from([5e-324, 0.6, 1.0]))
+              for _ in range(n))
+    exact = sum(Fraction(a) * Fraction(b) for a, b in zip(row, u))
+    e = float(min(exact, Fraction(sys.float_info.max)))
+    k = (0 if generic else draw(st.integers(-2, 2))) + (Fraction(e) < exact)
+    for _ in range(abs(k)):
+        e = math.nextafter(e, math.inf if k > 0 else 0.0)
+    if draw(st.integers(0, 3)) == 0:
+        e = draw(st.sampled_from([5e-324, sys.float_info.min, 1.0]))
+    return row, u, e
+
+
+@settings(max_examples=1000)
+@given(rho_rows())
+@example(NEAR_TIE)
+@example(SUBNORMAL_TIE)
+@example(OVERFLOW_TIE)
+def test_the_float_rho_decision_is_the_fraction_decision(case):
+    # _outside took a witness only where the float sum and then the
+    # Fraction sum exceed e; the float one now decides alone where its
+    # margin does, so it must never accept where Fraction rejects
+    row, u, e = case
+    exact = sum(Fraction(a) * Fraction(b) for a, b in zip(row, u))
+    want = sum(a * b for a, b in zip(row, u)) > e and exact > e
+    assert impsolve.kantorovich._exceeds(row, u, e) is want
+
+
+def test_the_rho_margin_is_needed(monkeypatch):
+    row, u, e = NEAR_TIE
+    assert sum(a * b for a, b in zip(row, u)) > e
+    assert sum(Fraction(a) * Fraction(b) for a, b in zip(row, u)) <= e
+    assert not impsolve.kantorovich._exceeds(row, u, e)
+    monkeypatch.setattr(impsolve.kantorovich, "RHO_ULP", 0.0)
+    assert impsolve.kantorovich._exceeds(row, u, e)
+
+
+def test_a_clear_rho_decision_runs_no_fraction(monkeypatch):
+    # the outside verdict at 1.04 X* checked its witness in Fraction
+    def refused(*args):
+        raise AssertionError("no Fraction sum expected")
+
+    monkeypatch.setattr(impsolve.kantorovich, "Fraction", refused)
+    got = membership(quadratic_comparison(), X_at(0.26))
+    assert got == Membership(OUTSIDE, None, 14, witness=LatticeVec((0.5231682896744576,)))

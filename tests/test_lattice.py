@@ -248,22 +248,22 @@ def test_samples_deterministic_under_seed():
 
 def test_samples_evaluate_psi_once_per_sample(monkeypatch):
     # a value sample evaluates psi(z) and Psi(Z); an increment sample
-    # psi(z + w), psi(z), Psi(Z) and Psi(Z + W).  Every map here has one
-    # component, so each map evaluation is one run of a compiled kernel
-    compiled = Series._plan
+    # psi(z + w), psi(z), Psi(Z) and Psi(Z + W).  Each map evaluation is
+    # one run of the map's compiled kernel, whatever its component count
+    eq = quadratic_equation(mode=FLOAT, sign=-1)
+    cmp_eq = majorant(eq)
+    compiled = {id(m): m._plan for m in (eq.psi, cmp_eq.psi)}
     calls = []
 
     def counting_plan(self):
-        run, coefficients = compiled.__get__(self, Series)
+        run, coefficients = compiled[id(self)]
 
-        def counting(point, leaves, zero):
+        def counting(point, leaves, zero, scale):
             calls.append(point)
-            return run(point, leaves, zero)
+            return run(point, leaves, zero, scale)
         return counting, coefficients
 
-    eq = quadratic_equation(mode=FLOAT, sign=-1)
-    cmp_eq = majorant(eq)
-    monkeypatch.setattr(Series, "_plan", property(counting_plan))
+    monkeypatch.setattr(SeriesMap, "_plan", property(counting_plan))
     check_majorant_samples(eq, cmp_eq, 30, _box(2),
                            check_increments=True, rng=random.Random(5))
     assert len(calls) == 6 * 30

@@ -7,6 +7,7 @@ helpers.py; frozen examples were expanded by hand.
 import hashlib
 import math
 import random
+import struct
 import sys
 from fractions import Fraction
 
@@ -684,22 +685,22 @@ def jacobian_cases(draw):
 @settings(max_examples=300)
 @given(jacobian_cases())
 def test_the_jacobian_lower_bounds_never_exceed_the_exact_partials(case):
-    # _outside reads dPsi/dY as lo times its nearest kernels where the gate
+    # _outside reads dPsi/dY as lo times its nearest kernel where the gate
     # passes and every value is finite, else as its Fraction value rounded
     # down.  A partial's leaf fl(e * c) is one rounding more than Psi's, and
     # fl(3 * 0.1) = 0.30000000000000004 exceeds 3 * Fraction(0.1): both the
     # bracket and the Fraction fallback must start from e * c exactly
     cmp_eq, x, Y = case
     lo, _, floor, partials = cmp_eq._bracket
-    exact = _jacobian(exact_polys(cmp_eq), x + Y, 1)
+    exact = [e for row in _jacobian(exact_polys(cmp_eq), x + Y, 1) for e in row]
     try:
-        (_, jacobian), z = cmp_eq._float_kernels, tuple(map(float, x)) + Y
-        J = [[lo * run(z, leaves, 0.0) for run, leaves in row] for row in jacobian]
+        (_, (jac, leaves)), z = cmp_eq._float_kernels, tuple(map(float, x)) + Y
+        J = jac(z, leaves, 0.0, lo)
     except (ValueError, OverflowError):  # a coefficient or entry beyond the float range
-        J = [[math.inf]]
-    if not (sum(map(sum, J)) < math.inf and min([1.0, *filter(None, z)]) >= floor):
-        J = [list(map(series_module._down, _exact_psi(row, x + Y))) for row in partials]
-    assert all(b <= e for bounds, row in zip(J, exact) for b, e in zip(bounds, row))
+        J = (math.inf,)
+    if not (sum(J) < math.inf and min([1.0, *filter(None, z)]) >= floor):
+        J = tuple(map(series_module._down, _exact_psi(partials, x + Y)))
+    assert len(J) == len(exact) and all(b <= e for b, e in zip(J, exact))
 
 
 @given(st.one_of(st.sampled_from(EDGE_POINTS + EDGE_COEFFICIENTS),
@@ -761,3 +762,36 @@ def test_the_nearest_kernel_is_plain_horner(case):
     assert math.copysign(1, got) == math.copysign(1, want) and got == want
     assert leaves == tuple(terms[a] for a in sorted(terms, key=lambda a: a[::-1],
                                                     reverse=True))
+
+
+@st.composite
+def seeded_maps(draw):
+    """``(components, num_vars, point)``: 1-3 seeded float series in 1-3
+    variables, some empty and some large enough to overflow, and a point."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    n, q = rng.randint(1, 3), rng.randint(1, 3)
+    scale = rng.choice([1.0, 1e3, 1e200])
+    comps = [{tuple(rng.randint(0, 3) for _ in range(n)): rng.uniform(-scale, scale)
+              for _ in range(rng.randint(0, 6))} for _ in range(q)]
+    return comps, n, tuple(rng.uniform(-4, 4) * rng.choice([1.0, 1e100]) for _ in range(n))
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+@given(seeded_maps(), st.sampled_from([1.0, -1.0, 0.5, 1 - 2.0 ** -50]))
+def test_a_map_kernel_runs_each_component_kernel(case, scale):
+    # one kernel per map returns each component's single-series value, bit
+    # for bit, times scale: the same operations in the same order
+    comps, n, point = case
+    run, leaves = series_module._compile(comps, n)
+    singles = [series_module._compile(terms, n) for terms in comps]
+    assert leaves == tuple(c for _, coefficients in singles for c in coefficients)
+    got = run(point, leaves, 0.0, scale)
+    want = [r(point, coefficients, 0.0) for r, coefficients in singles]
+    assert list(map(_bits, got)) == [_bits(scale * v) for v in want]
+    point = tuple(map(Fraction, point))
+    exact = run(point, tuple(map(Fraction, leaves)), Fraction(0), 1)
+    assert exact == tuple(r(point, tuple(map(Fraction, c)), Fraction(0)) for r, c in singles)
+    assert all(type(v) is Fraction for v in exact)

@@ -83,8 +83,8 @@ def _scalar_kernels(cmp: ComparisonEquation) -> tuple[Callable, Callable]:
         raise ValueError(
             "the comparison equation does not depend on X; the graph "
             "solve is ill-posed")
-    return (lambda X, Y: run((X, Y), leaves, 0.0, 1.0)[0],
-            lambda X, Y: run_y((X, Y), leaves_y, 0.0, 1.0)[0])
+    return (lambda X, Y: run((X, Y), leaves, 0.0)[0],
+            lambda X, Y: run_y((X, Y), leaves_y, 0.0)[0])
 
 
 def _bisect(below: Callable[[float], bool], lo: float, hi: float,
@@ -268,8 +268,8 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     q, x = cmp.dim_y, tuple(float(e > 0) for e in dir_entries)
     fed = (0.0,) * q
     for _ in range(q):
-        fed = tuple(float(v != 0) for v in psi(x + fed, [1.0] * len(leaves), 0.0, 1.0))
-    J = jac(x + fed, [1.0] * len(jac_leaves), 0.0, 1.0)
+        fed = tuple(float(v != 0) for v in psi(x + fed, [1.0] * len(leaves), 0.0))
+    J = jac(x + fed, [1.0] * len(jac_leaves), 0.0)
     walk = fed
     for _ in range(q):
         walk = [any(w and J[i * q + j] != 0 for j, w in enumerate(walk)) for i in range(q)]

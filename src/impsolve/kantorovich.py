@@ -42,7 +42,6 @@ DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 10000
 NEWTON_STEPS = 100  # float Newton steps tried before a certificate is checked
 PUSH = 1e-14  # push along v, relative to max Y, floored at the least normal float
-POWER_STEPS = 4  # power steps on I + J per check of an OUTSIDE witness
 RHO_ULP = 2.0 ** -52  # the float rho test's margin per product, as a share of the sum
 
 INSIDE = "inside"
@@ -119,8 +118,8 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
     Y, starts = (0.0,) * q, tuple(enumerate(range(0, q * q, q)))
     for steps in range(1, NEWTON_STEPS + 1):
         z = xf + Y
-        r = tuple(map(sub, psi(z, leaves, 0.0, 1.0), Y))
-        J = jac(z, jac_leaves, 0.0, 1.0)
+        r = tuple(map(sub, psi(z, leaves, 0.0), Y))
+        J = jac(z, jac_leaves, 0.0)
         try:
             inverse = _invert([[(i == j) - e for j, e in enumerate(J[k:k + q])]
                                for i, k in starts], FLOAT)
@@ -149,29 +148,30 @@ def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
     so the iterates Y lie below every fixed point ``mu`` and never overflow,
     until a step settles, moving no entry by more than ``DEFAULT_TOL`` times
     the largest, or the budget ends.  The witness (exact images for an
-    exact ``cmp``) is the first Y, or None, where some ``w >= 0`` on Y's
-    support has ``(J w)_i > w_i`` wherever ``w_i > 0`` in float and exactly
+    exact ``cmp``) is the first Y, or None, where some ``u >= 0`` on Y's
+    support has ``(J u)_i > u_i`` wherever ``u_i > 0`` in float and exactly
     (``_exceeds``), J lower bounds on ``dPsi/dY`` at Y the same way, split
     into rows from the kernel's flat value.  Then ``rho(J) > 1`` there, but
     ``J <= dPsi/dY(mu)``, whose ``rho`` on a least ``mu``'s support is at
     most 1, else ``mu - e v``, v a Perron vector there, is a smaller
     pre-fixed point (Etessami and Yannakakis, JACM 2009).  Checked where the
-    two-step increment grows; w takes power steps on ``I + J`` (no period)
-    from the last check until it settles, and drops entries below ``2^-20``
-    to sit on one block."""
+    two-step increment ``d = Y(p+1) - Y(p-1)`` grows, at u = d / max(d)
+    with entries below ``2^-20`` dropped, to sit on one block: Psi is convex
+    on the orthant, so ``Psi(b) - Psi(a) <= dPsi/dY(b) (b - a)`` for ``a <=
+    b``, the increments follow J to first order, and a growing d is the
+    vector that J maps above itself."""
     lo, _, floor, partials = cmp._bracket
     try:
         ((psi, leaves), (jac, jac_leaves)), xf = cmp._float_kernels, tuple(map(float, x))
     except (ValueError, OverflowError):  # beyond the float range
         psi, xf = None, x
     q = cmp.dim_y
-    before = Y = (0.0,) * q  # the gate checks x once, and Y at every step
+    before2 = before = Y = (0.0,) * q  # the gate checks x once, and Y at every step
     z, fits = xf + Y, (gated := psi and min([1.0, *filter(None, xf)]) >= floor)
-    w, grown = [1.0] * q, 0.0
     # total, the sum of the steps, telescopes to at least max(Y_next) / 2
     # after rounding, so a step above slack * total has not settled and
     # skips max(Y_next), about a tenth of a step's cost
-    total, slack = 0.0, 2 * DEFAULT_TOL
+    total, slack, grown = 0.0, 2 * DEFAULT_TOL, 0.0
     for steps in range(1, budget + 1):
         Y_next = psi(z, leaves, 0.0, lo) if fits else (inf,)
         if not sum(Y_next) < inf:
@@ -180,23 +180,15 @@ def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
         if step <= slack * total and step <= DEFAULT_TOL * max(Y_next):
             break
         growth = max(map(sub, Y_next, before))
-        before, Y = Y, Y_next
+        before2, before, Y = before, Y, Y_next
         z, fits = xf + Y, gated and (min(Y) >= floor or min([1.0, *filter(None, Y)]) >= floor)
         if growth > grown:
             J = jac(z, jac_leaves, 0.0, lo) if fits else (inf,)
-            rows = [J[k:k + q] for k in range(0, q * q, q)]
-            if not sum(map(sum, rows)) < inf:
+            if not sum(J) < inf:
                 J = tuple(map(_down, _exact_psi(partials, x + Y)))
-                rows = [J[k:k + q] for k in range(0, q * q, q)]
-            for _ in range(POWER_STEPS):
-                v = [e + sum(map(mul, row, w)) if y > 0 else 0.0
-                     for e, row, y in zip(w, rows, Y)]
-                if not 0 < (top := max(v)) < inf:
-                    break
-                w, last = [e / top for e in v], w
-                if w == last:
-                    break
-            u = [e if e >= 2 ** -20 and y > 0 else 0.0 for e, y in zip(w, Y)]
+            u = [e if (e := (b - a) / growth) >= 2 ** -20 and b > 0 else 0.0
+                 for a, b in zip(before2, Y)]
+            rows = [J[k:k + q] for k in range(0, q * q, q)]
             if any(u) and all(_exceeds(row, u, e) for row, e in zip(rows, u) if e):
                 return Y if cmp.mode == FLOAT else tuple(map(Fraction, Y)), steps
         grown = growth
@@ -225,7 +217,7 @@ def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float) -> lis
     Y = (0.0,) * cmp.dim_y
     iterates = [Y]
     for _ in range(max_iter):
-        Y_next = psi(x + Y, leaves, 0.0, 1.0)
+        Y_next = psi(x + Y, leaves, 0.0)
         if not all(map(isfinite, Y_next)):
             break
         iterates.append(Y_next)
@@ -288,7 +280,7 @@ def iterate_primal(eq: EquationSpec, x: Sequence[Number], cmp: ComparisonEquatio
     x = tuple(copysign(_down(abs(e)), e) for e in x)
     ys = [(0.0,) * eq.dim_y]
     for _ in range(comp.steps):
-        ys.append(psi(x + ys[-1], leaves, 0.0, 1.0))
+        ys.append(psi(x + ys[-1], leaves, 0.0))
     if eq.mode == EXACT:
         ys = [tuple(map(Fraction, y)) for y in ys]
     return IterationTrace(
@@ -335,7 +327,7 @@ def _pre_fixed(cmp: ComparisonEquation, x: tuple, y: tuple) -> bool:
     lo, hi, floor, _ = cmp._bracket
     try:
         ((psi, leaves), _), z = cmp._float_kernels, tuple(map(float, x + y))
-        v = psi(z, leaves, 0.0, 1.0)
+        v = psi(z, leaves, 0.0)
     except (ValueError, OverflowError):  # beyond the float range
         v = (inf,)
     if sum(v) < inf and min([1.0, *(f for e, f in zip(x + y, z) if e)]) >= floor:
@@ -349,7 +341,7 @@ def _exact_psi(m: SeriesMap, point: tuple) -> tuple:
     """The map ``m`` at ``point`` in ``Fraction``: its kernel on exact
     images of the point and coefficients, which hold any float."""
     run, leaves = m._plan
-    return run(tuple(map(Fraction, point)), tuple(map(Fraction, leaves)), Fraction(0), 1)
+    return run(tuple(map(Fraction, point)), tuple(map(Fraction, leaves)), Fraction(0))
 
 
 def error_bound(trace: IterationTrace, p: int) -> LatticeVec:

@@ -286,7 +286,7 @@ def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,
 
     def values(plan: tuple, z: tuple) -> tuple:
         run, leaves = plan
-        return run(z, leaves, zero, 1)
+        return run(z, leaves, zero)
 
     def compare(kind: str, z: tuple, w: tuple | None, lhs, rhs) -> None:
         for i, (a, b) in enumerate(zip(lhs, rhs)):

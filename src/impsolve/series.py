@@ -28,11 +28,11 @@ exact mode the retained coefficients equal the coefficients of the
 untruncated result; for substitution this holds because the inner series
 are required to vanish at the origin, so discarded cross terms only ever
 feed degrees above the cap.  Evaluation and substitution share one engine:
-a series compiles its Horner plan once into a straight-line function,
-generated from integer indices alone, never from a value (``_compile``);
-a map's one kernel runs every component's plan and returns their values
-in one tuple.  The same nearest kernels also prove: ``_bracket`` bounds
-their rounding on non-negative data, and ``Fraction`` stands in where it cannot.
+a map, or a series as a map of one component, compiles its Horner plans
+once into one straight-line function, generated from integer indices
+alone, never from a value (``_compile``), that returns their values in one
+tuple.  The same nearest kernels also prove: ``_bracket`` bounds their
+rounding on non-negative data, and ``Fraction`` stands in where it cannot.
 
 An exact product multiplies no ``Fraction`` pair by pair: the pair loop
 runs on each operand's integer numerators over the lcm of its
@@ -295,8 +295,10 @@ class Series(_Value):
     def _ring(cls, num_vars: int, degree_cap: int, terms: dict, mode: str) -> Series:
         """A ring result, checked by :func:`_normalised` alone, not ``__post_init__``."""
         out = object.__new__(cls)
-        out.__dict__.update(num_vars=num_vars, degree_cap=degree_cap,
-                            terms=_normalised(terms, mode), mode=mode)
+        _set(out, "num_vars", num_vars)
+        _set(out, "degree_cap", degree_cap)
+        _set(out, "terms", _normalised(terms, mode))
+        _set(out, "mode", mode)
         return out
 
     # -- constructors ---------------------------------------------------
@@ -413,20 +415,16 @@ class Series(_Value):
 
     @_cached
     def _plan(self) -> tuple:
-        """Kernel and coefficients from :func:`_compile`, built on first use;
-        not a field.  A :meth:`with_cap` copy that kept every term uses its
-        source's."""
+        """Kernel and coefficients from :func:`_compile`, as a one-component
+        map's, built on first use; not a field.  A :meth:`with_cap` copy
+        that kept every term uses its source's."""
         source = getattr(self, "_plan_source", self)
-        return _compile(self.terms, self.num_vars) if source is self else source._plan
+        return _compile([self.terms], self.num_vars) if source is self else source._plan
 
     def evaluate(self, point: Sequence[Number]) -> Number:
-        """Horner-style evaluation at a point whose entries match the mode."""
-        if len(point) != self.num_vars:
-            raise ValueError(
-                f"point has {len(point)} entries, series has {self.num_vars} variables")
-        coords = [coerce_value(c, self.mode) for c in point]
-        run, coefficients = self._plan
-        return run(coords, coefficients, zero_value(self.mode))
+        """Horner-style evaluation at a point whose entries match the mode:
+        the one value of :meth:`SeriesMap.evaluate` on this series' kernel."""
+        return SeriesMap.evaluate(self, point)[0]
 
     # -- serialization --------------------------------------------------
 
@@ -499,10 +497,10 @@ def _bracket(series: Sequence[Series]) -> tuple:
     return 1 - g, 1 + g, max(sys.float_info.min, 2 ** ((-1000 - math.log2(c or 5e-324)) / deg))
 
 
-def _compile(terms: Mapping | Sequence[Mapping], num_vars: int) -> tuple:
-    """Kernel ``run(point, leaves, zero)`` of one series' *terms*, or
-    ``run(point, leaves, zero, scale)``, the tuple of ``scale`` times each
-    value, of a map's sequence of them, and its coefficients, in turn.
+def _compile(terms: Sequence[Mapping], num_vars: int) -> tuple:
+    """Kernel ``run(point, leaves, zero, scale=None)`` of a map's sequence of
+    term sets, the tuple of each component's value, times ``scale`` where it
+    is given, and its coefficients, in turn.
 
     Nested Horner form: a node of variable ``j`` starts from ``zero`` and,
     from the top power of ``x_j`` down to 0, multiplies by ``point[j]`` and
@@ -534,14 +532,12 @@ def _compile(terms: Mapping | Sequence[Mapping], num_vars: int) -> tuple:
             prev = acc
         return prev
 
-    if isinstance(terms, Mapping):
-        args, result = "zero", node(terms, num_vars - 1)
-    else:
-        roots = [node(component, num_vars - 1) for component in terms]
-        args, result = "zero, scale", "(" + "".join(f"scale * {r}, " for r in roots) + ")"
+    roots = [node(component, num_vars - 1) for component in terms]
     names = "".join(f"t{j}, " for j in range(num_vars))
-    source = "\n    ".join([f"def run(point, leaves, {args}):\n    {names}= point",
-                           *lines, f"return {result}"])
+    values, scaled = ("".join(f"{times}{r}, " for r in roots) for times in ("", "scale * "))
+    source = "\n    ".join([f"def run(point, leaves, zero, scale=None):\n    {names}= point",
+                           *lines, f"if scale is None:\n        return ({values})",
+                           f"return ({scaled})"])
     namespace: dict = {}
     exec(source, namespace)
     return namespace["run"], tuple(coefficients)
@@ -597,7 +593,13 @@ class SeriesMap(_Value):
         return SeriesMap(tuple(comp.with_cap(degree_cap) for comp in self.components))
 
     def evaluate(self, point: Sequence[Number]) -> tuple[Number, ...]:
-        return tuple(comp.evaluate(point) for comp in self.components)
+        """The values at a point whose entries match the mode, in one run of
+        the map's kernel."""
+        if len(point) != self.num_vars:
+            raise ValueError(f"point has {len(point)} entries, expected {self.num_vars}")
+        run, coefficients = self._plan
+        return run([coerce_value(c, self.mode) for c in point], coefficients,
+                   zero_value(self.mode))
 
 
 def compose_series(outer: Series, inner: Sequence[Series]) -> Series:
@@ -631,7 +633,7 @@ def compose_series(outer: Series, inner: Sequence[Series]) -> Series:
     run, coefficients = outer._plan
     n, cap = base.num_vars, base.degree_cap
     leaves = [Series._ring(n, cap, {(0,) * n: v}, base.mode) for v in coefficients]
-    return run(inner, leaves, Series._ring(n, cap, {}, base.mode))
+    return run(inner, leaves, Series._ring(n, cap, {}, base.mode))[0]
 
 
 def series_compose(outer: SeriesMap, inner: SeriesMap) -> SeriesMap:

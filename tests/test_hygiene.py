@@ -282,3 +282,25 @@ def test_every_exception_is_raised_in_a_test():
     for path in sorted((ROOT / "tests").rglob("*.py")):
         raised |= _raised_names(path.read_text(encoding="utf-8"))
     assert sorted(defined - raised) == []
+
+
+def _instance_dicts(source: str) -> list[int]:
+    """Lines that read or write an object's ``__dict__``; comments and
+    docstrings are not code, so they do not count."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "__dict__"]
+
+
+def test_instance_dict_use_is_detected():
+    source = ('"""Fields kept out of __dict__."""\n'
+              "out = object()  # not out.__dict__\n"
+              "out.__dict__.update(a=1)\n")
+    assert _instance_dicts(source) == [3]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=_path_id)
+def test_no_module_touches_an_instance_dict(path):
+    # a write through __dict__ moves every field of the instance out of
+    # line, and CPython 3.11 then reads each field more slowly;
+    # series._set keeps the fields inline
+    assert _instance_dicts(path.read_text(encoding="utf-8")) == []

@@ -809,14 +809,16 @@ def test_a_ray_bracket_ends_outside_past_a_large_fixed_point():
 
 def test_a_reducible_system_is_outside_on_one_block():
     # Y1 = X^2 Y1 / 8 + X^2 / 4 converges on its own; Y0 = Y1^3 / 4 + Y0^2 Y1
-    # + 3 Y0 Y1 has dY0'/dY0 >= 3 Y1 > 1 at X = 1.08, so w sits on Y0 alone.
-    # The divergence test needed 33 steps and Y0 = 2.4e14
+    # + 3 Y0 Y1 has dY0'/dY0 >= 3 Y1 > 1 at X = 1.08.  The test vector, the
+    # two-step increment, keeps Y1's entry until it falls below 2^-20 of
+    # Y0's, at step 11, and then sits on Y0 alone.  The divergence test
+    # needed 33 steps and Y0 = 2.4e14
     cmp_eq = ComparisonEquation(SeriesMap((
         Series(3, 6, {(0, 0, 3): 0.25, (0, 2, 1): 1.0, (0, 1, 1): 3.0}, FLOAT),
         Series(3, 6, {(2, 0, 1): 0.125, (2, 0, 0): 0.25}, FLOAT))))
     got = membership(cmp_eq, X_at(1.08))
-    assert got == Membership(OUTSIDE, None, 10, witness=LatticeVec(
-        (0.10035370996583055, 0.34137204253594683)))
+    assert got == Membership(OUTSIDE, None, 11, witness=LatticeVec(
+        (0.11615720208592294, 0.34137204380174)))
     assert expands(exact_polys(cmp_eq), (1.08,), got.witness.entries)
     assert fixed_point_oracle(exact_polys(cmp_eq), (1.08,))[1] is None
 

@@ -258,7 +258,7 @@ def test_samples_evaluate_psi_once_per_sample(monkeypatch):
     def counting_plan(self):
         run, coefficients = compiled[id(self)]
 
-        def counting(point, leaves, zero, scale):
+        def counting(point, leaves, zero, scale=None):
             calls.append(point)
             return run(point, leaves, zero, scale)
         return counting, coefficients

@@ -643,7 +643,7 @@ def test_rounded_kernels_bracket_the_exact_value(case):
     try:
         run, leaves = series_module._nearest_plan(s)
         z = tuple(map(float, point))
-        v = run(z, leaves, 0.0)
+        (v,) = run(z, leaves, 0.0)
     except (ValueError, OverflowError):  # a coefficient or entry beyond the float range
         v = math.inf
     if v < math.inf and min([1.0, *(f for e, f in zip(point, z) if e)]) >= floor:
@@ -711,8 +711,8 @@ def test_down_picks_the_float_below(value):
     assert down == sys.float_info.max or math.nextafter(down, math.inf) > value
 
 
-# the source _compile generates for Y = X + Y^2
-NEAREST_SOURCE = """def run(point, leaves, zero):
+# the source _compile generates for Y = X + Y^2, a map of one component
+NEAREST_SOURCE = """def run(point, leaves, zero, scale=None):
     t0, t1, = point
     a1 = zero * t0 + leaves[0]
     a0 = zero * t1 + a1
@@ -720,7 +720,9 @@ NEAREST_SOURCE = """def run(point, leaves, zero):
     a2 = zero * t0 + leaves[1]
     a2 = a2 * t0
     a0 = a0 * t1 + a2
-    return a0"""
+    if scale is None:
+        return (a0, )
+    return (scale * a0, )"""
 
 
 def _reference_horner(terms, var, point):
@@ -743,7 +745,7 @@ def _reference_horner(terms, var, point):
 def test_the_nearest_kernel_source_is_unchanged():
     namespace = {}
     exec(NEAREST_SOURCE, namespace)
-    run, leaves = series_module._compile({(1, 0): 1.0, (0, 2): 1.0}, 2)
+    run, leaves = series_module._compile([{(1, 0): 1.0, (0, 2): 1.0}], 2)
     # the flags differ only by the modules' __future__ imports
     for field in ("co_code", "co_consts", "co_names", "co_varnames"):
         assert getattr(run.__code__, field) == getattr(namespace["run"].__code__, field)
@@ -756,8 +758,8 @@ def test_the_nearest_kernel_source_is_unchanged():
     st.tuples(*[st.floats(-4, 4)] * n))))
 def test_the_nearest_kernel_is_plain_horner(case):
     terms, point = case
-    run, leaves = series_module._compile(terms, len(point))
-    got = run(point, leaves, 0.0)
+    run, leaves = series_module._compile([terms], len(point))
+    (got,) = run(point, leaves, 0.0)
     want = _reference_horner(terms, len(point) - 1, point)
     assert math.copysign(1, got) == math.copysign(1, want) and got == want
     assert leaves == tuple(terms[a] for a in sorted(terms, key=lambda a: a[::-1],
@@ -782,16 +784,18 @@ def _bits(value):
 
 @given(seeded_maps(), st.sampled_from([1.0, -1.0, 0.5, 1 - 2.0 ** -50]))
 def test_a_map_kernel_runs_each_component_kernel(case, scale):
-    # one kernel per map returns each component's single-series value, bit
-    # for bit, times scale: the same operations in the same order
+    # one kernel per map returns each component's plain Horner value, bit
+    # for bit, and times scale where it is given: the same operations in
+    # the same order
     comps, n, point = case
     run, leaves = series_module._compile(comps, n)
-    singles = [series_module._compile(terms, n) for terms in comps]
+    singles = [series_module._compile([terms], n) for terms in comps]
     assert leaves == tuple(c for _, coefficients in singles for c in coefficients)
+    want = [_reference_horner(terms, n - 1, point) for terms in comps]
+    assert list(map(_bits, run(point, leaves, 0.0))) == list(map(_bits, want))
     got = run(point, leaves, 0.0, scale)
-    want = [r(point, coefficients, 0.0) for r, coefficients in singles]
     assert list(map(_bits, got)) == [_bits(scale * v) for v in want]
     point = tuple(map(Fraction, point))
-    exact = run(point, tuple(map(Fraction, leaves)), Fraction(0), 1)
-    assert exact == tuple(r(point, tuple(map(Fraction, c)), Fraction(0)) for r, c in singles)
+    exact = run(point, tuple(map(Fraction, leaves)), Fraction(0))
+    assert exact == tuple(r(point, tuple(map(Fraction, c)), Fraction(0))[0] for r, c in singles)
     assert all(type(v) is Fraction for v in exact)

@@ -14,6 +14,8 @@ against the library:
   tested against the oracle's lower bound on the least fixed point ``Y*``;
 - ``outside`` is not contradicted by a pre-fixed point the oracle verified,
   and ``dPsi/dY`` has spectral radius above 1 exactly at its witness;
+- ``outside`` is found, not only true: at every X the oracle proves outside
+  with a margin, X / 1.1 outside, ``membership`` answers ``outside``;
 - ``certificate_check`` is the exact decision ``is_pre_fixed``, at drawn
   witnesses and at the least fixed point and one ulp either side of it.
 
@@ -30,7 +32,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import inf, nextafter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from impsolve import (COMPONENTWISE, EXACT, FLOAT, INSIDE, OUTSIDE,
                       ComparisonEquation, DomainError, EquationSpec,
@@ -89,6 +91,19 @@ def systems(draw):
     return _comparison(terms, mode), X, tol
 
 
+@st.composite
+def crossing_systems(draw):
+    """``(cmp, X)``: a positive system whose every ray crosses the boundary
+    (``_crossing``), in either mode, and a point X > 0."""
+    mode = draw(st.sampled_from([EXACT, FLOAT]))
+    value = Fraction if mode == EXACT else float
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    terms = _crossing(draw, _terms(draw, p, q, dyadics), p, dyadics)
+    X = tuple(value(Fraction(k, 64)) for k in draw(
+        st.lists(st.integers(1, 64), min_size=p, max_size=p)))
+    return _comparison(terms, mode), X
+
+
 def _bounds_cover_the_tail(polys, X, trace):
     """The trace's inside claim and bounds against the exact oracle."""
     lower, _, outside = fixed_point_oracle(polys, X)
@@ -114,6 +129,20 @@ def test_membership_claims_hold(case):
     if got.verdict == OUTSIDE:
         assert upper is None
         assert expands(polys, X, got.witness.entries)
+
+
+@settings(max_examples=100)
+@given(crossing_systems())
+def test_a_point_well_outside_is_found_outside(case):
+    # the oracle proves X / 1.1 outside, so X is outside by a tenth: the
+    # spectral test on the Kleene loop's own increments must find a witness
+    # within the budget, not only never claim a false one
+    cmp_eq, X = case
+    polys = exact_polys(cmp_eq)
+    assume(fixed_point_oracle(polys, tuple(Fraction(e) / Fraction(11, 10) for e in X))[2])
+    got = membership(cmp_eq, LatticeVec(X), BUDGET)
+    assert got.verdict == OUTSIDE
+    assert expands(polys, X, got.witness.entries)
 
 
 @settings(max_examples=200)

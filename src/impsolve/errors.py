@@ -11,5 +11,5 @@ class DomainError(RuntimeError):
 
     Raised, for example, when a convergence certificate is requested at a
     point where the comparison iteration diverges, or when a linear
-    resolvent does not exist because the matrix to invert is singular.
+    resolvent does not exist because the matrix to solve with is singular.
     """

@@ -221,21 +221,18 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     every ``inside`` and ``outside`` is checked against the exact Psi.
 
     The ray is unbounded, with ``t_inside`` from the halving search, exactly
-    when the unknowns it feeds have no dependency cycle: then the least
-    fixed point is a polynomial in ``t``.  Along a cycle each entry of
-    ``dPsi/dY`` holds ``x`` or a fed unknown, as no term is linear in Y
-    alone, so the cycle's product, a lower bound on ``rho(dPsi/dY)``, passes
-    1 as ``t`` grows, where a least fixed point has ``rho <= 1`` on its
-    support (Etessami and Yannakakis, JACM 2009).  The fed set is ``dim_y``
-    Kleene steps at ``x``, ``Y`` in {0, 1}, where a kernel with every leaf
-    1.0 is nonzero exactly when a term lives on the ones, however small its
-    coefficient, and a cycle on it is a walk of length ``dim_y`` in the
-    pattern of ``dPsi/dY``.  The doubling search then runs to an ``outside``
-    verdict, raising ``DomainError`` past the largest finite probe.
+    when the unknowns it feeds have no dependency cycle
+    (``ComparisonEquation._support`` at the direction's support): then the
+    least fixed point is a polynomial in ``t``.  Along a cycle each entry
+    of ``dPsi/dY`` holds ``x`` or a fed unknown, as no term is linear in Y
+    alone, so the cycle's product, a lower bound on ``rho(dPsi/dY)``,
+    passes 1 as ``t`` grows, where a least fixed point has ``rho <= 1`` on
+    its support (Etessami and Yannakakis, JACM 2009).  The doubling search
+    then runs to an ``outside`` verdict, raising ``DomainError`` past the
+    largest finite probe.
     """
     check_comparison(cmp)
     check_tol(tol)
-    (psi, leaves), (jac, jac_leaves) = cmp._float_kernels
     if not isinstance(direction, LatticeVec):
         direction = LatticeVec(tuple(direction))
     if direction.dimension != cmp.dim_x:
@@ -249,6 +246,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
         raise ValueError("direction must be non-negative and nonzero")
     if not all(map(isfinite, dir_entries)):
         raise ValueError(f"direction must be finite, got {direction}")
+    _, cyclic = cmp._support(tuple(map(bool, dir_entries)))
 
     image = Fraction if cmp.mode == EXACT else float
 
@@ -265,15 +263,7 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     t_in = 1.0
     while t_in > 0 and not inside(t_in):
         t_in *= 0.5
-    q, x = cmp.dim_y, tuple(float(e > 0) for e in dir_entries)
-    fed = (0.0,) * q
-    for _ in range(q):
-        fed = tuple(float(v != 0) for v in psi(x + fed, [1.0] * len(leaves), 0.0))
-    J = jac(x + fed, [1.0] * len(jac_leaves), 0.0)
-    walk = fed
-    for _ in range(q):
-        walk = [any(w and J[i * q + j] != 0 for j, w in enumerate(walk)) for i in range(q)]
-    if not any(walk):
+    if not cyclic:
         return RayRadius(t_inside=t_in, t_outside=None, unbounded=True)
 
     top = nextafter(float_info.max / max(1.0, *dir_entries), 0.0)  # keeps every t * e finite

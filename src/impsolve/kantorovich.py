@@ -27,7 +27,7 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 from math import copysign, inf, isfinite
-from operator import add, le, mul, sub
+from operator import le, mul, sub
 from sys import float_info
 from typing import IO, NamedTuple, Sequence
 
@@ -36,7 +36,7 @@ from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_compar
                       check_majorant_shape, norm)
 from .series import (EXACT, FLOAT, Number, SeriesMap, _down, _float, _nearest_plan,
                      coerce_value, format_value)
-from .solver import _invert
+from .solver import _solve
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 10000
@@ -100,44 +100,47 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
     """``(Y~, steps)`` with ``Y~ >= Psi(x, Y~)`` proved at the checked point
     ``x``, or None.
 
-    Float Newton from 0 (Etessami and Yannakakis, JACM 2009): each step
-    solves ``(I - J) d = Psi(x, Y) - Y``, ``J`` the Jacobian in Y, until no
-    entry rises.  Below the least fixed point ``I - J`` is a nonsingular
-    M-matrix, so ``v = (I - J)^-1 * 1 >= 1``, and to first order
-    ``Psi(x, Y + e v) = Y + e v + (Psi(x, Y) - Y) - e``: pushed along ``v``
-    by ``e = PUSH * max(max Y, float_info.min)``, relative as rounding is,
-    a float fixed point becomes a pre-fixed point.  Only the one check,
-    ``_pre_fixed``, decides, so a singular or non-finite step just gives None.
+    Float Newton from 0 (Etessami and Yannakakis, JACM 2009) on the unknowns
+    that x feeds (``ComparisonEquation._support``), the rest held at exact
+    0, which the least fixed point is there; with none fed, Y~ = 0 after 0
+    steps.  Each step solves ``(I - J) [d, v] = [Psi(x, Y) - Y, 1]``, ``J``
+    the Jacobian in Y on the fed block, until no entry rises.  Below the
+    least fixed point ``I - J`` is a nonsingular M-matrix, so ``v >= 1``,
+    and to first order ``Psi(x, Y + e v) = Y + e v + (Psi(x, Y) - Y) - e``:
+    pushed along ``v`` by ``e = PUSH * max(max Y, float_info.min)``,
+    relative as rounding is, a float fixed point becomes a pre-fixed point.
+    Only the one check, ``_pre_fixed``, decides, so a singular or
+    non-finite step just gives None.
     """
     try:
         (psi, leaves), (jac, jac_leaves) = cmp._float_kernels
         xf = tuple(map(float, x))
     except (ValueError, OverflowError):  # beyond the float range
         return None
+    fed, _ = cmp._support(tuple(map(bool, x)))
     q = cmp.dim_y
-    Y, starts = (0.0,) * q, tuple(enumerate(range(0, q * q, q)))
-    for steps in range(1, NEWTON_STEPS + 1):
-        z = xf + Y
-        r = tuple(map(sub, psi(z, leaves, 0.0), Y))
-        J = jac(z, jac_leaves, 0.0)
+    rows, Y, steps, v = [(i, i * q) for i in fed], [0.0] * q, 0, ()
+    for steps in range(1, NEWTON_STEPS + 1) if fed else ():
+        z = xf + tuple(Y)
+        value, J = psi(z, leaves, 0.0), jac(z, jac_leaves, 0.0)
         try:
-            inverse = _invert([[(i == j) - e for j, e in enumerate(J[k:k + q])]
-                               for i, k in starts], FLOAT)
+            d, v = zip(*_solve([[(i == j) - J[k + j] for j in fed] for i, k in rows],
+                               [[value[i] - Y[i], 1.0] for i in fed], FLOAT))
         except DomainError:
             return None
-        d = [sum(map(mul, row, r)) for row in inverse]
-        Y_next = tuple(map(add, Y, d))
+        Y_next = Y.copy()
+        for i, e in zip(fed, d):
+            Y_next[i] += e
         if not max(d) > 0 or Y_next == Y:
             break
         Y = Y_next
-    # never push down: Y = 4XY stops at its fixed point 0, where J = 4X may
-    # exceed 1; the floor keeps a push there and for a subnormal Y
-    push = PUSH * max(float_info.min, *Y)
-    Y_tilde = tuple(y + push * max(sum(row), 0.0) for y, row in zip(Y, inverse))
+    # never push down; the floor keeps a push where every fed entry is 0 or subnormal
+    push, Y_tilde = PUSH * max(float_info.min, *Y), Y
+    for i, e in zip(fed, v):
+        Y_tilde[i] += push * max(e, 0.0)
     if not all(0 <= e < inf for e in Y_tilde):
         return None
-    if cmp.mode == EXACT:
-        Y_tilde = tuple(map(Fraction, Y_tilde))
+    Y_tilde = tuple(map(Fraction, Y_tilde) if cmp.mode == EXACT else Y_tilde)
     return (Y_tilde, steps) if _pre_fixed(cmp, x, Y_tilde) else None
 
 

@@ -10,7 +10,8 @@ profile, how the vectors of one side are measured, is its kind alone:
 stores.  This module owns the small vector lattice used for that
 bookkeeping, the equation containers and their file format, and the
 construction of the dominating comparison equation, which keeps two map
-kernels, of Psi and of ``dPsi/dY`` (``_float_kernels``), as its float engine.
+kernels, of Psi and of ``dPsi/dY`` (``_float_kernels``), as its float engine,
+and which unknowns each support of x feeds (``_support``), as every search's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SpecFormatError
 from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _bracket, _cached, _nearest_plan,
-                     _set, _Value, coerce_value, format_value, parse_value, zero_value)
+                     _set, _up, _Value, coerce_value, format_value, parse_value, zero_value)
 
 SCALAR = "scalar"
 COMPONENTWISE = "componentwise"
@@ -136,6 +137,27 @@ class ComparisonEquation(EquationSpec):
                     raise ValueError(
                         f"component {i} has a negative coefficient at "
                         f"{tuple(gamma)}: not of positive type")
+        _set(self, "_supports", {})  # _support's, by pattern: a Series is unhashable
+
+    def _support(self, pattern: tuple) -> tuple:
+        """``(fed, cyclic)`` at every x nonzero exactly where ``pattern`` is
+        true: the unknowns that some chain of terms reaches from x's
+        support, in order, all others being 0 in every Kleene iterate, and
+        whether ``dPsi/dY`` has a cycle on them, a walk of length ``dim_y``
+        in its pattern.  The fed set is ``dim_y`` Kleene steps at ``x``,
+        ``Y`` in {0, 1}, where a kernel with every leaf 1.0 is nonzero
+        exactly when a term lives on the ones, however small its
+        coefficient; it is closed under one step.  Kept per pattern."""
+        if (got := self._supports.get(pattern)) is None:
+            (psi, leaves), (jac, jac_leaves) = self._float_kernels
+            q, fed = self.dim_y, (0.0,) * self.dim_y
+            for _ in range(q):
+                fed = tuple(float(v != 0) for v in psi(pattern + fed, [1.0] * len(leaves), 0.0))
+            J, walk = jac(pattern + fed, [1.0] * len(jac_leaves), 0.0), fed
+            for _ in range(q):
+                walk = [any(w and J[i * q + j] for j, w in enumerate(walk)) for i in range(q)]
+            got = self._supports[pattern] = tuple(i for i in range(q) if fed[i]), any(walk)
+        return got
 
     @_cached
     def _float_kernels(self) -> tuple:
@@ -189,23 +211,26 @@ def majorant(eq: EquationSpec) -> ComparisonEquation:
     ``|x^alpha| <= |x|^|alpha|`` in the max norm: an aggregate x side sums
     the coefficient moduli over ``alpha`` of equal ``|alpha|``; an aggregate
     y side sums over ``beta`` of equal ``|beta|`` and keeps the largest sum
-    of any output component, a bound coarser than the operator norm.
+    of any output component, a bound coarser than the operator norm.  The
+    sums are exact, and in float mode each is then rounded up, so a
+    rounded sum never falls below the moduli it bounds.
     """
     if AGGREGATE not in (eq.profile_x, eq.profile_y):
         return ComparisonEquation(map_abs(eq.psi))
     p = eq.dim_x
     fold_x, fold_y = eq.profile_x == AGGREGATE, eq.profile_y == AGGREGATE
-    zero = zero_value(eq.mode)
     sums: list[dict[tuple, Number]] = []
     for comp in eq.psi.components:
-        acc: dict[tuple, Number] = {}
+        acc: dict[tuple, Fraction] = {}
         for gamma, value in comp.terms.items():
             alpha, beta = gamma[:p], gamma[p:]
             key = ((sum(alpha),) if fold_x else alpha) + ((sum(beta),) if fold_y else beta)
-            acc[key] = acc.get(key, zero) + abs(value)
+            acc[key] = acc.get(key, 0) + abs(Fraction(value))
         sums.append(acc)
     if fold_y:  # the first largest sum, keys in order of first appearance
         sums = [{k: max(acc[k] for acc in sums if k in acc) for acc in sums for k in acc}]
+    if eq.mode == FLOAT:
+        sums = [{k: _up(v) for k, v in acc.items()} for acc in sums]
     num_vars = sum(_comparison_dims(eq))
     return ComparisonEquation(SeriesMap(tuple(
         Series(num_vars, eq.degree_cap, acc, eq.mode) for acc in sums)))

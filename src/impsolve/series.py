@@ -480,6 +480,12 @@ def _down(value: Number) -> float:
     return f if f <= value else f - 5e-324 if f <= sys.float_info.min else f * (1 - 2 ** -53)
 
 
+def _up(value: Number) -> float:
+    """The least float at least ``value``, inf above the float range."""
+    f = float(min(value, sys.float_info.max))
+    return f if f >= value else math.nextafter(f, math.inf)
+
+
 def _bracket(series: Sequence[Series]) -> tuple:
     """``(lo, hi, floor)``: ``lo*v <= exact <= hi*v``, each product rounded,
     for the nearest value v of a kernel of *series* at a point rounded to

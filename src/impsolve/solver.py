@@ -229,74 +229,50 @@ def resolve_linear(raw: SeriesMap) -> EquationSpec:
     Given ``y = raw(x, y)`` where ``raw`` carries a linear block ``L`` in
     the y variables, its last ``raw.output_dim`` ones, rewrite it as
     ``y = (I - L)^{-1} (raw - L y)`` so the result satisfies the
-    no-linear-y normal form.  ``I - L`` is inverted by Gauss-Jordan
-    elimination with partial pivoting, over the rationals in exact mode.
-    A singular ``I - L`` is an error, and in float mode so is one whose
-    best pivot is at most 1e-13.  The result carries componentwise norm
-    profiles, and ``EquationSpec`` refuses it if ``raw`` has a constant term.
+    no-linear-y normal form.  One ``_solve`` of ``(I - L) C = B``, B the
+    non-linear coefficients, one column per term, gives every new
+    coefficient, over the rationals in exact mode.  A singular
+    ``I - L`` is an error, and in float mode so is one whose best pivot is
+    at most 1e-13.  The result carries componentwise norm profiles, and
+    ``EquationSpec`` refuses it if ``raw`` has a constant term.
     """
     q = raw.output_dim
     p = raw.num_vars - q
     mode = raw.mode
     zero = zero_value(mode)
     one = 1 if mode == EXACT else 1.0
-
-    def unit_gamma(j: int) -> tuple[int, ...]:
-        return (0,) * p + tuple(1 if k == j else 0 for k in range(q))
-
-    L = [[raw.components[i].terms.get(unit_gamma(j), zero) for j in range(q)]
-         for i in range(q)]
-    M = [[(one if i == j else zero) - L[i][j] for j in range(q)]
-         for i in range(q)]
-    Minv = _invert(M, mode)
-
-    linear_gammas = {unit_gamma(j) for j in range(q)}
-    gammas = set()
-    for comp in raw.components:
-        for gamma in comp.terms:
-            g = tuple(gamma)
-            if g not in linear_gammas:
-                gammas.add(g)
-    term_dicts: list[dict[tuple, Number]] = [{} for _ in range(q)]
-    for gamma in gammas:
-        col = [comp.coefficient(gamma) for comp in raw.components]
-        for i in range(q):
-            acc = zero
-            for j in range(q):
-                acc = acc + Minv[i][j] * col[j]
-            if acc != zero:
-                term_dicts[i][gamma] = acc
-    comps = tuple(Series(p + q, raw.degree_cap, d, mode) for d in term_dicts)
+    units = [(0,) * p + tuple(int(k == j) for k in range(q)) for j in range(q)]
+    M = [[(one if i == j else zero) - comp.terms.get(unit, zero)
+          for j, unit in enumerate(units)] for i, comp in enumerate(raw.components)]
+    gammas = sorted({g for comp in raw.components for g in comp.terms} - set(units))
+    B = [[comp.coefficient(g) for g in gammas] for comp in raw.components]
+    comps = tuple(Series(p + q, raw.degree_cap, dict(zip(gammas, row)), mode)
+                  for row in _solve(M, B, mode))
     return EquationSpec(SeriesMap(comps), COMPONENTWISE, COMPONENTWISE)
 
 
-def _invert(M: list[list], mode: str):
+def _solve(M: list[list], B: list[list], mode: str) -> list[list]:
+    """X with ``M X = B``, by Gauss-Jordan elimination on ``[M | B]`` with
+    partial pivoting, each pivot row scaled by the reciprocal ``one / pivot``.
+    A singular M raises ``DomainError``, and in float mode so does one whose
+    best pivot is at most 1e-13."""
     n = len(M)
     one = 1 if mode == EXACT else 1.0
-    # an exact inverse does not depend on the pivot order, so both modes
+    # an exact solution does not depend on the pivot order, so both modes
     # take the largest pivot; only float refuses a tiny nonzero one
     tiny = 0 if mode == EXACT else 1e-13
-    if n == 1 and abs(M[0][0]) > tiny:  # the elimination's one division
-        return [[one / M[0][0]]]
-    zero = zero_value(mode)
-    work = [list(row) + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(M)]
+    if n == 1 and abs(M[0][0]) > tiny:  # the elimination's one reciprocal
+        inv = one / M[0][0]
+        return [[b * inv for b in B[0]]]
+    work = [list(row) + list(rhs) for row, rhs in zip(M, B)]
     for col in range(n):
-        best, pivot_row = tiny, None
-        for r in range(col, n):
-            mag = abs(work[r][col])
-            if mag > best:
-                best, pivot_row = mag, r
-        if pivot_row is None:
-            raise DomainError(
-                "the linear part cannot be resolved: I - L is singular")
+        pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))  # the first largest
+        if not abs(work[pivot_row][col]) > tiny:
+            raise DomainError("the linear part cannot be resolved: I - L is singular")
         work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [v / pivot for v in work[col]]
+        inv = one / work[col][col]
+        work[col] = [v * inv for v in work[col]]
         for r in range(n):
-            if r == col:
-                continue
-            factor = work[r][col]
-            if factor != zero:
+            if r != col and (factor := work[r][col]) != 0:
                 work[r] = [a - factor * b for a, b in zip(work[r], work[col])]
     return [row[n:] for row in work]

@@ -82,12 +82,19 @@ def test_foreign_import_is_detected():
     assert _foreign_imports(source) == ["line 2: numpy", "line 5: hypothesis"]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py"))
+# perfbench's modules besides its tests, which a script may import as it may the package
+BENCH_MODULES = sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                       if not p.name.startswith("test_"))
+FIRST_PARTY = ("impsolve", *(p.stem for p in BENCH_MODULES))
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + BENCH_MODULES
                          + sorted((ROOT / "scripts").glob("*.py")), ids=_path_id)
 def test_runtime_is_stdlib_only(path):
-    # every shipped file: the package, and the scripts, which may import it
+    # every shipped file: the package, perfbench's modules, and the scripts,
+    # which may import both
     assert [f for f in _foreign_imports(path.read_text(encoding="utf-8"))
-            if not re.search(r": impsolve(\.|$)", f)] == []
+            if not re.search(rf": ({'|'.join(FIRST_PARTY)})(\.|$)", f)] == []
 
 
 def _definitions(tree: ast.AST) -> list[tuple[str, int, bool]]:

@@ -851,6 +851,23 @@ def test_an_unknown_that_stays_zero_is_no_witness():
     assert impsolve.kantorovich._outside(cmp_eq, (1.0,), DEFAULT_BUDGET)[0] is None
 
 
+@pytest.mark.parametrize("X", [2.0, 8.0])
+def test_unknowns_that_no_term_feeds_are_held_at_zero(X):
+    # no term of random_comparison(Random(10)) is free of Y, so its least
+    # fixed point is 0 at every X; Newton over every unknown pushed Y off 0,
+    # where dPsi/dY has rho > 1, and membership answered unresolved after 1 step
+    cmp_eq = random_comparison(random.Random(10))
+    assert membership(cmp_eq, X_at(X)) == Membership(INSIDE, LatticeVec((0.0, 0.0)), 0)
+
+
+def test_a_singular_step_on_an_unfed_unknown_is_never_taken():
+    # Y = 1.5 X Y^2 + 0.5 X Y has J(0) = 1 at X = 2: the first Newton step
+    # met a singular I - J and the certificate failed, though Y* = 0
+    cmp_eq = scalar_comparison({(1, 2): 1.5, (1, 1): 0.5})
+    assert membership(cmp_eq, X_at(2.0)) == Membership(INSIDE, LatticeVec((0.0,)), 0)
+    assert radius_along_ray(cmp_eq, X_at(1.0)).unbounded
+
+
 # ---------------------------------------------------------------------------
 # the float rho decision: J u > u rowwise, in float with a rounding margin,
 # in Fraction only where the margin cannot separate the float sum from e

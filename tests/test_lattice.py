@@ -114,6 +114,15 @@ def test_majorant_aggregate_takes_largest_component_sum():
     assert dict(cmp_eq.psi.components[0].terms) == {(0, 2): 3.0, (1, 0): 1.0}
 
 
+def test_an_aggregate_float_sum_rounds_up():
+    # psi = x0 + 2^-53 x1 + y^2 with an aggregate x side: |x0| + 2^-53 |x1|
+    # <= (1 + 2^-53) X, whose nearest float 1.0 fell below the sum
+    psi = SeriesMap((Series(3, 4, {(1, 0, 0): 1.0, (0, 1, 0): 2.0 ** -53,
+                                   (0, 0, 2): 1.0}, FLOAT),))
+    cmp_eq = majorant(EquationSpec(psi, AGGREGATE, COMPONENTWISE))
+    assert dict(cmp_eq.psi.components[0].terms) == {(1, 0): 1.0000000000000002, (0, 2): 1.0}
+
+
 def test_majorant_idempotent_on_positive_equations():
     rng = random.Random(11)
     for _ in range(5):

@@ -1,5 +1,6 @@
 """Smoke runs of the demo scripts, each as its own process."""
 
+import json
 import os
 import subprocess
 import sys
@@ -60,3 +61,17 @@ def test_script_refuses_an_out_of_range_option(argv, message):
     assert done.returncode == 2
     assert message in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_op_results_prints_one_sorted_line_per_op():
+    # 13 series-solve ops, 83 certify-sweep ops (72 membership, 6 primal,
+    # 5 samples) and 13 boundary-geometry ops
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "scripts/op_results.py", "--seed", "7"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 109 and lines == sorted(lines)
+    ops = [json.loads(line) for line in lines]
+    assert len({op["id"] for op in ops}) == 109
+    assert not any("error" in op["result"] for op in ops if isinstance(op["result"], dict))

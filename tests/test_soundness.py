@@ -16,6 +16,8 @@ against the library:
   and ``dPsi/dY`` has spectral radius above 1 exactly at its witness;
 - ``outside`` is found, not only true: at every X the oracle proves outside
   with a margin, X / 1.1 outside, ``membership`` answers ``outside``;
+- so is ``inside``: at every X where the oracle on the unknowns X feeds
+  proves a least fixed point at 1.1 X, ``membership`` answers ``inside``;
 - ``certificate_check`` is the exact decision ``is_pre_fixed``, at drawn
   witnesses and at the least fixed point and one ulp either side of it.
 
@@ -143,6 +145,21 @@ def test_a_point_well_outside_is_found_outside(case):
     got = membership(cmp_eq, LatticeVec(X), BUDGET)
     assert got.verdict == OUTSIDE
     assert expands(polys, X, got.witness.entries)
+
+
+@settings(max_examples=400)
+@given(systems())
+def test_a_point_well_inside_is_found_inside(case):
+    # the oracle, on the unknowns X feeds, proves a least fixed point at
+    # 1.1 X, so X is inside by a tenth: the Newton certificate must find it,
+    # also where dPsi/dY has rho >= 1 on an unknown that no term feeds
+    cmp_eq, X, _ = case
+    polys = exact_polys(cmp_eq)
+    assume(oracle_on_the_fed_unknowns(polys, tuple(map(Fraction, X)),
+                                      Fraction(11, 10))[1] is not None)
+    got = membership(cmp_eq, LatticeVec(X), BUDGET)
+    assert got.verdict == INSIDE
+    assert is_pre_fixed(polys, X, got.principal_Y.entries)
 
 
 @settings(max_examples=200)

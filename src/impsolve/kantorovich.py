@@ -36,7 +36,7 @@ from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_compar
                       check_majorant_shape, norm)
 from .series import (EXACT, FLOAT, Number, SeriesMap, _down, _float, _nearest_plan,
                      coerce_value, format_value)
-from .solver import _solve
+from .solver import FLOAT_PIVOT_MIN
 
 DEFAULT_TOL = 1e-12
 DEFAULT_BUDGET = 10000
@@ -104,13 +104,15 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
     that x feeds (``ComparisonEquation._support``), the rest held at exact
     0, which the least fixed point is there; with none fed, Y~ = 0 after 0
     steps.  Each step solves ``(I - J) [d, v] = [Psi(x, Y) - Y, 1]``, ``J``
-    the Jacobian in Y on the fed block, until no entry rises.  Below the
-    least fixed point ``I - J`` is a nonsingular M-matrix, so ``v >= 1``,
-    and to first order ``Psi(x, Y + e v) = Y + e v + (Psi(x, Y) - Y) - e``:
-    pushed along ``v`` by ``e = PUSH * max(max Y, float_info.min)``,
-    relative as rounding is, a float fixed point becomes a pre-fixed point.
-    Only the one check, ``_pre_fixed``, decides, so a singular or
-    non-finite step just gives None.
+    the Jacobian in Y on the fed block, by ``_newton_step``, until no entry
+    rises.  Below the least fixed point ``I - J`` is a nonsingular M-matrix,
+    so ``v >= 1`` and elimination without pivoting is stable (Fiedler and
+    Ptak 1962; Berman and Plemmons, ch. 6), and to first order
+    ``Psi(x, Y + e v) = Y + e v + (Psi(x, Y) - Y) - e``: pushed along ``v``
+    by ``e = PUSH * max(max Y, float_info.min)``, relative as rounding is, a
+    float fixed point becomes a pre-fixed point.  Only ``_pre_fixed``
+    decides: a pivot with ``not abs(pivot) > FLOAT_PIVOT_MIN`` (NaN too) or
+    a non-finite Y~ gives None; a negative pivot is not refused.
     """
     try:
         (psi, leaves), (jac, jac_leaves) = cmp._float_kernels
@@ -119,15 +121,12 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
         return None
     fed, _ = cmp._support(tuple(map(bool, x)))
     q = cmp.dim_y
-    rows, Y, steps, v = [(i, i * q) for i in fed], [0.0] * q, 0, ()
+    Y, steps, v = [0.0] * q, 0, ()
     for steps in range(1, NEWTON_STEPS + 1) if fed else ():
         z = xf + tuple(Y)
-        value, J = psi(z, leaves, 0.0), jac(z, jac_leaves, 0.0)
-        try:
-            d, v = zip(*_solve([[(i == j) - J[k + j] for j in fed] for i, k in rows],
-                               [[value[i] - Y[i], 1.0] for i in fed], FLOAT))
-        except DomainError:
+        if not (step := _newton_step(jac(z, jac_leaves, 0.0), q, fed, psi(z, leaves, 0.0), Y)):
             return None
+        d, v = step
         Y_next = Y.copy()
         for i, e in zip(fed, d):
             Y_next[i] += e
@@ -142,6 +141,24 @@ def _newton_certificate(cmp: ComparisonEquation, x: tuple) -> tuple | None:
         return None
     Y_tilde = tuple(map(Fraction, Y_tilde) if cmp.mode == EXACT else Y_tilde)
     return (Y_tilde, steps) if _pre_fixed(cmp, x, Y_tilde) else None
+
+
+def _newton_step(J: tuple, q: int, fed: tuple, value: tuple, Y: list) -> tuple | None:
+    """``(d, v)`` with ``(I - J) [d, v] = [value - Y, 1]`` on ``fed``, or None:
+    ``solver._solve`` unpivoted, in place on the flat row-major ``[I - J | value - Y, 1]``."""
+    if len(fed) == 1 and abs(pivot := 1 - J[(i := fed[0]) * (q + 1)]) > FLOAT_PIVOT_MIN:
+        return ((value[i] - Y[i]) * (inv := 1.0 / pivot),), (inv,)  # no list; else refused below
+    n, w = len(fed), len(fed) + 2
+    a = [e for i in fed for e in (*((i == j) - J[i * q + j] for j in fed), value[i] - Y[i], 1.0)]
+    for c, p in enumerate(range(0, n * w, w)):  # columns up to c are read no more
+        if not abs(pivot := a[p + c]) > FLOAT_PIVOT_MIN:
+            return None
+        inv = 1.0 / pivot
+        a[p + c + 1:p + w] = row = [e * inv for e in a[p + c + 1:p + w]]
+        for o in range(0, n * w, w):
+            if o != p and (f := a[o + c]):
+                a[o + c + 1:o + w] = [e - f * b for e, b in zip(a[o + c + 1:o + w], row)]
+    return a[n::w], a[n + 1::w]
 
 
 def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:

@@ -25,6 +25,7 @@ from .series import (EXACT, Number, Series, SeriesMap, _set, _Value,
 ITERATIVE = "iterative"
 PARTITION_ORACLE = "partition_oracle"
 PARTITION_ORACLE_MAX_DEGREE = 6
+FLOAT_PIVOT_MIN = 1e-13  # a float elimination refuses a pivot not above this
 
 
 class SolutionSeries(_Value):
@@ -233,7 +234,7 @@ def resolve_linear(raw: SeriesMap) -> EquationSpec:
     non-linear coefficients, one column per term, gives every new
     coefficient, over the rationals in exact mode.  A singular
     ``I - L`` is an error, and in float mode so is one whose best pivot is
-    at most 1e-13.  The result carries componentwise norm profiles, and
+    at most ``FLOAT_PIVOT_MIN``.  The result carries componentwise norm profiles, and
     ``EquationSpec`` refuses it if ``raw`` has a constant term.
     """
     q = raw.output_dim
@@ -255,15 +256,12 @@ def _solve(M: list[list], B: list[list], mode: str) -> list[list]:
     """X with ``M X = B``, by Gauss-Jordan elimination on ``[M | B]`` with
     partial pivoting, each pivot row scaled by the reciprocal ``one / pivot``.
     A singular M raises ``DomainError``, and in float mode so does one whose
-    best pivot is at most 1e-13."""
+    best pivot is at most ``FLOAT_PIVOT_MIN``."""
     n = len(M)
     one = 1 if mode == EXACT else 1.0
     # an exact solution does not depend on the pivot order, so both modes
     # take the largest pivot; only float refuses a tiny nonzero one
-    tiny = 0 if mode == EXACT else 1e-13
-    if n == 1 and abs(M[0][0]) > tiny:  # the elimination's one reciprocal
-        inv = one / M[0][0]
-        return [[b * inv for b in B[0]]]
+    tiny = 0 if mode == EXACT else FLOAT_PIVOT_MIN
     work = [list(row) + list(rhs) for row, rhs in zip(M, B)]
     for col in range(n):
         pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))  # the first largest

@@ -41,6 +41,7 @@ from impsolve import (
 )
 
 from helpers import (
+    _exact_inverse,
     exact_polys,
     expands,
     fixed_point_oracle,
@@ -866,6 +867,96 @@ def test_a_singular_step_on_an_unfed_unknown_is_never_taken():
     cmp_eq = scalar_comparison({(1, 2): 1.5, (1, 1): 0.5})
     assert membership(cmp_eq, X_at(2.0)) == Membership(INSIDE, LatticeVec((0.0,)), 0)
     assert radius_along_ray(cmp_eq, X_at(1.0)).unbounded
+
+
+# ---------------------------------------------------------------------------
+# the Newton step: (I - J) [d, v] = [r, 1] by Gauss-Jordan elimination
+# without pivoting, in place on the flat [I - J | r, 1] of the fed block
+
+newton_step = impsolve.kantorovich._newton_step
+
+
+def _seeded_jacobian(seed):
+    """A flat n x n J >= 0 with row sums at most 0.9, n from 1 to 5, so that
+    I - J is an M-matrix, and a residual r, drawn as in test_solver.py."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 5)
+    J = [[rng.random() for _ in range(n)] for _ in range(n)]
+    J = [[0.9 * rng.random() * e / sum(row) for e in row] for row in J]
+    return J, [rng.uniform(-1.0, 1.0) for _ in range(n)]
+
+
+def _step_and_solve(J, r):
+    """The Newton step and solver._solve on the same I - J and [r, 1]; Y = 0,
+    so value - Y is r exactly."""
+    n = len(J)
+    got = newton_step(tuple(e for row in J for e in row), n, tuple(range(n)), r, [0.0] * n)
+    M = [[(i == j) - e for j, e in enumerate(row)] for i, row in enumerate(J)]
+    return got, M
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_newton_step_on_an_m_matrix_is_near_the_exact_solve(seed):
+    # ||(I - J)^-1|| <= 10 and ||I - J|| <= 1.9 in the max norm, and
+    # elimination without pivoting is backward stable on an M-matrix, so the
+    # error is of order n * 19 * 2^-53 of the largest entry; the test allows 1e-12
+    J, r = _seeded_jacobian(seed)
+    got, M = _step_and_solve(J, r)
+    inverse = _exact_inverse([[Fraction(e) for e in row] for row in M])
+    exact = [[sum(a * Fraction(b) for a, b in zip(row, rhs)) for row in inverse]
+             for rhs in (r, [1.0] * len(r))]
+    scale = max(abs(e) for column in exact for e in column)
+    assert all(abs(Fraction(g) - e) <= Fraction(1e-12) * scale
+               for got_column, column in zip(got, exact) for g, e in zip(got_column, column))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_newton_step_is_the_pivoting_solve_where_it_would_not_swap(seed):
+    # with J transposed, I - J is diagonally dominant by columns, which
+    # elimination keeps, so partial pivoting takes every diagonal pivot
+    J, r = _seeded_jacobian(seed)
+    got, M = _step_and_solve([list(column) for column in zip(*J)], r)
+    assert list(map(list, got)) == list(map(list, zip(*impsolve.solver._solve(
+        M, [[e, 1.0] for e in r], FLOAT))))
+
+
+@pytest.mark.parametrize("J", [
+    (1.0,),
+    (math.nan,),
+    (1.0, 0.0, 0.0, 0.5),
+    (0.0, -1.0, 1e-13, 1.0),  # the second pivot is 0.0 - (-1e-13) * 1.0
+    (0.0, -1.0, math.nan, 0.5),
+], ids=["1x1 at 0", "1x1 nan", "2x2 at 0", "2x2 at 1e-13", "2x2 nan"])
+def test_a_newton_step_refuses_a_pivot_of_at_most_1e_13(J):
+    q = math.isqrt(len(J))
+    assert newton_step(J, q, tuple(range(q)), (1.0,) * q, [0.0] * q) is None
+
+
+def test_a_newton_step_takes_a_pivot_just_above_1e_13_and_a_negative_one():
+    above = math.nextafter(1e-13, 1.0)
+    d, v = newton_step((0.0, -1.0, above, 1.0), 2, (0, 1), (1.0, 1.0), [0.0, 0.0])
+    assert v[1] == (1.0 + above) * (1.0 / above)
+    # off the M-matrix region the step is taken; the certificate check judges it
+    assert newton_step((3.0,), 1, (0,), (1.0,), [0.0]) == ((-0.5,), (-0.5,))
+
+
+def test_a_one_unknown_newton_step_multiplies_by_the_reciprocal():
+    # the values of test_solver.py's r / m pin; 1 - J is m exactly, here on
+    # the second of two unknowns, where every other entry must go unread
+    m, r = 0.13522987986828883, 0.8474337369372327
+    d, v = newton_step((9.0, 9.0, 9.0, 1 - m), 2, (1,), (9.0, r + 0.5), [9.0, 0.5])
+    assert (d, v) == ((r * (1.0 / m),), (1.0 / m,))
+    assert d[0] == 6.266616059724494 != r / m
+
+
+def test_a_step_where_partial_pivoting_would_swap_rows_keeps_its_certificate():
+    # Y0 = 1e10 X, Y1 = 1e-9 Y0^2 at X = 1: from the second step on I - J
+    # has -20 below a unit pivot, where the pivoting solve swapped rows;
+    # recorded with that solve
+    cmp_eq = ComparisonEquation(SeriesMap((Series(3, 8, {(1, 0, 0): 1e10}, FLOAT),
+                                           Series(3, 8, {(0, 2, 0): 1e-9}, FLOAT))))
+    assert membership(cmp_eq, X_at(1.0)) == Membership(
+        INSIDE, LatticeVec((10000000000.001, 100000000000.021)), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,21 @@ def test_script_runs_to_its_closing_line(argv, closing):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.rstrip("\n").splitlines()[-1] == closing
+
+
+def test_the_cauchy_column_lies_below_the_closed_form_by_a_factor_near_4():
+    # Cauchy's bound on y = x + c y^2 tends to X*/4 as its polydisc grows, so
+    # on a grid reaching 2^40 the best is at most X* / 4 and barely below it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "scripts/radius_sweep.py", "--curvatures", "0.5,1,2,4,1e-7",
+         "--degree", "10"], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    rows = [line.split() for line in done.stdout.splitlines()[1:6]]
+    assert [row[0] for row in rows] == ["0.5", "1", "2", "4", "1e-07"]
+    for c, *_, cauchy, ratio in rows:
+        assert 0 < Fraction(cauchy) <= 1 / (4 * Fraction(float(c)))
+        assert 4 <= float(ratio) < (4.01 if c != "1e-07" else 4.1)
 
 
 def test_radius_sweep_rejects_a_degree_below_ten():

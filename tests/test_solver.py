@@ -421,7 +421,7 @@ def test_a_float_solve_of_an_m_matrix_is_near_the_exact_one(seed):
 @pytest.mark.parametrize("M, mode", [
     ([[F(0)]], EXACT),
     ([[0.0]], FLOAT),
-    ([[1e-13]], FLOAT),  # the 1x1 branch refuses a pivot of at most 1e-13
+    ([[1e-13]], FLOAT),  # the elimination refuses a pivot of at most 1e-13
     ([[F(1), F(2)], [F(2), F(4)]], EXACT),
     ([[1.0, 2.0], [2.0, 4.0]], FLOAT),
     ([[1.0, 0.0], [0.0, 1e-13]], FLOAT),
@@ -440,8 +440,8 @@ def test_a_pivot_just_above_1e_13_is_taken():
 
 
 def test_the_1x1_float_solve_multiplies_by_the_reciprocal():
-    # r / m is 6.266616059724493, one float below: the Newton step and the
-    # frozen membership pins read r * (1 / m)
+    # r / m is 6.266616059724493, one float below: resolve_linear reads
+    # r * (1 / m); the Newton step's own pin is in test_kantorovich.py
     m, r = 0.13522987986828883, 0.8474337369372327
     assert solve([[m]], [[r, 1.0]], FLOAT) == [[r * (1.0 / m), 1.0 / m]]
     assert solve([[m]], [[r, 1.0]], FLOAT)[0][0] == 6.266616059724494 != r / m

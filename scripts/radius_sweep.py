@@ -4,7 +4,9 @@ For each curvature c the turning point has the closed form X* = 1/(4c),
 which makes the family a clean benchmark for the turning-point solve, the
 ray bisection, and the coefficient-ratio estimate.  Prints one row per c
 with all four numbers, and the lower bound Cauchy's majorant gives, with
-the closed form's ratio to it: how much stronger Hille's form is.
+the closed form's ratio to it: how much stronger Hille's form is.  A last
+row does the same for the cubic Y = X + XY + Y^3, whose turn, where
+2Y^3 + 3Y^2 = 1, is at Y* = 1/2 and X* = 1/4.
 
 Usage: python3 scripts/radius_sweep.py [--curvatures 0.5,1,2,4] [--degree 40]
 """
@@ -34,6 +36,11 @@ CAUCHY_GRID = [2.0 ** (k / 4) for k in range(-160, 161)]
 
 def family_member(c, cap):
     psi = SeriesMap((Series(2, cap, {(1, 0): 1.0, (0, 2): c}, FLOAT),))
+    return ComparisonEquation(psi)
+
+
+def cubic(cap):
+    psi = SeriesMap((Series(2, cap, {(1, 0): 1.0, (1, 1): 1.0, (0, 3): 1.0}, FLOAT),))
     return ComparisonEquation(psi)
 
 
@@ -84,19 +91,18 @@ def main():
     print(f"{'c':>6} {'closed form':>12} {'turning point':>14} "
           f"{'ray midpoint':>13} {'ratio(n=%d)' % args.degree:>13} "
           f"{'cauchy':>13} {'X*/cauchy':>10}")
-    for c in cs:
-        eq = family_member(c, args.degree)
-        exact = 1.0 / (4.0 * c)
+    rows = [(f"{c:g}", family_member(c, args.degree), 1.0 / (4.0 * c)) for c in cs]
+    for label, eq, exact in rows + [("cubic", cubic(args.degree), 0.25)]:
         turn = hille_point(eq)
         ray = radius_along_ray(eq, LatticeVec((1.0,)), tol=args.tol)
         est = empirical_radius(solve_formal(eq, args.degree))
         cauchy = cauchy_radius(eq)
-        print(f"{c:>6g} {exact:>12.8f} {turn.X_star:>14.8f} "
+        print(f"{label:>6} {exact:>12.8f} {turn.X_star:>14.8f} "
               f"{ray.midpoint:>13.8f} {est.estimate:>13.8f} "
               f"{cauchy:>13.8f} {exact / cauchy:>10.5f}")
     print()
-    print("the cauchy column is a certified lower bound on X*; it tends to X*/4 "
-          "as the polydisc grows")
+    print("the cauchy column is a certified lower bound on X*; on the quadratics "
+          "it tends to X*/4 as the polydisc grows")
     print("the ratio column converges to the closed form like O(1/n); "
           "the other two agree to their tolerances")
 

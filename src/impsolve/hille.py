@@ -5,8 +5,9 @@ origin until the partial derivative of ``Psi`` in ``Y`` reaches one; at
 that turning point the graph has a vertical tangent and the X coordinate
 is the radius of convergence of the principal solution branch.  This
 module locates that point and traces the graph on the comparison's two
-cached map kernels, of Psi and of ``dPsi/dY``, the ones Newton reads, one
-call of each per point, building no series; it probes the
+cached map kernels, of Psi and of ``dPsi/dY``, the ones Newton reads,
+building no series: a graph point by a bracketing secant on Psi's values,
+the turn's Y by bisection on a yes or no.  It probes the
 convergence region along rays through the origin, and offers an
 empirical coefficient-ratio estimate of the radius for comparison.  A ray
 probe that only asks whether a scale is inside runs the Newton
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from fractions import Fraction
-from math import isfinite, nextafter
+from math import isfinite, nextafter, ulp
 from sys import float_info
 from typing import IO, Callable, NamedTuple
 
@@ -109,21 +110,40 @@ def _bisect(below: Callable[[float], bool], lo: float, hi: float,
 def _graph_x(psi: Callable, Y: float) -> float | None:
     """Smallest X >= 0 with Psi(X, Y) = Y, or None when there is none.
 
-    Psi is nondecreasing in X with all-positive coefficients, so doubling
-    to the largest float, then bisection to float resolution, solves it.
+    Psi's float kernel is Horner on non-negative leaves, and rounding is
+    monotone, so ``g = Psi(X, Y) - Y`` is nondecreasing on floats X >= 0
+    and changes sign between one pair of adjacent floats.  Doubling X from
+    1 brackets the pair and a secant narrows the bracket to it, so the
+    answer, ``0.5 * lo + 0.5 * hi``, is bisection's.  A probe is the zero of
+    the chord between the ends, where a zero ``g(hi)`` reads as a unit in
+    the last place of Y, so that the chord aims below the flat stretch on
+    which Psi rounds to Y.  A midpoint follows a probe that keeps more than
+    half the bracket, and stands in while ``g(hi)`` is infinite, so the
+    search takes at most about twice bisection's calls: about 6 of its 57
+    on the graph of ``Y = X + XY + Y^3``.
     """
-    gap = psi(0.0, Y) - Y
-    if gap > 0.0:
+    lo, g_lo = 0.0, psi(0.0, Y) - Y
+    if g_lo > 0.0:
         return None
-    if gap == 0.0:
+    if g_lo == 0.0:
         return 0.0
     hi = 1.0
-    while psi(hi, Y) - Y < 0.0:
+    while (g_hi := psi(hi, Y) - Y) < 0.0:
         if hi == float_info.max:
             return None
-        hi = min(2.0 * hi, float_info.max)
-    lo, hi = _bisect(lambda X: psi(X, Y) - Y < 0.0, 0.0, hi, 0.0)
-    return 0.5 * lo + 0.5 * hi
+        lo, g_lo, hi = hi, g_hi, min(2.0 * hi, float_info.max)
+    halve = False
+    while lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        width, X = hi - lo, mid
+        if not halve and isfinite(g_hi):
+            X = lo + width * (g_lo / (g_lo - (g_hi or ulp(Y))))
+            X = min(max(X, nextafter(lo, hi)), nextafter(hi, lo))
+        if (g := psi(X, Y) - Y) < 0.0:
+            lo, g_lo = X, g
+        else:
+            hi, g_hi = X, g
+        halve = hi - lo > 0.5 * width
+    return mid
 
 
 def hille_point(cmp: ComparisonEquation) -> HillePoint:
@@ -135,7 +155,9 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
     A(X)`` grows with X while ``Y* >= c X^a Y*^b`` keeps it bounded, so the
     branch ends at a finite X, where ``dPsi/dY`` reaches one.  Brackets the
     turn by doubling ``Y = (2^k - 1)/1024`` up to the largest float, bisects
-    it to float resolution and reports the graph point at the inside end.  A
+    it to float resolution and reports the graph point at the inside end.
+    Each probe's graph solve returns what bisection in X did; a turn costs
+    about 350 calls of Psi, where bisecting X took about 3,700.  A
     probe past the end of the graph reads as past the turn: below it the
     graph rises, so it can only end beyond.  The point is found when ``|Y -
     Psi| <= DEFAULT_TOL * max(1, Y)`` (a float spacing of a large Y exceeds

@@ -4,6 +4,7 @@ Each verb is driven against small equation files written into tmp_path;
 exit codes and document shapes are pinned.
 """
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
@@ -317,6 +318,23 @@ def test_region_refuses_a_grid_that_overflows(spec_file, capsys, ymax):
                                   "--ymax", ymax, "--steps", "3"])
     assert code == 2 and not out
     assert "Y_max" in err
+
+
+@pytest.mark.parametrize("doc, steps, digest", [
+    (lambda: QUAD_PLUS, "200",
+     "1f8920994095a6593e5aa343718abc64a04d4423b20c8b0c4dee101e16a87b78"),
+    (lambda: CUBIC, "900",
+     "35f70f5368369d518be528b9ac3cec1ac358889aea7a6f638c0ce4e30667799a"),
+], ids=["quad", "cubic"])
+def test_region_stdout_is_frozen(spec_file, capsys, doc, steps, digest):
+    # sha256 of the whole CSV, recorded when the graph solve bisected X to
+    # float resolution: a faster graph solve must not move a bit of a point
+    code, out, err = run(capsys, ["region", "--spec", spec_file(doc()),
+                                  "--ymax", "1.0", "--steps", steps])
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == int(steps) + 2
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 def test_radius_document(spec_file, capsys):
     cmp_doc = dict(QUAD_MINUS)
@@ -721,6 +739,12 @@ def test_verb_options_are_frozen():
 QUAD_PLUS = dict(QUAD_MINUS, terms=[
     {"output": 0, "alpha": [1], "beta": [0], "value": "1.0"},
     {"output": 0, "alpha": [0], "beta": [2], "value": "1.0"},
+])
+
+CUBIC = dict(QUAD_MINUS, terms=[
+    {"output": 0, "alpha": [1], "beta": [0], "value": "1.0"},
+    {"output": 0, "alpha": [1], "beta": [1], "value": "1.0"},
+    {"output": 0, "alpha": [0], "beta": [3], "value": "1.0"},
 ])
 
 # exact membership's witness is the exact image of the first lower bound

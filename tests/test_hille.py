@@ -446,6 +446,82 @@ def test_region_csv():
 
 
 # ---------------------------------------------------------------------------
+# the graph solve against bisection
+
+def _bisected_graph_x(psi, Y):
+    """The graph solve as bisection did it: doubling X from 1, then
+    bisection from 0 to float resolution."""
+    gap = psi(0.0, Y) - Y
+    if gap > 0.0:
+        return None
+    if gap == 0.0:
+        return 0.0
+    hi = 1.0
+    while psi(hi, Y) - Y < 0.0:
+        if hi == sys.float_info.max:
+            return None
+        hi = min(2.0 * hi, sys.float_info.max)
+    lo, hi = impsolve.hille._bisect(lambda X: psi(X, Y) - Y < 0.0, 0.0, hi, 0.0)
+    return 0.5 * lo + 0.5 * hi
+
+
+def _counted(psi):
+    """*psi*, and the list of X it has been called at."""
+    calls = []
+
+    def call(X, Y):
+        calls.append(X)
+        return psi(X, Y)
+    return call, calls
+
+
+def _graph_cases(count, seed):
+    """Psi kernels of scalar comparisons with coefficients from 1e-30 to
+    1e30 and X-degree up to 3, each with a Y in [0, 2], near 10^-300 or
+    10^300, or 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        deg_x = rng.randint(1, 3)
+        terms = {(rng.randint(1, deg_x), 0): 10.0 ** rng.uniform(-30, 30)}
+        for _ in range(rng.randint(0, 4)):
+            a = rng.randint(0, deg_x)
+            terms[(a, rng.randint(0 if a else 2, 4))] = 10.0 ** rng.uniform(-30, 30)
+        psi, _ = impsolve.hille._scalar_kernels(scalar_comparison(terms))
+        Y = rng.choice([rng.uniform(0.0, 2.0), rng.uniform(0.0, 2.0), 0.0,
+                        10.0 ** rng.uniform(-300, -290), 10.0 ** rng.uniform(290, 300)])
+        yield psi, Y
+
+
+def test_the_graph_solve_returns_the_bits_bisection_did():
+    # Psi - Y is nondecreasing on the floats, so the secant ends at the
+    # adjacent pair bisection ended at and returns its midpoint, bit for bit
+    kinds = set()
+    for psi, Y in _graph_cases(1500, seed=33):
+        want = _bisected_graph_x(psi, Y)
+        assert repr(impsolve.hille._graph_x(psi, Y)) == repr(want), Y
+        kinds.add(want if not want else "positive")
+    assert kinds == {None, 0.0, "positive"}
+
+
+def test_the_graph_solve_takes_a_few_calls_a_point():
+    # bisection took 57.4 calls of Psi a point on the cubic's grid of 901
+    # points, the secant about 6; on no search may it take more than about
+    # twice as many as bisection
+    cubic, _ = impsolve.hille._scalar_kernels(scalar_comparison(
+        {(1, 0): 1.0, (1, 1): 1.0, (0, 3): 1.0}))
+    grid = [(cubic, j / 900) for j in range(901)]
+    counts = []
+    for psi, Y in grid + list(_graph_cases(300, seed=34)):
+        secant, secant_calls = _counted(psi)
+        bisection, bisection_calls = _counted(psi)
+        impsolve.hille._graph_x(secant, Y)
+        _bisected_graph_x(bisection, Y)
+        assert len(secant_calls) <= 2 * len(bisection_calls) + 4, Y
+        counts.append(len(secant_calls))
+    assert sum(counts[:901]) / 901 <= 8
+
+
+# ---------------------------------------------------------------------------
 # radius along a ray
 
 def test_radius_brackets_quadratic():

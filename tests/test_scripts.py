@@ -46,6 +46,12 @@ def test_the_cauchy_column_lies_below_the_closed_form_by_a_factor_near_4():
     for c, *_, cauchy, ratio in rows:
         assert 0 < Fraction(cauchy) <= 1 / (4 * Fraction(float(c)))
         assert 4 <= float(ratio) < (4.01 if c != "1e-07" else 4.1)
+    # the cubic y = x + xy + y^3 turns at X* = 1/4; its best bound is 1/36,
+    # at the interior point a = 1/4, b = 1/2 of the grid, rounded down
+    label, exact, *_, cauchy, ratio = done.stdout.splitlines()[6].split()
+    assert (label, exact) == ("cubic", "0.25000000")
+    assert 0 < Fraction(cauchy) <= Fraction(1, 4)
+    assert ratio == "9.00000"
 
 
 def test_radius_sweep_rejects_a_degree_below_ten():
@@ -79,15 +85,37 @@ def test_script_refuses_an_out_of_range_option(argv, message):
     assert "Traceback" not in done.stderr
 
 
-def test_op_results_prints_one_sorted_line_per_op():
-    # 13 series-solve ops, 83 certify-sweep ops (72 membership, 6 primal,
-    # 5 samples) and 13 boundary-geometry ops
+@pytest.fixture(scope="module")
+def op_results_at_seed_7():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run([sys.executable, "scripts/op_results.py", "--seed", "7"],
                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    lines = done.stdout.splitlines()
-    assert len(lines) == 109 and lines == sorted(lines)
+    return done.stdout.splitlines()
+
+
+def test_op_results_prints_one_sorted_line_per_op(op_results_at_seed_7):
+    # 13 series-solve ops, 83 certify-sweep ops (72 membership, 6 primal,
+    # 5 samples), 13 boundary-geometry ops and 9 cli-verbs ops
+    lines = op_results_at_seed_7
+    assert len(lines) == 118 and lines == sorted(lines)
     ops = [json.loads(line) for line in lines]
-    assert len({op["id"] for op in ops}) == 109
+    assert len({op["id"] for op in ops}) == 118
     assert not any("error" in op["result"] for op in ops if isinstance(op["result"], dict))
+
+
+def test_op_results_prints_the_bytes_of_every_cli_verb(op_results_at_seed_7):
+    # each verb ran as a fresh process on the library under test, and its
+    # line holds the exit code, stdout and stderr, so one diff covers them
+    ops = [json.loads(line) for line in op_results_at_seed_7
+           if line.startswith('{"id":"cli-verbs/')]
+    assert [op["id"] for op in ops] == sorted(
+        f"cli-verbs/cli/{verb}" for verb in ("solve", "majorant", "hille",
+                                             "iterate_comparison", "iterate_primal",
+                                             "membership", "region", "radius", "check"))
+    for op in ops:
+        assert op["result"]["code"] == 0 and op["result"]["stderr"] == "", op
+        assert op["result"]["stdout"].endswith("\n")
+    results = {op["id"]: op["result"] for op in ops}
+    assert json.loads(results["cli-verbs/cli/hille"]["stdout"])["status"] == "found"
+    assert len(results["cli-verbs/cli/region"]["stdout"].splitlines()) == 202

@@ -18,8 +18,7 @@ from .kantorovich import (DEFAULT_BUDGET, DEFAULT_TOL, INSIDE, OUTSIDE,
 from .lattice import (AGGREGATE, COMPONENTWISE, SCALAR, ComparisonEquation,
                       EquationSpec, LatticeVec, MajorantSampleReport,
                       MajorantViolation, check_majorant_samples,
-                      equation_from_dict, equation_to_dict, majorant,
-                      map_abs, norm, series_abs)
+                      equation_from_dict, equation_to_dict, majorant, norm)
 from .series import (EXACT, FLOAT, Series, SeriesMap, compose_series,
                      format_value, multiindex_factorial, parse_value,
                      series_compose)

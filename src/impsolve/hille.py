@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from fractions import Fraction
-from math import isfinite, nextafter, ulp
+from math import isfinite, nextafter, sqrt, ulp
 from sys import float_info
 from typing import IO, Callable, NamedTuple
 
@@ -117,10 +117,11 @@ def _graph_x(psi: Callable, Y: float) -> float | None:
     answer, ``0.5 * lo + 0.5 * hi``, is bisection's.  A probe is the zero of
     the chord between the ends, where a zero ``g(hi)`` reads as a unit in
     the last place of Y, so that the chord aims below the flat stretch on
-    which Psi rounds to Y.  A midpoint follows a probe that keeps more than
-    half the bracket, and stands in while ``g(hi)`` is infinite, so the
-    search takes at most about twice bisection's calls: about 6 of its 57
-    on the graph of ``Y = X + XY + Y^3``.
+    which Psi rounds to Y.  A probe that keeps more than half the bracket,
+    or an infinite ``g(hi)``, calls for a halving: the geometric mean of the
+    ends while ``0 < 2 lo < hi``, which halves their gap in exponent and lies
+    strictly between them, else the midpoint.  The search takes about 6
+    calls a point on the graph of ``Y = X + XY + Y^3``.
     """
     lo, g_lo = 0.0, psi(0.0, Y) - Y
     if g_lo > 0.0:
@@ -138,6 +139,8 @@ def _graph_x(psi: Callable, Y: float) -> float | None:
         if not halve and isfinite(g_hi):
             X = lo + width * (g_lo / (g_lo - (g_hi or ulp(Y))))
             X = min(max(X, nextafter(lo, hi)), nextafter(hi, lo))
+        elif 0.0 < 2.0 * lo < hi:
+            X = sqrt(lo) * sqrt(hi)
         if (g := psi(X, Y) - Y) < 0.0:
             lo, g_lo = X, g
         else:
@@ -154,15 +157,15 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
     the graph rises to ``B(X) = 1`` without turning.  With both, ``Y* >=
     A(X)`` grows with X while ``Y* >= c X^a Y*^b`` keeps it bounded, so the
     branch ends at a finite X, where ``dPsi/dY`` reaches one.  Brackets the
-    turn by doubling ``Y = (2^k - 1)/1024`` up to the largest float, bisects
-    it to float resolution and reports the graph point at the inside end.
-    Each probe's graph solve returns what bisection in X did; a turn costs
-    about 350 calls of Psi, where bisecting X took about 3,700.  A
-    probe past the end of the graph reads as past the turn: below it the
-    graph rises, so it can only end beyond.  The point is found when ``|Y -
-    Psi| <= DEFAULT_TOL * max(1, Y)`` (a float spacing of a large Y exceeds
-    ``DEFAULT_TOL``) and ``|1 - dPsi/dY| <= DEFAULT_TOL``, else it failed,
-    as when the largest float is still below the turn.
+    turn by doubling Y from 1 up to the largest float, as the graph solve
+    and the ray searches do, bisects it to float resolution and reports the
+    graph point at the inside end: 324 calls of Psi on ``Y = X + XY + Y^3``
+    and 278 on ``Y = X + Y^2``.  A probe past the end of the graph reads as
+    past the turn: below it the graph rises, so it can only end beyond.  The
+    point is found when ``|Y - Psi| <= DEFAULT_TOL * max(1, Y)`` (a float
+    spacing of a large Y exceeds ``DEFAULT_TOL``) and ``|1 - dPsi/dY| <=
+    DEFAULT_TOL``, else it failed, as when the largest float is still below
+    the turn.
     """
     psi, psi_y = _scalar_kernels(cmp)
     degrees = {gamma[1] for gamma in cmp.psi.components[0].terms}
@@ -173,11 +176,11 @@ def hille_point(cmp: ComparisonEquation) -> HillePoint:
         X = _graph_x(psi, Y)
         return X is not None and psi_y(X, Y) < 1.0
 
-    lo, hi = 0.0, 1.0 / 1024.0
+    lo, hi = 0.0, 1.0
     while below_turn(hi):
         if hi == float_info.max:
             return HillePoint(None, None, None, None, FAILED)
-        lo, hi = hi, min(2.0 * hi + 1.0 / 1024.0, float_info.max)
+        lo, hi = hi, min(2.0 * hi, float_info.max)
 
     Y, _ = _bisect(below_turn, lo, hi, 0.0)
     X = _graph_x(psi, Y)

@@ -185,16 +185,6 @@ def check_comparison(cmp: ComparisonEquation) -> None:
         raise TypeError(f"a ComparisonEquation is required, got {type(cmp).__name__}")
 
 
-def series_abs(s: Series) -> Series:
-    """Entrywise modulus of the coefficients."""
-    return Series(s.num_vars, s.degree_cap,
-                  {a: abs(v) for a, v in s.terms.items()}, s.mode)
-
-
-def map_abs(m: SeriesMap) -> SeriesMap:
-    return SeriesMap(tuple(series_abs(comp) for comp in m.components))
-
-
 def _comparison_dims(eq: EquationSpec) -> tuple[int, int]:
     """The dimensions of the comparison of ``eq``: an aggregate side, measured
     by one norm, collapses to one variable; the other keeps its own."""
@@ -205,27 +195,26 @@ def _comparison_dims(eq: EquationSpec) -> tuple[int, int]:
 def majorant(eq: EquationSpec) -> ComparisonEquation:
     """Build the comparison equation dominating ``eq``.
 
-    With componentwise (or scalar) profiles on both sides, the moduli of
-    the coefficients are a majorant and the dimensions carry over.  Each
-    aggregate side collapses on its own to one norming variable, as
-    ``|x^alpha| <= |x|^|alpha|`` in the max norm: an aggregate x side sums
-    the coefficient moduli over ``alpha`` of equal ``|alpha|``; an aggregate
-    y side sums over ``beta`` of equal ``|beta|`` and keeps the largest sum
-    of any output component, a bound coarser than the operator norm.  The
-    sums are exact, and in float mode each is then rounded up, so a
+    One fold builds every comparison.  A componentwise (or scalar) side
+    keeps its exponents, so it merges nothing and its dimensions carry
+    over; each aggregate side collapses on its own to one norming
+    variable, as ``|x^alpha| <= |x|^|alpha|`` in the max norm: an
+    aggregate x side sums the coefficient moduli over ``alpha`` of equal
+    ``|alpha|``; an aggregate y side sums over ``beta`` of equal ``|beta|``
+    and keeps the largest sum of any output component, a bound coarser
+    than the operator norm.  A term that meets no other keeps its modulus;
+    the sums are exact, and in float mode each is then rounded up, so a
     rounded sum never falls below the moduli it bounds.
     """
-    if AGGREGATE not in (eq.profile_x, eq.profile_y):
-        return ComparisonEquation(map_abs(eq.psi))
     p = eq.dim_x
     fold_x, fold_y = eq.profile_x == AGGREGATE, eq.profile_y == AGGREGATE
     sums: list[dict[tuple, Number]] = []
     for comp in eq.psi.components:
-        acc: dict[tuple, Fraction] = {}
+        acc: dict[tuple, Number] = {}
         for gamma, value in comp.terms.items():
             alpha, beta = gamma[:p], gamma[p:]
             key = ((sum(alpha),) if fold_x else alpha) + ((sum(beta),) if fold_y else beta)
-            acc[key] = acc.get(key, 0) + abs(Fraction(value))
+            acc[key] = Fraction(acc[key]) + abs(Fraction(value)) if key in acc else abs(value)
         sums.append(acc)
     if fold_y:  # the first largest sum, keys in order of first appearance
         sums = [{k: max(acc[k] for acc in sums if k in acc) for acc in sums for k in acc}]

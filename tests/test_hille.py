@@ -521,6 +521,29 @@ def test_the_graph_solve_takes_a_few_calls_a_point():
     assert sum(counts[:901]) / 901 <= 8
 
 
+def test_the_graph_solve_steps_geometrically_to_a_root_far_below_its_bracket():
+    # the root, 5.7e-164, lies 540 binades below the first bracket [0, 1] and
+    # Psi is convex there: each chord from the low end fell short and each
+    # midpoint only halved the width, 1,101 calls of Psi where bisection
+    # takes 597; a geometric mean halves the gap in exponent instead
+    psi, _ = impsolve.hille._scalar_kernels(scalar_comparison(
+        {(2, 0): 3.3e26, (1, 1): 1.8e16, (0, 2): 7.3e12}))
+    Y = 1.09e-300
+    counted, calls = _counted(psi)
+    got = impsolve.hille._graph_x(counted, Y)
+    assert repr(got) == repr(_bisected_graph_x(psi, Y))
+    assert len(calls) <= 20
+
+
+def test_the_graph_solve_never_takes_many_more_calls_than_bisection():
+    for psi, Y in _graph_cases(3000, seed=35):
+        secant, secant_calls = _counted(psi)
+        bisection, bisection_calls = _counted(psi)
+        impsolve.hille._graph_x(secant, Y)
+        _bisected_graph_x(bisection, Y)
+        assert len(secant_calls) <= len(bisection_calls) + 4, Y
+
+
 # ---------------------------------------------------------------------------
 # radius along a ray
 

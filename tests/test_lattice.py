@@ -32,7 +32,6 @@ from impsolve import (
     equation_to_dict,
     majorant,
     norm,
-    series_abs,
 )
 from impsolve.lattice import PROFILE_KINDS, SAMPLE_SLACK
 
@@ -134,6 +133,28 @@ def test_majorant_idempotent_on_positive_equations():
             assert dict(a.terms) == dict(b.terms)
 
 
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_a_fold_that_merges_nothing_keeps_each_modulus(mode):
+    # componentwise and scalar sides merge no terms, so the comparison is
+    # psi with every coefficient replaced by its modulus, in psi's own mode
+    rng = random.Random(34)
+    for _ in range(200):
+        eq, _ = random_equation(rng, mode=mode)
+        scale = (lambda: Fraction(10) ** rng.randint(-30, 30)) if mode == EXACT else (
+            lambda: 10.0 ** rng.uniform(-30, 30))
+        comps = [Series(c.num_vars, c.degree_cap, {g: v * scale() for g, v in c.terms.items()},
+                        mode) for c in eq.psi.components]
+        profiles = [rng.choice([SCALAR, COMPONENTWISE]) if dim == 1 else COMPONENTWISE
+                    for dim in (eq.dim_x, eq.dim_y)]
+        eq = EquationSpec(SeriesMap(comps), *profiles)
+        moduli = SeriesMap(Series(c.num_vars, c.degree_cap, {g: abs(v) for g, v in c.terms.items()},
+                                  mode) for c in comps)
+        got = majorant(eq).psi
+        assert got == moduli
+        kind = Fraction if mode == EXACT else float
+        assert all(type(v) is kind for comp in got.components for v in comp.terms.values())
+
+
 def test_comparison_rejects_negative_coefficients():
     with pytest.raises(ValueError, match="positive type"):
         ComparisonEquation(SeriesMap((
@@ -179,6 +200,8 @@ def test_composition_domination_coefficientwise(seed):
                 continue
             terms[expo] = F(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
         return Series(num_vars, 6, terms, EXACT)
+    def series_abs(s):
+        return Series(s.num_vars, s.degree_cap, {a: abs(v) for a, v in s.terms.items()}, s.mode)
     g = small(2, zero_const=False)
     f1 = small(2, zero_const=True)
     f2 = small(2, zero_const=True)

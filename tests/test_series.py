@@ -27,6 +27,7 @@ from impsolve import (
     parse_value,
     series_compose,
     solve_formal,
+    solve_partition_oracle,
 )
 from impsolve import series as series_module
 from impsolve.kantorovich import _exact_psi
@@ -481,6 +482,64 @@ def test_str_is_readable():
     s = make({(1, 0): F(1), (0, 2): F(-1)})
     text = str(s)
     assert "x0" in text and "x1^2" in text
+    assert str(Series.zero(2, 8, EXACT)) == "0"
+
+
+# ---------------------------------------------------------------------------
+# refusals
+
+def _zero(num_vars=1, cap=2, mode=EXACT):
+    return Series.zero(num_vars, cap, mode)
+
+
+def _delete_a_field():
+    del _zero().mode
+
+
+REFUSALS = [
+    (lambda: series_module.check_mode("decimal"), ValueError,
+     "unknown coefficient mode 'decimal'"),
+    (lambda: series_module.coerce_value(float("inf"), FLOAT), ValueError,
+     "float coefficients must be finite, got inf"),
+    (lambda: parse_value(3, FLOAT), SpecFormatError,
+     "coefficient literals must be strings, got 3"),
+    (lambda: parse_value("1.5.2", FLOAT), SpecFormatError,
+     "bad float coefficient '1.5.2'"),
+    (_delete_a_field, AttributeError, "cannot delete field 'mode'"),
+    (lambda: Series(0, 2, {}, EXACT), ValueError,
+     "num_vars must be a positive integer, got 0"),
+    (lambda: Series(1, -1, {}, EXACT), ValueError,
+     "degree_cap must be a non-negative integer, got -1"),
+    (lambda: Series.coordinate(2, 2, EXACT, 2), ValueError,
+     "variable index 2 out of range for 2 variables"),
+    (lambda: _zero(2).partial(-1), ValueError,
+     "variable index -1 out of range for 2 variables"),
+    (lambda: _zero() + 1, TypeError, "cannot add Series and int"),
+    (lambda: _zero(1) + _zero(2), ValueError, "cannot add series in 1 and 2 variables"),
+    (lambda: _zero().with_cap(-1), ValueError,
+     "degree_cap must be a non-negative integer, got -1"),
+    (lambda: Series.from_records([{"value": "1"}], 1, 2, EXACT), ValueError,
+     "record 0 must have 'exponents' and 'value' fields"),
+    (lambda: SeriesMap(()), ValueError, "a series map needs at least one component"),
+    (lambda: compose_series(_zero(2), [_zero()]), ValueError,
+     "outer series has 2 variables but 1 inner components were given"),
+    (lambda: compose_series(_zero(), [_zero(cap=3)]), ValueError,
+     "outer cap 2 does not match inner cap 3"),
+    (lambda: compose_series(_zero(), [_zero(mode=FLOAT)]), ValueError,
+     "outer mode exact does not match inner mode float"),
+    (lambda: series_compose(SeriesMap((_zero(2),)), SeriesMap((_zero(),))), ValueError,
+     "inner map has 1 outputs but outer map takes 2 variables"),
+    (lambda: solve_partition_oracle(quadratic_equation(mode=EXACT), 0), ValueError,
+     "degree must be a positive integer, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", REFUSALS,
+                         ids=[message for _, _, message in REFUSALS])
+def test_refusals_name_their_cause(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value).startswith(message)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,8 @@ from sys import float_info
 from typing import IO, Callable, NamedTuple
 
 from .errors import DomainError
-from .kantorovich import (DEFAULT_TOL, INSIDE, OUTSIDE, _newton_certificate, _point,
-                          check_tol, membership)
+from .kantorovich import (DEFAULT_TOL, INSIDE, OUTSIDE, _newton_certificate, check_tol,
+                          membership)
 from .lattice import ComparisonEquation, LatticeVec, check_comparison
 from .series import EXACT, FLOAT, Number, _float, coerce_value, zero_value
 from .solver import SolutionSeries
@@ -242,8 +242,8 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     The bracket can stay wider than ``tol``: unresolved scales cannot be
     claimed for either side, so they stay inside it, and a ``tol`` below
     the float spacing at the crossing cannot be met.  The scales are floats;
-    an exact comparison takes each probe ``t * d`` as its exact image, so
-    every ``inside`` and ``outside`` is checked against the exact Psi.
+    a probe is the tuple of the finite images of ``t * d``, exact on an exact
+    comparison, so every ``inside`` and ``outside`` is checked against the exact Psi.
 
     The ray is unbounded, with ``t_inside`` from the halving search, exactly
     when the unknowns it feeds have no dependency cycle
@@ -275,15 +275,14 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
 
     image = Fraction if cmp.mode == EXACT else float
 
-    def at(t: float) -> LatticeVec:
-        return LatticeVec(tuple(image(t * e) for e in dir_entries))
+    def probe(t: float) -> tuple:
+        return tuple(image(t * e) for e in dir_entries)
 
     def inside(t: float) -> bool:
-        x = _point(cmp, at(t), cmp.dim_x, "X")
-        return _newton_certificate(cmp, x) is not None
+        return _newton_certificate(cmp, probe(t)) is not None
 
     def verdict(t: float) -> str:
-        return membership(cmp, at(t)).verdict
+        return membership(cmp, LatticeVec(probe(t))).verdict
 
     t_in = 1.0
     while t_in > 0 and not inside(t_in):

@@ -23,13 +23,13 @@ substitutions of checked terms get their keys and value types right by
 construction, so a ring result (``Series._ring``) is only cleared of the
 zeros cancellation leaves and refused if float overflow left inf or nan.
 
-All ring operations truncate their result to the shared degree cap.  In
-exact mode the retained coefficients equal the coefficients of the
-untruncated result; for substitution this holds because the inner series
-are required to vanish at the origin, so discarded cross terms only ever
-feed degrees above the cap.  Evaluation and substitution share one engine:
-a map, or a series as a map of one component, compiles its Horner plans
-once into one straight-line function, generated from integer indices
+All ring operations truncate their result to the shared degree cap, a
+substitution to the inner cap.  In exact mode the retained coefficients equal
+those of the untruncated result; for substitution this holds because the
+inner series vanish at the origin: dropped cross terms and outer terms above
+the cap feed only degrees above it.  Evaluation and substitution share one
+engine: a map, or a series as a map of one component, compiles its Horner
+plans once into one straight-line function, generated from integer indices
 alone, never from a value (``_compile``), that returns their values in one
 tuple.  The same nearest kernels also prove: ``_bracket`` bounds their
 rounding on non-negative data, and ``Fraction`` stands in where it cannot.
@@ -352,10 +352,7 @@ class Series(_Value):
         if not isinstance(degree_cap, int) or degree_cap < 0:
             raise ValueError(f"degree_cap must be a non-negative integer, got {degree_cap!r}")
         kept = {a: v for a, v in self.terms.items() if sum(a) <= degree_cap}
-        out = Series._ring(self.num_vars, degree_cap, kept, self.mode)
-        if len(kept) == len(self.terms):
-            _set(out, "_plan_source", getattr(self, "_plan_source", self))
-        return out
+        return Series._ring(self.num_vars, degree_cap, kept, self.mode)
 
     # -- ring operations ------------------------------------------------
 
@@ -416,10 +413,8 @@ class Series(_Value):
     @_cached
     def _plan(self) -> tuple:
         """Kernel and coefficients from :func:`_compile`, as a one-component
-        map's, built on first use; not a field.  A :meth:`with_cap` copy
-        that kept every term uses its source's."""
-        source = getattr(self, "_plan_source", self)
-        return _compile([self.terms], self.num_vars) if source is self else source._plan
+        map's, built on first use; not a field."""
+        return _compile([self.terms], self.num_vars)
 
     def evaluate(self, point: Sequence[Number]) -> Number:
         """Horner-style evaluation at a point whose entries match the mode:
@@ -612,9 +607,10 @@ def compose_series(outer: Series, inner: Sequence[Series]) -> Series:
     """Substitute the series ``inner[j]`` for variable ``j`` of ``outer``.
 
     Every inner component must vanish at the origin; this keeps the
-    truncated substitution exact up to the shared degree cap.  The
-    substitution proceeds variable by variable in Horner form, so only
-    degree-capped products are ever formed.
+    truncated substitution exact up to the inner cap.  So an outer term of
+    degree d feeds only degrees of at least d, and the outer cap may lie
+    above the inner one.  The substitution proceeds variable by variable in
+    Horner form, so only degree-capped products are ever formed.
     """
     inner = list(inner)
     if len(inner) != outer.num_vars:
@@ -624,7 +620,7 @@ def compose_series(outer: Series, inner: Sequence[Series]) -> Series:
     base = inner[0]
     for comp in inner[1:]:
         base._check_compatible(comp, "compose")
-    if outer.degree_cap != base.degree_cap:
+    if outer.degree_cap < base.degree_cap:
         raise ValueError(
             f"outer cap {outer.degree_cap} does not match inner cap {base.degree_cap}")
     if outer.mode != base.mode:

@@ -57,11 +57,11 @@ def formal_iterates(eq: EquationSpec, degree: int) -> Iterator[SeriesMap]:
     number.  So round ``k`` of ``y = x + y^2`` runs at cap ``k``, and the
     last iterate carries the full cap ``degree``.  A round that changes
     nothing at its cap does not end the iteration, as it says nothing of
-    the degrees above that cap.
+    the degrees above that cap.  Every round composes ``psi`` cut to ``degree``.
     """
     if not isinstance(degree, int) or degree < 1:
         raise ValueError(f"degree must be a positive integer, got {degree!r}")
-    p, q, psi = eq.dim_x, eq.dim_y, eq.psi
+    p, q, psi = eq.dim_x, eq.dim_y, eq.psi.with_cap(degree)
     terms = [gamma for comp in psi.components for gamma in comp.terms]
     low = min((sum(g) for g in terms if not any(g[p:])), default=degree)
     gain = min((sum(g[:p]) + (sum(g[p:]) - 1) * low for g in terms if any(g[p:])),
@@ -70,14 +70,14 @@ def formal_iterates(eq: EquationSpec, degree: int) -> Iterator[SeriesMap]:
     phi = SeriesMap.zero(p, cap, psi.mode, q)
     while cap < degree:
         cap = min(cap + gain, degree)
-        phi = _substitute(psi, phi.with_cap(cap), cap)
+        phi = _substitute(psi, phi.with_cap(cap))
         yield phi
 
 
-def _substitute(psi: SeriesMap, phi: SeriesMap, cap: int) -> SeriesMap:
-    """``psi(x, phi)`` at total degree ``cap``; ``phi`` must carry that cap."""
-    coords = SeriesMap.identity(phi.num_vars, cap, phi.mode).components
-    return series_compose(psi.with_cap(cap), SeriesMap(coords + phi.components))
+def _substitute(psi: SeriesMap, phi: SeriesMap) -> SeriesMap:
+    """``psi(x, phi)`` at ``phi``'s cap, at most ``psi``'s."""
+    coords = SeriesMap.identity(phi.num_vars, phi.degree_cap, phi.mode).components
+    return series_compose(psi, SeriesMap(coords + phi.components))
 
 
 def solve_formal(eq: EquationSpec, degree: int) -> SolutionSeries:
@@ -93,7 +93,7 @@ def residual(eq: EquationSpec, sol: SolutionSeries) -> SeriesMap:
     p, q, psi = eq.dim_x, eq.dim_y, eq.psi
     if sol.phi.num_vars != p or sol.phi.output_dim != q:
         raise ValueError("solution shape does not match the equation")
-    image = _substitute(psi, sol.phi, sol.degree_cap)
+    image = _substitute(psi.with_cap(sol.degree_cap), sol.phi)
     return SeriesMap(tuple(a - b for a, b in zip(sol.phi.components, image.components)))
 
 
@@ -146,7 +146,6 @@ def solve_partition_oracle(eq: EquationSpec, degree: int) -> SolutionSeries:
             f"the partition oracle is capped at degree "
             f"{PARTITION_ORACLE_MAX_DEGREE}, got {degree}")
     p, q, psi = eq.dim_x, eq.dim_y, eq.psi
-    psi = psi.with_cap(degree)
     mode = psi.mode
     zero = zero_value(mode)
 

@@ -450,6 +450,34 @@ def test_composition_matches_naive(touter, tu, tv):
     assert dict(got.terms) == want
 
 
+def _exponent(rng, num_vars, low, high):
+    """A seeded exponent vector in ``num_vars`` variables of total degree in
+    ``[low, high]``."""
+    alpha = [0] * num_vars
+    for _ in range(rng.randint(low, high)):
+        alpha[rng.randrange(num_vars)] += 1
+    return tuple(alpha)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_outer_terms_above_the_inner_cap_add_nothing(mode):
+    # every inner series vanishes at the origin, so an outer term of degree
+    # d feeds only degrees of at least d: an outer above the inner cap c
+    # composes as the outer cut to c does, bit for bit and term for term
+    rng = random.Random(606)
+    for _ in range(300):
+        m, n, c = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 5)
+        terms = {_exponent(rng, m, 0, c + 3): _draw(rng, mode) for _ in range(rng.randint(1, 10))}
+        terms[_exponent(rng, m, c + 1, c + 3)] = _draw(rng, mode) or 1
+        outer = Series(m, c + 3, terms, mode)
+        inner = [Series(n, c, {_exponent(rng, n, 1, c): _draw(rng, mode)
+                               for _ in range(rng.randint(1, 6))}, mode) for _ in range(m)]
+        got = compose_series(outer, inner)
+        want = compose_series(outer.with_cap(c), inner)
+        assert got.degree_cap == c
+        assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
+
+
 def test_series_map_identity_composition():
     m = SeriesMap((make({(1, 1): F(2), (2, 0): F(1)}),
                    make({(0, 2): F(-1)})))
@@ -501,6 +529,8 @@ REFUSALS = [
      "unknown coefficient mode 'decimal'"),
     (lambda: series_module.coerce_value(float("inf"), FLOAT), ValueError,
      "float coefficients must be finite, got inf"),
+    (lambda: series_module.coerce_value(object(), FLOAT), ValueError,
+     "float mode takes float or int coefficients, got object"),
     (lambda: parse_value(3, FLOAT), SpecFormatError,
      "coefficient literals must be strings, got 3"),
     (lambda: parse_value("1.5.2", FLOAT), SpecFormatError,
@@ -658,9 +688,9 @@ def test_solve_compiles_psi_once_per_term_set(monkeypatch):
     sol = solve_formal(quadratic_equation(cap=40), 40)
     assert sol.phi.components[0].coefficient((40,)) == pytest.approx(
         float(catalan(39)), rel=1e-12)
-    # round 1 runs at cap 1, where y^2 is dropped; every later round shares
-    # the plan of psi's full term set
-    assert len(built) == 2
+    # every round composes the one copy of psi cut to the solve's degree,
+    # so its plan is compiled once
+    assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ the random corpus is checked against the naive substitution oracle in
 helpers.py.
 """
 
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -115,7 +117,7 @@ def test_each_round_runs_at_the_cap_it_settles(monkeypatch, terms, caps):
     compose = impsolve.solver.series_compose
 
     def recording(outer, inner):
-        seen.append(outer.degree_cap)
+        seen.append(inner.degree_cap)
         return compose(outer, inner)
 
     monkeypatch.setattr(impsolve.solver, "series_compose", recording)
@@ -208,6 +210,24 @@ def frozen_system():
 def test_solve_float_frozen(make, degree, want):
     sol = solve_formal(make(), degree)
     assert tuple(dict(comp.terms) for comp in sol.phi.components) == want
+
+
+def test_the_solve_and_its_residual_are_frozen_on_a_seeded_corpus():
+    # sha256 of the canonical records of solve_formal and residual, recorded
+    # from the solver when each round composed psi cut to the round's cap;
+    # degrees below, at and above psi's cap, in both modes
+    rng = random.Random(505)
+    digest = hashlib.sha256()
+    for mode in (EXACT, FLOAT):
+        for cap in (3, 4, 6):
+            for _ in range(50):
+                eq, _ = random_equation(rng, mode=mode, cap=cap)
+                for degree in (1, 2, cap, cap + 3):
+                    sol = solve_formal(eq, degree)
+                    for phi in (sol.phi, residual(eq, sol)):
+                        records = [phi.degree_cap] + [c.to_records() for c in phi.components]
+                        digest.update(json.dumps(records).encode())
+    assert digest.hexdigest() == "44e255f7828a4a5bed65283194d872d5f964e8166f339c13504ef8887ce230e9"
 
 
 def test_degree_must_be_positive():

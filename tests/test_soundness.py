@@ -19,7 +19,9 @@ against the library:
 - so is ``inside``: at every X where the oracle on the unknowns X feeds
   proves a least fixed point at 1.1 X, ``membership`` answers ``inside``;
 - ``certificate_check`` is the exact decision ``is_pre_fixed``, at drawn
-  witnesses and at the least fixed point and one ulp either side of it.
+  witnesses and at the least fixed point and one ulp either side of it;
+- the two questions agree: at every certified inside point of an exact
+  system, each partial sum of its formal solution lies below ``Y~``.
 
 A second strategy spans the scales of ``y = x + c y^2`` over twenty
 decades of c, where every point drawn is inside and the certified ``Y~``
@@ -40,7 +42,7 @@ from impsolve import (COMPONENTWISE, EXACT, FLOAT, INSIDE, OUTSIDE,
                       ComparisonEquation, DomainError, EquationSpec,
                       LatticeVec, Series, SeriesMap, certificate_check,
                       hille_point, iterate_comparison, iterate_primal,
-                      membership, radius_along_ray, trace_graph)
+                      membership, radius_along_ray, solve_formal, trace_graph)
 
 from helpers import (exact_polys, expands, fixed_point_oracle, is_pre_fixed,
                      oracle_on_the_fed_unknowns, scalar_comparison)
@@ -200,6 +202,27 @@ def test_the_check_is_the_exact_decision(case, data):
         Y = tuple(value(Fraction(k, 64)) for k in data.draw(
             st.lists(st.integers(0, 64), min_size=len(Y), max_size=len(Y))))
     assert certificate_check(cmp_eq, X, Y) == is_pre_fixed(polys, X, Y)
+
+
+@settings(max_examples=100)
+@given(systems())
+def test_the_partial_sums_lie_below_every_certified_inside(case):
+    # Phi_N(X) <= Y_N(X) <= Y* <= Y~: the N-th Kleene iterate from 0, a
+    # polynomial in X, carries every coefficient of the formal solution Phi
+    # up to degree N and above N only non-negative ones; checked in Fraction
+    # on the drawn system made exact, at X = t (1, ..., 1) for t = k/64 up
+    # to the first outside verdict, past which the region holds no point
+    cmp_eq, _, _ = case
+    exact = _comparison(exact_polys(cmp_eq), EXACT)
+    partial_sums = [solve_formal(exact, N).phi for N in (4, 8)]
+    for k in range(1, 65):
+        X = (Fraction(k, 64),) * exact.dim_x
+        got = membership(exact, LatticeVec(X), BUDGET)
+        if got.verdict == OUTSIDE:
+            break
+        if got.verdict == INSIDE:
+            for phi in partial_sums:
+                assert all(v <= y for v, y in zip(phi.evaluate(X), got.principal_Y.entries))
 
 
 @st.composite

@@ -231,13 +231,17 @@ def _exceeds(row: Sequence[float], u: Sequence[float], e: float) -> bool:
 
 
 def _kleene(cmp: ComparisonEquation, x: tuple, max_iter: int, tol: float) -> list:
-    """The trace: Kleene from 0 on Psi's nearest kernels at ``x`` rounded down, until no entry
-    moves by more than ``tol``, for ``max_iter`` steps or to the last finite one; exact images."""
-    ((psi, leaves), _), x = cmp._float_kernels, tuple(map(_down, x))
+    """The trace: Kleene from 0 on Psi's nearest kernels at ``x`` rounded down, else on
+    ``_down`` of Psi in ``Fraction`` at ``x``, as ``_outside`` steps, until no entry moves
+    by more than ``tol``, for ``max_iter`` steps or to the last finite one; exact images."""
+    try:
+        ((psi, leaves), _), xf = cmp._float_kernels, tuple(map(_down, x))
+    except ValueError:  # a coefficient beyond the float range
+        psi = None
     Y = (0.0,) * cmp.dim_y
     iterates = [Y]
     for _ in range(max_iter):
-        Y_next = psi(x + Y, leaves, 0.0)
+        Y_next = psi(xf + Y, leaves, 0.0) if psi else tuple(map(_down, _exact_psi(cmp.psi, x + Y)))
         if not all(map(isfinite, Y_next)):
             break
         iterates.append(Y_next)

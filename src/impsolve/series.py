@@ -34,12 +34,6 @@ alone, never from a value (``_compile``), that returns their values in one
 tuple.  The same nearest kernels also prove: ``_bracket`` bounds their
 rounding on non-negative data, and ``Fraction`` stands in where it cannot.
 
-An exact product multiplies no ``Fraction`` pair by pair: the pair loop
-runs on each operand's integer numerators over the lcm of its
-denominators, and each output is divided once by the product of the two
-lcms.  Float products run the same loop on their floats in the same
-order, so ``test_solve_float_frozen`` still pins them bit for bit.
-
 The monomial coefficient ``c[alpha]`` of a degree-``n`` term is the value
 of the completely symmetric n-linear coefficient form on the basis
 multiset with exponent pattern ``alpha``, divided by ``alpha!``, the
@@ -371,24 +365,40 @@ class Series(_Value):
         return self + (-other)
 
     def __mul__(self, other: Series) -> Series:
+        """The product, truncated at the cap.  Its pair loop adds integer keys,
+        each term's exponents in radix ``cap + 1``, and forms an output's tuple
+        once, from its first pair.  A pair above the cap is skipped before its
+        keys are added, so no entry of a kept sum passes the cap, no digit
+        carries, and equal keys mean equal exponents.  Exact operands enter as
+        integer numerators over the lcm of their denominators, and each output
+        is divided once by the product of the two lcms.  Left terms in order
+        outside, right terms inside: that order fixes each float sum's rounding
+        and the output's order, which ``test_solve_float_frozen`` pins."""
         self._check_compatible(other, "multiply")
-        cap = self.degree_cap
+        cap, n, mode = self.degree_cap, self.num_vars, self.mode
+        if not (self.terms and other.terms):
+            return Series._ring(n, cap, {}, mode)
         left, den_a = _over_common_denominator(self)
         right, den_b = _over_common_denominator(other)
-        right = [(b, sum(b), cb) for b, cb in right]
-        out: dict[tuple, Number] = {}
+        weights = [(cap + 1) ** j for j in range(n)]
+        right = [(b, sum(b), sum(map(operator.mul, b, weights)), cb) for b, cb in right]
+        out: dict[int, Number] = {}
+        exponents: dict[int, tuple] = {}
         for a, ca in left:
-            room = cap - sum(a)
-            for b, db, cb in right:
+            room, ka = cap - sum(a), sum(map(operator.mul, a, weights))
+            for b, db, kb, cb in right:
                 if db > room:
                     continue
-                key = tuple(map(operator.add, a, b))
-                prod = ca * cb
-                out[key] = out[key] + prod if key in out else prod
-        if self.mode == EXACT:
+                key, prod = ka + kb, ca * cb
+                if key in out:
+                    out[key] += prod
+                else:
+                    out[key], exponents[key] = prod, tuple(map(operator.add, a, b))
+        values = out.values()  # in the order of ``exponents``, as both gain keys together
+        if mode == EXACT:
             den = den_a * den_b
-            out = {key: Fraction(v, den) for key, v in out.items()}
-        return Series._ring(self.num_vars, cap, out, self.mode)
+            values = map(Fraction, values) if den == 1 else (Fraction(v, den) for v in values)
+        return Series._ring(n, cap, dict(zip(exponents.values(), values)), mode)
 
     def partial(self, var: int) -> Series:
         """Partial derivative with respect to variable ``var``.

@@ -6,10 +6,14 @@ renaming one of them breaks the benchmark without failing any other test.
 This test builds three workloads from ``perfbench/workloads.py``, runs the
 first operation of each kind through the worker, with the tracer
 installed, and grades each result with ``perfbench/checks.py``.  It reads
-``perfbench/`` and changes nothing there.
+``perfbench/`` and changes nothing there.  A second test holds each
+committed ``BENCH_<n>.json`` from 28 on to the shape and the claim it records.
 """
 
+import json
 import os
+import re
+import statistics
 import sys
 
 import pytest
@@ -56,3 +60,34 @@ def test_first_op_of_each_kind_runs_traced(jobs, workload):
     finally:
         tracer.uninstall()
     assert sum(tracer.table()[f"{layer}.calls"] for layer in tracing.LAYERS) > 0
+
+
+ROOT = os.path.dirname(PERFBENCH)
+with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
+    END_TO_END = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
+RECORDS = sorted(name for name in os.listdir(ROOT)
+                 if (m := re.fullmatch(r"BENCH_(\d+)\.json", name)) and int(m[1]) >= 28)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_each_benchmark_record_holds_its_claim(name):
+    # a committed BENCH_<n>.json backs a speed claim: every run names its
+    # side, pair and worker count and carries every end-to-end metric, and
+    # on the claimed workload, over at least 3 pairs, the change's median
+    # beats the parent's in the direction BENCHMARK.json gives
+    with open(os.path.join(ROOT, name)) as f:
+        record = json.load(f)
+    assert {"seed", "check_seed", "seconds", "python", "nproc", "claimed",
+            "workloads"} <= set(record)
+    for workload in record["workloads"].values():
+        for run in workload["runs"]:
+            assert run.get("side") in ("parent", "change") and type(run.get("pair")) is int
+            assert type(run.get("workers")) is int
+            assert set(END_TO_END) <= set(run["metrics"])
+    workload, metric = record["claimed"]["workload"], record["claimed"]["metric"]
+    runs = record["workloads"][workload]["runs"]
+    sides = {side: {r["pair"]: r["metrics"][metric] for r in runs if r["side"] == side}
+             for side in ("parent", "change")}
+    assert len(set(sides["parent"]) & set(sides["change"])) >= 3
+    parent, change = (statistics.median(sides[side].values()) for side in sides)
+    assert change < parent if END_TO_END[metric] == "lower" else change > parent

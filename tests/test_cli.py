@@ -294,6 +294,25 @@ def test_iterate_x_answers_for_a_coefficient_below_the_float_range(spec_file, ca
     assert out.splitlines()[-1].split(",")[2] == "7205759403792793/36028797018963968"
 
 
+def test_iterate_answers_for_a_coefficient_beyond_the_float_range(spec_file, capsys):
+    # exact y = x + 10^400 y^2 has no float kernel.  membership answered
+    # outside after 1 step while iterate refused the coefficient and exited
+    # 2; its trace now steps as membership's does, by Psi in Fraction
+    # rounded down, and ends on the witness
+    path = spec_file(dict(QUAD_PLUS_EXACT, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "1" + "0" * 400}]))
+    code, out, err = run(capsys, ["membership", "--spec", path, "--X", "1/5"])
+    assert (code, err) == (0, "")
+    got = json.loads(out)
+    assert (got["verdict"], got["iterations_used"]) == ("outside", 1)
+    code, out, err = run(capsys, ["iterate", "--spec", path, "--X", "1/5"])
+    assert (code, err) == (0, "")
+    header, *rows = out.splitlines()
+    assert header == "p,Y0,bound0,delta0" and len(rows) == 2
+    assert rows[-1].split(",")[1] == got["witness"][0]
+
+
 def test_region_csv(spec_file, capsys):
     cmp_doc = dict(QUAD_MINUS)
     cmp_doc["terms"] = [

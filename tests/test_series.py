@@ -294,6 +294,45 @@ def test_wide_exact_products_match_naive(ta, tb, tn, cap):
     assert dict(((a + n) * (a - n)).terms) == dict((a * a - n * n).terms)
 
 
+def _product_operand(rng, mode, n, cap):
+    """Seeded terms in no order of degree: low ones and ones of degree
+    ``cap``, in one variable or spread over all ``n``, with signed small
+    values, which cancel, or wide ones, whose float sums round by order."""
+    def value():
+        if mode == EXACT:
+            return F(rng.choice([-3, -1, 1, 2]) * rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 3))
+        return rng.choice([-3.0, -1.0, 1.0, 2.0, rng.uniform(-1, 1) * 1e3])
+
+    terms = {_exponent(rng, n, *rng.choice([(0, cap), (cap, cap)])): value()
+             for _ in range(rng.randint(1, 8))}
+    power = [0] * n
+    power[rng.randrange(n)] = cap
+    terms[tuple(power)] = value()
+    return Series(n, cap, terms, mode)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FLOAT])
+def test_products_keep_the_naive_order_and_bits(mode):
+    # helpers.naive_mul loops left terms outside and right terms inside, in
+    # insertion order, as the library does: that fixes each float sum's
+    # rounding and the order of the output's terms.  Operands with terms
+    # at the cap in 2-3 variables would merge keys in any radix below
+    # cap + 1; (p + q)(p - q) cancels its cross terms
+    rng = random.Random(3636)
+    cancelled = 0
+    for _ in range(400):
+        n, cap = rng.randint(1, 3), rng.randint(0, 8)
+        p, q = (_product_operand(rng, mode, n, cap) for _ in range(2))
+        empty = Series.zero(n, cap, mode)
+        for a, b in ((p, q), (q, p), (p + q, p - q), (empty, q), (p, empty)):
+            got = a * b
+            assert list(got.terms.items()) == list(
+                naive_mul(dict(a.terms), dict(b.terms), cap).items())
+            cancelled += len(got.terms) < len({tuple(map(sum, zip(x, y))) for x in a.terms
+                                               for y in b.terms if sum(x) + sum(y) <= cap})
+    assert cancelled > 100
+
+
 @given(exact_terms(), exact_terms(), exact_terms())
 def test_ring_laws(ta, tb, tc):
     a, b, c = make(ta), make(tb), make(tc)

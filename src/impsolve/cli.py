@@ -4,12 +4,13 @@ Verbs map one-to-one onto the library operations; every verb reads an
 equation file (see ``equation_to_dict`` for the format) and returns CSV text
 or a JSON document, which ``main`` writes once, to stdout or ``--out``, after
 the verb succeeds.  ``hille``, ``membership``, ``radius`` and ``check`` print
-every field of their result record, a ``NamedTuple``, in declaration order
-(see ``_doc``).  Nothing the CLI imports loads ``dataclasses`` or
-``inspect``, whose import cost a verb more than its own work on small
-inputs.  Exit codes are 0 on
-success, 1 on domain errors, and 2 on usage or file-format errors, an
-``--out`` that cannot be written among them, refused before the verb runs.
+every field of their result record, a ``collections.namedtuple``, in
+declaration order (see ``_doc``).  Nothing the CLI imports loads
+``dataclasses`` or ``inspect``, whose import cost a verb more than its own
+work on small inputs, and ``csv`` loads only in a verb that writes CSV.
+Exit codes are 0 on success, 1 on domain errors, and 2 on usage or
+file-format errors, an ``--out`` that cannot be written among them,
+refused before the verb runs.
 Output is deterministic: identical inputs produce byte-identical documents.
 """
 
@@ -72,10 +73,10 @@ def _parse_vector(text: str, mode: str, what: str) -> LatticeVec:
 def _doc(value):
     """The JSON value of a verb's result.
 
-    A record, a ``NamedTuple``, becomes an object of its ``_fields`` in
-    declaration order, a vector or any other tuple a list, and an exact
-    number its rational string; a document already built as a dict passes
-    through unchanged.
+    A record, a ``collections.namedtuple``, becomes an object of its
+    ``_fields`` in declaration order, a vector or any other tuple a list,
+    and an exact number its rational string; a document already built as a
+    dict passes through unchanged.
     """
     if isinstance(value, LatticeVec):
         return [_doc(e) for e in value.entries]

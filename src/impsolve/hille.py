@@ -18,17 +18,17 @@ a turn or a crossing exists at all is read off Psi's terms.
 
 from __future__ import annotations
 
-import csv
+from collections import namedtuple
 from fractions import Fraction
 from math import isfinite, nextafter, sqrt, ulp
 from sys import float_info
-from typing import IO, Callable, NamedTuple
+from typing import IO, Callable
 
 from .errors import DomainError
 from .kantorovich import (DEFAULT_TOL, INSIDE, OUTSIDE, _newton_certificate, check_tol,
                           membership)
 from .lattice import ComparisonEquation, LatticeVec, check_comparison
-from .series import EXACT, FLOAT, Number, _float, coerce_value, zero_value
+from .series import EXACT, FLOAT, _float, coerce_value, zero_value
 from .solver import SolutionSeries
 
 FOUND = "found"
@@ -36,34 +36,29 @@ UNBOUNDED = "unbounded"
 FAILED = "failed"
 
 
-class HillePoint(NamedTuple):
-    """The turning point of the comparison graph, if one was found."""
+class HillePoint(namedtuple("HillePoint",
+                            "X_star Y_star residual_fixed residual_derivative status")):
+    """The turning point of the comparison graph, if found: floats or None, and a status."""
 
-    X_star: float | None
-    Y_star: float | None
-    residual_fixed: float | None
-    residual_derivative: float | None
-    status: str
+    __slots__ = ()
 
 
-class GraphPoint(NamedTuple):
-    X: float
-    Y: float
-    dPsi_dY: float
+class GraphPoint(namedtuple("GraphPoint", "X Y dPsi_dY")):
+    """A point on the graph and ``dPsi/dY`` there, as floats."""
+
+    __slots__ = ()
 
 
-class RegionSample(NamedTuple):
-    points: tuple[GraphPoint, ...]
-    turning_index: int | None
-    omitted: tuple[float, ...]
+class RegionSample(namedtuple("RegionSample", "points turning_index omitted")):
+    """A tuple of ``GraphPoint``s, the turn's index or None, and the float Ys left out."""
+
+    __slots__ = ()
 
 
-class RayRadius(NamedTuple):
-    """Certified bracket around the boundary crossing along a ray."""
+class RayRadius(namedtuple("RayRadius", "t_inside t_outside unbounded")):
+    """Certified bracket around the boundary crossing along a ray, as float scales."""
 
-    t_inside: float
-    t_outside: float | None
-    unbounded: bool
+    __slots__ = ()
 
     @property
     def midpoint(self) -> float:
@@ -224,6 +219,7 @@ def trace_graph(cmp: ComparisonEquation, Y_max: float, steps: int) -> RegionSamp
 
 
 def region_to_csv(sample: RegionSample, stream: IO[str]) -> None:
+    import csv  # here, so that only the verbs that write CSV load it
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["Y", "X", "dPsi_dY", "is_turning"])
     for k, pt in enumerate(sample.points):
@@ -304,9 +300,10 @@ def radius_along_ray(cmp: ComparisonEquation, direction: LatticeVec,
     return RayRadius(t_inside=t_in, t_outside=t_out, unbounded=False)
 
 
-class RadiusEstimate(NamedTuple):
-    estimate: Number
-    degree: int
+class RadiusEstimate(namedtuple("RadiusEstimate", "estimate degree")):
+    """The ratio estimate, in the series' mode, and the degree it was read at."""
+
+    __slots__ = ()
 
 
 def empirical_radius(sol: SolutionSeries) -> RadiusEstimate:

@@ -24,12 +24,12 @@ bracket cannot.  Only a ``ComparisonEquation`` is taken;
 
 from __future__ import annotations
 
-import csv
+from collections import namedtuple
 from fractions import Fraction
 from math import copysign, inf, isfinite
 from operator import le, mul, sub
 from sys import float_info
-from typing import IO, NamedTuple, Sequence
+from typing import IO, Sequence
 
 from .errors import DomainError
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
@@ -49,22 +49,21 @@ OUTSIDE = "outside"
 UNRESOLVED = "unresolved"
 
 
-class IterationTrace(NamedTuple):
-    iterates_Y: tuple[LatticeVec, ...]
-    iterates_y: tuple[tuple[Number, ...], ...] | None
-    verdict: str
-    error_bounds: tuple[LatticeVec, ...] | None
+class IterationTrace(namedtuple("IterationTrace", "iterates_Y iterates_y verdict error_bounds")):
+    """The ``LatticeVec`` iterates, the primal ones or None, the verdict, the bounds or None."""
+
+    __slots__ = ()
 
     @property
     def steps(self) -> int:
         return len(self.iterates_Y) - 1
 
 
-class Membership(NamedTuple):
-    verdict: str
-    principal_Y: LatticeVec | None
-    iterations_used: int
-    witness: LatticeVec | None = None
+class Membership(namedtuple("Membership", "verdict principal_Y iterations_used witness",
+                            defaults=(None,))):
+    """A verdict, the certified Y~ or None, the steps, and the checked outside iterate or None."""
+
+    __slots__ = ()
 
 
 def _point(cmp: ComparisonEquation, v, dim: int, name: str) -> tuple:
@@ -384,6 +383,7 @@ def _fmt(value: Number) -> str:
 
 def trace_to_csv(trace: IterationTrace, stream: IO[str]) -> None:
     """Write the iterates, bounds, and step gaps as CSV rows."""
+    import csv  # here, so that only the verbs that write CSV load it
     dim = trace.iterates_Y[0].dimension
     header = ["p"] + [f"Y{i}" for i in range(dim)]
     primal = trace.iterates_y

@@ -17,10 +17,11 @@ and which unknowns each support of x feeds (``_support``), as every search's.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 from math import isfinite
 from operator import add, sub
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SpecFormatError
 from .series import (EXACT, FLOAT, Number, Series, SeriesMap, _bracket, _cached, _nearest_plan,
@@ -238,19 +239,17 @@ def check_majorant_shape(eq: EquationSpec, cmp: EquationSpec) -> None:
 # -- sampled domination check -------------------------------------------
 
 
-class MajorantViolation(NamedTuple):
-    kind: str
-    component: int
-    point: tuple[Number, ...]
-    increment: tuple[Number, ...] | None
-    lhs: Number
-    rhs: Number
+class MajorantViolation(namedtuple("MajorantViolation", "kind component point increment lhs rhs")):
+    """A failed inequality at a drawn point and increment (None for a value check)."""
+
+    __slots__ = ()
 
 
-class MajorantSampleReport(NamedTuple):
-    points_checked: int
-    increments_checked: int
-    violations: tuple[MajorantViolation, ...]
+class MajorantSampleReport(namedtuple("MajorantSampleReport",
+                                      "points_checked increments_checked violations")):
+    """The counts checked and a tuple of ``MajorantViolation``s."""
+
+    __slots__ = ()
 
 
 def check_majorant_samples(eq: EquationSpec, cmp: ComparisonEquation,

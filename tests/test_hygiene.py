@@ -40,10 +40,12 @@ def test_unused_import_is_detected():
     assert _unused_imports(source) == ["line 1: Iterable"]
 
 
-def test_import_loads_no_dataclasses_or_inspect():
+def test_import_loads_no_dataclasses_inspect_or_csv():
     # dataclasses pulls in inspect, ast, dis and tokenize, and decorating
-    # with it took 14 of the 18 ms that importing impsolve cost a CLI verb
-    probe = "import sys, impsolve.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # with it took 14 of the 18 ms that importing impsolve cost a CLI verb;
+    # csv cost about 0.6 ms of every import, and only the CSV writers use it
+    probe = ("import sys, impsolve.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'csv'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)))
     assert done.stdout == "[]\n"

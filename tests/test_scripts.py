@@ -119,3 +119,20 @@ def test_op_results_prints_the_bytes_of_every_cli_verb(op_results_at_seed_7):
     results = {op["id"]: op["result"] for op in ops}
     assert json.loads(results["cli-verbs/cli/hille"]["stdout"])["status"] == "found"
     assert len(results["cli-verbs/cli/region"]["stdout"].splitlines()) == 202
+
+
+
+def test_startup_prints_a_row_per_probe_against_the_baseline():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "scripts/startup.py", "--runs", "2"],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    header, *rows = done.stdout.splitlines()
+    assert header.split()[-3:] == ["process_ms", "over_pass_ms", "step_ms"]
+    assert [row[:38].rstrip() for row in rows] == [
+        "python -c pass", "import impsolve (worker)", "import impsolve.cli + build_parser()"]
+    (base, zero, none), *probes = [row[38:].split() for row in rows]
+    assert float(zero) == 0.0 and none == "-"
+    for whole, over, step in probes:
+        assert abs(float(over) - (float(whole) - float(base))) <= 0.002
+        assert 0 < float(step) < float(whole)

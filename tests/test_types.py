@@ -13,6 +13,31 @@ SERIES = Series(2, 3, {(1, 0): 1.0, (0, 2): 1.0}, FLOAT)
 PSI = SeriesMap((SERIES,))
 PHI = SeriesMap((Series(1, 3, {(1,): 1.0}, FLOAT),))
 
+GRAPH_POINT = GraphPoint(0.1, 0.2, 0.4)
+# one instance of each result record besides GRAPH_POINT, and its repr
+RECORDS = [
+    (Membership(INSIDE, LatticeVec((0.5,)), 3),
+     "Membership(verdict='inside', principal_Y=LatticeVec(entries=(0.5,)), "
+     "iterations_used=3, witness=None)"),
+    (IterationTrace((LatticeVec((0.0,)),), None, INSIDE, None),
+     "IterationTrace(iterates_Y=(LatticeVec(entries=(0.0,)),), iterates_y=None, "
+     "verdict='inside', error_bounds=None)"),
+    (HillePoint(0.25, 0.5, 0.0, 1e-17, "found"),
+     "HillePoint(X_star=0.25, Y_star=0.5, residual_fixed=0.0, "
+     "residual_derivative=1e-17, status='found')"),
+    (RegionSample((GRAPH_POINT,), 0, (1.0,)),
+     "RegionSample(points=(GraphPoint(X=0.1, Y=0.2, dPsi_dY=0.4),), "
+     "turning_index=0, omitted=(1.0,))"),
+    (RayRadius(0.2, 0.3, False),
+     "RayRadius(t_inside=0.2, t_outside=0.3, unbounded=False)"),
+    (MajorantViolation("value", 0, (0.1,), None, 1.0, 0.5),
+     "MajorantViolation(kind='value', component=0, point=(0.1,), increment=None, "
+     "lhs=1.0, rhs=0.5)"),
+    (MajorantSampleReport(4, 2, ()),
+     "MajorantSampleReport(points_checked=4, increments_checked=2, violations=())"),
+    (RadiusEstimate(0.25, 40), "RadiusEstimate(estimate=0.25, degree=40)"),
+]
+
 VALUES = [
     (SERIES, ("num_vars", "degree_cap", "terms", "mode")),
     (PSI, ("components",)),
@@ -20,7 +45,8 @@ VALUES = [
     (EquationSpec(PSI, COMPONENTWISE, COMPONENTWISE), ("psi", "profile_x", "profile_y")),
     (ComparisonEquation(PSI), ("psi", "profile_x", "profile_y")),
     (SolutionSeries(PHI, ITERATIVE), ("phi", "source")),
-]
+    (GRAPH_POINT, GRAPH_POINT._fields),
+] + [(record, record._fields) for record, _ in RECORDS]
 
 
 @pytest.mark.parametrize("value, fields", VALUES,
@@ -31,6 +57,9 @@ def test_a_field_cannot_be_assigned(value, fields):
         with pytest.raises(AttributeError):
             setattr(value, name, before)
         assert getattr(value, name) is before
+    # nor a new name: a record subclass without __slots__ = () takes it into a __dict__
+    with pytest.raises(AttributeError):
+        value.not_a_field = None
 
 
 def test_a_comparison_is_not_equal_to_its_equation():
@@ -52,30 +81,6 @@ def test_value_repr_names_every_field():
     assert repr(SolutionSeries(PHI, ITERATIVE)) == (
         "SolutionSeries(phi=SeriesMap(components=(Series(num_vars=1, degree_cap=3, "
         "terms=mappingproxy({(1,): 1.0}), mode='float'),)), source='iterative')")
-
-
-RECORDS = [
-    (Membership(INSIDE, LatticeVec((0.5,)), 3),
-     "Membership(verdict='inside', principal_Y=LatticeVec(entries=(0.5,)), "
-     "iterations_used=3, witness=None)"),
-    (IterationTrace((LatticeVec((0.0,)),), None, INSIDE, None),
-     "IterationTrace(iterates_Y=(LatticeVec(entries=(0.0,)),), iterates_y=None, "
-     "verdict='inside', error_bounds=None)"),
-    (HillePoint(0.25, 0.5, 0.0, 1e-17, "found"),
-     "HillePoint(X_star=0.25, Y_star=0.5, residual_fixed=0.0, "
-     "residual_derivative=1e-17, status='found')"),
-    (RegionSample((GraphPoint(0.1, 0.2, 0.4),), 0, (1.0,)),
-     "RegionSample(points=(GraphPoint(X=0.1, Y=0.2, dPsi_dY=0.4),), "
-     "turning_index=0, omitted=(1.0,))"),
-    (RayRadius(0.2, 0.3, False),
-     "RayRadius(t_inside=0.2, t_outside=0.3, unbounded=False)"),
-    (MajorantViolation("value", 0, (0.1,), None, 1.0, 0.5),
-     "MajorantViolation(kind='value', component=0, point=(0.1,), increment=None, "
-     "lhs=1.0, rhs=0.5)"),
-    (MajorantSampleReport(4, 2, ()),
-     "MajorantSampleReport(points_checked=4, increments_checked=2, violations=())"),
-    (RadiusEstimate(0.25, 40), "RadiusEstimate(estimate=0.25, degree=40)"),
-]
 
 
 @pytest.mark.parametrize("record, text", RECORDS,

@@ -6,7 +6,7 @@ has a least fixed point there.  ``_newton_certificate`` looks for a witness
 ``Y~`` by float Newton from zero, on the comparison's two cached map
 kernels, of Psi and of ``dPsi/dY``, which ``hille`` reads too, one call of
 each a step; it counts only once ``certificate_check`` proves ``Y~ >=
-Psi(X, Y~)``, on the same kernels and ``series._bracket``.
+Psi(X, Y~)``, on the bounds from the same kernels that ``_bounds`` gives.
 Proof sketch: Psi has non-negative coefficients and ``X >= 0``, so it is
 nondecreasing in Y, and ``0 <= Y(p) <= Y~`` gives ``Y(p+1) = Psi(X, Y(p))
 <= Psi(X, Y~) <= Y~``.  So every Kleene iterate from zero lies below
@@ -17,9 +17,8 @@ every tail: ``Y* - Y(p) <= Y~ - Y(p)``.  ``OUTSIDE`` is proved by
 spectral radius above 1, which no least fixed point allows, decided by
 ``_exceeds`` in float with a stated rounding margin.  All else is
 ``UNRESOLVED``.  Exact input never iterates in ``Fraction``, which only
-referees a tie of the check or of the margin and stands in where the
-bracket cannot.  Only a ``ComparisonEquation`` is taken;
-``_point`` checks each point.
+referees a tie of the check or of the margin, or stands in for a bound.
+Only a ``ComparisonEquation`` is taken; ``_point`` checks each point.
 """
 
 from __future__ import annotations
@@ -27,14 +26,14 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from math import copysign, inf, isfinite
-from operator import le, mul, sub
+from operator import gt, le, mul, sub
 from sys import float_info
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from .errors import DomainError
 from .lattice import (ComparisonEquation, EquationSpec, LatticeVec, check_comparison,
                       check_majorant_shape, norm)
-from .series import (EXACT, FLOAT, Number, SeriesMap, _down, _float, _nearest_plan,
+from .series import (EXACT, FLOAT, Number, SeriesMap, _down, _float, _nearest_plan, _up,
                      coerce_value, format_value)
 from .solver import FLOAT_PIVOT_MIN
 
@@ -161,50 +160,36 @@ def _newton_step(J: tuple, q: int, fed: tuple, value: tuple, Y: list) -> tuple |
 
 
 def _outside(cmp: ComparisonEquation, x: tuple, budget: int) -> tuple:
-    """``(witness, steps)``: Kleene from 0 on lower bounds on Psi, ``lo``
-    times its nearest value (``_bracket``; the kernel's ``scale``), or
-    ``_down`` of its ``Fraction`` value where the bracket cannot bound that,
+    """``(witness, steps)``: Kleene from 0 on ``_bounds``' lower bounds on Psi,
     so the iterates Y lie below every fixed point ``mu`` and never overflow,
-    until a step settles, moving no entry by more than ``DEFAULT_TOL`` times
-    the largest, or the budget ends.  The witness (exact images for an
-    exact ``cmp``) is the first Y, or None, where some ``u >= 0`` on Y's
-    support has ``(J u)_i > u_i`` wherever ``u_i > 0`` in float and exactly
-    (``_exceeds``), J lower bounds on ``dPsi/dY`` at Y the same way, split
-    into rows from the kernel's flat value.  Then ``rho(J) > 1`` there, but
-    ``J <= dPsi/dY(mu)``, whose ``rho`` on a least ``mu``'s support is at
-    most 1, else ``mu - e v``, v a Perron vector there, is a smaller
+    until a step moves no entry by more than ``DEFAULT_TOL`` times the
+    largest, or the budget ends.  The witness (exact images for an exact
+    ``cmp``) is the first Y, or None, where some ``u >= 0`` on Y's support
+    has ``(J u)_i > u_i`` wherever ``u_i > 0`` in float and exactly
+    (``_exceeds``), J the lower bound on ``dPsi/dY`` at Y.  Then ``rho(J) >
+    1``, but ``J <= dPsi/dY(mu)``, whose ``rho`` on a least ``mu``'s support
+    is at most 1, else ``mu - e v``, v a Perron vector there, is a smaller
     pre-fixed point (Etessami and Yannakakis, JACM 2009).  Checked where the
-    two-step increment ``d = Y(p+1) - Y(p-1)`` grows, at u = d / max(d)
-    with entries below ``2^-20`` dropped, to sit on one block: Psi is convex
-    on the orthant, so ``Psi(b) - Psi(a) <= dPsi/dY(b) (b - a)`` for ``a <=
-    b``, the increments follow J to first order, and a growing d is the
-    vector that J maps above itself."""
-    lo, _, floor, partials = cmp._bracket
-    try:
-        ((psi, leaves), (jac, jac_leaves)), xf = cmp._float_kernels, tuple(map(float, x))
-    except (ValueError, OverflowError):  # beyond the float range
-        psi, xf = None, x
-    q = cmp.dim_y
-    before2 = before = Y = (0.0,) * q  # the gate checks x once, and Y at every step
-    z, fits = xf + Y, (gated := psi and min([1.0, *filter(None, xf)]) >= floor)
+    two-step increment ``d = Y(p+1) - Y(p-1)`` grows, at u = d / max(d) with
+    entries below ``2^-20`` dropped, to sit on one block: Psi is convex on
+    the orthant, so ``Psi(b) - Psi(a) <= dPsi/dY(b) (b - a)`` for ``a <= b``,
+    the increments follow J to first order, and a growing d is the vector
+    that J maps above itself."""
+    lower, q = _bounds(cmp, x)(_down), cmp.dim_y
+    before2 = before = Y = (0.0,) * q
     # total, the sum of the steps, telescopes to at least max(Y_next) / 2
     # after rounding, so a step above slack * total has not settled and
     # skips max(Y_next), about a tenth of a step's cost
     total, slack, grown = 0.0, 2 * DEFAULT_TOL, 0.0
     for steps in range(1, budget + 1):
-        Y_next = psi(z, leaves, 0.0, lo) if fits else (inf,)
-        if not sum(Y_next) < inf:
-            Y_next = tuple(map(_down, _exact_psi(cmp.psi, x + Y)))
+        Y_next = lower(Y)
         total += (step := max(map(sub, Y_next, Y)))
         if step <= slack * total and step <= DEFAULT_TOL * max(Y_next):
             break
         growth = max(map(sub, Y_next, before))
         before2, before, Y = before, Y, Y_next
-        z, fits = xf + Y, gated and (min(Y) >= floor or min([1.0, *filter(None, Y)]) >= floor)
         if growth > grown:
-            J = jac(z, jac_leaves, 0.0, lo) if fits else (inf,)
-            if not sum(J) < inf:
-                J = tuple(map(_down, _exact_psi(partials, x + Y)))
+            J = lower(Y, True)
             u = [e if (e := (b - a) / growth) >= 2 ** -20 and b > 0 else 0.0
                  for a, b in zip(before2, Y)]
             rows = [J[k:k + q] for k in range(0, q * q, q)]
@@ -344,20 +329,40 @@ def certificate_check(cmp: ComparisonEquation, X: LatticeVec,
 
 
 def _pre_fixed(cmp: ComparisonEquation, x: tuple, y: tuple) -> bool:
-    """``certificate_check`` at the checked ``x`` and ``y``: yes if ``hi*v <=
-    y``, no if ``lo*v > y`` somewhere, v Psi's nearest value (``_bracket``);
-    a tie, or a v it cannot bound above or below, goes to ``_exact_psi``."""
-    lo, hi, floor, _ = cmp._bracket
+    """``certificate_check`` at the checked ``x`` and ``y``, on ``_bounds``."""
+    bound = _bounds(cmp, x + y)
+    return all(map(le, bound(_up)(), y)) or (
+        not any(map(gt, bound(_down)(), y)) and all(map(le, bound(Fraction)(), y)))
+
+
+def _bounds(cmp: ComparisonEquation, x: tuple) -> Callable:
+    """``_bounds(cmp, x)(rounded)(y=(), d=False)`` is Psi, or with ``d`` the
+    flat ``dPsi/dY``, at the checked ``x`` and floats ``y``: ``lo`` or ``hi``,
+    for ``rounded=_down`` or ``_up``, times one nearest kernel call
+    (``_bracket``; its ``scale``) where finite and gated, else, as always for
+    ``Fraction``, ``rounded`` of the exact value, reused at the same y and d.
+    Reading an image 0.0 as 0 only lowers a value: only ``_down``'s gate may."""
+    lo, hi, floor, partials = cmp._bracket
     try:
-        ((psi, leaves), _), z = cmp._float_kernels, tuple(map(float, x + y))
-        v = psi(z, leaves, 0.0)
+        kernels, xf = cmp._float_kernels, tuple(map(float, x))
+        low = min([1.0, *filter(None, xf)]) >= floor
     except (ValueError, OverflowError):  # beyond the float range
-        v = (inf,)
-    if sum(v) < inf and min([1.0, *(f for e, f in zip(x + y, z) if e)]) >= floor:
-        if (yes := all(hi * a <= e for a, e in zip(v, y))) or any(
-                lo * a > e for a, e in zip(v, y)):
-            return yes
-    return all(map(le, _exact_psi(cmp.psi, x + y), y))
+        low = False
+    held = [None, None]
+
+    def form(rounded: Callable) -> Callable:
+        strict = rounded is _up and low and xf.count(0.0) == x.count(0)  # no x > 0 reads 0.0
+        scale, gate = (lo, low) if rounded is _down else (hi, strict)
+        def bound(y: tuple = (), d: bool = False) -> tuple:
+            if gate and (not y or min(y) >= floor or min([1.0, *filter(None, y)]) >= floor):
+                run, leaves = kernels[d]
+                if sum(v := run(xf + y, leaves, 0.0, scale)) < inf:
+                    return v
+            if held[0] != (y, d):
+                held[:] = (y, d), _exact_psi(partials if d else cmp.psi, x + y)
+            return tuple(map(rounded, held[1]))
+        return bound
+    return form
 
 
 def _exact_psi(m: SeriesMap, point: tuple) -> tuple:

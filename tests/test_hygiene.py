@@ -313,3 +313,28 @@ def test_no_module_touches_an_instance_dict(path):
     # line, and CPython 3.11 then reads each field more slowly;
     # series._set keeps the fields inline
     assert _instance_dicts(path.read_text(encoding="utf-8")) == []
+
+
+def _bracket_readers(source: str) -> list[str]:
+    """The top-level definitions, by name, that read an attribute
+    ``_bracket``; a read outside any definition is named ``<module>``."""
+    return [getattr(node, "name", "<module>") for node in ast.parse(source).body
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "_bracket"
+                   for sub in ast.walk(node))]
+
+
+def test_bracket_reader_is_detected():
+    source = ("def bound(cmp):\n    return cmp._bracket\n"
+              "def other(cmp):\n    return cmp.psi\n"
+              "class Check:\n    def run(self, cmp):\n        return cmp._bracket[0]\n"
+              "LO = CMP._bracket[0]\n")
+    assert _bracket_readers(source) == ["bound", "Check", "<module>"]
+
+
+def test_only_the_bound_evaluator_reads_the_bracket():
+    # the rule that turns a nearest kernel call into a certified bound (the
+    # bracket's gate, lo or hi, the Fraction fallback) lives in
+    # kantorovich._bounds; lattice.py builds the bracket
+    readers = {f"{module}:{name}" for module, source in _package_sources().items()
+               if module != "lattice.py" for name in _bracket_readers(source)}
+    assert readers == {"kantorovich.py:_bounds"}

@@ -732,6 +732,58 @@ def test_a_coefficient_beyond_the_float_range_keeps_every_answer():
         assert certificate_check(cmp_eq, X, Y) is want is is_pre_fixed(polys, X, Y)
 
 
+def _counting_exact_psi(monkeypatch):
+    """The list that records each ``_exact_psi`` call from now on."""
+    calls, exact = [], impsolve.kantorovich._exact_psi
+
+    def counted(*args):
+        calls.append(args)
+        return exact(*args)
+
+    monkeypatch.setattr(impsolve.kantorovich, "_exact_psi", counted)
+    return calls
+
+
+def test_each_exact_fallback_runs_psi_in_fraction_once(monkeypatch):
+    # a check whose upper bound falls back reuses that one Fraction value
+    # for its lower bound and its tie, where bounds that each ran it made 3
+    big = ComparisonEquation(SeriesMap((Series(
+        2, 4, {(1, 0): Fraction(1), (0, 2): Fraction(10 ** 400)}, EXACT),)))
+    tiny = scalar_comparison({(1, 0): 1e-323, (0, 2): 2.0 ** 50})
+    X = (Fraction(1, 10 ** 401),)
+    calls = _counting_exact_psi(monkeypatch)
+    for run, want, count in [
+            (lambda: certificate_check(big, X, (Fraction(2, 10 ** 401),)), True, 1),
+            (lambda: certificate_check(big, X, (Fraction(1, 10 ** 402),)), False, 1),
+            (lambda: membership(big, X_at(Fraction(1, 10 ** 300))).verdict, OUTSIDE, 2),
+            (lambda: membership(tiny, X_at(2.0 ** 1022)).verdict, OUTSIDE, 4),
+            (lambda: membership(tiny, X_at(2.0 ** 1020)).verdict, INSIDE, 1)]:
+        calls.clear()
+        assert run() == want
+        assert len(calls) == count
+
+
+@pytest.mark.parametrize("X, verdict, steps, witness", [
+    ((Fraction(3, 10), Fraction(1, 10 ** 400)), OUTSIDE, 6, 0.6073745738548132),
+    ((Fraction(1, 4), Fraction(1, 10 ** 400)), UNRESOLVED, DEFAULT_BUDGET, None),
+])
+def test_only_a_lower_bound_reads_an_x_entry_below_the_float_range_as_zero(
+        monkeypatch, X, verdict, steps, witness):
+    # exact Y = X0 + X1 + Y^2 with X1 = 10^-400, whose float image is 0.0:
+    # the Kleene loop's lower bounds read it as 0 and stay in float, while
+    # the upper bound of the one failed certificate check runs Fraction.
+    # One gate for both sides moved the witness and ran Fraction 10,003 times
+    cmp_eq = ComparisonEquation(SeriesMap((Series(
+        3, 4, {(1, 0, 0): Fraction(1), (0, 1, 0): Fraction(1), (0, 0, 2): Fraction(1)},
+        EXACT),)))
+    calls = _counting_exact_psi(monkeypatch)
+    got = membership(cmp_eq, LatticeVec(X))
+    assert (got.verdict, got.iterations_used) == (verdict, steps)
+    assert (got.witness and float(got.witness.entries[0])) == witness
+    assert witness is None or expands(exact_polys(cmp_eq), X, got.witness.entries)
+    assert len(calls) == 1
+
+
 def test_a_subnormal_coefficient_keeps_its_value():
     # float Y = 1e-323 X + 2^50 Y^2 has X* = 2^1021.  Stepping one ulp down
     # at every Horner step read the subnormal 1e-323 as 5e-324, so 2X* was

@@ -121,6 +121,22 @@ def test_op_results_prints_the_bytes_of_every_cli_verb(op_results_at_seed_7):
     assert len(results["cli-verbs/cli/region"]["stdout"].splitlines()) == 202
 
 
+def test_op_results_prints_canonical_json_and_the_same_bytes_twice(op_results_at_seed_7):
+    # every "no result moved" claim is a diff of two runs of the script, so
+    # each line must be canonical and a rerun of one commit must match it
+    lines = op_results_at_seed_7
+    ids = [json.loads(line)["id"] for line in lines]
+    for line in lines:
+        assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
+    assert ids == sorted(set(ids))
+    assert {i.split("/")[0] for i in ids} == {
+        "series-solve", "certify-sweep", "boundary-geometry", "cli-verbs"}
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    again = subprocess.run([sys.executable, "scripts/op_results.py", "--seed", "7"],
+                           cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert again.returncode == 0, again.stderr
+    assert again.stdout == "\n".join(lines) + "\n"
+
 
 def test_startup_prints_a_row_per_probe_against_the_baseline():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

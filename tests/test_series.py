@@ -30,10 +30,10 @@ from impsolve import (
     solve_partition_oracle,
 )
 from impsolve import series as series_module
-from impsolve.kantorovich import _exact_psi
+from impsolve.kantorovich import _bounds
 
 from helpers import (_jacobian, catalan, exact_polys, naive_mul, naive_substitute, poly_at,
-                     quadratic_equation)
+                     quadratic_equation, random_comparison)
 
 
 def F(n, d=1):
@@ -813,22 +813,74 @@ def jacobian_cases(draw):
 @settings(max_examples=300)
 @given(jacobian_cases())
 def test_the_jacobian_lower_bounds_never_exceed_the_exact_partials(case):
-    # _outside reads dPsi/dY as lo times its nearest kernel where the gate
-    # passes and every value is finite, else as its Fraction value rounded
-    # down.  A partial's leaf fl(e * c) is one rounding more than Psi's, and
-    # fl(3 * 0.1) = 0.30000000000000004 exceeds 3 * Fraction(0.1): both the
-    # bracket and the Fraction fallback must start from e * c exactly
+    # _outside reads dPsi/dY from the lower bound of _bounds.  A partial's
+    # leaf fl(e * c) is one rounding more than Psi's, and fl(3 * 0.1) =
+    # 0.30000000000000004 exceeds 3 * Fraction(0.1): both the bracket and
+    # the Fraction fallback must start from e * c exactly
     cmp_eq, x, Y = case
-    lo, _, floor, partials = cmp_eq._bracket
     exact = [e for row in _jacobian(exact_polys(cmp_eq), x + Y, 1) for e in row]
-    try:
-        (_, (jac, leaves)), z = cmp_eq._float_kernels, tuple(map(float, x)) + Y
-        J = jac(z, leaves, 0.0, lo)
-    except (ValueError, OverflowError):  # a coefficient or entry beyond the float range
-        J = (math.inf,)
-    if not (sum(J) < math.inf and min([1.0, *filter(None, z)]) >= floor):
-        J = tuple(map(series_module._down, _exact_psi(partials, x + Y)))
+    J = _bounds(cmp_eq, x)(series_module._down)(Y, True)
     assert len(J) == len(exact) and all(b <= e for b, e in zip(J, exact))
+
+
+def _bounds_hold(cmp_eq, x, Y):
+    """``lower <= exact <= upper`` from ``_bounds`` at ``(x, Y)``, for Psi and
+    for the flat dPsi/dY, the exact form being the dict oracle's value."""
+    bound = _bounds(cmp_eq, x)
+    lower, upper, exact = bound(series_module._down), bound(series_module._up), bound(Fraction)
+    polys, z = exact_polys(cmp_eq), x + Y
+    for d, want in ((False, [poly_at(p, z) for p in polys]),
+                    (True, [e for row in _jacobian(polys, z, len(x)) for e in row])):
+        assert exact(Y, d) == tuple(want)
+        assert all(a <= e <= b for a, e, b in zip(lower(Y, d), want, upper(Y, d), strict=True))
+    return lower, upper, exact
+
+
+@pytest.mark.parametrize("mode", [FLOAT, EXACT])
+def test_the_bound_evaluator_brackets_psi_and_its_partials(mode):
+    # seeded comparisons in one or two X and Y, at points with zero and
+    # subnormal entries, and in exact mode with x entries below the float range
+    for seed in range(60):
+        rng = random.Random(seed)
+        cmp_eq = random_comparison(rng)
+        floats = lambda: rng.choice([rng.uniform(0, 1.5), 0.0, 5e-324, sys.float_info.min / 3])
+        x = tuple(floats() for _ in range(cmp_eq.dim_x))
+        if mode == EXACT:
+            cmp_eq = ComparisonEquation(SeriesMap(tuple(Series(
+                c.num_vars, c.degree_cap, {g: Fraction(v) for g, v in c.terms.items()}, EXACT)
+                for c in cmp_eq.psi.components)))
+            x = tuple(rng.choice([Fraction(rng.randint(0, 3000), 1999), F(1, 10 ** 400)])
+                      for _ in x)
+        _bounds_hold(cmp_eq, x, tuple(floats() for _ in range(cmp_eq.dim_y)))
+
+
+# each fails the gate of an upper bound; the last passes a lower bound's
+GATE_FAILURES = {
+    "subnormal-coefficient": (
+        ComparisonEquation(SeriesMap((Series(2, 4, {(1, 0): 1e-323, (0, 2): 2.0 ** 50},
+                                             FLOAT),))), (2.0 ** 1020,), (2.0 ** -51,), True),
+    "coefficient-above-the-float-range": (
+        ComparisonEquation(SeriesMap((Series(2, 4, {(1, 0): F(1), (0, 2): F(10 ** 400)},
+                                             EXACT),))), (F(1, 10 ** 401),), (1e-300,), True),
+    "non-finite-kernel-value": (
+        ComparisonEquation(SeriesMap((Series(2, 4, {(1, 0): 1.0, (0, 2): 1e300}, FLOAT),))),
+        (1.0,), (1e10,), True),
+    "x-entry-below-the-float-range": (
+        ComparisonEquation(SeriesMap((Series(3, 4, {(1, 0, 0): F(1), (0, 1, 0): F(1),
+                                                    (0, 0, 2): F(1)}, EXACT),))),
+        (F(3, 10), F(1, 10 ** 400)), (0.5,), False),
+}
+
+
+@pytest.mark.parametrize("name", GATE_FAILURES)
+def test_a_point_that_fails_the_gate_is_bounded_by_its_rounded_exact_value(name):
+    # an entry read as 0.0 only lowers the value, so a lower bound may pass
+    # the gate where an upper one fails it
+    cmp_eq, x, Y, lower_falls_back = GATE_FAILURES[name]
+    lower, upper, exact = _bounds_hold(cmp_eq, x, Y)
+    for d in (False, True):
+        assert upper(Y, d) == tuple(map(series_module._up, exact(Y, d)))
+        assert (lower(Y, d) == tuple(map(series_module._down, exact(Y, d)))) is lower_falls_back
 
 
 @given(st.one_of(st.sampled_from(EDGE_POINTS + EDGE_COEFFICIENTS),

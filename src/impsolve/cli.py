@@ -1,16 +1,19 @@
 """Command-line front end.
 
-Verbs map one-to-one onto the library operations; every verb reads an
-equation file (see ``equation_to_dict`` for the format) and returns CSV text
-or a JSON document, which ``main`` writes once, to stdout or ``--out``, after
-the verb succeeds.  ``hille``, ``membership``, ``radius`` and ``check`` print
+Verbs map one-to-one onto the library operations.  Every verb takes
+``--spec`` and ``--out`` from one parent parser; ``main`` reads the equation
+file (see ``equation_to_dict`` for the format) and hands the equation to the
+verb, which returns CSV text or a JSON document, which ``main`` writes once,
+to stdout or ``--out``, after the verb succeeds.  A negative point needs no
+``=``: ``main`` joins a value such as ``-1/10`` to its ``--X``, ``--x`` or
+``--direction``.  ``hille``, ``membership``, ``radius`` and ``check`` print
 every field of their result record, a ``collections.namedtuple``, in
 declaration order (see ``_doc``).  Nothing the CLI imports loads
 ``dataclasses`` or ``inspect``, whose import cost a verb more than its own
 work on small inputs, and ``csv`` loads only in a verb that writes CSV.
-Exit codes are 0 on success, 1 on domain errors, and 2 on usage or
-file-format errors, an ``--out`` that cannot be written among them,
-refused before the verb runs.
+Exit codes are 0 on success, 1 on domain errors, a float solve that
+overflows among them, and 2 on usage or file-format errors, an ``--out``
+that cannot be written among them, refused before the verb runs.
 Output is deterministic: identical inputs produce byte-identical documents.
 """
 
@@ -22,6 +25,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -89,8 +93,7 @@ def _doc(value):
     return value
 
 
-def _cmd_solve(args):
-    eq = parse_spec(args.spec)
+def _cmd_solve(eq, args):
     if args.method == ITERATIVE:
         sol = solve_formal(eq, args.degree)
     else:
@@ -104,16 +107,15 @@ def _cmd_solve(args):
     }
 
 
-def _cmd_majorant(args):
-    return equation_to_dict(majorant(parse_spec(args.spec)))
+def _cmd_majorant(eq, args):
+    return equation_to_dict(majorant(eq))
 
 
-def _cmd_hille(args):
-    return hille_point(_comparison(parse_spec(args.spec)))
+def _cmd_hille(eq, args):
+    return hille_point(_comparison(eq))
 
 
-def _cmd_iterate(args):
-    eq = parse_spec(args.spec)
+def _cmd_iterate(eq, args):
     if args.x is not None:
         x = _parse_vector(args.x, eq.mode, "--x")
         cmp = majorant(eq)
@@ -127,23 +129,21 @@ def _cmd_iterate(args):
     return buffer.getvalue()
 
 
-def _cmd_membership(args):
-    eq = parse_spec(args.spec)
+def _cmd_membership(eq, args):
     cmp = _comparison(eq)
     X = _parse_vector(args.X, eq.mode, "--X")
     return membership(cmp, X, args.budget)
 
 
-def _cmd_region(args):
-    cmp = _comparison(parse_spec(args.spec))
+def _cmd_region(eq, args):
+    cmp = _comparison(eq)
     sample = trace_graph(cmp, args.ymax, args.steps)
     buffer = io.StringIO()
     region_to_csv(sample, buffer)
     return buffer.getvalue()
 
 
-def _cmd_check(args):
-    eq = parse_spec(args.spec)
+def _cmd_check(eq, args):
     cmp = majorant(eq)
     half = args.box
     if not math.isfinite(half):
@@ -155,8 +155,8 @@ def _cmd_check(args):
         check_increments=True, rng=random.Random(args.seed))
 
 
-def _cmd_radius(args):
-    cmp = _comparison(parse_spec(args.spec))
+def _cmd_radius(eq, args):
+    cmp = _comparison(eq)
     direction = _parse_vector(args.direction, "float", "--direction")
     return radius_along_ray(cmp, direction, tol=args.tol)
 
@@ -168,27 +168,23 @@ def build_parser() -> argparse.ArgumentParser:
                     "convergence regions.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
-        p.add_argument("--spec", required=True, help="equation file (JSON)")
-        p.add_argument("--out", help="write the output document here instead of stdout")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--spec", required=True, help="equation file (JSON)")
+    common.add_argument("--out", help="write the output document here instead of stdout")
 
-    p = sub.add_parser("solve", help="formal solution series")
-    common(p)
+    p = sub.add_parser("solve", parents=[common], help="formal solution series")
     p.add_argument("--degree", type=int, default=DEFAULT_DEGREE)
     p.add_argument("--method", choices=[ITERATIVE, PARTITION_ORACLE],
                    default=ITERATIVE)
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("majorant", help="dominating comparison equation")
-    common(p)
+    p = sub.add_parser("majorant", parents=[common], help="dominating comparison equation")
     p.set_defaults(func=_cmd_majorant)
 
-    p = sub.add_parser("hille", help="turning point of the comparison graph")
-    common(p)
+    p = sub.add_parser("hille", parents=[common], help="turning point of the comparison graph")
     p.set_defaults(func=_cmd_hille)
 
-    p = sub.add_parser("iterate", help="fixed-point iteration trace (CSV)")
-    common(p)
+    p = sub.add_parser("iterate", parents=[common], help="fixed-point iteration trace (CSV)")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--X", help="comparison point, comma-separated")
     grp.add_argument("--x", help="primal point, comma-separated (paired run)")
@@ -196,28 +192,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_iterate)
 
-    p = sub.add_parser("membership", help="classify a point against the region")
-    common(p)
+    p = sub.add_parser("membership", parents=[common], help="classify a point against the region")
     p.add_argument("--X", required=True, help="comparison point, comma-separated")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_membership)
 
-    p = sub.add_parser("region", help="trace the comparison graph (CSV)")
-    common(p)
+    p = sub.add_parser("region", parents=[common], help="trace the comparison graph (CSV)")
     p.add_argument("--ymax", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=1000)
     p.set_defaults(func=_cmd_region)
 
-    p = sub.add_parser("check", help="sampled majorant domination check")
-    common(p)
+    p = sub.add_parser("check", parents=[common], help="sampled majorant domination check")
     p.add_argument("--samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--box", type=float, default=0.1,
                    help="half-width of the sampling box")
     p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("radius", help="convergence radius along a ray")
-    common(p)
+    p = sub.add_parser("radius", parents=[common], help="convergence radius along a ray")
     p.add_argument("--direction", required=True,
                    help="ray direction, comma-separated, non-negative")
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -226,17 +218,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_points(argv: list[str]) -> list[str]:
+    """*argv* with each point that starts with a minus sign and a digit or a
+    point joined to its option, as ``--x=-1/10``: argparse takes a value such
+    as ``-1/10``, ``-1e-1`` or ``-0.1,0.2`` for an option of its own."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in ("--X", "--x", "--direction") and re.match(r"-[\d.]", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_points(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         if args.out and (os.path.isdir(args.out) or not os.access(
                 os.path.dirname(os.path.abspath(args.out)), os.W_OK)):
             raise SpecFormatError(f"cannot write {args.out}")
-        result = args.func(args)
+        result = args.func(parse_spec(args.spec), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -196,7 +196,11 @@ def trace_graph(cmp: ComparisonEquation, Y_max: float, steps: int) -> RegionSamp
     psi, psi_y = _scalar_kernels(cmp)
     if steps < 1:
         raise ValueError("steps must be positive")
-    if not (Y_max > 0 and isfinite(Y_max * steps)):
+    try:
+        finite = isfinite(Y_max * steps)
+    except OverflowError:  # an int beyond the float range
+        finite = False
+    if not (Y_max > 0 and finite):
         raise ValueError(
             f"Y_max must be positive, with Y_max * steps finite, got {Y_max!r}")
     points: list[GraphPoint] = []

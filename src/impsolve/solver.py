@@ -15,6 +15,7 @@ be checked against each other; it is capped at low degree.
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, permutations
+from math import isfinite
 from typing import Iterator, Sequence
 
 from .errors import DomainError
@@ -70,8 +71,15 @@ def formal_iterates(eq: EquationSpec, degree: int) -> Iterator[SeriesMap]:
     phi = SeriesMap.zero(p, cap, psi.mode, q)
     while cap < degree:
         cap = min(cap + gain, degree)
-        phi = _substitute(psi, phi.with_cap(cap))
+        try:
+            phi = _substitute(psi, phi.with_cap(cap))
+        except ValueError:  # a ring result refuses only a float out of range
+            raise _overflow(cap) from None
         yield phi
+
+
+def _overflow(degree: int) -> DomainError:
+    return DomainError(f"float coefficients of the solution overflow by degree {degree}")
 
 
 def _substitute(psi: SeriesMap, phi: SeriesMap) -> SeriesMap:
@@ -166,6 +174,8 @@ def solve_partition_oracle(eq: EquationSpec, degree: int) -> SolutionSeries:
         for xs in combinations_with_replacement(range(p), n):
             level[xs] = _slot_sum(xs, n, p, q, coeff, by_alpha_r, bvals,
                                   beta_zero, zero)
+        if mode != EXACT and not all(isfinite(v) for vec in level.values() for v in vec):
+            raise _overflow(n)
         bvals[n] = level
 
     term_dicts: list[dict[tuple, Number]] = [{} for _ in range(q)]

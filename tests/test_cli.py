@@ -4,6 +4,7 @@ Each verb is driven against small equation files written into tmp_path;
 exit codes and document shapes are pinned.
 """
 
+import ast
 import hashlib
 import json
 import sys
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import impsolve.cli
 from impsolve.cli import build_parser, main
 from impsolve.lattice import MajorantSampleReport, MajorantViolation
 
@@ -97,6 +99,19 @@ def test_solve_methods_agree(spec_file, capsys):
     da, db = json.loads(a), json.loads(b)
     assert da["components"] == db["components"]
     assert db["source"] == "partition_oracle"
+
+
+@pytest.mark.parametrize("method", ["iterative", "partition_oracle"])
+def test_a_float_solve_that_overflows_is_a_domain_error(spec_file, capsys, method):
+    # y = x + 1e300 y^2 has the x^3 coefficient 2e600, and the solve exited 2
+    # with "float coefficients must be finite, got inf", blaming the input
+    path = spec_file(dict(QUAD_MINUS, terms=[
+        {"output": 0, "alpha": [1], "beta": [0], "value": "1.0"},
+        {"output": 0, "alpha": [0], "beta": [2], "value": "1e300"}]))
+    code, out, err = run(capsys, ["solve", "--spec", path, "--degree", "5",
+                                  "--method", method])
+    assert (code, out) == (1, "")
+    assert err == "error: float coefficients of the solution overflow by degree 3\n"
 
 
 def test_solve_out_file(spec_file, capsys, tmp_path):
@@ -339,6 +354,14 @@ def test_region_refuses_a_grid_that_overflows(spec_file, capsys, ymax):
     assert "Y_max" in err
 
 
+def test_region_refuses_steps_too_large_for_a_float(spec_file, capsys):
+    # Y_max * steps raised OverflowError: a traceback and exit 1
+    path = spec_file(QUAD_PLUS)
+    code, out, err = run(capsys, ["region", "--spec", path, "--steps", str(10 ** 400)])
+    assert code == 2 and not out
+    assert err == "error: Y_max must be positive, with Y_max * steps finite, got 1.0\n"
+
+
 @pytest.mark.parametrize("doc, steps, digest", [
     (lambda: QUAD_PLUS, "200",
      "1f8920994095a6593e5aa343718abc64a04d4423b20c8b0c4dee101e16a87b78"),
@@ -401,6 +424,23 @@ def test_iterate_primal_divergent_point(spec_file, capsys):
     assert "diverged" in err
 
 
+@pytest.mark.parametrize("doc, x", [
+    (lambda: QUAD_EXACT_MINUS, "-1/10"),
+    (lambda: QUAD_MINUS, "-1e-1"),
+    (lambda: dict(QUAD_MINUS, dim_x=2, profile_x="componentwise", terms=[
+        {"output": 0, "alpha": [1, 0], "beta": [0], "value": "1.0"},
+        {"output": 0, "alpha": [0, 1], "beta": [0], "value": "1.0"},
+        {"output": 0, "alpha": [0, 0], "beta": [2], "value": "-1.0"}]), "-0.1,0.05"),
+], ids=["exact", "float", "pair"])
+def test_a_negative_primal_point_needs_no_equals_sign(spec_file, capsys, doc, x):
+    # argparse read the point as an option: "argument --x: expected one
+    # argument", exit 2; only --x=-1/10 worked
+    path = spec_file(doc())
+    code, out, err = run(capsys, ["iterate", "--spec", path, "--x", x])
+    assert (code, err) == (0, "") and out.startswith("p,Y0,")
+    assert run(capsys, ["iterate", "--spec", path, f"--x={x}"]) == (code, out, err)
+
+
 def test_iterate_requires_exactly_one_point(spec_file, capsys):
     path = spec_file(QUAD_MINUS)
     code, _, _ = run(capsys, ["iterate", "--spec", path])
@@ -414,6 +454,13 @@ QUAD_EXACT = dict(QUAD_PLUS_EXACT, terms=[
     # y = x + y^2, exact
     {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
     {"output": 0, "alpha": [0], "beta": [2], "value": "1"},
+])
+
+
+QUAD_EXACT_MINUS = dict(QUAD_EXACT, terms=[
+    # y = x - y^2, exact
+    {"output": 0, "alpha": [1], "beta": [0], "value": "1"},
+    {"output": 0, "alpha": [0], "beta": [2], "value": "-1"},
 ])
 
 
@@ -750,6 +797,22 @@ def test_verb_options_are_frozen():
         "check": ["--spec", "--out", "--samples", "--seed", "--box"],
         "radius": ["--spec", "--out", "--direction", "--tol"],
     }
+
+
+def test_every_verb_shares_one_spec_and_one_out_option():
+    # each verb declared its own --spec and --out, 8 actions apiece
+    verbs = next(a for a in build_parser()._actions if a.choices).choices
+    for dest in ("spec", "out"):
+        assert len({a for p in verbs.values() for a in p._actions if a.dest == dest}) == 1
+
+
+def test_only_main_parses_the_spec():
+    # each _cmd_* handler called parse_spec itself; main now hands it the equation
+    tree = ast.parse(Path(impsolve.cli.__file__).read_text(encoding="utf-8"))
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "parse_spec"}
+    assert callers == {"main"}
 
 
 # ---------------------------------------------------------------------------

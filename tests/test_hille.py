@@ -434,6 +434,15 @@ def test_trace_refuses_a_grid_that_overflows(Y_max, steps):
     with pytest.raises(ValueError, match="Y_max"):
         trace_graph(quadratic_comparison(), Y_max, steps)
 
+
+@pytest.mark.parametrize("Y_max, steps", [(1.0, 10 ** 400), (10 ** 400, 10)],
+                         ids=["huge steps", "huge Y_max"])
+def test_trace_refuses_a_grid_too_large_for_a_float(Y_max, steps):
+    # the finiteness test converted an int beyond the float range to float
+    # and raised OverflowError instead of refusing the grid
+    with pytest.raises(ValueError, match="^Y_max must be positive"):
+        trace_graph(quadratic_comparison(), Y_max, steps)
+
 def test_region_csv():
     sample = trace_graph(quadratic_comparison(), 0.9, 90)
     buf = io.StringIO()

@@ -284,6 +284,18 @@ def test_routes_agree_on_random_corpus():
             assert dict(x.terms) == dict(y.terms)
 
 
+@pytest.mark.parametrize("solve", [solve_formal, solve_partition_oracle])
+def test_a_float_solve_that_overflows_is_a_domain_error(solve):
+    # the x^3 coefficient of y = x + 1e300 y^2 is 2e600; the ring, or the
+    # oracle's Series, refused it as a coefficient, a ValueError that blamed
+    # the input
+    eq = scalar_equation({(1, 0): 1, (0, 2): 1e300}, mode=FLOAT)
+    with pytest.raises(DomainError, match="^float coefficients of the solution "
+                                          "overflow by degree 3$"):
+        solve(eq, 5)
+    assert solve(eq, 2).phi.components[0].terms == {(1,): 1.0, (2,): 1e300}
+
+
 def test_partition_oracle_degree_cap():
     with pytest.raises(ValueError, match=str(PARTITION_ORACLE_MAX_DEGREE)):
         solve_partition_oracle(quadratic_equation(mode=EXACT),
